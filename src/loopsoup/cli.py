@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import json
 import math
 import os
 import sys
@@ -31,6 +32,7 @@ from .lattice import Box
 from .records import (PLUMBING, VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET,
                       VERDICT_REPORTED, Verdict, failed, fmt, write_json,
                       write_rows_csv, write_verdicts_csv)
+from .series import SeriesTruncationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -269,16 +271,28 @@ def cmd_gumbel_scan(args) -> int:
 
 
 def cmd_emit_plotdata(args) -> int:
+    """Compare mu*T with exp1 / exp1-squared and mu*T - log|A| with gumbel;
+    mu and |A| come from the JSON sidecar written next to the ensemble CSV."""
     import csv
-    values = []
-    with open(args.ensemble) as fh:
-        for row in csv.DictReader(fh):
-            values.append(float(row["cover_time"]))
-    emp = EmpiricalDistribution.from_samples(values)
     cdf = {"exp1": cover.exp1_cdf, "gumbel": cover.gumbel_cdf_vec,
            "exp1-squared": cover.exp1_power_cdf(2)}.get(args.cdf)
     if cdf is None:
         raise ConfigError(f"unknown target cdf {args.cdf!r}")
+    sidecar = Path(args.ensemble).with_suffix(".json")
+    try:
+        meta = json.loads(sidecar.read_text())
+        mu, size = float(meta["mu_origin_loops"]), int(meta["target_size"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read mu_origin_loops and target_size from "
+                          f"the ensemble's JSON sidecar {sidecar}: {exc!r}") from exc
+    values = []
+    with open(args.ensemble) as fh:
+        for row in csv.DictReader(fh):
+            values.append(float(row["cover_time"]))
+    z = mu * np.asarray(values)
+    if args.cdf == "gumbel":
+        z -= math.log(size)
+    emp = EmpiricalDistribution.from_samples(z)
     rows = _plotdata_rows("ensemble", emp, cdf)
     write_rows_csv(args.out, ["series", "x", "y", "kind"], rows)
     print(f"wrote {len(rows)} plot points to {args.out}")
@@ -532,7 +546,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceCeilingError as exc:
+    except (ResourceCeilingError, SeriesTruncationError) as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_CEILING
 

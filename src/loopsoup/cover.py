@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greens import greens_table, mu_gamma_o
-from .lattice import Box, Point
+from .lattice import Box, Point, STEP_DX, STEP_DY
 from .records import (PLUMBING, VERDICT_FAILS, VERDICT_HOLDS,
                       VERDICT_NOT_MET, VERDICT_REPORTED, Verdict)
 from .rng import block_stream
-from .sampler import LengthDistribution, balanced_signs
+from .sampler import LengthDistribution, balanced_signs, unpack_steps
 from .series import exp_tail_bound
 
 REPLICA_BLOCK = 4096
@@ -102,12 +102,20 @@ class PointsTarget:
     """Sparse explicit point set; roots come from per-point rings with
     acceptance correction on the overlap of the superposed intensities."""
 
+    #: Largest |coordinate| of a target point.  Traced cells lie within
+    #: 2 n_trunc <= 2**23 of a target point (or, for soups, in int32 range),
+    #: so they differ from every point by less than 2**32 per coordinate,
+    #: which is what keeps ``_key`` exact.
+    COORD_LIMIT = 1 << 30
+
     def __init__(self, points: list[Point]):
         if not points:
             raise ValueError("need at least one point")
         if len(set(points)) != len(points):
             raise ValueError("duplicate points")
         self.pts = np.asarray(points, dtype=np.int64)
+        if np.abs(self.pts).max() > self.COORD_LIMIT:
+            raise ValueError("target coordinates must lie within +-2**30")
         keys = self._key(self.pts[:, 0], self.pts[:, 1])
         order = np.argsort(keys)
         self._sorted_keys = keys[order]
@@ -115,7 +123,8 @@ class PointsTarget:
 
     @staticmethod
     def _key(x, y):
-        return (x.astype(np.int64) << 24) ^ (y.astype(np.int64) + (1 << 22))
+        # equal keys (mod 2**64) force y = y' and then x = x' mod 2**32
+        return (np.asarray(x, dtype=np.int64) << 32) + np.asarray(y, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -615,16 +624,11 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     hl = np.asarray(soup.half_length)
     for m in np.unique(hl).tolist():
         idx = np.nonzero(hl == m)[0]
-        nbytes = (2 * m + 3) // 4
         buf = b"".join(soup.steps_packed[i] for i in idx)
-        raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(idx), nbytes)
-        codes = np.empty((len(idx), nbytes * 4), dtype=np.int64)
-        for k in range(4):
-            codes[:, k::4] = (raw >> (2 * k)) & 3
-        codes = codes[:, :2 * m]
-        from .lattice import STEP_DX, STEP_DY
-        px = np.empty_like(codes)
-        py = np.empty_like(codes)
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(idx), -1)
+        codes = unpack_steps(raw, 2 * m)
+        px = np.empty(codes.shape, dtype=np.int64)
+        py = np.empty(codes.shape, dtype=np.int64)
         px[:, 0] = soup.root_x[idx]
         py[:, 0] = soup.root_y[idx]
         px[:, 1:] = soup.root_x[idx, None] + np.cumsum(STEP_DX[codes], axis=1)[:, :-1]

@@ -1,13 +1,14 @@
 """Counter-based random streams for reproducible (and parallelizable) sampling.
 
-All randomness derives from Philox, keyed by the user seed.  Substreams are
-carved out two ways:
+All randomness derives from Philox generators keyed, through SeedSequence,
+by (user seed, label, index).  ``block_stream`` hands out one independent
+stream per index, and callers give each unit of work its own index:
 
-* ``root_stream``: a disjoint counter block per (replica, root, slice), so a
-  soup sample is bit-identical however roots are iterated or parallelized.
-* ``block_stream``: an independently keyed generator per (label, index), used
-  for replica blocks in Monte Carlo ensembles; merging blocks by index makes
-  results independent of worker count.
+* replica blocks of a Monte Carlo ensemble (label = the experiment); merging
+  blocks by index makes results independent of worker count;
+* time slices of a window soup (label ``"soup"``); a slice draws its whole
+  window from one stream, so extending a soup's horizon adds a slice and
+  never changes the loops already drawn.
 """
 
 from __future__ import annotations
@@ -16,39 +17,10 @@ import zlib
 
 import numpy as np
 
-# Draw budget per (replica, root, slice) block: 2**32 variates.
-_BLOCK_BITS = 32
-
-
-def philox_key(seed: int) -> np.ndarray:
-    """Stable 128-bit Philox key derived from an integer seed."""
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
-
-
-def _zigzag16(v: int) -> int:
-    u = (v << 1) ^ (v >> 63) if v < 0 else (v << 1)
-    if not 0 <= u < (1 << 16):
-        raise ValueError(f"coordinate {v} out of the +-32767 stream range")
-    return u
-
-
-def root_code(root: tuple[int, int]) -> int:
-    return (_zigzag16(root[0]) << 16) | _zigzag16(root[1])
-
-
-def root_stream(key: np.ndarray, root: tuple[int, int],
-                replica: int = 0, time_slice: int = 0) -> np.random.Generator:
-    """Generator on a disjoint Philox counter block for (replica, root, slice)."""
-    if not 0 <= replica < (1 << 32) or not 0 <= time_slice < (1 << 16):
-        raise ValueError("replica/slice out of range")
-    bg = np.random.Philox(key=key)
-    block = (replica << 48) | (time_slice << 32) | root_code(root)
-    bg.advance(block << _BLOCK_BITS)
-    return np.random.Generator(bg)
-
 
 def block_stream(seed: int, label: str, index: int) -> np.random.Generator:
-    """Independent generator for replica block `index` of experiment `label`."""
+    """Independent generator for unit `index` (replica block, time slice)
+    of experiment `label`."""
     tag = zlib.crc32(label.encode("utf-8"))
     ss = np.random.SeedSequence(seed, spawn_key=(tag, index))
     return np.random.Generator(np.random.Philox(ss))

@@ -15,14 +15,13 @@ the same length; no multiplicity bookkeeping is needed.
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box, Point, STEP_DX, STEP_DY, l1
-from .rng import philox_key, root_stream
+from .lattice import Box, Point, STEP_DX, STEP_DY
+from .rng import block_stream
 from .series import (SeriesTruncationError, exp_tail_bound, loop_term_array,
                      step_weight)
 
@@ -199,22 +198,30 @@ def loop_trace(loop: RootedLoop) -> set[Point]:
     return loop.trace()
 
 
-def pack_steps(steps: np.ndarray) -> bytes:
-    """Pack 2-bit step codes, four per byte (little-end first)."""
+def pack_steps(steps: np.ndarray) -> np.ndarray:
+    """Pack 2-bit step codes four per byte (low bits first), row by row.
+
+    (..., n) codes -> (..., ceil(n/4)) uint8; the last byte of a row is
+    zero-padded.
+    """
     s = np.asarray(steps, dtype=np.uint8)
-    pad = (-len(s)) % 4
+    pad = (-s.shape[-1]) % 4
     if pad:
-        s = np.concatenate([s, np.zeros(pad, dtype=np.uint8)])
-    s = s.reshape(-1, 4)
-    return (s[:, 0] | (s[:, 1] << 2) | (s[:, 2] << 4) | (s[:, 3] << 6)).tobytes()
+        s = np.concatenate([s, np.zeros(s.shape[:-1] + (pad,), np.uint8)], axis=-1)
+    s = s.reshape(s.shape[:-1] + (-1, 4))
+    return s[..., 0] | (s[..., 1] << 2) | (s[..., 2] << 4) | (s[..., 3] << 6)
 
 
-def unpack_steps(buf: bytes, n_steps: int) -> np.ndarray:
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    out = np.empty(len(raw) * 4, dtype=np.int8)
-    for k in range(4):
-        out[k::4] = (raw >> (2 * k)) & 3
-    return out[:n_steps]
+_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
+
+
+def unpack_steps(packed, n_steps: int) -> np.ndarray:
+    """Inverse of pack_steps: bytes, or (..., nbytes) uint8 rows, to
+    (..., n_steps) int8 step codes."""
+    raw = packed if isinstance(packed, np.ndarray) \
+        else np.frombuffer(packed, dtype=np.uint8)
+    codes = (raw[..., None] >> _SHIFTS) & 3
+    return codes.reshape(raw.shape[:-1] + (-1,))[..., :n_steps].astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +232,12 @@ def unpack_steps(buf: bytes, n_steps: int) -> np.ndarray:
 class SoupSample:
     """Soup restricted to roots in a window, lengths <= 2 n_trunc, t <= horizon.
 
-    Loops live in parallel arrays; steps are packed 2-bit sequences.  The
-    sample is a pure function of (seed, kappa, window, horizon, tail_tol):
-    every (root, time-slice) pair owns a disjoint counter block of the
-    keyed Philox stream, so neither iteration order nor extension history
-    changes any draw.
+    Loops live in parallel arrays, ordered by time slice, then by root
+    (x-major); steps are packed 2-bit sequences.  The sample is a pure
+    function of (seed, kappa, window, horizon, tail_tol) and of the horizons
+    it was extended by: every time slice draws from its own Philox stream,
+    ``block_stream(seed, "soup", slice)``, so extending a soup never changes
+    the loops it already holds.
     """
 
     kappa: float
@@ -256,37 +264,26 @@ class SoupSample:
     def loops(self):
         return (self.loop(i) for i in range(len(self)))
 
-    def root_counts(self) -> dict[Point, int]:
-        out: dict[Point, int] = {}
-        for x, y in zip(self.root_x.tolist(), self.root_y.tolist()):
-            out[(x, y)] = out.get((x, y), 0) + 1
-        return out
 
-
-def _sample_slice(seed: int, kappa: float, window: Box, t0: float, t1: float,
+def _sample_slice(seed: int, window: Box, t0: float, t1: float,
                   time_slice: int, dist: LengthDistribution):
-    key = philox_key(seed)
-    rate = (t1 - t0) * dist.total_mass
-    rx, ry, hl, ts, packed = [], [], [], [], []
-    for x in range(window.x0, window.x1 + 1):
-        for y in range(window.y0, window.y1 + 1):
-            rng = root_stream(key, (x, y), replica=0, time_slice=time_slice)
-            k = int(rng.poisson(rate))
-            if k == 0:
-                continue
-            ms = dist.sample(rng, k)
-            times = t0 + (t1 - t0) * rng.random(k)
-            for i in range(k):
-                m = int(ms[i])
-                steps = bridge_steps(rng, m, 1)[0]
-                rx.append(x)
-                ry.append(y)
-                hl.append(m)
-                ts.append(float(times[i]))
-                packed.append(pack_steps(steps))
-    return (np.array(rx, dtype=np.int32), np.array(ry, dtype=np.int32),
-            np.array(hl, dtype=np.int32), np.array(ts, dtype=np.float64),
-            packed)
+    """All loops rooted in the window with timestamps in [t0, t1), drawn
+    whole-window from the slice's own stream."""
+    rng = block_stream(seed, "soup", time_slice)
+    counts = rng.poisson((t1 - t0) * dist.total_mass, size=window.area)
+    cell = np.repeat(np.arange(window.area), counts)
+    rx = (window.x0 + cell // window.height).astype(np.int32)
+    ry = (window.y0 + cell % window.height).astype(np.int32)
+    hl = dist.sample(rng, len(cell)).astype(np.int32)
+    ts = t0 + (t1 - t0) * rng.random(len(cell))
+    packed: list[bytes] = [b""] * len(cell)
+    for m in np.unique(hl).tolist():
+        idx = np.nonzero(hl == m)[0]
+        rows = pack_steps(bridge_steps(rng, m, len(idx)))
+        buf, nb = rows.tobytes(), rows.shape[1]
+        for k, i in enumerate(idx.tolist()):
+            packed[i] = buf[k * nb:(k + 1) * nb]
+    return rx, ry, hl, ts, packed
 
 
 def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
@@ -297,6 +294,9 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
         raise ValueError("time_horizon must be >= 0")
     if not isinstance(window, Box):
         window = Box(*window)
+    i32 = np.iinfo(np.int32)
+    if min(window.x0, window.y0) < i32.min or max(window.x1, window.y1) > i32.max:
+        raise ValueError("window coordinates must fit in int32")
     dist = LengthDistribution.build(kappa, tail_tol, ceiling)
     if time_horizon == 0:
         empty = np.array([], dtype=np.int32)
@@ -306,8 +306,8 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
                           half_length=empty.copy(),
                           timestamp=np.array([], dtype=np.float64),
                           steps_packed=[])
-    rx, ry, hl, ts, packed = _sample_slice(seed, kappa, window, 0.0,
-                                           time_horizon, 0, dist)
+    rx, ry, hl, ts, packed = _sample_slice(seed, window, 0.0, time_horizon,
+                                           0, dist)
     return SoupSample(kappa=kappa, window=window, time_horizon=time_horizon,
                       n_trunc=dist.n_trunc, tail_tol=tail_tol, seed=seed,
                       n_slices=1, root_x=rx, root_y=ry, half_length=hl,
@@ -323,9 +323,9 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
         return soup
     dist = LengthDistribution.build(soup.kappa, soup.tail_tol)
     t0 = soup.time_horizon
-    rx, ry, hl, ts, packed = _sample_slice(soup.seed, soup.kappa, soup.window,
-                                           t0, t0 + delta_horizon,
-                                           soup.n_slices, dist)
+    rx, ry, hl, ts, packed = _sample_slice(soup.seed, soup.window, t0,
+                                           t0 + delta_horizon, soup.n_slices,
+                                           dist)
     return SoupSample(kappa=soup.kappa, window=soup.window,
                       time_horizon=t0 + delta_horizon, n_trunc=soup.n_trunc,
                       tail_tol=soup.tail_tol, seed=soup.seed,

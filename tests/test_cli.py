@@ -1,0 +1,81 @@
+import csv
+
+from loopsoup import cli, greens
+from loopsoup.cover import calibrated_ks_threshold
+from loopsoup.series import SeriesTruncationError
+
+
+def _run(*argv) -> int:
+    return cli.main([str(a) for a in argv])
+
+
+def _plot_ks(path) -> float:
+    with open(path) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["kind"] == "ks"]
+    assert len(rows) == 1
+    return float(rows[0]["x"])
+
+
+def test_covertime_artifacts_identical_across_workers(tmp_path):
+    # 8192 replicas are two replica blocks, so two workers split the run
+    out = {}
+    for workers in (1, 2):
+        d = tmp_path / f"w{workers}"
+        assert _run("--seed", 3, "--workers", workers, "--out-dir", d,
+                    "covertime", "--set", "box:2", "--kappa", 0.5,
+                    "--replicas", 8192) == cli.EXIT_OK
+        out[workers] = [(d / n).read_bytes()
+                        for n in ("covertime.csv", "covertime.json")]
+    assert out[1] == out[2]
+
+
+def test_soup_sample_csv_identical_for_same_seed(tmp_path):
+    blobs = []
+    for rep in range(2):
+        path = tmp_path / f"loops{rep}.csv"
+        assert _run("--seed", 5, "soup", "sample", "--kappa", 0.5,
+                    "--window=-3,-3,3,3", "--horizon", 2.0,
+                    "--out", path) == cli.EXIT_OK
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1] and blobs[0].count(b"\n") > 1
+
+
+def test_emit_plotdata_rescales_with_sidecar(tmp_path):
+    # one point: mu T is exactly Exp(1), so exp1 holds at a calibrated
+    # threshold; box:4 against the Gumbel limit law of mu T - log|A|
+    # (raw cover times gave KS 0.949 here)
+    for label, target, cdf, threshold in (
+            ("pt", "points:(0,0)", "exp1", calibrated_ks_threshold(4000)),
+            ("box", "box:4", "gumbel", 0.1)):
+        d = tmp_path / label
+        assert _run("--seed", 1, "--out-dir", d, "covertime", "--set", target,
+                    "--kappa", 0.5, "--replicas", 4000) == cli.EXIT_OK
+        plot = d / "plot.csv"
+        assert _run("emit-plotdata", "--ensemble", d / "covertime.csv",
+                    "--cdf", cdf, "--out", plot) == cli.EXIT_OK
+        assert _plot_ks(plot) <= threshold
+
+
+def test_emit_plotdata_without_sidecar_is_config_error(tmp_path, capsys):
+    d = tmp_path / "run"
+    assert _run("--seed", 1, "--out-dir", d, "covertime", "--set", "box:2",
+                "--kappa", 0.5, "--replicas", 64) == cli.EXIT_OK
+    (d / "covertime.json").unlink()
+    assert _run("emit-plotdata", "--ensemble", d / "covertime.csv",
+                "--out", d / "plot.csv") == cli.EXIT_CONFIG
+    assert "covertime.json" in capsys.readouterr().err
+    assert not (d / "plot.csv").exists()
+
+
+def test_series_truncation_exits_resource_ceiling(monkeypatch, capsys):
+    def ceiling(*args, **kwargs):
+        raise SeriesTruncationError("tail bound not certified")
+
+    monkeypatch.setattr(greens, "loop_series_gram", ceiling)
+    greens._greens_table_cached.cache_clear()
+    try:
+        assert _run("greens", "--kappa", "1e-9") == cli.EXIT_CEILING
+    finally:
+        greens._greens_table_cached.cache_clear()
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["resource ceiling: tail bound not certified"]

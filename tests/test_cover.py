@@ -59,6 +59,23 @@ class TestTargets:
         ys = np.array([0, -3, 1, 2])
         assert t.vertex_index(xs, ys).tolist() == [0, 1, -1, -1]
 
+    def test_vertex_index_far_cells_do_not_collide(self):
+        # a 24-bit key mapped (-1, 12582911) onto the point (0, -4194305)
+        t = PointsTarget([(0, -4194305), (5, 5)])
+        assert t.vertex_index(np.array([-1]), np.array([12582911])).tolist() == [-1]
+        lim = PointsTarget.COORD_LIMIT
+        far = PointsTarget([(lim, -lim), (-lim, lim)])
+        xs = np.array([lim, -lim, lim - 1, lim + (1 << 23), -lim - (1 << 23)])
+        ys = np.array([-lim, lim, -lim, -lim, lim])
+        assert far.vertex_index(xs, ys).tolist() == [0, 1, -1, -1, -1]
+
+    def test_points_target_rejects_unrepresentable_coordinates(self):
+        lim = PointsTarget.COORD_LIMIT
+        PointsTarget([(lim, -lim)])
+        for bad in ((lim + 1, 0), (0, -lim - 1)):
+            with pytest.raises(ValueError, match=r"2\*\*30"):
+                PointsTarget([bad])
+
 
 class TestKs:
     def test_constant_cdf(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, poisson
 
 from loopsoup import greens, laws, sampler
 from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
@@ -106,7 +106,18 @@ class TestBridges:
         for m in (1, 2, 3, 17):
             steps = sampler.bridge_steps(rng, m, 1)[0]
             assert np.array_equal(
-                sampler.unpack_steps(sampler.pack_steps(steps), 2 * m), steps)
+                sampler.unpack_steps(sampler.pack_steps(steps).tobytes(), 2 * m),
+                steps)
+
+    def test_pack_batch_roundtrip(self, rng):
+        # a (g, 2m) batch packs row by row: each row is the single-row packing
+        for m in (1, 2, 3, 17):
+            steps = sampler.bridge_steps(rng, m, 9)
+            packed = sampler.pack_steps(steps)
+            assert packed.shape == (9, (2 * m + 3) // 4)
+            assert np.array_equal(sampler.unpack_steps(packed, 2 * m), steps)
+            for row, codes in zip(packed, steps):
+                assert row.tobytes() == sampler.pack_steps(codes).tobytes()
 
 
 class TestWindowSoup:
@@ -126,6 +137,49 @@ class TestWindowSoup:
         assert np.array_equal(a.timestamp, b.timestamp)
         assert np.array_equal(a.half_length, b.half_length)
         assert a.steps_packed == b.steps_packed
+
+    def test_far_window_deterministic(self):
+        win = Box(100_000, -100_000, 100_006, -99_995)
+        a = sampler.sample_window_soup(4, 0.5, win, 3.0, 1e-6)
+        b = sampler.sample_window_soup(4, 0.5, win, 3.0, 1e-6)
+        assert len(a) > 0
+        for f in ("root_x", "root_y", "half_length", "timestamp"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        assert a.steps_packed == b.steps_packed
+        assert all(win.contains((int(x), int(y)))
+                   for x, y in zip(a.root_x, a.root_y))
+        with pytest.raises(ValueError, match="int32"):
+            sampler.sample_window_soup(4, 0.5, Box(0, 0, 2 ** 31, 0), 3.0, 1e-6)
+
+    def test_extension_keeps_sample_as_prefix(self):
+        base = sampler.sample_window_soup(5, 0.5, Box(-3, -2, 4, 3), 1.5, 1e-6)
+        ext = sampler.extend_soup(base, 2.0)
+        again = sampler.extend_soup(ext, 0.5)
+        for short, long in ((base, ext), (ext, again)):
+            k = len(short)
+            assert len(long) > k
+            for f in ("root_x", "root_y", "half_length", "timestamp"):
+                assert getattr(long, f)[:k].tobytes() == getattr(short, f).tobytes()
+            assert long.steps_packed[:k] == short.steps_packed
+
+    def test_root_counts_poisson(self):
+        # per-root loop counts of one large soup against Poisson(T mass),
+        # roots tallied through the x-major placement of the window
+        d = sampler.length_pmf(0.5, 1e-6)
+        win = Box(-30, 5, 29, 64)
+        horizon = 2.0 / d.total_mass
+        soup = sampler.sample_window_soup(11, 0.5, win, horizon, 1e-6)
+        cell = (soup.root_x.astype(np.int64) - win.x0) * win.height \
+            + (soup.root_y - win.y0)
+        per_root = np.bincount(cell, minlength=win.area)
+        observed = np.bincount(per_root)
+        expected = win.area * poisson.pmf(np.arange(len(observed)),
+                                          horizon * d.total_mass)
+        big = expected >= 5
+        obs = np.append(observed[big], win.area - observed[big].sum())
+        exp = np.append(expected[big], win.area - expected[big].sum())
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2.sf(stat, len(exp) - 1) > 0.001
 
     def test_mean_loop_count(self):
         # aggregate 60 disjoint-seed soups: mean count within 3 SE of
