@@ -16,8 +16,7 @@ from .laws import (TargetSet, expected_uncovered, gumbel_cdf, one_point_law,
                    prob_point_uncovered, quasi_independence_bound,
                    second_moment_report, u_star)
 from .sampler import (LengthDistribution, RootedLoop, SoupSample, extend_soup,
-                      length_pmf, loop_trace, sample_rooted_loop,
-                      sample_window_soup)
+                      length_pmf, sample_rooted_loop, sample_window_soup)
 from .walks import (WalkCountTable, count_loops_closed_form,
                     count_walks_bruteforce, count_walks_diagonal,
                     count_walks_dp, verify_dominance)

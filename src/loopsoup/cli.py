@@ -2,10 +2,12 @@
 
 Subcommands: greens, verify (bounds|appendix|all), laws (pair|second-moment),
 soup sample, covertime, example (two-far|neighbors|many-sep), gumbel-scan,
-emit-plotdata.  Global flags --seed/--workers/--out-dir/--quick, overridable
-from LOOPSOUP_* environment variables and an optional flat key=value config
-file.  Exit codes: 0 ok, 1 asserted check failed, 2 config error,
-3 resource ceiling.
+emit-plotdata.  Global flags --seed/--workers/--out-dir/--quick; the first
+three default to LOOPSOUP_SEED/LOOPSOUP_WORKERS/LOOPSOUP_OUT_DIR from the
+environment, else to the same keys of an optional flat key=value config
+file (--config), and a flag on the command line overrides both.  Option
+values may start with "-" (--window -3,-3,3,3).  Exit codes: 0 ok,
+1 asserted check failed, 2 config error, 3 resource ceiling.
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -18,6 +20,7 @@ import base64
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -25,12 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import cover, greens, laws, sampler, walks
-from .cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
-                    PointsTarget, ResourceCeilingError, calibrated_ks_threshold,
-                    cover_time_ensemble, ks_distance, make_target, run_blocks)
-from .lattice import Box
-from .records import (PLUMBING, VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET,
-                      VERDICT_REPORTED, Verdict, failed, fmt, write_json,
+from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
+                    calibrated_ks_threshold, cover_time_ensemble, ks_distance,
+                    make_target)
+from .lattice import STEP_DX, STEP_DY, Box
+from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
 from .series import SeriesTruncationError
 
@@ -228,8 +230,8 @@ def cmd_covertime(args) -> int:
                                  work_guard=args.work_guard)
     _ensemble_artifacts(args, sample, "covertime", [])
     v = sample.values.values
-    print(f"replicas={sample.replicas} mean={v.mean()!r} "
-          f"mu={sample.mu!r} bias_rate={sample.truncation_bias_rate!r}")
+    print(f"replicas={sample.replicas} mean={fmt(v.mean())} "
+          f"mu={fmt(sample.mu)} bias_rate={fmt(sample.truncation_bias_rate)}")
     return EXIT_OK
 
 
@@ -274,8 +276,8 @@ def cmd_emit_plotdata(args) -> int:
     """Compare mu*T with exp1 / exp1-squared and mu*T - log|A| with gumbel;
     mu and |A| come from the JSON sidecar written next to the ensemble CSV."""
     import csv
-    cdf = {"exp1": cover.exp1_cdf, "gumbel": cover.gumbel_cdf_vec,
-           "exp1-squared": cover.exp1_power_cdf(2)}.get(args.cdf)
+    cdf = {"exp1": laws.one_point_law, "gumbel": laws.gumbel_cdf,
+           "exp1-squared": laws.exp1_power_cdf(2)}.get(args.cdf)
     if cdf is None:
         raise ConfigError(f"unknown target cdf {args.cdf!r}")
     sidecar = Path(args.ensemble).with_suffix(".json")
@@ -315,7 +317,7 @@ def emit_plotdata_for_scan(rep, path) -> None:
     for key, sample in rep.ensembles.items():
         z = sample.mu * sample.values.values - math.log(sample.target_size)
         emp = EmpiricalDistribution.from_samples(z)
-        rows += _plotdata_rows(key, emp, cover.gumbel_cdf_vec)
+        rows += _plotdata_rows(key, emp, laws.gumbel_cdf)
     write_rows_csv(path, ["series", "x", "y", "kind"], rows)
 
 
@@ -336,28 +338,19 @@ def _verify_all_verdicts(args) -> list[Verdict]:
         for x, w in tally.items():
             ok &= table.count(n, x) == w == walks.count_walks_diagonal(n, x)
         ok &= sum(tally.values()) == 4 ** n
-    verdicts.append(Verdict(
-        check="walk-count-oracle-agreement", anchor=PLUMBING,
-        params=f"n<={n_oracle}", lhs=float(ok), rhs=1.0,
-        verdict=VERDICT_HOLDS if ok else VERDICT_FAILS,
-        margin=0.0 if ok else -1.0))
+    verdicts.append(verdict("walk-count-oracle-agreement", PLUMBING,
+                            f"n<={n_oracle}", float(ok), 1.0, ok))
 
     n_loops = 30 if quick else 100
     big = walks.WalkCountTable.build(2 * n_loops, 2 * n_loops)
     ok = all(big.origin_loop_count(n) == walks.count_loops_closed_form(n)
              for n in range(1, n_loops + 1))
-    verdicts.append(Verdict(
-        check="closed-loop-count-formula", anchor="loop-count-square",
-        params=f"n<={n_loops}", lhs=float(ok), rhs=1.0,
-        verdict=VERDICT_HOLDS if ok else VERDICT_FAILS,
-        margin=0.0 if ok else -1.0))
+    verdicts.append(verdict("closed-loop-count-formula", "loop-count-square",
+                            f"n<={n_loops}", float(ok), 1.0, ok))
 
     dom = walks.verify_dominance(24, 24)
-    verdicts.append(Verdict(
-        check="even-walk-dominance", anchor="origin-dominance",
-        params="lengths<=24", lhs=float(len(dom.violations)), rhs=0.0,
-        verdict=VERDICT_HOLDS if dom.ok else VERDICT_FAILS,
-        margin=0.0 if dom.ok else -float(len(dom.violations))))
+    verdicts.append(verdict("even-walk-dominance", "origin-dominance",
+                            "lengths<=24", float(len(dom.violations)), 0.0, dom.ok))
 
     grid = [1.0, 0.5, 0.1, 0.01]
     verdicts += greens.check_green_bounds(grid, radius=8 if quick else 20,
@@ -373,24 +366,18 @@ def _verify_all_verdicts(args) -> list[Verdict]:
                 point = laws.prob_point_uncovered(kappa, u)
                 nosh = laws.prob_no_shared_loop(kappa, x, u)
                 idok &= abs(pair - point * point / nosh) <= 1e-12 * pair
-    verdicts.append(Verdict(
-        check="pair-identity-chain", anchor="pair-avoidance-identity",
-        params="kappa in {1,0.25}", lhs=float(idok), rhs=1.0,
-        verdict=VERDICT_HOLDS if idok else VERDICT_FAILS,
-        margin=0.0 if idok else -1.0))
+    verdicts.append(verdict("pair-identity-chain", "pair-avoidance-identity",
+                            "kappa in {1,0.25}", float(idok), 1.0, idok))
 
     # One-point law via Monte Carlo at a calibrated threshold.
     replicas = 10_000 if quick else 100_000
     sample = cover_time_ensemble(args.seed, 0.25, PointsTarget([(0, 0)]),
                                  replicas, workers=args.workers)
-    d = ks_distance(sample.scaled(), cover.exp1_cdf)
+    d = ks_distance(sample.scaled(), laws.one_point_law)
     thr = calibrated_ks_threshold(replicas) + sample.truncation_bias_bound
-    verdicts.append(Verdict(
-        check="one-point-exponential-law", anchor="one-point-law",
-        params=f"kappa=0.25,replicas={replicas},seed={args.seed}",
-        lhs=d, rhs=thr,
-        verdict=VERDICT_HOLDS if d <= thr else VERDICT_FAILS,
-        margin=thr - d if d <= thr else -(d - thr)))
+    verdicts.append(verdict("one-point-exponential-law", "one-point-law",
+                            f"kappa=0.25,replicas={replicas},seed={args.seed}",
+                            d, thr, d <= thr))
 
     # Sampler structure: bridge closure and length-law chi-square.
     dist = sampler.length_pmf(0.5, 1e-8)
@@ -402,20 +389,14 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     chi2 = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
     from scipy.stats import chi2 as chi2_dist
     pval = float(chi2_dist.sf(chi2, int(keep.sum()) - 1))
-    verdicts.append(Verdict(
-        check="length-law-chi-square", anchor=PLUMBING,
-        params=f"kappa=0.5,draws=20000,seed={args.seed}", lhs=pval, rhs=0.001,
-        verdict=VERDICT_HOLDS if pval > 0.001 else VERDICT_FAILS,
-        margin=pval - 0.001))
+    verdicts.append(verdict("length-law-chi-square", PLUMBING,
+                            f"kappa=0.5,draws=20000,seed={args.seed}",
+                            pval, 0.001, pval > 0.001))
     steps = sampler.bridge_steps(rng, 6, 512)
-    from .lattice import STEP_DX, STEP_DY
     closure = bool((STEP_DX[steps].sum(axis=1) == 0).all()
                    and (STEP_DY[steps].sum(axis=1) == 0).all())
-    verdicts.append(Verdict(
-        check="bridge-closure", anchor=PLUMBING, params="m=6,draws=512",
-        lhs=float(closure), rhs=1.0,
-        verdict=VERDICT_HOLDS if closure else VERDICT_FAILS,
-        margin=0.0 if closure else -1.0))
+    verdicts.append(verdict("bridge-closure", PLUMBING, "m=6,draws=512",
+                            float(closure), 1.0, closure))
     return verdicts
 
 
@@ -530,17 +511,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# A value such as -3,-3,3,3 is not a plain negative number, so argparse
+# would read it as an unknown flag.
+_DASH_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join `--opt -3,...` into `--opt=-3,...`; no option starts with a digit."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev \
+                and _DASH_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_dash_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        # --config/env provide defaults for the global flags
+        # --config/env provide defaults for the global flags; a flag given
+        # on the command line overrides them
         pre, _ = parser.parse_known_args(argv)
         defaults = effective_defaults(pre.config)
         flat = {"seed": int, "workers": int, "out-dir": str}
-        for key, cast in flat.items():
-            if key in defaults and f"--{key}" not in " ".join(argv):
-                argv = [f"--{key}", str(cast(defaults[key]))] + argv
+        parser.set_defaults(**{key.replace("-", "_"): cast(defaults[key])
+                               for key, cast in flat.items() if key in defaults})
         args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -10,7 +10,8 @@ Per-vertex first-cover times are folded in streamwise; the horizon starts
 at twice the expected cover time and doubles until the set is covered.
 Discarding loops that provably cannot intersect the target leaves the law
 of every coverage functional unchanged, and each truncation carries a
-certified bias rate that reports add to their statistical error.
+certified bias rate (``sampler.truncation_bias_rate``) that reports add to
+their statistical error.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -24,13 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import greens_table, mu_gamma_o
-from .lattice import Box, Point, STEP_DX, STEP_DY
-from .records import (PLUMBING, VERDICT_FAILS, VERDICT_HOLDS,
-                      VERDICT_NOT_MET, VERDICT_REPORTED, Verdict)
+from .greens import mu_gamma_o
+from .lattice import Box, Point
+from .laws import exp1_power_cdf, gumbel_cdf, one_point_law, u_star
+from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
-from .sampler import LengthDistribution, balanced_signs, unpack_steps
-from .series import exp_tail_bound
+from .sampler import (LengthDistribution, balanced_signs, loop_vertices,
+                      truncation_bias_rate, unpack_steps)
 
 REPLICA_BLOCK = 4096
 _CELL_BUDGET = 24_000_000
@@ -65,12 +66,11 @@ class BoxTarget:
     def points(self) -> list[Point]:
         return [(i, j) for i in range(self.side) for j in range(self.side)]
 
-    def ring_count(self, delta: int) -> int:
+    def ring_count(self, delta):
         return self.box.ring_count(delta)
 
     def root_coords(self, rng, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.array([self.ring_count(int(d)) if d > 0 else self.size
-                           for d in delta], dtype=np.int64)
+        counts = self.box.ring_count(delta)
         idx = np.minimum((rng.random(len(delta)) * counts).astype(np.int64),
                          counts - 1)
         x = np.empty(len(delta), dtype=np.int64)
@@ -82,7 +82,7 @@ class BoxTarget:
             y[inside] = self.box.y0 + idx[inside] % h
         out = ~inside
         if out.any():
-            x[out], y[out] = _box_ring_cells_vec(self.box, delta[out], idx[out])
+            x[out], y[out] = self.box.ring_cells(delta[out], idx[out])
         return x, y
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -93,9 +93,6 @@ class BoxTarget:
                   & (y >= self.box.y0) & (y <= self.box.y1))
         idx = (x - self.box.x0) * self.box.height + (y - self.box.y0)
         return np.where(inside, idx, -1)
-
-    def acceptance(self, x, y, delta):  # box rings never overshoot
-        return None
 
 
 class PointsTarget:
@@ -137,10 +134,11 @@ class PointsTarget:
     def points(self) -> list[Point]:
         return [(int(a), int(b)) for a, b in self.pts]
 
-    def ring_count(self, delta: int) -> int:
+    def ring_count(self, delta):
         # superposed candidate rings over all centers (overlaps corrected
         # by the acceptance step)
-        return self.size * (4 * delta if delta > 0 else 1)
+        d = np.asarray(delta, dtype=np.int64)
+        return self.size * np.where(d > 0, 4 * d, 1)
 
     def root_coords(self, rng, delta):
         n = len(delta)
@@ -157,11 +155,6 @@ class PointsTarget:
             y[ring] = cy[ring] + oy
         return x, y
 
-    def distance(self, x, y):
-        dx = np.abs(x[:, None] - self.pts[None, :, 0])
-        dy = np.abs(y[:, None] - self.pts[None, :, 1])
-        return (dx + dy).min(axis=1)
-
     def per_center_distances(self, x, y):
         dx = np.abs(x[:, None] - self.pts[None, :, 0])
         dy = np.abs(y[:, None] - self.pts[None, :, 1])
@@ -173,34 +166,6 @@ class PointsTarget:
         pos = np.minimum(pos, self.size - 1)
         hit = self._sorted_keys[pos] == keys
         return np.where(hit, self._order[pos], -1)
-
-
-def _box_ring_cells_vec(box: Box, delta: np.ndarray, idx: np.ndarray):
-    """Vectorized Box.ring_cells allowing a per-element delta >= 1."""
-    w, h = box.width, box.height
-    b0, b1, b2, b3 = w, 2 * w, 2 * w + h, 2 * w + 2 * h
-    x = np.empty(len(delta), dtype=np.int64)
-    y = np.empty(len(delta), dtype=np.int64)
-    sel = idx < b0
-    x[sel] = box.x0 + idx[sel]
-    y[sel] = box.y1 + delta[sel]
-    sel = (idx >= b0) & (idx < b1)
-    x[sel] = box.x0 + (idx[sel] - b0)
-    y[sel] = box.y0 - delta[sel]
-    sel = (idx >= b1) & (idx < b2)
-    x[sel] = box.x1 + delta[sel]
-    y[sel] = box.y0 + (idx[sel] - b1)
-    sel = (idx >= b2) & (idx < b3)
-    x[sel] = box.x0 - delta[sel]
-    y[sel] = box.y0 + (idx[sel] - b2)
-    rem = idx - b3
-    per = delta - 1
-    for q, (sx, sy) in enumerate(((1, 1), (-1, 1), (1, -1), (-1, -1))):
-        sel = (rem >= q * per) & (rem < (q + 1) * per) & (per > 0)
-        a = rem[sel] - q * per[sel] + 1
-        x[sel] = (box.x1 + a) if sx > 0 else (box.x0 - a)
-        y[sel] = (box.y1 + (delta[sel] - a)) if sy > 0 else (box.y0 - (delta[sel] - a))
-    return x, y
 
 
 def _point_ring_offsets(delta: np.ndarray, idx: np.ndarray):
@@ -280,20 +245,6 @@ def ks_distance(emp: EmpiricalDistribution, cdf) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def exp1_cdf(u):
-    return 1.0 - np.exp(-np.maximum(u, 0.0))
-
-
-def exp1_power_cdf(k: int):
-    def cdf(u):
-        return (1.0 - np.exp(-np.maximum(u, 0.0))) ** k
-    return cdf
-
-
-def gumbel_cdf_vec(z):
-    return np.exp(-np.exp(-np.clip(z, -700, 700)))
-
-
 _KS_NULL_CACHE: dict = {}
 
 
@@ -351,19 +302,17 @@ class CoverTimeSample:
 
 
 class CoverEngine:
-    """Shared machinery for cover-time and fixed-horizon event sampling."""
+    """Cover-time sampling of one target at one kappa."""
 
-    def __init__(self, kappa: float, target, tail_tol: float = 1e-10,
-                 rel_tol: float = 1e-10):
+    def __init__(self, kappa: float, target, tail_tol: float = 1e-10):
         self.kappa = kappa
         self.target = target
         self.dist = LengthDistribution.build(kappa, tail_tol)
-        self.mu = mu_gamma_o(kappa, rel_tol).value
+        self.mu = mu_gamma_o(kappa).value
         n = self.dist.n_trunc
         deltas = np.arange(0, n + 1, dtype=np.int64)
         self.mass_geq = self.dist.mass_at_least(np.maximum(deltas, 1))
-        self.ring_counts = np.array([target.ring_count(int(d)) for d in deltas],
-                                    dtype=np.float64)
+        self.ring_counts = target.ring_count(deltas).astype(np.float64)
         self.class_rates = self.ring_counts * self.mass_geq
         self.rate_total = float(self.class_rates.sum())
         # mean visited cells per unit time, for memory budgeting
@@ -371,25 +320,13 @@ class CoverEngine:
         suffix_mw = mw[::-1].cumsum()[::-1]
         cells = self.ring_counts * 2.0 * suffix_mw[np.maximum(deltas, 1) - 1]
         self.cell_rate = float(cells.sum())
-        self.bias_rate = self._bias_rate()
+        self.bias_rate = truncation_bias_rate(self.dist, target)
         if target.size >= 2:
-            self.u_star = math.log(target.size) / self.mu
+            self.u_star = u_star(kappa, target.size, self.mu)
             self.horizon0 = 2.0 * self.u_star
         else:
             self.u_star = None
             self.horizon0 = 2.0 / self.mu
-
-    def _bias_rate(self) -> float:
-        n, kappa = self.dist.n_trunc, self.kappa
-        rate = sum(self.target.ring_count(d) for d in range(n + 1)) \
-            * self.dist.tail_mass_bound
-        d = n + 1
-        while True:
-            term = self.target.ring_count(d) * exp_tail_bound(kappa, d - 1) / (2.0 * d)
-            rate += term
-            if term < 1e-22 * max(rate, 1e-300):
-                return rate
-            d += 1
 
     # -- loop stream ------------------------------------------------------
 
@@ -418,26 +355,13 @@ class CoverEngine:
             keep = rng.random(total) < accept_p
             row, delta, x, y = row[keep], dmin[keep], x[keep], y[keep]
             total = len(row)
-            u_len = rng.random(total)
-        else:
-            u_len = rng.random(total)
-        # conditional half-length m >= max(delta, 1) by inverse CDF
-        dmin1 = np.maximum(delta, 1)
-        cdf = self.dist._cdf
-        lo = np.concatenate(([0.0], cdf))[dmin1 - 1]
-        u = lo + u_len * np.maximum(cdf[-1] - lo, 0.0)
-        m = np.searchsorted(cdf, u, side="right") + 1
-        m = np.minimum(np.maximum(m, dmin1), self.dist.n_trunc)
+        m = self.dist.sample_at_least(rng, delta)
         t = t0 + (t1 - t0) * rng.random(total)
         return row, delta, x, y, m, t
 
-    def _fold_coverage(self, rng, state, rows, x, y, m, t,
-                       loop_mask_sink=None):
-        """Stream loop traces into per-(row, vertex) minima.
-
-        state is (rows, V) float64; loop_mask_sink, if given, is called per
-        m-group with (rows, t, vertex-bitmask) for shared-loop statistics.
-        """
+    def _fold_coverage(self, rng, state, rows, x, y, m, t):
+        """Stream loop traces into per-(row, vertex) minima; state is
+        (rows, V) float64."""
         V = self.target.size
         order = np.argsort(m, kind="stable")
         m_sorted = m[order]
@@ -470,12 +394,6 @@ class CoverEngine:
             rep = np.repeat(rows[sel], 2 * mi)
             tt = np.repeat(t[sel], 2 * mi)
             np.minimum.at(flat, rep[hit] * V + vi[hit], tt[hit])
-            if loop_mask_sink is not None:
-                masks = np.zeros(g, dtype=np.uint64)
-                lid = np.repeat(np.arange(g), 2 * mi)
-                np.bitwise_or.at(masks, lid[hit],
-                                 np.uint64(1) << vi[hit].astype(np.uint64))
-                loop_mask_sink(rows[sel], t[sel], masks)
 
     # -- public sampling --------------------------------------------------
 
@@ -536,59 +454,11 @@ class CoverEngine:
             truncation_bias_rate=self.bias_rate, seed=seed, mu=self.mu,
             u_star=self.u_star)
 
-    def fixed_horizon_events(self, seed: int, replicas: int, horizon: float,
-                             workers: int = 1):
-        """Per-replica first-cover times per vertex and first shared-loop
-        time within a fixed horizon (inf when absent).  Shared-loop tracking
-        supports targets with at most 60 vertices."""
-        V = self.target.size
-        if V > 60:
-            raise ValueError("shared-loop tracking supports at most 60 vertices")
-        label = f"events/{self.target.label}/{self.kappa:g}/{horizon:g}"
-        blocks = [(i, min(REPLICA_BLOCK, replicas - i * REPLICA_BLOCK))
-                  for i in range((replicas + REPLICA_BLOCK - 1) // REPLICA_BLOCK)]
-        parts = run_blocks(_event_block_job,
-                           [(self, label, seed, bi, bn, horizon)
-                            for bi, bn in blocks], workers)
-        cover = np.concatenate([p[0] for p in parts], axis=0)
-        shared = np.concatenate([p[1] for p in parts])
-        return cover, shared
-
-    def _event_block(self, rng, b: int, horizon: float):
-        V = self.target.size
-        state = np.full((b, V), np.inf)
-        shared = np.full(b, np.inf)
-        full = np.uint64((1 << V) - 1)
-        bs = self._batch_size(horizon)
-        done = 0
-        while done < b:
-            nb = min(bs, b - done)
-            rows, delta, x, y, m, t = self._draw_loops(rng, nb, 0.0, horizon)
-            sub = state[done:done + nb]
-            sh = np.full(nb, np.inf)
-
-            def sub_sink(rows, t, masks, sh=sh):
-                both = masks == full
-                if both.any():
-                    np.minimum.at(sh, rows[both], t[both])
-
-            self._fold_coverage(rng, sub, rows, x, y, m, t,
-                                loop_mask_sink=sub_sink if V > 1 else None)
-            shared[done:done + nb] = sh
-            done += nb
-        return state, shared
-
 
 def _cover_block_job(args):
     engine, label, seed, block_index, n = args
     rng = block_stream(seed, label, block_index)
     return engine.cover_times_block(rng, n)
-
-
-def _event_block_job(args):
-    engine, label, seed, block_index, n, horizon = args
-    rng = block_stream(seed, label, block_index)
-    return engine._event_block(rng, n, horizon)
 
 
 def run_blocks(job, arg_list, workers: int = 1):
@@ -626,13 +496,8 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
         idx = np.nonzero(hl == m)[0]
         buf = b"".join(soup.steps_packed[i] for i in idx)
         raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(idx), -1)
-        codes = unpack_steps(raw, 2 * m)
-        px = np.empty(codes.shape, dtype=np.int64)
-        py = np.empty(codes.shape, dtype=np.int64)
-        px[:, 0] = soup.root_x[idx]
-        py[:, 0] = soup.root_y[idx]
-        px[:, 1:] = soup.root_x[idx, None] + np.cumsum(STEP_DX[codes], axis=1)[:, :-1]
-        py[:, 1:] = soup.root_y[idx, None] + np.cumsum(STEP_DY[codes], axis=1)[:, :-1]
+        px, py = loop_vertices(soup.root_x[idx], soup.root_y[idx],
+                               unpack_steps(raw, 2 * m))
         vi = target.vertex_index(px.ravel(), py.ravel())
         hit = vi >= 0
         if hit.any():
@@ -664,15 +529,10 @@ def cover_time_ensemble(seed: int, kappa: float, target, replicas: int,
 
 
 def _trend_verdict(check: str, params: str, distances: list[float],
-                   allowance: float, hypotheses_met: bool = True) -> Verdict:
+                   allowance: float) -> Verdict:
     worst = max(b - a for a, b in zip(distances, distances[1:])) \
         if len(distances) > 1 else 0.0
-    ok = worst <= allowance
-    verdict = (VERDICT_HOLDS if ok else VERDICT_FAILS) if hypotheses_met \
-        else VERDICT_NOT_MET
-    gap = abs(allowance - worst)
-    return Verdict(check=check, anchor="trend", params=params, lhs=worst,
-                   rhs=allowance, verdict=verdict, margin=gap if ok else -gap)
+    return verdict(check, "trend", params, worst, allowance, worst <= allowance)
 
 
 @dataclass
@@ -723,13 +583,10 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
     gap = max(analytic_two_point_gap(kappa, float(u), sample.mu) for u in qs)
     gap_budget = gap * count * count
     bias = sample.truncation_bias_bound
-    ok = d <= thr + gap_budget + bias
-    verdicts = [Verdict(
-        check=f"cover-max-of-{count}-exponentials", anchor="separated-points-law",
-        params=f"kappa={kappa:g},sep={separation},replicas={replicas}",
-        lhs=d, rhs=thr + gap_budget + bias,
-        verdict=VERDICT_HOLDS if ok else VERDICT_FAILS,
-        margin=(thr + gap_budget + bias - d) if ok else -(d - thr - gap_budget - bias))]
+    allowance = thr + gap_budget + bias
+    verdicts = [verdict(f"cover-max-of-{count}-exponentials", "separated-points-law",
+                        f"kappa={kappa:g},sep={separation},replicas={replicas}",
+                        d, allowance, d <= allowance)]
     return ExampleReport(label=f"line:{count}x{separation}", kappa=kappa,
                          verdicts=verdicts, ensembles={"cover": sample},
                          details={"ks": d, "threshold": thr,
@@ -748,7 +605,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
         target = PointsTarget([(0, 0), (1, 1)])
         sample = cover_time_ensemble(seed, kappa, target, replicas,
                                      tail_tol=tail_tol, workers=workers)
-        distances.append(ks_distance(sample.scaled(), exp1_cdf))
+        distances.append(ks_distance(sample.scaled(), one_point_law))
         ensembles[f"kappa={kappa:g}"] = sample
     thr = calibrated_ks_threshold(replicas)
     verdicts = [_trend_verdict("neighbor-pair-single-exponential-trend",
@@ -778,16 +635,15 @@ def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
         sample = engine.ensemble(seed, replicas, workers, work_guard)
         z = sample.mu * sample.values.values - math.log(target.size)
         distances.append(ks_distance(EmpiricalDistribution.from_samples(z),
-                                     gumbel_cdf_vec))
+                                     gumbel_cdf))
         ensembles[f"box={side}"] = sample
         details[f"rate_bound_box={side}"] = \
             12.0 * target.size ** (-1.0 / (800.0 * sample.mu))
     thr = calibrated_ks_threshold(replicas)
+    regime = math.log(1.0 / kappa)
     verdicts = [
-        Verdict(check="gumbel-regime-hypothesis", anchor="gumbel-limit",
-                params=f"kappa={kappa:g}", lhs=math.log(1.0 / kappa),
-                rhs=math.exp(32), verdict=VERDICT_NOT_MET,
-                margin=-abs(math.exp(32) - math.log(1.0 / kappa))),
+        verdict("gumbel-regime-hypothesis", "gumbel-limit", f"kappa={kappa:g}",
+                regime, math.exp(32), regime >= math.exp(32), hypotheses_met=False),
         _trend_verdict("gumbel-distance-trend",
                        f"kappa={kappa:g},boxes={list(box_sides)},replicas={replicas}",
                        distances, 2.0 * thr),

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lgamma, log, pi
+from math import lgamma, log, pi
 
 import numpy as np
 
 from .lattice import Point, fold_octant, l1, neighbors
-from .records import (VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET,
-                      VERDICT_REPORTED, Verdict)
+from .records import VERDICT_FAILS, Verdict, verdict
 from .series import (DEFAULT_M_CEILING, SeriesTruncationError, exp_tail_bound,
                      loop_series_gram, loop_term_array, loop_weight_series,
                      step_weight)
@@ -117,10 +116,6 @@ def greens_value(kappa: float, x: Point, rel_tol: float = DEFAULT_REL_TOL,
     return table.value(x), table.tail_bound
 
 
-def greens_origin(kappa: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    return greens_value(kappa, (0, 0), rel_tol)[0]
-
-
 def origin_lower_bound(kappa: float) -> float:
     """Two-sided enclosure, lower side: log(1/kappa)/pi + 1 - 4/(3 pi)."""
     return log(1.0 / kappa) / pi + 1.0 - 4.0 / (3.0 * pi)
@@ -186,25 +181,8 @@ def rooted_intensity(kappa: float, rel_tol: float = DEFAULT_REL_TOL,
     return value
 
 
-def rooted_intensity_detail(kappa: float, rel_tol: float = DEFAULT_REL_TOL):
-    return loop_weight_series(kappa, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # Inequality reports
-
-
-def _verdict(check: str, anchor: str, params: str, lhs: float, rhs: float,
-             ok_when, hypotheses_met: bool = True, report_only: bool = False) -> Verdict:
-    ok = bool(ok_when)
-    if report_only or not hypotheses_met:
-        verdict = VERDICT_NOT_MET if not hypotheses_met else VERDICT_REPORTED
-    else:
-        verdict = VERDICT_HOLDS if ok else VERDICT_FAILS
-    gap = abs(rhs - lhs) if math.isfinite(rhs) and math.isfinite(lhs) else math.inf
-    return Verdict(check=check, anchor=anchor, params=params,
-                   lhs=lhs, rhs=rhs, verdict=verdict,
-                   margin=gap if ok else -gap)
 
 
 def check_green_bounds(kappa_grid, radius: int,
@@ -228,49 +206,49 @@ def check_green_bounds(kappa_grid, radius: int,
         for N in (4, 10, 50):
             lhs = float(partial[N - 2]) if N >= 2 else 1.0
             rhs = partial_sum_lower_bound(N, kappa)
-            out.append(_verdict("partial-sum-lower", "even-series-head", f"{tag},N={N}",
-                                lhs, rhs, lhs >= rhs))
-        out.append(_verdict("origin-lower", "origin-enclosure-lower", tag,
-                            goo, origin_lower_bound(kappa),
-                            goo >= origin_lower_bound(kappa)))
-        out.append(_verdict("origin-upper", "origin-enclosure-upper", tag,
-                            goo, origin_upper_bound(kappa),
-                            goo <= origin_upper_bound(kappa),
-                            hypotheses_met=kappa < 1.0))
+            out.append(verdict("partial-sum-lower", "even-series-head", f"{tag},N={N}",
+                               lhs, rhs, lhs >= rhs))
+        out.append(verdict("origin-lower", "origin-enclosure-lower", tag,
+                           goo, origin_lower_bound(kappa),
+                           goo >= origin_lower_bound(kappa)))
+        out.append(verdict("origin-upper", "origin-enclosure-upper", tag,
+                           goo, origin_upper_bound(kappa),
+                           goo <= origin_upper_bound(kappa),
+                           hypotheses_met=kappa < 1.0))
         # Exact tails of the origin series against both certified bounds.
         for N in sorted({10, max(1, int(0.75 / kappa))}):
             if N - 1 >= len(t):
                 continue
             tail_exact = goo - float(partial[N - 1])
             if N * kappa < 1.0 and kappa < 1.0:
-                out.append(_verdict("tail-log-upper", "even-series-tail-log",
-                                    f"{tag},N={N}", tail_exact,
-                                    tail_log_upper_bound(N, kappa),
-                                    tail_exact <= tail_log_upper_bound(N, kappa)))
+                out.append(verdict("tail-log-upper", "even-series-tail-log",
+                                   f"{tag},N={N}", tail_exact,
+                                   tail_log_upper_bound(N, kappa),
+                                   tail_exact <= tail_log_upper_bound(N, kappa)))
             if N * kappa >= 0.5:
-                out.append(_verdict("tail-exp-upper", "even-series-tail-exp",
-                                    f"{tag},N={N}", tail_exact,
-                                    exp_tail_bound(kappa, N),
-                                    tail_exact <= exp_tail_bound(kappa, N)))
+                out.append(verdict("tail-exp-upper", "even-series-tail-exp",
+                                   f"{tag},N={N}", tail_exact,
+                                   exp_tail_bound(kappa, N),
+                                   tail_exact <= exp_tail_bound(kappa, N)))
         # Pointwise gap bounds.
         worst_gap = min(goo - table.value(x) for x in table.points() if x != (0, 0))
-        out.append(_verdict("gap-three-quarters", "origin-gap-min", tag,
-                            0.75, worst_gap, worst_gap >= 0.75))
+        out.append(verdict("gap-three-quarters", "origin-gap-min", tag,
+                           0.75, worst_gap, worst_gap >= 0.75))
         med = [(x, goo - table.value(x)) for x in table.points()
                if 4 <= l1(x) <= 2.0 / kappa]
         if med and 1.0 / kappa >= 2.0:
             lhs_pt, gap = min(med, key=lambda xx: xx[1] - log(l1(xx[0])) / pi)
             rhs = log(l1(lhs_pt)) / pi
-            out.append(_verdict("gap-log-over-pi", "origin-gap-log",
-                                f"{tag},x={lhs_pt}", gap, rhs, gap >= rhs))
+            out.append(verdict("gap-log-over-pi", "origin-gap-log",
+                               f"{tag},x={lhs_pt}", gap, rhs, gap >= rhs))
         # Far point at half the origin value: asymptotic hypothesis, report only.
         far = [x for x in table.points() if l1(x) >= 2.0 / kappa]
         if far:
             x = max(far, key=l1)
-            out.append(_verdict("far-point-half", "far-point-ratio",
-                                f"{tag},x={x}", table.value(x), goo / 2.0,
-                                table.value(x) <= goo / 2.0,
-                                hypotheses_met=1.0 / kappa >= math.exp(30)))
+            out.append(verdict("far-point-half", "far-point-ratio",
+                               f"{tag},x={x}", table.value(x), goo / 2.0,
+                               table.value(x) <= goo / 2.0,
+                               hypotheses_met=1.0 / kappa >= math.exp(30)))
         # Short-walk contribution to G(x): "large |x|" unquantified, report.
         for ax in (8, 16):
             if ax > radius:
@@ -279,30 +257,30 @@ def check_green_bounds(kappa_grid, radius: int,
             ncap = int(ax * ax / (2.0 * log(ax)))
             lhs = sum((beta ** n) * count_walks_diagonal(n, x)
                       for n in range(ax, ncap + 1))
-            out.append(_verdict("short-walk-contrib", "short-walk-sum",
-                                f"{tag},x={x}", lhs, 3.0 / ax, lhs <= 3.0 / ax,
-                                hypotheses_met=False))
+            out.append(verdict("short-walk-contrib", "short-walk-sum",
+                               f"{tag},x={x}", lhs, 3.0 / ax, lhs <= 3.0 / ax,
+                               hypotheses_met=False))
             mid = sum((beta ** n) * count_walks_diagonal(n, x)
                       for n in range(ncap + 1, ax * ax + 1))
             rhs = 2.0 * (1.0 - kappa * beta) ** (ax * ax / (2.0 * log(ax)))
-            out.append(_verdict("mid-walk-contrib", "mid-walk-sum",
-                                f"{tag},x={x}", mid, rhs, mid <= rhs,
-                                hypotheses_met=False))
+            out.append(verdict("mid-walk-contrib", "mid-walk-sum",
+                               f"{tag},x={x}", mid, rhs, mid <= rhs,
+                               hypotheses_met=False))
         # Diagonal neighbor lower bound (valid for every kappa > 0).
         g11 = table.value((1, 1))
-        out.append(_verdict("diag-neighbor-lower", "diag-neighbor-lower", tag,
-                            log(1.0 / kappa) / pi - 1.0, g11,
-                            g11 >= log(1.0 / kappa) / pi - 1.0))
+        out.append(verdict("diag-neighbor-lower", "diag-neighbor-lower", tag,
+                           log(1.0 / kappa) / pi - 1.0, g11,
+                           g11 >= log(1.0 / kappa) / pi - 1.0))
         mu = math.log(goo)
         enc = mu_enclosure(kappa)
         if enc is not None:
-            out.append(_verdict("mu-enclosure", "mu-enclosure", tag, mu, enc[1],
-                                enc[0] <= mu <= enc[1]))
+            out.append(verdict("mu-enclosure", "mu-enclosure", tag, mu, enc[1],
+                               enc[0] <= mu <= enc[1]))
         if 1.0 / kappa > math.e:
             ll = math.log(math.log(1.0 / kappa))
-            out.append(_verdict("mu-loglog-window", "mu-loglog-window", tag,
-                                abs(mu - ll), 2.0, abs(mu - ll) < 2.0,
-                                hypotheses_met=False))
+            out.append(verdict("mu-loglog-window", "mu-loglog-window", tag,
+                               abs(mu - ll), 2.0, abs(mu - ll) < 2.0,
+                               hypotheses_met=False))
     return out
 
 
@@ -359,10 +337,10 @@ def verify_appendix_bounds(n_max: int,
         ok_lo &= lf >= lo - 1e-12
         ok_hi &= lf <= hi + 1e-12
         worst = (min(worst[0], lf - lo), min(worst[1], hi - lf))
-    verdicts.append(_verdict("stirling-lower", "stirling", f"n<={n_max}",
-                             worst[0], 0.0, ok_lo, report_only=False))
-    verdicts.append(_verdict("stirling-upper", "stirling", f"n<={n_max}",
-                             worst[1], 0.0, ok_hi))
+    verdicts.append(verdict("stirling-lower", "stirling", f"n<={n_max}",
+                            worst[0], 0.0, ok_lo))
+    verdicts.append(verdict("stirling-upper", "stirling", f"n<={n_max}",
+                            worst[1], 0.0, ok_hi))
     ok_lo = ok_hi = True
     worst = (math.inf, math.inf)
     for n in range(1, n_max + 1):
@@ -372,16 +350,16 @@ def verify_appendix_bounds(n_max: int,
         ok_lo &= lc >= lo - 1e-12
         ok_hi &= lc <= hi + 1e-12
         worst = (min(worst[0], lc - lo), min(worst[1], hi - lc))
-    verdicts.append(_verdict("central-binomial-lower", "binomial-sandwich",
-                             f"n<={n_max}", worst[0], 0.0, ok_lo))
-    verdicts.append(_verdict("central-binomial-upper", "binomial-sandwich",
-                             f"n<={n_max}", worst[1], 0.0, ok_hi))
+    verdicts.append(verdict("central-binomial-lower", "binomial-sandwich",
+                            f"n<={n_max}", worst[0], 0.0, ok_lo))
+    verdicts.append(verdict("central-binomial-upper", "binomial-sandwich",
+                            f"n<={n_max}", worst[1], 0.0, ok_hi))
     if table is None:
         table = WalkCountTable.build(n_max, n_max)
     raw = local_clt_scan_max(table, n_max)
     c_star = max(0.0, raw)
-    verdicts.append(_verdict("local-clt-constant", "local-clt",
-                             f"n<={n_max},raw={raw:g}",
-                             c_star, math.inf, math.isfinite(c_star),
-                             report_only=True))
+    verdicts.append(verdict("local-clt-constant", "local-clt",
+                            f"n<={n_max},raw={raw:g}",
+                            c_star, math.inf, math.isfinite(c_star),
+                            report_only=True))
     return AppendixReport(verdicts=verdicts, c_star=c_star, c_star_raw=raw)

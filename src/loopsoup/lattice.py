@@ -3,8 +3,8 @@ and exact parametrization of L1 rings around points and boxes.
 
 Walk counts and Green's values are invariant under the 8 lattice symmetries
 (coordinate swap and sign flips), so most tables store one octant and fold on
-access.  Ring parametrization is used by the soup samplers to draw roots at a
-given L1 distance from a target without enumerating the whole window.
+access.  Ring parametrization lets the cover engine draw roots at given L1
+distances from a box target without enumerating the plane.
 """
 
 from __future__ import annotations
@@ -26,20 +26,9 @@ def l1(x: Point) -> int:
     return abs(x[0]) + abs(x[1])
 
 
-def parity(x: Point) -> int:
-    """Parity of x1+x2; walks of length n reach x only if n = |x| mod 2."""
-    return (x[0] + x[1]) & 1
-
-
 def diagonal_coords(x: Point) -> tuple[int, int]:
     """(s, d) = (x1+x2, x2-x1); s and d always share parity."""
     return x[0] + x[1], x[1] - x[0]
-
-
-def from_diagonal(s: int, d: int) -> Point:
-    if (s + d) % 2:
-        raise ValueError("s and d must have equal parity")
-    return (s - d) // 2, (s + d) // 2
 
 
 def fold_octant(x: Point) -> Point:
@@ -105,18 +94,23 @@ class Box:
         dy = np.maximum(0, np.maximum(self.y0 - py, py - self.y1))
         return dx + dy
 
-    def ring_count(self, delta: int) -> int:
-        if delta < 0:
+    def ring_count(self, delta):
+        """Number of cells at L1 distance delta (scalar or array) from the box."""
+        d = np.asarray(delta, dtype=np.int64)
+        if np.any(d < 0):
             raise ValueError("delta must be >= 0")
-        if delta == 0:
-            return self.area
-        return 2 * (self.width + self.height) + 4 * (delta - 1)
+        return np.where(d == 0, self.area,
+                        2 * (self.width + self.height) + 4 * (d - 1))[()]
 
-    def ring_cells(self, delta: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of ring delta >= 1 by index; inverse-free uniform sampling."""
-        if delta < 1:
-            raise ValueError("ring_cells needs delta >= 1")
+    def ring_cells(self, delta, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Cells of ring delta >= 1 by index; inverse-free uniform sampling.
+
+        delta is one ring for all indices or one ring per index.
+        """
         idx = np.asarray(idx, dtype=np.int64)
+        delta = np.broadcast_to(np.asarray(delta, dtype=np.int64), idx.shape)
+        if np.any(delta < 1):
+            raise ValueError("ring_cells needs delta >= 1")
         w, h = self.width, self.height
         out_x = np.empty_like(idx)
         out_y = np.empty_like(idx)
@@ -126,24 +120,25 @@ class Box:
         b0, b1, b2, b3 = w, 2 * w, 2 * w + h, 2 * w + 2 * h
         sel = idx < b0
         out_x[sel] = self.x0 + idx[sel]
-        out_y[sel] = self.y1 + delta
+        out_y[sel] = self.y1 + delta[sel]
         sel = (idx >= b0) & (idx < b1)
         out_x[sel] = self.x0 + (idx[sel] - b0)
-        out_y[sel] = self.y0 - delta
+        out_y[sel] = self.y0 - delta[sel]
         sel = (idx >= b1) & (idx < b2)
-        out_x[sel] = self.x1 + delta
+        out_x[sel] = self.x1 + delta[sel]
         out_y[sel] = self.y0 + (idx[sel] - b1)
         sel = (idx >= b2) & (idx < b3)
-        out_x[sel] = self.x0 - delta
+        out_x[sel] = self.x0 - delta[sel]
         out_y[sel] = self.y0 + (idx[sel] - b2)
 
         rem = idx - b3
         per = delta - 1
         for q, (sx, sy) in enumerate(((1, 1), (-1, 1), (1, -1), (-1, -1))):
             sel = (rem >= q * per) & (rem < (q + 1) * per)
-            a = rem[sel] - q * per + 1  # 1..delta-1
+            a = rem[sel] - q * per[sel] + 1  # 1..delta-1
+            r = delta[sel] - a
             out_x[sel] = (self.x1 + a) if sx > 0 else (self.x0 - a)
-            out_y[sel] = (self.y1 + (delta - a)) if sy > 0 else (self.y0 - (delta - a))
+            out_y[sel] = (self.y1 + r) if sy > 0 else (self.y0 - r)
         return out_x, out_y
 
     def ring_points(self, delta: int) -> list[Point]:
@@ -153,7 +148,3 @@ class Box:
                     for y in range(self.y0, self.y1 + 1)]
         xs, ys = self.ring_cells(delta, np.arange(self.ring_count(delta)))
         return list(zip(xs.tolist(), ys.tolist()))
-
-
-def point_box(p: Point) -> Box:
-    return Box(p[0], p[1], p[0], p[1])

@@ -19,29 +19,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, log
+from math import log
 
 import numpy as np
 
 from .greens import GreensTable, greens_table, greens_value, mu_gamma_o
 from .lattice import Point, l1
-from .records import (VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET, Verdict)
+from .records import Verdict, verdict
 
 E9 = math.exp(9)
 E30 = math.exp(30)
 LOG_EE32 = math.exp(32)  # log(kappa^-1) must exceed e^32 for the core lemmas
 
 
-def gumbel_cdf(z: float) -> float:
-    """exp(-exp(-z)): the limit law of rescaled cover times."""
-    return exp(-exp(-min(max(z, -700.0), 700.0)))
+def gumbel_cdf(z):
+    """exp(-exp(-z)): the limit law of mu0 * T(A) - log|A| (vectorized)."""
+    return np.exp(-np.exp(-np.clip(z, -700, 700)))
 
 
-def one_point_law(u: float) -> float:
-    """CDF of mu0 * T(x) for a single vertex: 1 - e^{-u}, exact for every kappa."""
-    if u < 0:
+def one_point_law(u):
+    """CDF of mu0 * T(x) for a single vertex: 1 - e^{-u}, exact for every
+    kappa (vectorized)."""
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u < 0):
         raise ValueError("u must be >= 0")
-    return -math.expm1(-u)
+    return 1.0 - np.exp(-u)
+
+
+def exp1_power_cdf(k: int):
+    """CDF of the maximum of k independent unit exponentials, the law of
+    mu0 * T(A) for k points whose loops never meet."""
+    return lambda u: one_point_law(u) ** k
 
 
 def prob_point_uncovered(kappa: float, u: float, goo: float | None = None) -> float:
@@ -276,14 +284,6 @@ class SecondMomentReport:
         return sum(self.class_sums.values())
 
 
-def _three_state(check, anchor, params, lhs, rhs, hyp_met) -> Verdict:
-    ok = lhs <= rhs
-    verdict = (VERDICT_HOLDS if ok else VERDICT_FAILS) if hyp_met else VERDICT_NOT_MET
-    gap = abs(rhs - lhs)
-    return Verdict(check=check, anchor=anchor, params=params, lhs=lhs, rhs=rhs,
-                   verdict=verdict, margin=gap if ok else -gap)
-
-
 def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
                          table: GreensTable | None = None,
                          pair_guard: int = 10_000) -> SecondMomentReport:
@@ -330,38 +330,34 @@ def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
     params = f"kappa={kappa:g},|A|={n},eps={epsilon:g}"
 
     fn = float(n)
-    verdicts = [
-        _three_state("pair-sum-small", "pair-sum-small", params,
-                     class_sums["small"], fn ** (-1.0 / (20.0 * mu)), hyp_small),
-        _three_state("pair-sum-medium-1", "pair-sum-medium-1", params,
-                     class_sums["medium-1"], fn ** (-1.0 / 7.0), hyp_e32_a),
-        _three_state("pair-sum-medium-2", "pair-sum-medium-2", params,
-                     class_sums["medium-2"], fn ** (-1.0 / mu), hyp_e32_b),
-        _three_state("pair-sum-large", "pair-sum-large", params,
-                     class_sums["large"],
-                     fn ** (2 * epsilon) * (1.0 + fn ** (-1.0 / (2.0 * mu))),
-                     hyp_large),
-        _three_state("kappa-inverse-upper", "kappa-inverse-upper", params,
-                     kinv, fn ** (1.0 - 6.0 / mu), hyp_e32_b),
-    ]
     close = (class_sums["small"] + class_sums["medium-1"]
              + class_sums["medium-2"])
-    verdicts.append(_three_state("pair-sum-close-collected", "pair-sum-collect",
-                                 params, close,
-                                 2.0 * fn ** (-1.0 / (20.0 * mu)), hyp_e32_b))
     all_sum = close + class_sums["large"]
-    verdicts.append(_three_state("pair-sum-all-collected", "pair-sum-collect",
-                                 params, all_sum,
-                                 fn ** (2 * epsilon)
-                                 * (1.0 + 3.0 * fn ** (-1.0 / (20.0 * mu))),
-                                 hyp_e32_b))
     # Certified upper bound on P(remnant not in the good class): close-pair
     # probability plus the second-moment Chebyshev term, both exact here.
     second_moment = fn ** epsilon + all_sum
     chebyshev = (second_moment - fn ** (2 * epsilon)) / fn ** (1.5 * epsilon)
     h_lhs = close + max(chebyshev, 0.0)
-    verdicts.append(_three_state("remnant-class-prob", "remnant-class", params,
-                                 h_lhs, 3.0 * fn ** (-epsilon / 2.0), hyp_e32_b))
+    rows = [  # (check, anchor, lhs, rhs, hypotheses met); each asserts lhs <= rhs
+        ("pair-sum-small", "pair-sum-small",
+         class_sums["small"], fn ** (-1.0 / (20.0 * mu)), hyp_small),
+        ("pair-sum-medium-1", "pair-sum-medium-1",
+         class_sums["medium-1"], fn ** (-1.0 / 7.0), hyp_e32_a),
+        ("pair-sum-medium-2", "pair-sum-medium-2",
+         class_sums["medium-2"], fn ** (-1.0 / mu), hyp_e32_b),
+        ("pair-sum-large", "pair-sum-large", class_sums["large"],
+         fn ** (2 * epsilon) * (1.0 + fn ** (-1.0 / (2.0 * mu))), hyp_large),
+        ("kappa-inverse-upper", "kappa-inverse-upper",
+         kinv, fn ** (1.0 - 6.0 / mu), hyp_e32_b),
+        ("pair-sum-close-collected", "pair-sum-collect",
+         close, 2.0 * fn ** (-1.0 / (20.0 * mu)), hyp_e32_b),
+        ("pair-sum-all-collected", "pair-sum-collect", all_sum,
+         fn ** (2 * epsilon) * (1.0 + 3.0 * fn ** (-1.0 / (20.0 * mu))), hyp_e32_b),
+        ("remnant-class-prob", "remnant-class",
+         h_lhs, 3.0 * fn ** (-epsilon / 2.0), hyp_e32_b),
+    ]
+    verdicts = [verdict(check, anchor, params, lhs, rhs, lhs <= rhs, hyp)
+                for check, anchor, lhs, rhs, hyp in rows]
     return SecondMomentReport(kappa=kappa, set_size=n, epsilon=epsilon, mu=mu,
                               u_eval=u_eval, classes=classes,
                               class_pair_counts=class_counts,

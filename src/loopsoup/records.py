@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -32,9 +33,24 @@ class Verdict:
     verdict: str
     margin: float   # |rhs-lhs| signed by pass(+)/violation(-)
 
-    @property
-    def asserted_ok(self) -> bool:
-        return self.verdict != VERDICT_FAILS
+
+def verdict(check: str, anchor: str, params: str, lhs: float, rhs: float, ok,
+            hypotheses_met: bool = True, report_only: bool = False) -> Verdict:
+    """One row under the three-state rule.
+
+    A check whose hypotheses are not met is never asserted; a report-only
+    check is recorded as reported; otherwise ok decides holds or fails.  The
+    margin is |rhs - lhs| (inf when a side is not finite), signed + when ok.
+    """
+    if not hypotheses_met:
+        state = VERDICT_NOT_MET
+    elif report_only:
+        state = VERDICT_REPORTED
+    else:
+        state = VERDICT_HOLDS if ok else VERDICT_FAILS
+    gap = abs(rhs - lhs) if math.isfinite(rhs) and math.isfinite(lhs) else math.inf
+    return Verdict(check=check, anchor=anchor, params=params, lhs=lhs, rhs=rhs,
+                   verdict=state, margin=gap if ok else -gap)
 
 
 VERDICT_COLUMNS = ["check", "anchor", "params", "lhs", "rhs", "verdict", "margin"]

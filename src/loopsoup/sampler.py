@@ -22,8 +22,7 @@ import numpy as np
 
 from .lattice import Box, Point, STEP_DX, STEP_DY
 from .rng import block_stream
-from .series import (SeriesTruncationError, exp_tail_bound, loop_term_array,
-                     step_weight)
+from .series import SeriesTruncationError, exp_tail_bound, loop_term_array
 
 #: Ceiling on the truncation half-length a sampler is willing to prepare.
 DEFAULT_N_TRUNC_CEILING = 1 << 22
@@ -177,11 +176,8 @@ class RootedLoop:
 
     def vertices(self) -> np.ndarray:
         """Visited vertices in walk order, root first (length 2m)."""
-        x = np.concatenate(([self.root[0]], self.root[0]
-                            + np.cumsum(STEP_DX[self.steps])))[:-1]
-        y = np.concatenate(([self.root[1]], self.root[1]
-                            + np.cumsum(STEP_DY[self.steps])))[:-1]
-        return np.stack([x, y], axis=1)
+        x, y = loop_vertices([self.root[0]], [self.root[1]], self.steps[None])
+        return np.stack([x[0], y[0]], axis=1)
 
     def trace(self) -> set[Point]:
         return {(int(a), int(b)) for a, b in self.vertices()}
@@ -193,9 +189,18 @@ def sample_rooted_loop(rng: np.random.Generator, root: Point,
     return RootedLoop(root=root, steps=bridge_steps(rng, half_length, 1)[0])
 
 
-def loop_trace(loop: RootedLoop) -> set[Point]:
-    """Set of distinct vertices the loop visits (root included)."""
-    return loop.trace()
+def loop_vertices(root_x, root_y, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Visited x and y of g loops, (g, 2m) each in walk order, root first,
+    from their roots and (g, 2m) step codes."""
+    rx = np.asarray(root_x, dtype=np.int64)[:, None]
+    ry = np.asarray(root_y, dtype=np.int64)[:, None]
+    px = np.empty(codes.shape, dtype=np.int64)
+    py = np.empty(codes.shape, dtype=np.int64)
+    px[:, :1] = rx
+    py[:, :1] = ry
+    px[:, 1:] = rx + np.cumsum(STEP_DX[codes], axis=1)[:, :-1]
+    py[:, 1:] = ry + np.cumsum(STEP_DY[codes], axis=1)[:, :-1]
+    return px, py
 
 
 def pack_steps(steps: np.ndarray) -> np.ndarray:
@@ -337,24 +342,26 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
                       steps_packed=soup.steps_packed + packed)
 
 
-def truncation_bias_rate(dist: LengthDistribution, target: Box) -> float:
+def truncation_bias_rate(dist: LengthDistribution, target) -> float:
     """Certified intensity of discarded loops that could have hit the target.
 
-    A discarded loop has half-length m > n_trunc and reaches at most m from
-    its root, so only roots with delta(root) <= m matter.  Summing the tail
-    bound ring by ring converges geometrically; the result times an
-    evaluation time u bounds any coverage-probability bias at u.
+    target is any object with a vectorized ``ring_count`` (a Box or a cover
+    target).  A discarded loop has half-length m > n_trunc and reaches at
+    most m from its root, so only roots with delta(root) <= m matter.
+    Summing the tail bound ring by ring converges geometrically; the result
+    times an evaluation time u bounds any coverage-probability bias at u.
     """
     n = dist.n_trunc
     kappa = dist.kappa
-    rate = 0.0
     # Roots within the truncation range of the target all see the same tail.
-    inside = sum(target.ring_count(d) for d in range(0, n + 1))
-    rate += inside * dist.tail_mass_bound
+    inside = int(target.ring_count(np.arange(n + 1)).sum())
+    rate = inside * dist.tail_mass_bound
     d = n + 1
     while True:
-        term = target.ring_count(d) * exp_tail_bound(kappa, d - 1) / (2.0 * d)
-        rate += term
-        if term < 1e-22 * max(rate, 1e-300):
-            return rate
-        d += 1
+        # ring counts come a block at a time; terms still add ring by ring
+        for count in target.ring_count(np.arange(d, d + 1024)).tolist():
+            term = count * exp_tail_bound(kappa, d - 1) / (2.0 * d)
+            rate += term
+            if term < 1e-22 * max(rate, 1e-300):
+                return rate
+            d += 1

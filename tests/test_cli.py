@@ -1,4 +1,5 @@
 import csv
+import json
 
 from loopsoup import cli, greens
 from loopsoup.cover import calibrated_ks_threshold
@@ -16,7 +17,7 @@ def _plot_ks(path) -> float:
     return float(rows[0]["x"])
 
 
-def test_covertime_artifacts_identical_across_workers(tmp_path):
+def test_covertime_artifacts_identical_across_workers(tmp_path, capsys):
     # 8192 replicas are two replica blocks, so two workers split the run
     out = {}
     for workers in (1, 2):
@@ -27,6 +28,29 @@ def test_covertime_artifacts_identical_across_workers(tmp_path):
         out[workers] = [(d / n).read_bytes()
                         for n in ("covertime.csv", "covertime.json")]
     assert out[1] == out[2]
+    assert "np.float64(" not in capsys.readouterr().out
+
+
+def test_global_flag_env_default_matches_whole_tokens(tmp_path, monkeypatch):
+    # an out-dir containing "--seed" is not a --seed flag
+    monkeypatch.setenv("LOOPSOUP_SEED", "7")
+    for argv, seed in ((["--out-dir", tmp_path / "--seed-runs"], 7),
+                       (["--seed=2", "--out-dir", tmp_path / "flag"], 2)):
+        assert _run(*argv, "covertime", "--set", "box:2", "--kappa", 0.5,
+                    "--replicas", 64) == cli.EXIT_OK
+        meta = json.loads((argv[-1] / "covertime.json").read_text())
+        assert meta["seed"] == seed
+
+
+def test_option_values_may_start_with_dash(tmp_path):
+    blobs = []
+    for window in (["--window=-3,-3,3,3"], ["--window", "-3,-3,3,3"]):
+        path = tmp_path / f"loops{len(blobs)}.csv"
+        assert _run("--seed", 5, "soup", "sample", "--kappa", 0.5, *window,
+                    "--horizon", 2.0, "--out", path) == cli.EXIT_OK
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert _run("greens", "--kappa", 0.5, "--x", "-1,0") == cli.EXIT_OK
 
 
 def test_soup_sample_csv_identical_for_same_seed(tmp_path):

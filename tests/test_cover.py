@@ -40,6 +40,17 @@ class TestTargets:
             assert set(zip(x.tolist(), y.tolist())) \
                 == set(t.box.ring_points(delta))
             assert (t.distance(x, y) == delta).all()
+        # one draw over mixed rings: every cell sits on its own ring and
+        # every ring is covered
+        deltas = np.repeat(np.arange(6), 40 * t.ring_count(np.arange(6)))
+        x, y = t.root_coords(np.random.default_rng(1), deltas)
+        assert (t.distance(x, y) == deltas).all()
+        for delta in range(6):
+            on_ring = deltas == delta
+            assert set(zip(x[on_ring].tolist(), y[on_ring].tolist())) \
+                == set(t.box.ring_points(delta))
+        assert t.box.ring_count(np.arange(6)).tolist() \
+            == [t.box.ring_count(d) for d in range(6)]
 
     def test_point_ring_cells_exact(self):
         t = PointsTarget([(2, 3)])
@@ -113,7 +124,7 @@ class TestEngineAgainstLaws:
 
     def test_one_point_ks(self):
         s = cover_time_ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
-        d = ks_distance(s.scaled(), cover.exp1_cdf)
+        d = ks_distance(s.scaled(), laws.one_point_law)
         assert d <= calibrated_ks_threshold(20_000) + s.truncation_bias_bound
 
     def test_two_point_cdf_reconstruction(self):
@@ -223,7 +234,7 @@ class TestExamples:
     def test_many_sep_reduces_to_singleton(self):
         rep = cover.run_example_many_sep(1.0, 1, 10, 4000, seed=2)
         emp = rep.ensembles["cover"].scaled()
-        assert ks_distance(emp, cover.exp1_cdf) \
+        assert ks_distance(emp, laws.one_point_law) \
             <= calibrated_ks_threshold(4000) + 1e-3
 
     def test_gumbel_scan_guard(self):

@@ -5,7 +5,8 @@ import pytest
 
 from loopsoup import greens
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
-from loopsoup.series import SeriesTruncationError, exp_tail_bound
+from loopsoup.series import (SeriesTruncationError, exp_tail_bound,
+                             loop_weight_series)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -110,7 +111,7 @@ class TestRootedIntensity:
         assert vals[0] < vals[1] < vals[2]
 
     def test_doubled_truncation_cross_check(self):
-        v, m_trunc, _ = greens.rooted_intensity_detail(0.1, 1e-8)
+        v, m_trunc, _ = loop_weight_series(0.1, 1e-8)
         from loopsoup.series import loop_term_array
         t = loop_term_array(0.1, 2 * m_trunc)
         direct = float((t / (2.0 * np.arange(1, 2 * m_trunc + 1))).sum())

@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+import loopsoup
+
+MODULES = sorted(p for p in Path(loopsoup.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name.split(".")[0]): node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert MODULES and not unused, unused
