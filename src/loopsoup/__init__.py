@@ -1,15 +1,15 @@
 """Simulation and numerical verification lab for the two-dimensional
-killed-random-walk loop soup: exact walk combinatorics, Green's function
-series with certified truncation, closed-form avoidance laws, exact
-truncated soup sampling, and cover-time Monte Carlo."""
+killed-random-walk loop soup: exact walk combinatorics, the Green's
+function in closed form with its walk series as a cross-check, closed-form
+avoidance laws, exact truncated soup sampling, and cover-time Monte Carlo."""
 
 __version__ = "0.1.0"
 
 from .cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                     PointsTarget, cover_time, cover_time_ensemble,
                     ks_distance, make_target)
-from .greens import (GreensTable, MuGammaO, check_green_bounds, greens_table,
-                     greens_value, mu_gamma_o, rooted_intensity,
+from .greens import (GreensTable, MuGammaO, check_green_bounds, green_origin,
+                     greens_table, greens_value, mu_gamma_o, rooted_intensity,
                      verify_appendix_bounds)
 from .laws import (TargetSet, expected_uncovered, gumbel_cdf, one_point_law,
                    pair_bound, prob_no_shared_loop, prob_pair_uncovered,

@@ -7,7 +7,8 @@ three default to LOOPSOUP_SEED/LOOPSOUP_WORKERS/LOOPSOUP_OUT_DIR from the
 environment, else to the same keys of an optional flat key=value config
 file (--config), and a flag on the command line overrides both.  Option
 values may start with "-" (--window -3,-3,3,3).  Exit codes: 0 ok,
-1 asserted check failed, 2 config error, 3 resource ceiling.
+1 asserted check failed, 2 config error, 3 resource ceiling (a length law
+or walk series past its truncation ceiling, a cover run past its work guard).
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -122,9 +123,9 @@ def cmd_greens(args) -> int:
     rows = []
     x = _parse_point(args.x)
     for kappa in _parse_floats(args.kappa):
-        value, err = greens.greens_value(kappa, x, args.rel_tol)
+        value, err = greens.greens_value(kappa, x)
         rows.append(["greens", kappa, x[0], x[1], value, err])
-        mu = greens.mu_gamma_o(kappa, args.rel_tol)
+        mu = greens.mu_gamma_o(kappa)
         rows.append(["mu-origin-loops", kappa, 0, 0, mu.value, 0.0])
     header = ["quantity", "kappa", "x1", "x2", "value", "error_bound"]
     path = _out_path(args, "greens.csv")
@@ -138,7 +139,7 @@ def cmd_greens(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     grid = _parse_floats(args.kappa_grid)
-    verdicts = greens.check_green_bounds(grid, args.radius, args.rel_tol)
+    verdicts = greens.check_green_bounds(grid, args.radius)
     _emit_verdicts(args, verdicts)
     return _exit_from(verdicts)
 
@@ -353,8 +354,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
                             "lengths<=24", float(len(dom.violations)), 0.0, dom.ok))
 
     grid = [1.0, 0.5, 0.1, 0.01]
-    verdicts += greens.check_green_bounds(grid, radius=8 if quick else 20,
-                                          rel_tol=1e-8 if quick else 1e-10)
+    verdicts += greens.check_green_bounds(grid, radius=8 if quick else 20)
     verdicts += greens.verify_appendix_bounds(40 if quick else 100).verdicts
 
     # Exact-law identities at machine precision.
@@ -438,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("greens", help="evaluate G at a point")
     g.add_argument("--kappa", required=True, help="kappa or comma list")
     g.add_argument("--x", default="0,0")
-    g.add_argument("--rel-tol", type=float, default=1e-10)
     g.set_defaults(func=cmd_greens)
 
     v = sub.add_parser("verify", help="verification suites")
@@ -446,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     vb = vs.add_parser("bounds")
     vb.add_argument("--kappa-grid", required=True)
     vb.add_argument("--radius", type=int, default=20)
-    vb.add_argument("--rel-tol", type=float, default=1e-10)
     vb.set_defaults(func=cmd_verify_bounds)
     va = vs.add_parser("appendix")
     va.add_argument("--n-max", type=int, default=100)

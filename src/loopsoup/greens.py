@@ -1,13 +1,16 @@
 """Green's function of the killed walk on Z^2 and its verified inequalities.
 
-G(x) = sum_{n >= |x|} beta^n W_n(x) with beta = 1/(4+kappa).  Even-parity
-points come straight from the diagonal closed form through the blocked
-series engine; odd-parity points use the exact one-step identity
-G(x) = beta * sum_{y ~ x} G(y) whose four neighbors all have even parity.
+G(x) = sum_{n >= |x|} beta^n W_n(x), beta = 1/(4+kappa), in closed form:
+G(o) = (2/pi) K(16 beta^2), the elliptic integral taken through ``ellipkm1``
+with 1 - 16 beta^2 = kappa (8+kappa) / (4+kappa)^2 so it stays exact as
+kappa -> 0; for |x1| >= |x2|, G(x) = (1/pi) int_0^pi cos(x2 t) r^|x1| /
+sqrt(A^2 - B^2) dt with A = 1 - 2 beta cos t, B = 2 beta and
+r = B / (A + sqrt(A^2 - B^2)), the other Fourier angle integrated exactly.
 
 mu0 = log G(o) is the total loop measure through a vertex and drives every
-avoidance law downstream.  check_green_bounds / verify_appendix_bounds turn
-each inequality the engine relies on into a pass/fail/hypothesis record.
+avoidance law downstream.  The walk series of ``series`` stays as a
+cross-check.  check_green_bounds / verify_appendix_bounds turn each
+inequality into a pass/fail/hypothesis record.
 """
 
 from __future__ import annotations
@@ -18,38 +21,33 @@ from functools import lru_cache
 from math import lgamma, log, pi
 
 import numpy as np
+from scipy.special import ellipkm1
 
-from .lattice import Point, fold_octant, l1, neighbors
-from .records import VERDICT_FAILS, Verdict, verdict
-from .series import (DEFAULT_M_CEILING, SeriesTruncationError, exp_tail_bound,
-                     loop_series_gram, loop_term_array, loop_weight_series,
-                     step_weight)
+from .lattice import Point, fold_octant, l1, octant_points
+from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
+from .series import (DEFAULT_M_CEILING, exp_tail_bound, loop_series_gram,
+                     loop_term_array, loop_weight_series, step_weight)
 from .walks import WalkCountTable, count_walks_diagonal
 
-DEFAULT_REL_TOL = 1e-10
-
-
-def _even_value_from_gram(gram: np.ndarray, x: Point) -> float:
-    s, d = x[0] + x[1], x[1] - x[0]
-    a, b = abs(s) // 2, abs(d) // 2
-    base = float(gram[a, b])
-    return base + 1.0 if x == (0, 0) else base
+_EPS = float(np.finfo(np.float64).eps)
+# Scratch of the (points x nodes) kernel per chunk of points, in floats.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
 class GreensTable:
-    """G(x) on |x| <= radius with one certified truncation for the whole table.
+    """G(x) on |x| <= radius, stored on one octant.
 
-    tail_bound is an absolute bound on every entry's omitted remainder; the
-    truncation index is chosen for the worst case x = o.  g(x) = G(x)/(4+kappa)
-    is the conventional normalization of the same object.
+    tail_bound is the absolute error estimate of every entry: the largest
+    gap between the 32- and 16-node quadratures over the table plus a
+    rounding floor of 16 eps G(o).  The origin entry is green_origin itself.
+    g(x) = G(x)/(4+kappa) is the conventional normalization of the same
+    object.
     """
 
     kappa: float
     radius: int
-    n_trunc: int
     tail_bound: float
-    rel_tol: float
     _values: dict[Point, float]
 
     @property
@@ -71,48 +69,58 @@ class GreensTable:
     def points(self) -> list[Point]:
         return sorted(self._values)
 
-    def items(self):
-        return sorted(self._values.items())
+
+def green_origin(kappa: float) -> float:
+    """G(o) = (2/pi) K(16 beta^2), through the complement of the parameter."""
+    step_weight(kappa)
+    return 2.0 / pi * float(ellipkm1(kappa * (8.0 + kappa) / (4.0 + kappa) ** 2))
+
+
+def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
+    """G at octant points (a, b), a >= b >= 0, by `nodes`-point Gauss-Legendre
+    on panels of [0, pi] that double from sqrt(kappa)/4: the integrand's
+    nearest complex singularity sits ~sqrt(kappa) from t = 0."""
+    beta = step_weight(kappa)
+    edges = [0.0, min(pi, math.sqrt(kappa) / 4.0)]
+    while edges[-1] < pi:
+        edges.append(min(pi, 2.0 * edges[-1]))
+    half = 0.5 * np.diff(edges)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = ((np.asarray(edges[:-1]) + half)[:, None] + half[:, None] * x).ravel()
+    a_minus_b = beta * (kappa + 4.0 * np.sin(0.5 * t) ** 2)  # A - B, no cancellation
+    s = np.sqrt(a_minus_b * (a_minus_b + 4.0 * beta))       # sqrt(A^2 - B^2)
+    log_r = -np.log1p((a_minus_b + s) / (2.0 * beta))
+    weights = (half[:, None] * w).ravel() / (pi * s)
+    out = np.empty(len(points))
+    step = max(1, _CHUNK_ENTRIES // len(t))
+    for i in range(0, len(points), step):
+        a, b = points[i:i + step].T
+        out[i:i + step] = (np.cos(np.outer(b, t)) * np.exp(np.outer(a, log_r))) @ weights
+    return out
 
 
 @lru_cache(maxsize=32)
-def _greens_table_cached(kappa: float, radius: int, rel_tol: float,
-                         m_ceiling: int) -> GreensTable:
-    beta = step_weight(kappa)
-    # Odd points at |x| <= radius need even neighbors out to |x| <= radius+1.
-    a_max = (radius + 2) // 2
-    res = loop_series_gram(kappa, a_max, rel_tol, m_ceiling=m_ceiling)
-
-    values: dict[Point, float] = {}
-    for a in range(a_max + 1):
-        for b in range(a + 1):
-            x = (a + b, a - b)  # even octant point with l1 = 2a
-            if l1(x) <= radius + 1:
-                values[x] = _even_value_from_gram(res.gram, x)
-    for r in range(1, radius + 1, 2):
-        for x1 in range(r, (r - 1) // 2, -1):
-            x = (x1, r - x1)
-            if fold_octant(x) != x:
-                continue
-            values[x] = beta * sum(values[fold_octant(y)] for y in neighbors(x))
-    values = {p: v for p, v in values.items() if l1(p) <= radius}
-    return GreensTable(kappa=kappa, radius=radius, n_trunc=2 * res.m_trunc,
-                       tail_bound=res.tail_bound, rel_tol=rel_tol, _values=values)
+def _greens_table_cached(kappa: float, radius: int) -> GreensTable:
+    octant = octant_points(radius)
+    pts = np.array(octant, dtype=np.float64)
+    values = _greens_quadrature(kappa, pts, 32)
+    gap = float(np.abs(values - _greens_quadrature(kappa, pts, 16)).max())
+    values[0] = goo = green_origin(kappa)  # octant_points starts at the origin
+    return GreensTable(kappa=kappa, radius=radius,
+                       tail_bound=gap + 16.0 * _EPS * goo,
+                       _values=dict(zip(octant, values.tolist())))
 
 
-def greens_table(kappa: float, radius: int, rel_tol: float = DEFAULT_REL_TOL,
-                 m_ceiling: int = DEFAULT_M_CEILING) -> GreensTable:
+def greens_table(kappa: float, radius: int) -> GreensTable:
     """Table of G over |x| <= radius, symmetrized from one octant."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return _greens_table_cached(float(kappa), int(radius), float(rel_tol),
-                                int(m_ceiling))
+    return _greens_table_cached(float(kappa), int(radius))
 
 
-def greens_value(kappa: float, x: Point, rel_tol: float = DEFAULT_REL_TOL,
-                 m_ceiling: int = DEFAULT_M_CEILING) -> tuple[float, float]:
-    """(G(x), certified absolute truncation bound) for a single point."""
-    table = greens_table(kappa, max(1, l1(x)), rel_tol, m_ceiling)
+def greens_value(kappa: float, x: Point) -> tuple[float, float]:
+    """(G(x), absolute error estimate) for a single point."""
+    table = greens_table(kappa, max(1, l1(x)))
     return table.value(x), table.tail_bound
 
 
@@ -138,20 +146,13 @@ def tail_log_upper_bound(N: int, kappa: float) -> float:
 
 @dataclass(frozen=True)
 class MuGammaO:
-    """log G(o): the loop measure through a single vertex.
-
-    The value comes from the series when the certified truncation is
-    reachable; otherwise from the midpoint of the two-sided enclosure
-    [log(lower), log(upper)] (method = "enclosure").
-    """
+    """log G(o): the loop measure through a single vertex, from the elliptic
+    closed form (method = "elliptic").  mu_enclosure gives the two-sided
+    bounds it is checked against."""
 
     kappa: float
     value: float
-    enclosure: tuple[float, float] | None
     method: str
-
-    def contains(self, v: float) -> bool:
-        return self.enclosure is not None and self.enclosure[0] <= v <= self.enclosure[1]
 
 
 def mu_enclosure(kappa: float) -> tuple[float, float] | None:
@@ -161,20 +162,12 @@ def mu_enclosure(kappa: float) -> tuple[float, float] | None:
     return math.log(lo_arg), math.log(origin_upper_bound(kappa))
 
 
-def mu_gamma_o(kappa: float, rel_tol: float = DEFAULT_REL_TOL,
-               m_ceiling: int = DEFAULT_M_CEILING) -> MuGammaO:
-    enc = mu_enclosure(kappa)
-    try:
-        value = math.log(greens_value(kappa, (0, 0), rel_tol, m_ceiling)[0])
-        return MuGammaO(kappa=kappa, value=value, enclosure=enc, method="series")
-    except SeriesTruncationError:
-        if enc is None:
-            raise
-        return MuGammaO(kappa=kappa, value=0.5 * (enc[0] + enc[1]),
-                        enclosure=enc, method="enclosure")
+def mu_gamma_o(kappa: float) -> MuGammaO:
+    return MuGammaO(kappa=kappa, value=math.log(green_origin(kappa)),
+                    method="elliptic")
 
 
-def rooted_intensity(kappa: float, rel_tol: float = DEFAULT_REL_TOL,
+def rooted_intensity(kappa: float, rel_tol: float = 1e-10,
                      m_ceiling: int = DEFAULT_M_CEILING) -> float:
     """Per-vertex intensity of the rooted soup: sum_m (L_{2m}/(2m)) beta^{2m}."""
     value, _, _ = loop_weight_series(kappa, rel_tol, m_ceiling)
@@ -185,8 +178,21 @@ def rooted_intensity(kappa: float, rel_tol: float = DEFAULT_REL_TOL,
 # Inequality reports
 
 
-def check_green_bounds(kappa_grid, radius: int,
-                       rel_tol: float = DEFAULT_REL_TOL) -> list[Verdict]:
+def series_cross_check(table: GreensTable) -> tuple[float, float]:
+    """(max |G - G_series| over the table's even points, allowance): the
+    series' certified tail at rel_tol 1e-12, plus the table's estimate, plus
+    m_trunc eps G(o) for rounding m_trunc positive running-product terms."""
+    res = loop_series_gram(table.kappa, table.radius // 2, 1e-12)
+    even = [p for p in table.points() if (p[0] + p[1]) % 2 == 0]
+    x1, x2 = np.array(even).T
+    a, b = (x1 + x2) // 2, (x1 - x2) // 2
+    series = res.gram[a, b] + (a == 0)  # the n = 0 term, at the origin only
+    closed = np.array([table.value(p) for p in even])
+    gap = float(np.abs(closed - series).max())
+    return gap, res.tail_bound + table.tail_bound + res.m_trunc * _EPS * table.origin()
+
+
+def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
     """Evaluate every Green's-function inequality on a kappa grid.
 
     Bounds whose hypotheses involve unreachable regimes (kappa^-1 >= e^30)
@@ -196,7 +202,7 @@ def check_green_bounds(kappa_grid, radius: int,
     out: list[Verdict] = []
     for kappa in kappa_grid:
         beta = step_weight(kappa)
-        table = greens_table(kappa, radius, rel_tol)
+        table = greens_table(kappa, radius)
         goo = table.origin()
         tag = f"kappa={kappa:g}"
 
@@ -281,6 +287,9 @@ def check_green_bounds(kappa_grid, radius: int,
             out.append(verdict("mu-loglog-window", "mu-loglog-window", tag,
                                abs(mu - ll), 2.0, abs(mu - ll) < 2.0,
                                hypotheses_met=False))
+        gap, allow = series_cross_check(table)
+        out.append(verdict("greens-series-cross-check", PLUMBING, tag, gap, allow,
+                           gap <= allow))
     return out
 
 
@@ -324,36 +333,30 @@ def local_clt_min_constant(table: WalkCountTable, n_max: int) -> float:
     return max(0.0, local_clt_scan_max(table, n_max))
 
 
+def _sandwich_rows(check: str, anchor: str, n_max: int, terms) -> list[Verdict]:
+    """check-lower/-upper rows for lo <= v <= hi over 1 <= n <= n_max, where
+    terms(n) = (v, lo, hi); each lhs is the worst gap on its side."""
+    gaps = [(v - lo, hi - v) for v, lo, hi in map(terms, range(1, n_max + 1))]
+    return [verdict(f"{check}-{side}", anchor, f"n<={n_max}", worst, 0.0,
+                    worst >= -1e-12)
+            for side, worst in zip(("lower", "upper"), map(min, zip(*gaps)))]
+
+
 def verify_appendix_bounds(n_max: int,
                            table: WalkCountTable | None = None) -> AppendixReport:
     """Stirling sandwich, central binomial sandwich, and the local-CLT constant."""
-    verdicts: list[Verdict] = []
-    ok_lo = ok_hi = True
-    worst = (math.inf, math.inf)
-    for n in range(1, n_max + 1):
-        lf = lgamma(n + 1)
+    def stirling(n):
         lo = 0.5 * math.log(2 * pi) + (n + 0.5) * math.log(n) - n
-        hi = lo + 1.0 / (12 * n)
-        ok_lo &= lf >= lo - 1e-12
-        ok_hi &= lf <= hi + 1e-12
-        worst = (min(worst[0], lf - lo), min(worst[1], hi - lf))
-    verdicts.append(verdict("stirling-lower", "stirling", f"n<={n_max}",
-                            worst[0], 0.0, ok_lo))
-    verdicts.append(verdict("stirling-upper", "stirling", f"n<={n_max}",
-                            worst[1], 0.0, ok_hi))
-    ok_lo = ok_hi = True
-    worst = (math.inf, math.inf)
-    for n in range(1, n_max + 1):
-        lc = lgamma(2 * n + 1) - 2 * lgamma(n + 1)
+        return lgamma(n + 1), lo, lo + 1.0 / (12 * n)
+
+    def central_binomial(n):
         base = n * math.log(4.0) - 0.5 * math.log(pi * n)
-        lo, hi = base - 1.0 / (6 * n), base + 1.0 / (24 * n)
-        ok_lo &= lc >= lo - 1e-12
-        ok_hi &= lc <= hi + 1e-12
-        worst = (min(worst[0], lc - lo), min(worst[1], hi - lc))
-    verdicts.append(verdict("central-binomial-lower", "binomial-sandwich",
-                            f"n<={n_max}", worst[0], 0.0, ok_lo))
-    verdicts.append(verdict("central-binomial-upper", "binomial-sandwich",
-                            f"n<={n_max}", worst[1], 0.0, ok_hi))
+        return (lgamma(2 * n + 1) - 2 * lgamma(n + 1),
+                base - 1.0 / (6 * n), base + 1.0 / (24 * n))
+
+    verdicts = (_sandwich_rows("stirling", "stirling", n_max, stirling)
+                + _sandwich_rows("central-binomial", "binomial-sandwich", n_max,
+                                 central_binomial))
     if table is None:
         table = WalkCountTable.build(n_max, n_max)
     raw = local_clt_scan_max(table, n_max)

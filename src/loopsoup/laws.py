@@ -18,12 +18,13 @@ beyond numerical reach.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
-from .greens import GreensTable, greens_table, greens_value, mu_gamma_o
+from .greens import GreensTable, green_origin, greens_table, mu_gamma_o
 from .lattice import Point, l1
 from .records import Verdict, verdict
 
@@ -52,18 +53,14 @@ def exp1_power_cdf(k: int):
     return lambda u: one_point_law(u) ** k
 
 
-def prob_point_uncovered(kappa: float, u: float, goo: float | None = None) -> float:
+def prob_point_uncovered(kappa: float, u: float) -> float:
     if u < 0:
         raise ValueError("u must be >= 0")
-    if goo is None:
-        goo = greens_value(kappa, (0, 0))[0]
-    return goo ** (-u)
+    return green_origin(kappa) ** (-u)
 
 
 def prob_pair_uncovered(kappa: float, x: Point, u: float,
                         table: GreensTable | None = None) -> float:
-    if x == (0, 0):
-        raise ValueError("x must differ from the origin")
     if u < 0:
         raise ValueError("u must be >= 0")
     goo, gox = _pair_values(kappa, x, table)
@@ -72,17 +69,16 @@ def prob_pair_uncovered(kappa: float, x: Point, u: float,
 
 def prob_no_shared_loop(kappa: float, x: Point, u: float,
                         table: GreensTable | None = None) -> float:
-    if x == (0, 0):
-        raise ValueError("x must differ from the origin")
     goo, gox = _pair_values(kappa, x, table)
     return (1.0 - (gox / goo) ** 2) ** u
 
 
 def _pair_values(kappa, x, table):
-    if table is not None:
-        return table.origin(), table.value(x)
-    tab = greens_table(kappa, max(1, l1(x)))
-    return tab.origin(), tab.value(x)
+    if x == (0, 0):
+        raise ValueError("x must differ from the origin")
+    if table is None:
+        table = greens_table(kappa, max(1, l1(x)))
+    return table.origin(), table.value(x)
 
 
 def u_star(kappa: float, set_size: int, mu: float | None = None) -> float:
@@ -145,16 +141,23 @@ class TargetSet:
         return len(self.points)
 
     def pair_distance_counts(self) -> dict[Point, int]:
-        """Multiplicity of each unordered displacement between distinct points."""
-        arr = np.asarray(self.points, dtype=np.int64)
-        out: dict[Point, int] = {}
-        n = len(arr)
-        for i in range(n):
-            d = arr[i + 1:] - arr[i]
-            for dx, dy in d.tolist():
-                key = (abs(dx), abs(dy)) if abs(dx) >= abs(dy) else (abs(dy), abs(dx))
-                out[key] = out.get(key, 0) + 1
-        return out
+        """Multiplicity of each unordered displacement between distinct
+        points, folded to (max, min) of (|dx|, |dy|); rows of pairs go in
+        blocks of about 2^18 so scratch memory stays bounded."""
+        x, y = np.asarray(self.points, dtype=np.int64).T
+        n = len(x)
+        span = int(max(np.ptp(x), np.ptp(y))) + 1
+        if span > 1 << 31:
+            raise ValueError("target set spans more than 2^31 in a coordinate")
+        rows = max(1, (1 << 18) // n)
+        out: Counter[int] = Counter()
+        for i in range(0, n - 1, rows):
+            dx, dy = np.abs(x[i:i + rows, None] - x), np.abs(y[i:i + rows, None] - y)
+            upper = np.arange(n) > np.arange(i, i + len(dx))[:, None]
+            keys, counts = np.unique((np.maximum(dx, dy) * span + np.minimum(dx, dy))[upper],
+                                     return_counts=True)
+            out.update(dict(zip(keys.tolist(), counts.tolist())))
+        return {divmod(k, span): c for k, c in out.items()}
 
     def max_l1_diameter(self) -> int:
         arr = np.asarray(self.points, dtype=np.int64)
@@ -170,8 +173,8 @@ def box_set(side: int) -> TargetSet:
 # Pair bounds at time (1-eps) u*
 
 
-def pair_bound(kappa: float, x: Point, epsilon: float, set_size: int,
-               table: GreensTable | None = None) -> tuple[float, str, bool]:
+def pair_bound(kappa: float, x: Point, epsilon: float,
+               set_size: int) -> tuple[float, str, bool]:
     """Applicable upper bound on P(o, x both in A_eps), its regime, and
     whether the regime's stated hypotheses actually hold.
 
@@ -192,16 +195,13 @@ def pair_bound(kappa: float, x: Point, epsilon: float, set_size: int,
     if 4 <= r <= 2 * kinv:
         regime = "medium"
         bound = base * (log(r) / math.pi) ** (-e)
-        hyp = kinv > E30
     elif r >= 2 * kinv:
         regime = "large"
         bound = base * (log(kinv) / (2 * math.pi)) ** (-e)
-        hyp = kinv > E30
     else:
         regime = "all"
         bound = base * (9.0 / 8.0) ** (-e)
-        hyp = kinv > E30
-    return bound, regime, hyp
+    return bound, regime, kinv > E30
 
 
 def quasi_independence_bound(kappa: float, K: TargetSet, u: float,
@@ -216,14 +216,9 @@ def quasi_independence_bound(kappa: float, K: TargetSet, u: float,
     mu = mu_gamma_o(kappa).value
     bound = 2.0 * K.size ** 2 * u * float(set_size) ** (-1.0 / mu)
     sep = float(set_size) ** (1.0 / mu) * kappa ** (-0.5)
-    ok = True
     pts = K.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = abs(pts[i][0] - pts[j][0]) + abs(pts[i][1] - pts[j][1])
-            if d < sep:
-                ok = False
-    return bound, ok
+    return bound, all(abs(p[0] - q[0]) + abs(p[1] - q[1]) >= sep
+                      for i, p in enumerate(pts) for q in pts[i + 1:])
 
 
 def in_h_class(kappa: float, A_size: int, K: TargetSet, epsilon: float,

@@ -1,6 +1,7 @@
 """Blocked evaluation of the even-walk power series with certified tails.
 
-Everything the Green's engine needs reduces to sums over half-lengths m of
+The walk series of the Green's function, kept as a cross-check of its
+closed form, reduces to sums over half-lengths m of
 
     t_m * f_a(m) * f_b(m),   t_m = beta^{2m} C(2m, m)^2,
     f_a(m) = C(2m, m+a) / C(2m, m) = prod_{i<=a} (m-i+1)/(m+i),
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-#: Hard ceiling on summed half-lengths; beyond this the certified tail bound
-#: cannot be brought under tolerance in reasonable time and callers must fall
-#: back to the two-sided enclosures.
+#: Hard ceiling on summed half-lengths; beyond it the certified tail bound
+#: cannot be brought under tolerance in reasonable time, so the sum raises
+#: SeriesTruncationError.  G itself comes from the closed form in ``greens``.
 DEFAULT_M_CEILING = 1 << 28
 
 _FIRST_BLOCK = 1 << 12

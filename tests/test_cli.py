@@ -1,9 +1,8 @@
 import csv
 import json
 
-from loopsoup import cli, greens
+from loopsoup import cli
 from loopsoup.cover import calibrated_ks_threshold
-from loopsoup.series import SeriesTruncationError
 
 
 def _run(*argv) -> int:
@@ -91,15 +90,16 @@ def test_emit_plotdata_without_sidecar_is_config_error(tmp_path, capsys):
     assert not (d / "plot.csv").exists()
 
 
-def test_series_truncation_exits_resource_ceiling(monkeypatch, capsys):
-    def ceiling(*args, **kwargs):
-        raise SeriesTruncationError("tail bound not certified")
+def test_series_truncation_exits_resource_ceiling(capsys):
+    # at kappa = 1e-9 the length law needs more than 2^22 half-lengths
+    assert _run("covertime", "--set", "box:2", "--kappa", "1e-9",
+                "--replicas", 4) == cli.EXIT_CEILING
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("resource ceiling:")
 
-    monkeypatch.setattr(greens, "loop_series_gram", ceiling)
-    greens._greens_table_cached.cache_clear()
-    try:
-        assert _run("greens", "--kappa", "1e-9") == cli.EXIT_CEILING
-    finally:
-        greens._greens_table_cached.cache_clear()
-    err = capsys.readouterr().err
-    assert err.strip().splitlines() == ["resource ceiling: tail bound not certified"]
+
+def test_greens_at_tiny_kappa(capsys):
+    assert _run("greens", "--kappa", "1e-9") == cli.EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    mu = [float(r[4]) for r in rows if r[0] == "mu-origin-loops"]
+    assert len(mu) == 1 and abs(mu[0] - 2.0411681705747884) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             cover_time_ensemble, cover_time_from_soup,
                             ks_distance, make_target)
 from loopsoup.lattice import Box
+
+
+def _determinant_law_cdf(kappa, points, u):
+    table = greens.greens_table(kappa, 8)
+    total = 0.0
+    for k in range(len(points) + 1):
+        for sub in combinations(points, k):
+            g = [[table.value((p[0] - q[0], p[1] - q[1])) for q in sub] for p in sub]
+            total += (-1) ** k * np.linalg.det(np.array(g).reshape(k, k)) ** (-u)
+    return total
 
 
 class TestTargets:
@@ -135,6 +146,17 @@ class TestEngineAgainstLaws:
         for u in (1.0, 2.0, 4.0):
             law = (1.0 - 2.0 * laws.prob_point_uncovered(kappa, u)
                    + laws.prob_pair_uncovered(kappa, x, u))
+            se = math.sqrt(max(law * (1 - law), 1e-9) / emp.count)
+            bias = s.truncation_bias_rate * u
+            assert abs(emp.cdf(u) - law) <= 3 * se + bias
+
+    def test_three_point_determinant_law(self):
+        # P(T(A) <= u) = sum_{B subset A} (-1)^|B| det(G_B)^{-u}, exactly
+        kappa, pts = 0.5, [(0, 0), (1, 0), (0, 2)]
+        s = cover_time_ensemble(16, kappa, PointsTarget(pts), 20_000)
+        emp = s.values
+        for u in (0.5, 1.0, 2.0, 4.0):
+            law = _determinant_law_cdf(kappa, pts, u)
             se = math.sqrt(max(law * (1 - law), 1e-9) / emp.count)
             bias = s.truncation_bias_rate * u
             assert abs(emp.cdf(u) - law) <= 3 * se + bias

@@ -6,7 +6,7 @@ import pytest
 from loopsoup import greens
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import (SeriesTruncationError, exp_tail_bound,
-                             loop_weight_series)
+                             loop_series_gram, loop_weight_series)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -29,14 +29,22 @@ class TestGreensValue:
             greens.greens_value(-0.5, (0, 0))
 
     def test_truncation_self_consistency(self):
-        for x in ((0, 0), (3, 1)):
-            v1, _ = greens.greens_value(0.05, x, 1e-8)
-            v2, _ = greens.greens_value(0.05, x, 1e-9)
-            assert abs(v1 - v2) <= 1e-8 * abs(v1)
+        # closed form against the walk series on every even point of the table
+        eps = np.finfo(np.float64).eps
+        for kappa in (1.0, 0.1, 0.01, 1e-3):
+            t = greens.greens_table(kappa, 12)
+            res = loop_series_gram(kappa, 6, 1e-12)
+            for a in range(7):
+                for b in range(a + 1):
+                    x = (a + b, a - b)
+                    series = res.gram[a, b] + (x == (0, 0))
+                    allow = (res.tail_bound + t.tail_bound
+                             + res.m_trunc * eps * t.origin())
+                    assert abs(t.value(x) - series) <= allow
 
     def test_unreachable_truncation_raises(self):
         with pytest.raises(SeriesTruncationError):
-            greens.greens_value(1e-9, (0, 0), m_ceiling=10_000)
+            loop_series_gram(1e-9, 0, 1e-10, m_ceiling=10_000)
 
     def test_matches_exact_partial_sum_plus_tail(self, big_walk_table):
         beta = 1.0 / 4.25
@@ -69,6 +77,17 @@ class TestGreensTable:
         for r in (8, 16):
             assert t.value((r, 0)) < t.value((r // 2, 0))
 
+    def test_lattice_equation_at_tiny_kappa(self):
+        # G(x) - beta sum_{y ~ x} G(y) = 1{x = o}, where the series cannot reach
+        t = greens.greens_table(1e-6, 16)
+        beta = t.g_normalization
+        for x in t.points():
+            if sum(x) < 16:
+                nbrs = ((x[0] + 1, x[1]), (x[0] - 1, x[1]),
+                        (x[0], x[1] + 1), (x[0], x[1] - 1))
+                lhs = t.value(x) - beta * sum(t.value(y) for y in nbrs)
+                assert lhs == pytest.approx(float(x == (0, 0)), abs=1e-12)
+
     def test_odd_point_neighbor_identity(self):
         t = greens.greens_table(0.3, 6)
         beta = t.g_normalization
@@ -86,18 +105,19 @@ class TestMuGammaO:
         mu = greens.mu_gamma_o(0.01)
         assert math.exp(mu.value) == pytest.approx(
             greens.greens_value(0.01, (0, 0))[0], rel=1e-14)
-        assert mu.method == "series"
+        assert mu.method == "elliptic"
 
     def test_enclosure_endpoints(self):
-        mu = greens.mu_gamma_o(0.01)
+        enc = greens.mu_enclosure(0.01)
         lo = math.log(math.log(100) / math.pi + 1 - 4 / (3 * math.pi))
         hi = math.log(math.log(100) / math.pi + 2)
-        assert mu.enclosure == pytest.approx((lo, hi))
-        assert mu.contains(mu.value)
+        assert enc == pytest.approx((lo, hi))
+        assert enc[0] <= greens.mu_gamma_o(0.01).value <= enc[1]
 
     def test_deep_kappa_loglog_window(self):
         mu = greens.mu_gamma_o(math.exp(-30))
-        assert mu.method == "enclosure"
+        lo, hi = greens.mu_enclosure(math.exp(-30))
+        assert lo <= mu.value <= hi
         assert abs(mu.value - math.log(30)) < 2.0
 
 

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import loopsoup
@@ -20,3 +23,12 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert MODULES and not unused, unused
+
+
+def test_import_does_not_load_quadrature_package():
+    # scipy.integrate costs more than the rest of `import loopsoup` together
+    env = dict(os.environ, PYTHONPATH=str(Path(loopsoup.__file__).parent.parent))
+    code = "import sys, loopsoup; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

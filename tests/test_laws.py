@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestSecondMoment:
                 gox = tab.value((p[0] - q[0], p[1] - q[1]))
                 direct += (goo * goo - gox * gox) ** (-rep.u_eval)
         assert rep.all_pairs_sum == pytest.approx(direct, rel=1e-9)
+
+    def test_pair_distance_counts_brute_force(self):
+        # irregular, negative coordinates, and enough points for two row blocks
+        rng = np.random.default_rng(11)
+        cells = rng.choice(70 * 50, size=700, replace=False)
+        pts = [(int(c % 70) - 40, int(c // 70) - 17) for c in cells]
+        brute = Counter()
+        for i, p in enumerate(pts):
+            for q in pts[i + 1:]:
+                dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
+                brute[(max(dx, dy), min(dx, dy))] += 1
+        assert laws.TargetSet(tuple(pts)).pair_distance_counts() == dict(brute)
+        assert laws.TargetSet(((3, -2),)).pair_distance_counts() == {}
 
     def test_guard(self):
         with pytest.raises(ValueError):
