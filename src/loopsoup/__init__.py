@@ -1,7 +1,7 @@
 """Simulation and numerical verification lab for the two-dimensional
-killed-random-walk loop soup: exact walk combinatorics, the Green's
-function in closed form with its walk series as a cross-check, closed-form
-avoidance laws, exact truncated soup sampling, and cover-time Monte Carlo."""
+killed-random-walk loop soup: exact walk combinatorics, the closed-form Green's
+function (walk series as cross-check), the determinant law det(G_B)^{-u} with
+exact small-set cover laws, exact soup sampling, and cover-time Monte Carlo."""
 
 __version__ = "0.1.0"
 
@@ -11,9 +11,9 @@ from .cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
 from .greens import (GreensTable, MuGammaO, check_green_bounds, green_origin,
                      greens_table, greens_value, mu_gamma_o, rooted_intensity,
                      verify_appendix_bounds)
-from .laws import (TargetSet, expected_uncovered, gumbel_cdf, one_point_law,
-                   pair_bound, prob_no_shared_loop, prob_pair_uncovered,
-                   prob_point_uncovered, quasi_independence_bound,
+from .laws import (TargetSet, cover_law, expected_uncovered, gumbel_cdf,
+                   one_point_law, pair_bound, prob_no_shared_loop,
+                   prob_uncovered, quasi_independence_bound,
                    second_moment_report, u_star)
 from .sampler import (LengthDistribution, RootedLoop, SoupSample, extend_soup,
                       length_pmf, sample_rooted_loop, sample_window_soup)

@@ -155,8 +155,8 @@ def cmd_laws_pair(args) -> int:
     x = _parse_point(args.x)
     rows = []
     for kappa in _parse_floats(args.kappa):
-        point = laws.prob_point_uncovered(kappa, args.u)
-        pair = laws.prob_pair_uncovered(kappa, x, args.u)
+        point = laws.prob_uncovered(kappa, [(0, 0)], args.u)
+        pair = laws.prob_uncovered(kappa, [(0, 0), x], args.u)
         nosh = laws.prob_no_shared_loop(kappa, x, args.u)
         rows += [["point-uncovered", kappa, 0, 0, point, 0.0],
                  ["pair-uncovered", kappa, x[0], x[1], pair, 0.0],
@@ -227,8 +227,7 @@ def _ensemble_artifacts(args, sample: cover.CoverTimeSample, name: str,
 def cmd_covertime(args) -> int:
     target = make_target(args.set)
     sample = cover_time_ensemble(args.seed, args.kappa, target, args.replicas,
-                                 tail_tol=args.tail_tol, workers=args.workers,
-                                 work_guard=args.work_guard)
+                                 workers=args.workers, work_guard=args.work_guard)
     _ensemble_artifacts(args, sample, "covertime", [])
     v = sample.values.values
     print(f"replicas={sample.replicas} mean={fmt(v.mean())} "
@@ -362,8 +361,8 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     for kappa in (1.0, 0.25):
         for x in ((1, 0), (1, 1), (3, 0)):
             for u in (0.5, 1.0, 2.0):
-                pair = laws.prob_pair_uncovered(kappa, x, u)
-                point = laws.prob_point_uncovered(kappa, u)
+                pair = laws.prob_uncovered(kappa, [(0, 0), x], u)
+                point = laws.prob_uncovered(kappa, [(0, 0)], u)
                 nosh = laws.prob_no_shared_loop(kappa, x, u)
                 idok &= abs(pair - point * point / nosh) <= 1e-12 * pair
     verdicts.append(verdict("pair-identity-chain", "pair-avoidance-identity",
@@ -378,6 +377,15 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     verdicts.append(verdict("one-point-exponential-law", "one-point-law",
                             f"kappa=0.25,replicas={replicas},seed={args.seed}",
                             d, thr, d <= thr))
+
+    # The determinant law of three points, exact for every kappa, the same way.
+    pts, replicas = [(0, 0), (1, 0), (0, 2)], 10_000 if quick else 40_000
+    sample = cover_time_ensemble(args.seed, 0.5, pts, replicas, workers=args.workers)
+    d = ks_distance(sample.values, laws.cover_law(0.5, pts))
+    thr = calibrated_ks_threshold(replicas) + sample.truncation_bias_bound
+    verdicts.append(verdict("cover-determinant-law", "determinant-law",
+                            f"kappa=0.5,set={sample.target_label},replicas={replicas},"
+                            f"seed={args.seed}", d, thr, d <= thr))
 
     # Sampler structure: bridge closure and length-law chi-square.
     dist = sampler.length_pmf(0.5, 1e-8)
@@ -476,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     s1.add_argument("--out", default=None)
     s1.set_defaults(func=cmd_soup_sample)
 
-    c = sub.add_parser("covertime", help="cover-time ensemble")
+    c = sub.add_parser("covertime", help="cover-time ensemble (half-length law "
+                       f"truncated at omitted mass {cover.TAIL_TOL:g})")
     c.add_argument("--kappa", type=float, required=True)
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")
     c.add_argument("--replicas", type=int, required=True)
-    c.add_argument("--tail-tol", type=float, default=1e-10)
     c.add_argument("--work-guard", type=float, default=5e11)
     c.set_defaults(func=cmd_covertime)
 

@@ -34,6 +34,7 @@ from .sampler import (LengthDistribution, balanced_signs, loop_vertices,
                       truncation_bias_rate, unpack_steps)
 
 REPLICA_BLOCK = 4096
+TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
 _CELL_BUDGET = 24_000_000
 _MAX_DOUBLINGS = 48
 
@@ -304,10 +305,10 @@ class CoverTimeSample:
 class CoverEngine:
     """Cover-time sampling of one target at one kappa."""
 
-    def __init__(self, kappa: float, target, tail_tol: float = 1e-10):
+    def __init__(self, kappa: float, target):
         self.kappa = kappa
         self.target = target
-        self.dist = LengthDistribution.build(kappa, tail_tol)
+        self.dist = LengthDistribution.build(kappa, TAIL_TOL)
         self.mu = mu_gamma_o(kappa).value
         n = self.dist.n_trunc
         deltas = np.arange(0, n + 1, dtype=np.int64)
@@ -474,12 +475,11 @@ def run_blocks(job, arg_list, workers: int = 1):
 # Spec-level operations
 
 
-def cover_time(rng: np.random.Generator, kappa: float, target,
-               tail_tol: float = 1e-10) -> float:
+def cover_time(rng: np.random.Generator, kappa: float, target) -> float:
     """One cover-time draw; target is a BoxTarget/PointsTarget or point list."""
     if not isinstance(target, (BoxTarget, PointsTarget)):
         target = PointsTarget(list(target))
-    engine = CoverEngine(kappa, target, tail_tol)
+    engine = CoverEngine(kappa, target)
     return float(engine._cover_batch(rng, 1)[0])
 
 
@@ -515,12 +515,11 @@ def cover_time_from_soup(soup, points: list[Point]) -> float:
     return worst
 
 
-def cover_time_ensemble(seed: int, kappa: float, target, replicas: int,
-                        tail_tol: float = 1e-10, workers: int = 1,
+def cover_time_ensemble(seed: int, kappa: float, target, replicas: int, workers: int = 1,
                         work_guard: float | None = None) -> CoverTimeSample:
     if not isinstance(target, (BoxTarget, PointsTarget)):
         target = PointsTarget(list(target))
-    engine = CoverEngine(kappa, target, tail_tol)
+    engine = CoverEngine(kappa, target)
     return engine.ensemble(seed, replicas, workers, work_guard)
 
 
@@ -549,14 +548,12 @@ class ExampleReport:
 
 
 def run_example_two_far(kappa: float, separation: int, replicas: int,
-                        seed: int = 1, workers: int = 1,
-                        tail_tol: float = 1e-10) -> ExampleReport:
+                        seed: int = 1, workers: int = 1) -> ExampleReport:
     """Two points at separation >= 10 kappa^-2: rescaled cover time vs the
     square of the one-point law, with the analytic decoupling gap reported."""
     if separation % 2 or separation < 10.0 / kappa ** 2:
         raise ValueError("separation must be even and >= 10 kappa^-2")
-    return run_example_many_sep(kappa, 2, separation, replicas, seed,
-                                workers, tail_tol)
+    return run_example_many_sep(kappa, 2, separation, replicas, seed, workers)
 
 
 def analytic_two_point_gap(kappa: float, u: float, mu: float) -> float:
@@ -565,8 +562,8 @@ def analytic_two_point_gap(kappa: float, u: float, mu: float) -> float:
 
 
 def run_example_many_sep(kappa: float, count: int, separation: int,
-                         replicas: int, seed: int = 1, workers: int = 1,
-                         tail_tol: float = 1e-10) -> ExampleReport:
+                         replicas: int, seed: int = 1,
+                         workers: int = 1) -> ExampleReport:
     """k points on a line, pairwise separation >= 10 kappa^-2: the rescaled
     cover time tracks the maximum of k independent unit exponentials."""
     if count < 1:
@@ -574,8 +571,7 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
     if count > 1 and (separation % 2 or separation < 10.0 / kappa ** 2):
         raise ValueError("separation must be even and >= 10 kappa^-2")
     target = PointsTarget([(i * separation, 0) for i in range(count)])
-    sample = cover_time_ensemble(seed, kappa, target, replicas,
-                                 tail_tol=tail_tol, workers=workers)
+    sample = cover_time_ensemble(seed, kappa, target, replicas, workers=workers)
     scaled = sample.scaled()
     d = ks_distance(scaled, exp1_power_cdf(count))
     thr = calibrated_ks_threshold(replicas)
@@ -595,8 +591,7 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
 
 
 def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
-                          workers: int = 1,
-                          tail_tol: float = 1e-10) -> ExampleReport:
+                          workers: int = 1) -> ExampleReport:
     """Diagonal-neighbor pair {o, (1,1)}: the rescaled cover time approaches
     a single unit exponential as kappa decreases; asserted as a trend."""
     distances = []
@@ -604,7 +599,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
     for kappa in kappa_grid:
         target = PointsTarget([(0, 0), (1, 1)])
         sample = cover_time_ensemble(seed, kappa, target, replicas,
-                                     tail_tol=tail_tol, workers=workers)
+                                     workers=workers)
         distances.append(ks_distance(sample.scaled(), one_point_law))
         ensembles[f"kappa={kappa:g}"] = sample
     thr = calibrated_ks_threshold(replicas)
@@ -617,8 +612,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
 
 
 def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
-                    workers: int = 1, tail_tol: float = 1e-10,
-                    work_guard: float = 5e11) -> ExampleReport:
+                    workers: int = 1, work_guard: float = 5e11) -> ExampleReport:
     """Boxes of growing side: KS distance of mu*T - log|A| to exp(-e^{-z}).
 
     The limit theorem's regime log(1/kappa) >= e^32 is numerically
@@ -631,7 +625,7 @@ def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
     details = {}
     for side in box_sides:
         target = BoxTarget(side)
-        engine = CoverEngine(kappa, target, tail_tol)
+        engine = CoverEngine(kappa, target)
         sample = engine.ensemble(seed, replicas, workers, work_guard)
         z = sample.mu * sample.values.values - math.log(target.size)
         distances.append(ks_distance(EmpiricalDistribution.from_samples(z),

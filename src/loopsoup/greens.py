@@ -23,7 +23,7 @@ from math import lgamma, log, pi
 import numpy as np
 from scipy.special import ellipkm1
 
-from .lattice import Point, fold_octant, l1, octant_points
+from .lattice import Point, l1, octant_points
 from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
 from .series import (DEFAULT_M_CEILING, exp_tail_bound, loop_series_gram,
                      loop_term_array, loop_weight_series, step_weight)
@@ -36,38 +36,40 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class GreensTable:
-    """G(x) on |x| <= radius, stored on one octant.
-
-    tail_bound is the absolute error estimate of every entry: the largest
-    gap between the 32- and 16-node quadratures over the table plus a
-    rounding floor of 16 eps G(o).  The origin entry is green_origin itself.
-    g(x) = G(x)/(4+kappa) is the conventional normalization of the same
-    object.
-    """
+    """G(x) on |x| <= radius, stored on one octant as the array _g[a, b],
+    a >= b >= 0; values() folds displacements onto it and matrix(A) is the
+    Green's matrix G_A = [G(x - y)].  tail_bound is the absolute error
+    estimate of every entry: the largest gap between the 32- and 16-node
+    quadratures over the table plus a rounding floor of 16 eps G(o).  The
+    origin entry is green_origin itself."""
 
     kappa: float
     radius: int
     tail_bound: float
-    _values: dict[Point, float]
+    _g: np.ndarray
 
-    @property
-    def g_normalization(self) -> float:
-        return step_weight(self.kappa)
+    def values(self, dx, dy) -> np.ndarray:
+        """G at the displacements (dx, dy), two arrays of one shape."""
+        a, b = (np.abs(np.asarray(v, dtype=np.int64)) for v in (dx, dy))
+        far = int((a + b).max(initial=0))
+        if far > self.radius:
+            raise ValueError(f"|x| = {far} outside table radius {self.radius}")
+        return self._g[np.maximum(a, b), np.minimum(a, b)]
 
     def value(self, x: Point) -> float:
-        key = fold_octant(x)
-        if l1(key) > self.radius:
-            raise ValueError(f"|x| = {l1(key)} outside table radius {self.radius}")
-        return self._values[key]
+        return float(self.values(x[0], x[1]))
 
-    def g(self, x: Point) -> float:
-        return self.value(x) * self.g_normalization
+    def matrix(self, points) -> np.ndarray:
+        """G_A for points of shape (..., k, 2); a stack of sets gives a stack."""
+        p = np.asarray(points, dtype=np.int64)
+        d = p[..., :, None, :] - p[..., None, :, :]
+        return self.values(d[..., 0], d[..., 1])
 
     def origin(self) -> float:
-        return self._values[(0, 0)]
+        return float(self._g[0, 0])
 
     def points(self) -> list[Point]:
-        return sorted(self._values)
+        return octant_points(self.radius)
 
 
 def green_origin(kappa: float) -> float:
@@ -101,14 +103,16 @@ def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarr
 
 @lru_cache(maxsize=32)
 def _greens_table_cached(kappa: float, radius: int) -> GreensTable:
-    octant = octant_points(radius)
-    pts = np.array(octant, dtype=np.float64)
+    octant = np.array(octant_points(radius))
+    pts = octant.astype(np.float64)
     values = _greens_quadrature(kappa, pts, 32)
     gap = float(np.abs(values - _greens_quadrature(kappa, pts, 16)).max())
     values[0] = goo = green_origin(kappa)  # octant_points starts at the origin
+    g = np.zeros((radius + 1, radius + 1))
+    g[octant[:, 0], octant[:, 1]] = values
+    g.flags.writeable = False  # the cached table is shared
     return GreensTable(kappa=kappa, radius=radius,
-                       tail_bound=gap + 16.0 * _EPS * goo,
-                       _values=dict(zip(octant, values.tolist())))
+                       tail_bound=gap + 16.0 * _EPS * goo, _g=g)
 
 
 def greens_table(kappa: float, radius: int) -> GreensTable:
@@ -178,18 +182,25 @@ def rooted_intensity(kappa: float, rel_tol: float = 1e-10,
 # Inequality reports
 
 
-def series_cross_check(table: GreensTable) -> tuple[float, float]:
-    """(max |G - G_series| over the table's even points, allowance): the
-    series' certified tail at rel_tol 1e-12, plus the table's estimate, plus
-    m_trunc eps G(o) for rounding m_trunc positive running-product terms."""
+def series_cross_check(table: GreensTable, tag: str) -> Verdict:
+    """max |G - G_series| over the table's even points against the series'
+    certified tail at rel_tol 1e-12, plus the table's estimate, plus m_trunc
+    eps G(o) for rounding m_trunc positive running-product terms.  Partial
+    sums stay below G(o), so the series cannot certify before half-length
+    (4/kappa) log(4/(1e-12 G(o))); past DEFAULT_M_CEILING that is reported."""
+    goo = table.origin()
+    m_min = 4.0 / table.kappa * log(4.0 / (1e-12 * goo))
+    if m_min > DEFAULT_M_CEILING:
+        return verdict("greens-series-cross-check", PLUMBING, tag, m_min,
+                       DEFAULT_M_CEILING, False, hypotheses_met=False)
     res = loop_series_gram(table.kappa, table.radius // 2, 1e-12)
-    even = [p for p in table.points() if (p[0] + p[1]) % 2 == 0]
-    x1, x2 = np.array(even).T
+    x1, x2 = np.array([p for p in table.points() if (p[0] + p[1]) % 2 == 0]).T
     a, b = (x1 + x2) // 2, (x1 - x2) // 2
     series = res.gram[a, b] + (a == 0)  # the n = 0 term, at the origin only
-    closed = np.array([table.value(p) for p in even])
-    gap = float(np.abs(closed - series).max())
-    return gap, res.tail_bound + table.tail_bound + res.m_trunc * _EPS * table.origin()
+    gap = float(np.abs(table.values(x1, x2) - series).max())
+    allow = res.tail_bound + table.tail_bound + res.m_trunc * _EPS * goo
+    return verdict("greens-series-cross-check", PLUMBING, tag, gap, allow,
+                   gap <= allow)
 
 
 def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
@@ -236,24 +247,27 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
                                    f"{tag},N={N}", tail_exact,
                                    exp_tail_bound(kappa, N),
                                    tail_exact <= exp_tail_bound(kappa, N)))
-        # Pointwise gap bounds.
-        worst_gap = min(goo - table.value(x) for x in table.points() if x != (0, 0))
+        # Pointwise gap bounds, over the octant in sorted order.
+        a, b = np.array(table.points()).T
+        vals = table.values(a, b)
+        r, gaps = a + b, goo - vals
+        worst_gap = float(gaps[1:].min())  # every point but the origin
         out.append(verdict("gap-three-quarters", "origin-gap-min", tag,
                            0.75, worst_gap, worst_gap >= 0.75))
-        med = [(x, goo - table.value(x)) for x in table.points()
-               if 4 <= l1(x) <= 2.0 / kappa]
-        if med and 1.0 / kappa >= 2.0:
-            lhs_pt, gap = min(med, key=lambda xx: xx[1] - log(l1(xx[0])) / pi)
+        med = np.flatnonzero((4 <= r) & (r <= 2.0 / kappa))
+        if med.size and 1.0 / kappa >= 2.0:
+            i = med[np.argmin(gaps[med] - np.log(r[med]) / pi)]
+            lhs_pt, gap = (int(a[i]), int(b[i])), float(gaps[i])
             rhs = log(l1(lhs_pt)) / pi
             out.append(verdict("gap-log-over-pi", "origin-gap-log",
                                f"{tag},x={lhs_pt}", gap, rhs, gap >= rhs))
         # Far point at half the origin value: asymptotic hypothesis, report only.
-        far = [x for x in table.points() if l1(x) >= 2.0 / kappa]
-        if far:
-            x = max(far, key=l1)
+        far = np.flatnonzero(r >= 2.0 / kappa)
+        if far.size:
+            i = far[np.argmax(r[far])]
+            x, gx = (int(a[i]), int(b[i])), float(vals[i])
             out.append(verdict("far-point-half", "far-point-ratio",
-                               f"{tag},x={x}", table.value(x), goo / 2.0,
-                               table.value(x) <= goo / 2.0,
+                               f"{tag},x={x}", gx, goo / 2.0, gx <= goo / 2.0,
                                hypotheses_met=1.0 / kappa >= math.exp(30)))
         # Short-walk contribution to G(x): "large |x|" unquantified, report.
         for ax in (8, 16):
@@ -287,9 +301,7 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
             out.append(verdict("mu-loglog-window", "mu-loglog-window", tag,
                                abs(mu - ll), 2.0, abs(mu - ll) < 2.0,
                                hypotheses_met=False))
-        gap, allow = series_cross_check(table)
-        out.append(verdict("greens-series-cross-check", PLUMBING, tag, gap, allow,
-                           gap <= allow))
+        out.append(series_cross_check(table, tag))
     return out
 
 

@@ -1,11 +1,10 @@
 """Closed-form avoidance laws of the soup and the second-moment machinery.
 
-With G = G(o), Gx = G(x) and mu0 = log G, the timestamped soup gives exact
-laws for any u >= 0:
-
-    P(x uncovered at u)            = G^{-u} = exp(-u mu0)
-    P(no loop through both o, x)   = (1 - (Gx/G)^2)^u
-    P(o and x both uncovered at u) = (G^2 - Gx^2)^{-u}
+The loops that visit a finite set B have loop measure log det G_B, with
+G_B = [G(x - y)]_{x,y in B} (Le Jan 2011), so P(B uncovered at u) =
+det(G_B)^{-u} (prob_uncovered) and, over the subsets B of A, P(T(A) <= u) =
+sum_B (-1)^|B| det(G_B)^{-u} (cover_law).  With mu0 = log G(o), its 1x1 and
+2x2 cases are exp(-u mu0) and (G(o)^2 - G(x)^2)^{-u}.
 
 u* = log|A| / mu0 is the time at which the expected number of uncovered
 vertices of A is exactly one; A_eps denotes the subset still uncovered at
@@ -19,12 +18,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import combinations
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
-from .greens import GreensTable, green_origin, greens_table, mu_gamma_o
+# greens_table by name: the benchmark's tracer patches laws.greens_table
+from .greens import GreensTable, greens_table, mu_gamma_o
 from .lattice import Point, l1
 from .records import Verdict, verdict
 
@@ -53,32 +54,46 @@ def exp1_power_cdf(k: int):
     return lambda u: one_point_law(u) ** k
 
 
-def prob_point_uncovered(kappa: float, u: float) -> float:
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    return green_origin(kappa) ** (-u)
+def _log_det(g: np.ndarray) -> np.ndarray:
+    """log det of positive-definite matrices stacked as (..., k, k), by Cholesky."""
+    return 2.0 * np.log(np.diagonal(np.linalg.cholesky(g), 0, -2, -1)).sum(axis=-1)
 
 
-def prob_pair_uncovered(kappa: float, x: Point, u: float,
-                        table: GreensTable | None = None) -> float:
+def _green_matrix(kappa: float, points, table: GreensTable | None) -> np.ndarray:
+    """G_B of distinct points B, from `table` or a table that spans B."""
+    b = TargetSet(tuple(map(tuple, points)))
+    if table is None:
+        table = greens_table(kappa, max(1, b.max_l1_diameter()))
+    return table.matrix(b.points)
+
+
+def prob_uncovered(kappa: float, points, u: float,
+                   table: GreensTable | None = None) -> float:
+    """det(G_B)^{-u}: no loop of the soup up to time u visits the set B."""
     if u < 0:
         raise ValueError("u must be >= 0")
-    goo, gox = _pair_values(kappa, x, table)
-    return (goo * goo - gox * gox) ** (-u)
+    return math.exp(-u * float(_log_det(_green_matrix(kappa, points, table))))
+
+
+def cover_law(kappa: float, points):
+    """Exact CDF u -> P(T(A) <= u) of the cover time of distinct points A,
+    |A| <= 16, summed over the 2^|A| subsets B of A (vectorized in u)."""
+    if len(points) > 16:
+        raise ValueError(f"|A| = {len(points)} > 16: too many subsets to sum")
+    g = _green_matrix(kappa, points, None)
+    terms = []  # (sign, log det G_B), the empty set first
+    for k in range(len(g) + 1):
+        idx = np.array(list(combinations(range(len(g)), k)), dtype=np.intp)
+        terms += [((-1.0) ** k, d) for d in
+                  _log_det(g[idx[:, :, None], idx[:, None, :]]).tolist()]
+    return lambda u: sum(s * np.exp(-d * np.asarray(u, dtype=np.float64))
+                         for s, d in terms)
 
 
 def prob_no_shared_loop(kappa: float, x: Point, u: float,
                         table: GreensTable | None = None) -> float:
-    goo, gox = _pair_values(kappa, x, table)
+    goo, gox = _green_matrix(kappa, [(0, 0), x], table)[0].tolist()
     return (1.0 - (gox / goo) ** 2) ** u
-
-
-def _pair_values(kappa, x, table):
-    if x == (0, 0):
-        raise ValueError("x must differ from the origin")
-    if table is None:
-        table = greens_table(kappa, max(1, l1(x)))
-    return table.origin(), table.value(x)
 
 
 def u_star(kappa: float, set_size: int, mu: float | None = None) -> float:
@@ -304,16 +319,15 @@ def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
 
     classes = SeparationClassification.for_parameters(kappa, n, mu)
     counts = A.pair_distance_counts()
-    goo = table.origin()
-    class_sums = {c: 0.0 for c in CLASS_NAMES}
-    class_counts = {c: 0 for c in CLASS_NAMES}
-    for disp, mult in sorted(counts.items()):
-        gox = table.value(disp)
-        p = (goo * goo - gox * gox) ** (-u_eval)
-        cls_idx = int(classes.classify(l1(disp)))
-        # ordered pairs: each unordered displacement counts twice
-        class_sums[CLASS_NAMES[cls_idx]] += 2.0 * mult * p
-        class_counts[CLASS_NAMES[cls_idx]] += 2 * mult
+    disp = sorted(counts)
+    mult = 2.0 * np.array([counts[d] for d in disp])  # ordered pairs
+    pairs = np.zeros((len(disp), 2, 2), dtype=np.int64)
+    pairs[:, 1] = disp
+    p = np.exp(-u_eval * _log_det(table.matrix(pairs)))
+    cls_idx = classes.classify(pairs[:, 1].sum(axis=1))
+    sums, n_pairs = (np.bincount(cls_idx, w, len(CLASS_NAMES)) for w in (mult * p, mult))
+    class_sums = dict(zip(CLASS_NAMES, sums.tolist()))
+    class_counts = dict(zip(CLASS_NAMES, n_pairs.astype(int).tolist()))
 
     kinv = 1.0 / kappa
     hyp_small = E9 <= kinv <= n and epsilon <= 1.0 / (100.0 * mu)

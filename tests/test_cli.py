@@ -103,3 +103,13 @@ def test_greens_at_tiny_kappa(capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     mu = [float(r[4]) for r in rows if r[0] == "mu-origin-loops"]
     assert len(mu) == 1 and abs(mu[0] - 2.0411681705747884) <= 1e-12
+
+
+def test_verify_bounds_at_tiny_kappa_skips_series(capsys):
+    # the walk series would need ~1e11 half-lengths, past its 2^28 ceiling
+    assert _run("verify", "bounds", "--kappa-grid", "1e-9",
+                "--radius", 4) == cli.EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    cross = [r for r in rows if r[0] == "greens-series-cross-check"]
+    assert len(cross) == 1 and cross[0][1] == "hypothesis-not-met"
+    assert cross[0][3] == "rhs=268435456"

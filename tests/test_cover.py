@@ -1,27 +1,16 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from loopsoup import cover, greens, laws, sampler
+from loopsoup import cover, laws, sampler
 from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             PointsTarget, ResourceCeilingError,
                             calibrated_ks_threshold, cover_time,
                             cover_time_ensemble, cover_time_from_soup,
                             ks_distance, make_target)
 from loopsoup.lattice import Box
-
-
-def _determinant_law_cdf(kappa, points, u):
-    table = greens.greens_table(kappa, 8)
-    total = 0.0
-    for k in range(len(points) + 1):
-        for sub in combinations(points, k):
-            g = [[table.value((p[0] - q[0], p[1] - q[1])) for q in sub] for p in sub]
-            total += (-1) ** k * np.linalg.det(np.array(g).reshape(k, k)) ** (-u)
-    return total
 
 
 class TestTargets:
@@ -140,12 +129,11 @@ class TestEngineAgainstLaws:
 
     def test_two_point_cdf_reconstruction(self):
         # P(T({o,x}) <= u) = 1 - 2 P(pt uncov) + P(pair uncov), exactly
-        kappa, x = 0.25, (1, 1)
-        s = cover_time_ensemble(6, kappa, PointsTarget([(0, 0), x]), 40_000)
+        kappa, pts = 0.25, [(0, 0), (1, 1)]
+        s = cover_time_ensemble(6, kappa, PointsTarget(pts), 40_000)
         emp = s.values
         for u in (1.0, 2.0, 4.0):
-            law = (1.0 - 2.0 * laws.prob_point_uncovered(kappa, u)
-                   + laws.prob_pair_uncovered(kappa, x, u))
+            law = laws.cover_law(kappa, pts)(u)
             se = math.sqrt(max(law * (1 - law), 1e-9) / emp.count)
             bias = s.truncation_bias_rate * u
             assert abs(emp.cdf(u) - law) <= 3 * se + bias
@@ -156,7 +144,7 @@ class TestEngineAgainstLaws:
         s = cover_time_ensemble(16, kappa, PointsTarget(pts), 20_000)
         emp = s.values
         for u in (0.5, 1.0, 2.0, 4.0):
-            law = _determinant_law_cdf(kappa, pts, u)
+            law = laws.cover_law(kappa, pts)(u)
             se = math.sqrt(max(law * (1 - law), 1e-9) / emp.count)
             bias = s.truncation_bias_rate * u
             assert abs(emp.cdf(u) - law) <= 3 * se + bias

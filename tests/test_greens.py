@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from loopsoup import greens
+from loopsoup.lattice import fold_octant
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import (SeriesTruncationError, exp_tail_bound,
-                             loop_series_gram, loop_weight_series)
+                             loop_series_gram, loop_weight_series, step_weight)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -80,7 +81,7 @@ class TestGreensTable:
     def test_lattice_equation_at_tiny_kappa(self):
         # G(x) - beta sum_{y ~ x} G(y) = 1{x = o}, where the series cannot reach
         t = greens.greens_table(1e-6, 16)
-        beta = t.g_normalization
+        beta = step_weight(1e-6)
         for x in t.points():
             if sum(x) < 16:
                 nbrs = ((x[0] + 1, x[1]), (x[0] - 1, x[1]),
@@ -90,14 +91,26 @@ class TestGreensTable:
 
     def test_odd_point_neighbor_identity(self):
         t = greens.greens_table(0.3, 6)
-        beta = t.g_normalization
+        beta = step_weight(0.3)
         lhs = t.value((3, 2))
         rhs = beta * sum(t.value(y) for y in ((4, 2), (2, 2), (3, 3), (3, 1)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_g_normalization(self):
-        t = greens.greens_table(0.5, 3)
-        assert t.g((1, 1)) == pytest.approx(t.value((1, 1)) / 4.5)
+    def test_matrix_matches_value(self):
+        # irregular points with negative coordinates, in no particular order
+        t = greens.greens_table(0.2, 16)
+        pts = [(3, -2), (-1, 0), (0, 0), (-4, -3), (2, 5)]
+        octant = dict(zip(t.points(), t.values(*np.array(t.points()).T).tolist()))
+        g = t.matrix(pts)
+        assert g.shape == (5, 5)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                x = (p[0] - q[0], p[1] - q[1])
+                assert g[i, j] == t.value(x) == octant[fold_octant(x)]
+        with pytest.raises(ValueError):
+            t.matrix([(0, 0), (9, -8)])
+        with pytest.raises(ValueError):
+            t.value((-17, 0))
 
 
 class TestMuGammaO:

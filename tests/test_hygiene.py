@@ -25,6 +25,27 @@ def test_every_imported_name_is_used():
     assert MODULES and not unused, unused
 
 
+def test_every_module_level_definition_is_referenced():
+    # a def or class of the package that no source, test or benchmark file
+    # names, as a bare name or an attribute, is dead API
+    repo = Path(__file__).resolve().parent.parent
+    files = [*MODULES, Path(loopsoup.__file__), *(repo / "tests").glob("*.py"),
+             *(repo / "bench").glob("*.py")]
+    referenced = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [f"{path.name}:{node.lineno} {node.name}"
+                    for path in MODULES
+                    for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in referenced]
+    assert not unreferenced, unreferenced
+
+
 def test_import_does_not_load_quadrature_package():
     # scipy.integrate costs more than the rest of `import loopsoup` together
     env = dict(os.environ, PYTHONPATH=str(Path(loopsoup.__file__).parent.parent))

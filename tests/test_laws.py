@@ -12,37 +12,38 @@ from loopsoup.records import VERDICT_FAILS, VERDICT_NOT_MET
 
 class TestPointLaw:
     def test_u_zero(self):
-        assert laws.prob_point_uncovered(0.3, 0.0) == 1.0
+        assert laws.prob_uncovered(0.3, [(0, 0)], 0.0) == 1.0
 
     def test_matches_exponential_of_mu(self):
         mu = greens.mu_gamma_o(0.3).value
         for u in (0.5, 1.0, 3.7):
-            assert laws.prob_point_uncovered(0.3, u) \
+            assert laws.prob_uncovered(0.3, [(0, 0)], u) \
                 == pytest.approx(math.exp(-u * mu), rel=1e-13)
 
     def test_u_star_normalization(self):
         us = laws.u_star(0.3, 50)
-        assert 50 * laws.prob_point_uncovered(0.3, us) == pytest.approx(1.0)
+        assert 50 * laws.prob_uncovered(0.3, [(0, 0)], us) == pytest.approx(1.0)
 
     def test_rejects_negative_u(self):
         with pytest.raises(ValueError):
-            laws.prob_point_uncovered(0.3, -1.0)
+            laws.prob_uncovered(0.3, [(0, 0)], -1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
     def test_semigroup(self, u, v):
-        p = laws.prob_point_uncovered(0.5, u) * laws.prob_point_uncovered(0.5, v)
-        assert p == pytest.approx(laws.prob_point_uncovered(0.5, u + v), rel=1e-10)
+        def p(t):
+            return laws.prob_uncovered(0.5, [(0, 0)], t)
+        assert p(u) * p(v) == pytest.approx(p(u + v), rel=1e-10)
 
 
 class TestPairLaws:
     def test_u_zero(self):
-        assert laws.prob_pair_uncovered(0.5, (2, 1), 0.0) == 1.0
+        assert laws.prob_uncovered(0.5, [(0, 0), (2, 1)], 0.0) == 1.0
         assert laws.prob_no_shared_loop(0.5, (2, 1), 0.0) == 1.0
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            laws.prob_pair_uncovered(0.5, (0, 0), 1.0)
+            laws.prob_uncovered(0.5, [(0, 0), (0, 0)], 1.0)
         with pytest.raises(ValueError):
             laws.prob_no_shared_loop(0.5, (0, 0), 1.0)
 
@@ -50,29 +51,60 @@ class TestPairLaws:
         for kappa in (1.0, 0.25, 0.05):
             for x in ((1, 0), (1, 1), (3, 0), (5, 2)):
                 for u in (0.5, 1.0, 2.0):
-                    pair = laws.prob_pair_uncovered(kappa, x, u)
-                    pt = laws.prob_point_uncovered(kappa, u)
+                    pair = laws.prob_uncovered(kappa, [(0, 0), x], u)
+                    pt = laws.prob_uncovered(kappa, [(0, 0)], u)
                     nosh = laws.prob_no_shared_loop(kappa, x, u)
                     assert pair == pytest.approx(pt * pt / nosh, rel=1e-12)
 
     def test_sandwich(self):
         for u in (0.5, 1.0, 2.0):
-            pt = laws.prob_point_uncovered(0.25, u)
-            pair = laws.prob_pair_uncovered(0.25, (1, 1), u)
+            pt = laws.prob_uncovered(0.25, [(0, 0)], u)
+            pair = laws.prob_uncovered(0.25, [(0, 0), (1, 1)], u)
             assert pt * pt <= pair <= pt
 
     def test_monotone_in_distance(self):
         u = 1.5
-        vals = [laws.prob_pair_uncovered(0.25, (r, 0), u) for r in (1, 2, 4, 8)]
+        vals = [laws.prob_uncovered(0.25, [(0, 0), (r, 0)], u) for r in (1, 2, 4, 8)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_far_pair_decorrelates(self):
         # at |x| = 4/kappa the shared-loop correction is below 1%
         for kappa in (1.0, 0.5, 0.25, 0.1):
             r = int(4 / kappa)
-            pt = laws.prob_point_uncovered(kappa, 1.0)
-            pair = laws.prob_pair_uncovered(kappa, (r, 0), 1.0)
+            pt = laws.prob_uncovered(kappa, [(0, 0)], 1.0)
+            pair = laws.prob_uncovered(kappa, [(0, 0), (r, 0)], 1.0)
             assert pair / (pt * pt) - 1.0 < 0.01
+
+
+class TestDeterminantLaw:
+    def test_one_point_is_power_of_green_origin(self):
+        goo = greens.green_origin(0.3)
+        for u in (0.5, 1.0, 3.7):
+            assert laws.prob_uncovered(0.3, [(4, -7)], u) \
+                == pytest.approx(goo ** (-u), rel=1e-12)
+
+    def test_pair_is_power_of_two_by_two_determinant(self):
+        for kappa in (1.0, 0.25, 1e-4):
+            t = greens.greens_table(kappa, 7)
+            goo, gox = t.origin(), t.value((3, -4))
+            for u in (0.5, 2.0):
+                assert laws.prob_uncovered(kappa, [(1, 1), (4, -3)], u) \
+                    == pytest.approx((goo * goo - gox * gox) ** (-u), rel=1e-12)
+
+    def test_rejects_duplicate_points(self):
+        with pytest.raises(ValueError):
+            laws.prob_uncovered(0.5, [(1, 2), (0, 0), (1, 2)], 1.0)
+
+    def test_cover_law_one_point(self):
+        u = np.array([0.0, 0.3, 1.0, 4.0])
+        goo = greens.green_origin(0.5)
+        assert np.allclose(laws.cover_law(0.5, [(2, 3)])(u), 1.0 - goo ** (-u),
+                           rtol=0, atol=1e-14)
+
+    def test_cover_law_rejects_seventeen_points(self):
+        laws.cover_law(0.5, [(i, 0) for i in range(16)])
+        with pytest.raises(ValueError):
+            laws.cover_law(0.5, [(i, 0) for i in range(17)])
 
 
 class TestUStarAndExpectations:

@@ -227,7 +227,7 @@ class TestWindowSoup:
             soup = sampler.sample_window_soup(s, kappa, win, u, 1e-6)
             hit = any((0, 0) in soup.loop(i).trace() for i in range(len(soup)))
             misses += not hit
-        p = laws.prob_point_uncovered(kappa, u)
+        p = laws.prob_uncovered(kappa, [(0, 0)], u)
         bias = u * sampler.truncation_bias_rate(d, Box(0, 0, 0, 0))
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(misses / reps - p) <= 3 * se + bias
