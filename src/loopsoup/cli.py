@@ -231,7 +231,8 @@ def cmd_covertime(args) -> int:
     _ensemble_artifacts(args, sample, "covertime", [])
     v = sample.values.values
     print(f"replicas={sample.replicas} mean={fmt(v.mean())} "
-          f"mu={fmt(sample.mu)} bias_rate={fmt(sample.truncation_bias_rate)}")
+          f"mu={fmt(sample.mu)} bias_rate={fmt(sample.truncation_bias_rate)} "
+          f"sampler={sample.sampler}")
     return EXIT_OK
 
 
@@ -484,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     s1.add_argument("--out", default=None)
     s1.set_defaults(func=cmd_soup_sample)
 
-    c = sub.add_parser("covertime", help="cover-time ensemble (half-length law "
+    c = sub.add_parser("covertime", help="cover-time ensemble (exact trace "
+                       "chain, or the ring engine with the half-length law "
                        f"truncated at omitted mass {cover.TAIL_TOL:g})")
     c.add_argument("--kappa", type=float, required=True)
     c.add_argument("--set", required=True,

@@ -1,17 +1,35 @@
 """Cover-time Monte Carlo for finite target sets.
 
-The engine samples, exactly, the loops of the truncated soup that are able
-to touch the target: a loop of half-length m reaches at most m from its
-root, so the relevant sub-process has root intensity mass(>= delta(root))
-with delta the L1 distance to the target.  Roots are drawn ring by ring
+Two exact-in-law samplers of the soup's first-visit times on the target A
+share one batch loop: per Poisson slab of time they fold loops into
+per-(replica, vertex) minima of uniform timestamps, and the horizon starts
+at twice the expected cover time and doubles until every replica's set is
+covered.
+
+The trace chain (``TraceChain``) samples the trace of the soup on A itself:
+the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
+loops and fields*), decomposed by each loop's lowest vertex in A's order
+through the Cholesky pivots of G_A.  It needs no truncation, so its
+``truncation_bias_rate`` is 0.
+
+The ring engine samples the loops of the truncated soup that are able to
+touch the target: a loop of half-length m reaches at most m from its root,
+so the relevant sub-process has root intensity mass(>= delta(root)) with
+delta the L1 distance to the target.  Roots are drawn ring by ring
 (Poisson counts per ring, uniform placement), lengths from the conditional
 law m >= delta, timestamps as uniform marks, shapes as diagonal bridges.
-Per-vertex first-cover times are folded in streamwise; the horizon starts
-at twice the expected cover time and doubles until the set is covered.
 Discarding loops that provably cannot intersect the target leaves the law
-of every coverage functional unchanged, and each truncation carries a
+of every coverage functional unchanged, and the truncation carries a
 certified bias rate (``sampler.truncation_bias_rate``) that reports add to
 their statistical error.
+
+``CoverEngine`` picks, per (kappa, A), the sampler with the smaller work
+per unit time: the ring engine's expected traced cells (``cell_rate``)
+against the trace chain's expected steps (``step_rate``), both times the
+first horizon.  step_rate is at least |A|, so where cell_rate is not
+above |A| the ring engine is taken without factoring G_A.  Sets whose
+trace setup (Green's table, G_A and the alias tables, ``trace_setup_bytes``)
+would exceed TRACE_SETUP_BYTES keep the ring engine, which needs neither.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -27,15 +45,22 @@ import numpy as np
 
 from .greens import mu_gamma_o
 from .lattice import Box, Point
-from .laws import exp1_power_cdf, gumbel_cdf, one_point_law, u_star
+from .laws import (TargetSet, exp1_power_cdf, green_matrix, gumbel_cdf,
+                   one_point_law, u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
-from .sampler import (LengthDistribution, balanced_signs, loop_vertices,
-                      truncation_bias_rate, unpack_steps)
+from .sampler import (LengthDistribution, _alias_setup, balanced_signs,
+                      loop_vertices, truncation_bias_rate, unpack_steps)
 
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
+#: Most bytes the trace chain's setup may hold; larger sets keep the ring
+#: engine.  This also bounds the setup time: about 18 s for the widest
+#: table, 2 s to factor and invert the largest G_A (one core).
+TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
+_WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
+_VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_DOUBLINGS = 48
 
 
@@ -283,6 +308,11 @@ def calibrated_ks_threshold(n: int, level: float = 0.999, runs: int = 800,
 
 @dataclass
 class CoverTimeSample:
+    """An ensemble of cover times.  truncation_bias_rate is the ring
+    engine's certified rate of discarded loops that could have hit the
+    target; it is 0.0 on the trace chain, which is exact.  sampler names
+    the engine that drew the values ("ring" or "trace")."""
+
     kappa: float
     target_label: str
     target_size: int
@@ -292,6 +322,7 @@ class CoverTimeSample:
     seed: int
     mu: float
     u_star: float | None
+    sampler: str
 
     @property
     def truncation_bias_bound(self) -> float:
@@ -302,10 +333,111 @@ class CoverTimeSample:
         return EmpiricalDistribution.from_samples(self.mu * self.values.values)
 
 
-class CoverEngine:
-    """Cover-time sampling of one target at one kappa."""
+def trace_setup_bytes(diameter: int, size: int) -> int:
+    """Peak bytes of the trace chain's setup for a set of L1 diameter
+    `diameter` and `size` points: the Green's table with its quadrature
+    scratch (about 4 doubles per (diameter + 1)^2 entry), and G_A, its
+    factor, Q and the alias construction (about 8 doubles per
+    size * (size + 1) entry); both measured on one core."""
+    return 8 * (4 * (diameter + 1) ** 2 + 8 * size * (size + 1))
 
-    def __init__(self, kappa: float, target):
+
+class TraceChain:
+    """The soup's trace on A as the loop soup of the chain Q = I - G_A^{-1}.
+
+    A is taken in its target's vertex order x_1..x_n and G_A = C C^T.  The
+    pivot g_j = C_jj^2 is the Green's function at x_j of Q killed on
+    x_{<j}, and the loops whose lowest vertex is x_j have mass log g_j (so
+    sum_j log g_j = log det G_A).  Per unit time and replica they number
+    Poisson(log g_j); each is logseries(1 - 1/g_j) excursions of Q from x_j
+    that return to x_j.  An excursion is drawn by rejection: an attempt
+    that steps into x_{<j} or into Q's killing deficit is discarded with
+    its visits and restarted from x_j.  Root j makes g_j attempts per unit
+    time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate =
+    sum_j C_jj sum_{l>=j} C_lj is the exact expected number of steps per
+    unit time, rejected attempts included.  Steps are drawn from per-row
+    alias tables over the n vertices and the killing deficit.
+    """
+
+    def __init__(self, g: np.ndarray):
+        c = np.linalg.cholesky(g)
+        pivot = np.diagonal(c)
+        self.log_g = 2.0 * np.log(pivot)
+        self.p_return = 1.0 - 1.0 / pivot ** 2
+        self.step_rate = float((pivot * c.sum(axis=0)).sum())
+
+    def build_tables(self, g: np.ndarray) -> None:
+        """Alias tables of Q's rows plus the killing deficit as column n.
+        Rounding leaves entries of about -1e-15 where Q is ~0; they are
+        clamped to 0 and their mass per row is kept in ``clamped``."""
+        n = len(g)
+        q = -np.linalg.inv(g)
+        q[np.diag_indices(n)] += 1.0
+        self.clamped = -np.minimum(q, 0.0).sum(axis=1)
+        np.maximum(q, 0.0, out=q)
+        kill = np.maximum(1.0 - q.sum(axis=1), 0.0)
+        alias, keep = _alias_setup(np.concatenate([q, kill[:, None]], axis=1))
+        self._alias, self._keep = alias.ravel(), keep.ravel()
+
+    def slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
+        """Fold the loops with timestamps in [t0, t1) into state, a
+        C-contiguous (rows, n) array of first-visit times, in place; returns
+        the number of chain steps."""
+        if not state.flags.c_contiguous:
+            raise ValueError("state must be C-contiguous")
+        rows, n = state.shape
+        flat = state.reshape(-1)
+        counts = rng.poisson((t1 - t0) * self.log_g, size=(rows, n))
+        cell = np.repeat(np.arange(rows * n), counts.ravel())   # row * n + root
+        t = t0 + (t1 - t0) * rng.random(len(cell))
+        np.minimum.at(flat, cell, t)
+        root = cell % n
+        loop = np.repeat(np.arange(len(cell)), rng.logseries(self.p_return[root]))
+        base, when, lo = (cell - root)[loop], t[loop], root[loop]
+        attempt = np.zeros(len(loop), dtype=np.int64)
+        walker, cur = np.arange(len(loop)), lo.copy()
+        log: list[tuple] = []   # (walker, vertex, attempt) of visits past the root
+        logged, budget, steps = 0, _VISIT_BUDGET, 0
+        while len(walker):
+            steps += len(walker)
+            u = rng.random(len(walker)) * (n + 1)
+            col = u.astype(np.intp)
+            at = cur * (n + 1) + col
+            nxt = np.where(u - col < self._keep[at], col, self._alias[at])
+            fail = (nxt < lo) | (nxt == n)
+            on = (nxt > lo) & (nxt < n)
+            w = walker[on]
+            log.append((w, nxt[on], attempt[w]))
+            logged += len(w)
+            attempt[walker[fail]] += 1
+            live = nxt != lo
+            walker, lo, cur = walker[live], lo[live], np.where(fail, lo, nxt)[live]
+            if logged > budget or not len(walker):
+                # fold the visits of finished excursions; drop those of
+                # rejected attempts and those that come after the vertex's
+                # first visit so far; keep the rest of those under way
+                w, v, a = (np.concatenate(x) for x in zip(*log))
+                going = np.zeros(len(loop), dtype=bool)
+                going[walker] = True
+                at = base[w] + v
+                ok = (a == attempt[w]) & (when[w] < flat[at])
+                done = ok & ~going[w]
+                np.minimum.at(flat, at[done], when[w[done]])
+                ok &= going[w]
+                log = [(w[ok], v[ok], a[ok])]
+                logged = int(ok.sum())
+                budget = max(_VISIT_BUDGET, 2 * logged)
+        return steps
+
+
+class CoverEngine:
+    """Cover-time sampling of one target at one kappa, by the trace chain
+    or the ring engine, whichever has the smaller work estimate; sampler
+    "ring" or "trace" forces one."""
+
+    def __init__(self, kappa: float, target, sampler: str | None = None):
+        if sampler not in (None, "ring", "trace"):
+            raise ValueError(f"unknown sampler {sampler!r}")
         self.kappa = kappa
         self.target = target
         self.dist = LengthDistribution.build(kappa, TAIL_TOL)
@@ -316,20 +448,41 @@ class CoverEngine:
         self.ring_counts = target.ring_count(deltas).astype(np.float64)
         self.class_rates = self.ring_counts * self.mass_geq
         self.rate_total = float(self.class_rates.sum())
-        # mean visited cells per unit time, for memory budgeting
+        # mean traced cells per unit time: the ring engine's work estimate
         mw = self.dist.weights * np.arange(1, n + 1)
         suffix_mw = mw[::-1].cumsum()[::-1]
         cells = self.ring_counts * 2.0 * suffix_mw[np.maximum(deltas, 1) - 1]
         self.cell_rate = float(cells.sum())
-        self.bias_rate = truncation_bias_rate(self.dist, target)
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
             self.horizon0 = 2.0 * self.u_star
         else:
             self.u_star = None
             self.horizon0 = 2.0 / self.mu
+        self.chain, self.step_rate = None, math.inf
+        # every pivot g_j >= 1, so step_rate >= |A|: where cell_rate <= |A|
+        # the ring engine wins without factoring G_A
+        if sampler == "trace" or (sampler is None and target.size < self.cell_rate):
+            points = TargetSet(tuple(target.points()))
+            need = trace_setup_bytes(points.max_l1_diameter(), target.size)
+            if need <= TRACE_SETUP_BYTES:
+                g = green_matrix(kappa, points.points)
+                chain = TraceChain(g)
+                self.step_rate = chain.step_rate
+                if sampler == "trace" or chain.step_rate < self.cell_rate:
+                    chain.build_tables(g)
+                    self.chain = chain
+            elif sampler == "trace":
+                raise ResourceCeilingError(
+                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
+        if self.chain is None:
+            self.sampler = "ring"
+            self.bias_rate = truncation_bias_rate(self.dist, target)
+        else:
+            self.sampler = "trace"
+            self.bias_rate = 0.0
 
-    # -- loop stream ------------------------------------------------------
+    # -- ring engine ------------------------------------------------------
 
     def _draw_loops(self, rng, n_rows: int, t0: float, t1: float):
         """One Poisson slab of relevant loops over [t0, t1) for n_rows replicas.
@@ -398,14 +551,27 @@ class CoverEngine:
 
     # -- public sampling --------------------------------------------------
 
-    def _batch_size(self, horizon: float) -> int:
-        per_rep = max(self.cell_rate * horizon, 1.0)
-        return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
+    def _slab(self, rng, state: np.ndarray, t0: float, t1: float) -> None:
+        if self.chain is not None:
+            self.chain.slab(rng, state, t0, t1)
+            return
+        rows, delta, x, y, m, t = self._draw_loops(rng, len(state), t0, t1)
+        self._fold_coverage(rng, state, rows, x, y, m, t)
+
+    def _batch_size(self) -> int:
+        """Replicas per batch, so that the ring engine's traced cells or the
+        trace chain's loops and excursions per batch stay within budget."""
+        if self.chain is None:
+            per_rep = max(self.cell_rate * self.horizon0, 1.0)
+            return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
+        log_g = self.chain.log_g
+        per_rep = self.horizon0 * float((log_g + np.expm1(log_g)).sum())
+        return int(min(REPLICA_BLOCK, max(1, _WALKER_BUDGET // max(per_rep, 1.0))))
 
     def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
         out = np.empty(n_replicas)
         done = 0
-        bs = self._batch_size(self.horizon0)
+        bs = self._batch_size()
         while done < n_replicas:
             b = min(bs, n_replicas - done)
             out[done:done + b] = self._cover_batch(rng, b)
@@ -421,8 +587,7 @@ class CoverEngine:
         for _ in range(_MAX_DOUBLINGS):
             sub = np.full((len(active), V), np.inf)
             sub[:] = state[active]
-            rows, delta, x, y, m, t = self._draw_loops(rng, len(active), t0, t1)
-            self._fold_coverage(rng, sub, rows, x, y, m, t)
+            self._slab(rng, sub, t0, t1)
             state[active] = sub
             worst = sub.max(axis=1)
             covered = np.isfinite(worst)
@@ -438,7 +603,8 @@ class CoverEngine:
                  work_guard: float | None = None) -> CoverTimeSample:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        est = self.cell_rate * self.horizon0 * replicas
+        rate = self.cell_rate if self.chain is None else self.step_rate
+        est = rate * self.horizon0 * replicas
         if work_guard is not None and est > work_guard:
             raise ResourceCeilingError(
                 f"estimated work {est:.3g} exceeds guard {work_guard:.3g}")
@@ -453,7 +619,7 @@ class CoverEngine:
             target_size=self.target.size, replicas=replicas,
             values=EmpiricalDistribution.from_samples(values),
             truncation_bias_rate=self.bias_rate, seed=seed, mu=self.mu,
-            u_star=self.u_star)
+            u_star=self.u_star, sampler=self.sampler)
 
 
 def _cover_block_job(args):

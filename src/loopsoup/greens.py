@@ -60,10 +60,17 @@ class GreensTable:
         return float(self.values(x[0], x[1]))
 
     def matrix(self, points) -> np.ndarray:
-        """G_A for points of shape (..., k, 2); a stack of sets gives a stack."""
+        """G_A for points of shape (..., k, 2); a stack of sets gives a stack.
+        Rows go in blocks of about 2^16 entries, so the scratch stays small
+        next to the result."""
         p = np.asarray(points, dtype=np.int64)
-        d = p[..., :, None, :] - p[..., None, :, :]
-        return self.values(d[..., 0], d[..., 1])
+        k = p.shape[-2]
+        out = np.empty(p.shape[:-1] + (k,))
+        rows = max(1, (1 << 16) // max(1, p.size // 2))
+        for i in range(0, k, rows):
+            d = p[..., i:i + rows, None, :] - p[..., None, :, :]
+            out[..., i:i + rows, :] = self.values(d[..., 0], d[..., 1])
+        return out
 
     def origin(self) -> float:
         return float(self._g[0, 0])

@@ -59,7 +59,7 @@ def _log_det(g: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(np.linalg.cholesky(g), 0, -2, -1)).sum(axis=-1)
 
 
-def _green_matrix(kappa: float, points, table: GreensTable | None) -> np.ndarray:
+def green_matrix(kappa: float, points, table: GreensTable | None = None) -> np.ndarray:
     """G_B of distinct points B, from `table` or a table that spans B."""
     b = TargetSet(tuple(map(tuple, points)))
     if table is None:
@@ -72,27 +72,46 @@ def prob_uncovered(kappa: float, points, u: float,
     """det(G_B)^{-u}: no loop of the soup up to time u visits the set B."""
     if u < 0:
         raise ValueError("u must be >= 0")
-    return math.exp(-u * float(_log_det(_green_matrix(kappa, points, table))))
+    return math.exp(-u * float(_log_det(green_matrix(kappa, points, table))))
 
 
-def cover_law(kappa: float, points):
-    """Exact CDF u -> P(T(A) <= u) of the cover time of distinct points A,
-    |A| <= 16, summed over the 2^|A| subsets B of A (vectorized in u)."""
+@dataclass(frozen=True)
+class CoverLaw:
+    """u -> P(T(A) <= u) = sum_B (-1)^|B| det(G_B)^{-u} (vectorized in u).
+
+    Near u = 0 the alternating terms cancel: rounding_bound(u) =
+    eps 2^|A| sum_B det(G_B)^{-u} bounds the rounding error of the sum.
+    """
+
+    terms: tuple[tuple[float, float], ...]  # (sign, log det G_B)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        return sum(s * np.exp(-d * u) for s, d in self.terms)
+
+    def rounding_bound(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        eps = np.finfo(np.float64).eps
+        return eps * len(self.terms) * sum(np.exp(-d * u) for _, d in self.terms)
+
+
+def cover_law(kappa: float, points) -> CoverLaw:
+    """Exact CDF of the cover time of distinct points A, |A| <= 16, summed
+    over the 2^|A| subsets B of A."""
     if len(points) > 16:
         raise ValueError(f"|A| = {len(points)} > 16: too many subsets to sum")
-    g = _green_matrix(kappa, points, None)
+    g = green_matrix(kappa, points)
     terms = []  # (sign, log det G_B), the empty set first
     for k in range(len(g) + 1):
         idx = np.array(list(combinations(range(len(g)), k)), dtype=np.intp)
         terms += [((-1.0) ** k, d) for d in
                   _log_det(g[idx[:, :, None], idx[:, None, :]]).tolist()]
-    return lambda u: sum(s * np.exp(-d * np.asarray(u, dtype=np.float64))
-                         for s, d in terms)
+    return CoverLaw(tuple(terms))
 
 
 def prob_no_shared_loop(kappa: float, x: Point, u: float,
                         table: GreensTable | None = None) -> float:
-    goo, gox = _green_matrix(kappa, [(0, 0), x], table)[0].tolist()
+    goo, gox = green_matrix(kappa, [(0, 0), x], table)[0].tolist()
     return (1.0 - (gox / goo) ** 2) ** u
 
 
@@ -175,9 +194,10 @@ class TargetSet:
         return {divmod(k, span): c for k, c in out.items()}
 
     def max_l1_diameter(self) -> int:
-        arr = np.asarray(self.points, dtype=np.int64)
-        return int((arr[:, 0].max() - arr[:, 0].min())
-                   + (arr[:, 1].max() - arr[:, 1].min()))
+        """Largest L1 distance between two points: |dx| + |dy| is the larger
+        of |d(x + y)| and |d(x - y)|."""
+        x, y = np.asarray(self.points, dtype=np.int64).T
+        return int(max(np.ptp(x + y), np.ptp(x - y)))
 
 
 def box_set(side: int) -> TargetSet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,19 +46,54 @@ def required_n_trunc(kappa: float, tail_tol: float,
     return n
 
 
+_ALIAS_WINDOW = 64
+
+
 def _alias_setup(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standard alias-table construction for O(1) discrete sampling."""
-    k = len(probs)
-    q = probs * k
-    J = np.zeros(k, dtype=np.int64)
-    smaller = [i for i in range(k) if q[i] < 1.0]
-    larger = [i for i in range(k) if q[i] >= 1.0]
-    while smaller and larger:
-        small, large = smaller.pop(), larger.pop()
-        J[small] = large
-        q[large] -= 1.0 - q[small]
-        (smaller if q[large] < 1.0 else larger).append(large)
-    return J, q
+    """Alias tables (J, q) for O(1) draws from each row of a (..., k) stack
+    of distributions: draw column c uniformly, keep it if U < q[c], else J[c].
+
+    Every row runs Walker's construction with a stack of small (q < 1) and
+    one of large columns: the top large absorbs smalls from the top of the
+    small stack, one by one, until it drops below 1 and becomes the next
+    small.  A pass does one large's absorptions in every row at once, over
+    a window of the small stack, with the same sequential subtractions, so
+    a single row gets exactly the classic table.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    k = probs.shape[-1]
+    q = probs.reshape(-1, k) * k
+    J = np.zeros(q.shape, dtype=np.int64)
+    small = q < 1.0
+    S = np.argsort(~small, axis=1, kind="stable")  # smalls, ascending, first
+    L = np.argsort(small, axis=1, kind="stable")   # larges, ascending, first
+    ns = small.sum(axis=1)
+    nl = k - ns
+    cols = np.arange(k)
+    act = np.flatnonzero((ns > 0) & (nl > 0))
+    while act.size:
+        top, w = ns[act], min(int(ns[act].max()), _ALIAS_WINDOW)
+        big = L[act, nl[act] - 1]
+        pos = top[:, None] - 1 - cols[:w]              # smalls in pop order
+        valid = pos >= 0
+        s = S[act[:, None], np.maximum(pos, 0)]
+        left = np.empty((len(act), w + 1))
+        left[:, 0] = q[act, big]
+        left[:, 1:] = np.where(valid, 1.0 - q[act[:, None], s], 0.0)
+        np.subtract.accumulate(left, axis=1, out=left)
+        below = (left[:, 1:] < 1.0) & valid
+        drops = below.any(axis=1)
+        taken = np.where(drops, below.argmax(axis=1) + 1, np.minimum(top, w))
+        i, c = np.nonzero(cols[:w] < taken[:, None])
+        J[act[i], s[i, c]] = big[i]
+        q[act, big] = left[np.arange(len(act)), taken]
+        ns[act] -= taken
+        d = act[drops]                                 # the large becomes a small
+        nl[d] -= 1
+        S[d, ns[d]] = big[drops]
+        ns[d] += 1
+        act = act[(ns[act] > 0) & (nl[act] > 0)]
+    return J.reshape(probs.shape), q.reshape(probs.shape)
 
 
 @dataclass(frozen=True)
@@ -76,8 +112,6 @@ class LengthDistribution:
     tail_mass_bound: float
     _pmf: np.ndarray = field(repr=False)
     _cdf: np.ndarray = field(repr=False)
-    _alias_j: np.ndarray = field(repr=False)
-    _alias_q: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, kappa: float, tail_tol: float,
@@ -87,10 +121,14 @@ class LengthDistribution:
         weights = t / (2.0 * np.arange(1, n + 1, dtype=np.float64))
         total = float(weights.sum())
         pmf = weights / total
-        J, q = _alias_setup(pmf.copy())
         return cls(kappa=kappa, n_trunc=n, weights=weights, total_mass=total,
                    tail_mass_bound=exp_tail_bound(kappa, n) / (2.0 * (n + 1)),
-                   _pmf=pmf, _cdf=np.cumsum(pmf), _alias_j=J, _alias_q=q)
+                   _pmf=pmf, _cdf=np.cumsum(pmf))
+
+    @cached_property
+    def _alias(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on the first sample(): the cover engine never draws from it
+        return _alias_setup(self._pmf)
 
     def pmf(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=np.int64)
@@ -106,9 +144,10 @@ class LengthDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Alias-method draws of half-lengths, O(1) each."""
+        J, q = self._alias
         kk = rng.integers(0, self.n_trunc, size=size)
-        keep = rng.random(size) < self._alias_q[kk]
-        return np.where(keep, kk, self._alias_j[kk]) + 1
+        keep = rng.random(size) < q[kk]
+        return np.where(keep, kk, J[kk]) + 1
 
     def sample_at_least(self, rng: np.random.Generator,
                         min_half_length: np.ndarray) -> np.ndarray:

@@ -30,6 +30,23 @@ def test_covertime_artifacts_identical_across_workers(tmp_path, capsys):
     assert "np.float64(" not in capsys.readouterr().out
 
 
+def test_trace_chain_artifacts_identical_across_workers(tmp_path, capsys):
+    # 5000 replicas are two replica blocks; stdout names the sampler, the
+    # artifacts do not
+    out = {}
+    for workers in (1, 2):
+        d = tmp_path / f"w{workers}"
+        assert _run("--seed", 24, "--workers", workers, "--out-dir", d,
+                    "covertime", "--set", "box:3", "--kappa", 0.01,
+                    "--replicas", 5000) == cli.EXIT_OK
+        assert "sampler=trace" in capsys.readouterr().out
+        out[workers] = [(d / n).read_bytes()
+                        for n in ("covertime.csv", "covertime.json")]
+    assert out[1] == out[2]
+    meta = json.loads(out[1][1])
+    assert meta["truncation_bias_rate"] == 0.0 and "sampler" not in meta
+
+
 def test_global_flag_env_default_matches_whole_tokens(tmp_path, monkeypatch):
     # an out-dir containing "--seed" is not a --seed flag
     monkeypatch.setenv("LOOPSOUP_SEED", "7")

@@ -117,20 +117,32 @@ class TestKs:
 
 
 class TestEngineAgainstLaws:
+    """Ensembles against exact laws, by the engine the dispatch picks; the
+    subclasses below rerun every test on each forced engine."""
+
+    sampler = None
+
+    def ensemble(self, seed, kappa, target, replicas):
+        if self.sampler is None:
+            return cover_time_ensemble(seed, kappa, target, replicas)
+        s = CoverEngine(kappa, target, sampler=self.sampler).ensemble(seed, replicas)
+        assert s.sampler == self.sampler
+        return s
+
     def test_one_point_mean(self):
-        s = cover_time_ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
+        s = self.ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
         z = s.scaled().values
         assert abs(z.mean() - 1.0) <= 3.0 / math.sqrt(20_000)
 
     def test_one_point_ks(self):
-        s = cover_time_ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
+        s = self.ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
         d = ks_distance(s.scaled(), laws.one_point_law)
         assert d <= calibrated_ks_threshold(20_000) + s.truncation_bias_bound
 
     def test_two_point_cdf_reconstruction(self):
         # P(T({o,x}) <= u) = 1 - 2 P(pt uncov) + P(pair uncov), exactly
         kappa, pts = 0.25, [(0, 0), (1, 1)]
-        s = cover_time_ensemble(6, kappa, PointsTarget(pts), 40_000)
+        s = self.ensemble(6, kappa, PointsTarget(pts), 40_000)
         emp = s.values
         for u in (1.0, 2.0, 4.0):
             law = laws.cover_law(kappa, pts)(u)
@@ -141,7 +153,7 @@ class TestEngineAgainstLaws:
     def test_three_point_determinant_law(self):
         # P(T(A) <= u) = sum_{B subset A} (-1)^|B| det(G_B)^{-u}, exactly
         kappa, pts = 0.5, [(0, 0), (1, 0), (0, 2)]
-        s = cover_time_ensemble(16, kappa, PointsTarget(pts), 20_000)
+        s = self.ensemble(16, kappa, PointsTarget(pts), 20_000)
         emp = s.values
         for u in (0.5, 1.0, 2.0, 4.0):
             law = laws.cover_law(kappa, pts)(u)
@@ -150,15 +162,15 @@ class TestEngineAgainstLaws:
             assert abs(emp.cdf(u) - law) <= 3 * se + bias
 
     def test_translation_invariance(self):
-        a = cover_time_ensemble(7, 0.5, PointsTarget([(0, 0)]), 15_000)
-        b = cover_time_ensemble(8, 0.5, PointsTarget([(7, 3)]), 15_000)
+        a = self.ensemble(7, 0.5, PointsTarget([(0, 0)]), 15_000)
+        b = self.ensemble(8, 0.5, PointsTarget([(7, 3)]), 15_000)
         assert ks_2samp(a.values.values, b.values.values).pvalue > 0.001
 
     def test_engine_vs_plain_soup_path(self):
-        # dual route: ring-thinned engine vs explicit window soups
+        # dual route: the engine vs explicit window soups
         kappa, reps = 2.5, 400
-        engine_sample = cover_time_ensemble(9, kappa,
-                                            PointsTarget([(0, 0), (2, 0)]), reps)
+        engine_sample = self.ensemble(9, kappa,
+                                      PointsTarget([(0, 0), (2, 0)]), reps)
         d = sampler.length_pmf(kappa, 1e-8)
         n = d.n_trunc
         win = Box(-n, -n, n + 2, n)
@@ -172,6 +184,105 @@ class TestEngineAgainstLaws:
                 direct.append(cover_time_from_soup(soup, [(0, 0), (2, 0)]))
         assert ks_2samp(engine_sample.values.values,
                         np.asarray(direct)).pvalue > 0.001
+
+
+class TestRingEngineAgainstLaws(TestEngineAgainstLaws):
+    """The ring engine's PointsTarget path, which wide sets still take."""
+
+    sampler = "ring"
+
+
+class TestTraceChainAgainstLaws(TestEngineAgainstLaws):
+    sampler = "trace"
+
+
+def _no_green_matrix(*args):
+    raise AssertionError("G_A built for a set over the trace setup budget")
+
+
+class TestTraceChain:
+    """The exact trace-chain sampler; every test checks that it ran."""
+
+    @pytest.mark.parametrize("spec,kappa,seed,grid", [
+        ("box:3", 0.01, 21, (1.5, 2.5, 4.0)),
+        ("box:4", 0.05, 22, (3.0, 4.0, 6.0)),
+    ])
+    def test_determinant_law(self, spec, kappa, seed, grid):
+        target = make_target(spec)
+        s = cover_time_ensemble(seed, kappa, target, 20_000)
+        assert s.sampler == "trace" and s.truncation_bias_rate == 0.0
+        law = laws.cover_law(kappa, target.points())
+        for u in grid:
+            assert law.rounding_bound(u) <= 1e-9
+            p = float(law(u))
+            se = math.sqrt(p * (1 - p) / s.values.count)
+            assert abs(s.values.cdf(u) - p) <= 3 * se
+
+    def test_against_forced_ring_engine(self):
+        target = BoxTarget(8)
+        trace = CoverEngine(0.05, target)
+        ring = CoverEngine(0.05, target, sampler="ring")
+        assert (trace.sampler, ring.sampler) == ("trace", "ring")
+        a = trace.ensemble(31, 2000)
+        b = ring.ensemble(32, 2000)
+        assert ks_2samp(a.values.values, b.values.values).pvalue > 0.001
+
+    def test_step_rate_counts_steps(self):
+        # step_rate is the exact mean number of chain steps per unit time
+        # (summing C's rows instead of its columns is 9% off here, 15 se)
+        engine = CoverEngine(0.01, BoxTarget(3))
+        assert engine.sampler == "trace"
+        rng = np.random.default_rng(23)
+        steps = np.array([engine.chain.slab(rng, np.full((64, 9), np.inf), 0.0, 1.0)
+                          for _ in range(300)], dtype=np.float64)
+        se = steps.std(ddof=1) / math.sqrt(len(steps))
+        assert abs(steps.mean() - 64 * engine.step_rate) <= 5 * se
+
+    def test_dispatch_by_work_estimate(self):
+        for spec, kappa, chosen in (("box:16", 0.5, "ring"), ("box:16", 0.1, "ring"),
+                                    ("box:16", 0.01, "trace"),
+                                    ("points:(0,0);(1,1)", 0.01, "trace")):
+            e = CoverEngine(kappa, make_target(spec))
+            assert e.sampler == chosen
+            assert (e.step_rate < e.cell_rate) == (chosen == "trace")
+            # the skip rule rests on step_rate >= |A| (every pivot is >= 1)
+            forced = CoverEngine(kappa, e.target, sampler="trace")
+            assert forced.step_rate >= e.target.size
+
+    def test_setup_budget_edge(self, monkeypatch):
+        # a set whose trace setup just fits takes the chain; one byte less
+        # and it keeps the ring engine without building G_A
+        target = BoxTarget(4)
+        need = cover.trace_setup_bytes(6, 16)
+        monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need)
+        assert CoverEngine(0.05, target).sampler == "trace"
+        monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need - 1)
+        monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
+        e = CoverEngine(0.05, target)
+        assert e.sampler == "ring" and e.step_rate == math.inf
+
+    @pytest.mark.parametrize("kappa,target", [
+        (0.01, BoxTarget(200)),   # 40,000 points: G_A alone would be 12.8 GB
+        (1.0, PointsTarget([(0, 0), (2047, 0)])),   # a 2048^2 table
+    ])
+    def test_sets_over_budget_keep_the_ring_engine(self, monkeypatch, kappa, target):
+        monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
+        e = CoverEngine(kappa, target)
+        assert target.size < e.cell_rate   # only the budget keeps the ring
+        assert e.sampler == "ring" and e.step_rate == math.inf
+        with pytest.raises(ResourceCeilingError):
+            CoverEngine(kappa, target, sampler="trace")
+
+    def test_clamped_negative_mass_is_rounding(self):
+        # Q = I - G_A^{-1} is nonnegative; rounding leaves about -1e-15
+        for spec, kappa in (("box:16", 0.01), ("box:8", 0.05)):
+            chain = CoverEngine(kappa, make_target(spec)).chain
+            assert chain is not None
+            assert chain.clamped.max() < 1e-12
+
+    def test_rejects_unknown_sampler(self):
+        with pytest.raises(ValueError):
+            CoverEngine(0.5, BoxTarget(2), sampler="series")
 
 
 class TestPathwiseProperties:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,33 @@ class TestGreensTable:
             t.matrix([(0, 0), (9, -8)])
         with pytest.raises(ValueError):
             t.value((-17, 0))
+
+    def test_matrix_row_blocks_match_whole_matrix(self, rng):
+        # matrix() goes in row blocks; each block must equal the whole
+        # displacement array folded at once, on sets of several blocks
+        # and on stacks
+        t = greens.greens_table(0.3, 40)
+
+        def whole(p):
+            d = p[..., :, None, :] - p[..., None, :, :]
+            return t.values(d[..., 0], d[..., 1])
+
+        for pts in (rng.integers(-10, 11, size=(k, 2)) for k in (1, 7, 300, 700)):
+            assert np.array_equal(t.matrix(pts), whole(pts))
+        for shape in ((40, 5, 2), (30, 3, 60, 2), (2, 400, 2)):
+            stack = rng.integers(-10, 11, size=shape)
+            assert np.array_equal(t.matrix(stack), whole(stack))
+
+    def test_box_64_matrix_peak_memory(self):
+        # 134 MB of G_A; holding the whole (k, k, 2) displacement array and
+        # its folds at once peaked near 950 MB
+        code = ("import resource; from loopsoup import greens, laws; "
+                "g = greens.greens_table(1e-4, 126).matrix(laws.box_set(64).points); "
+                "print(g.shape[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ, PYTHONPATH=str(Path(greens.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[0] == "4096" and int(out[1]) / 1024 < 400
 
 
 class TestMuGammaO:

@@ -53,3 +53,18 @@ def test_import_does_not_load_quadrature_package():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # `bench/run.py --trace 1` wraps program names from outside; a deleted
+    # or renamed one fails here rather than in the benchmark
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(bench))
+    tracer = tracing.Tracer()
+    tracing.probe_loopsoup(tracer)
+    tracer.install()
+    tracer.uninstall()

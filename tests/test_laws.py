@@ -101,6 +101,21 @@ class TestDeterminantLaw:
         assert np.allclose(laws.cover_law(0.5, [(2, 3)])(u), 1.0 - goo ** (-u),
                            rtol=0, atol=1e-14)
 
+    def test_cover_law_rounding_bound(self):
+        # the float sum against the same terms summed at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        law = laws.cover_law(0.5, [(0, 0), (1, 0), (0, 2), (3, 1), (-2, 2)])
+        assert len(law.terms) == 32
+        bounds = []
+        for u in (1e-3, 0.05, 0.5, 2.0, 8.0):
+            with mpmath.workdps(50):
+                exact = mpmath.fsum(mpmath.mpf(s) * mpmath.exp(-mpmath.mpf(d) * u)
+                                    for s, d in law.terms)
+            bounds.append(float(law.rounding_bound(u)))
+            assert abs(float(law(u)) - float(exact)) <= bounds[-1]
+        # the alternating sum cancels near u = 0 only
+        assert bounds == sorted(bounds, reverse=True) and bounds[-1] < 1e-12
+
     def test_cover_law_rejects_seventeen_points(self):
         laws.cover_law(0.5, [(i, 0) for i in range(16)])
         with pytest.raises(ValueError):
@@ -201,6 +216,16 @@ class TestSecondMoment:
                 gox = tab.value((p[0] - q[0], p[1] - q[1]))
                 direct += (goo * goo - gox * gox) ** (-rep.u_eval)
         assert rep.all_pairs_sum == pytest.approx(direct, rel=1e-9)
+
+    def test_max_l1_diameter(self, rng):
+        # the bounding box's L1 extent would give 15 here
+        assert laws.TargetSet(((0, 0), (5, 5), (10, 0))).max_l1_diameter() == 10
+        for side in (1, 2, 5, 16):
+            assert laws.box_set(side).max_l1_diameter() == 2 * (side - 1)
+        for k in (1, 2, 9, 60):
+            pts = {tuple(p) for p in rng.integers(-50, 50, size=(k, 2)).tolist()}
+            brute = max(abs(a - c) + abs(b - d) for a, b in pts for c, d in pts)
+            assert laws.TargetSet(tuple(pts)).max_l1_diameter() == brute
 
     def test_pair_distance_counts_brute_force(self):
         # irregular, negative coordinates, and enough points for two row blocks

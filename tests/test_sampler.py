@@ -11,6 +11,21 @@ from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
 from loopsoup.series import SeriesTruncationError
 
 
+def _walker_alias(probs):
+    """Walker's alias construction, one small/large pair at a time."""
+    k = len(probs)
+    q = probs * k
+    J = np.zeros(k, dtype=np.int64)
+    smaller = [i for i in range(k) if q[i] < 1.0]
+    larger = [i for i in range(k) if q[i] >= 1.0]
+    while smaller and larger:
+        small, large = smaller.pop(), larger.pop()
+        J[small] = large
+        q[large] -= 1.0 - q[small]
+        (smaller if q[large] < 1.0 else larger).append(large)
+    return J, q
+
+
 class TestLengthDistribution:
     def test_pmf_normalized(self):
         d = sampler.length_pmf(0.5, 1e-8)
@@ -48,6 +63,26 @@ class TestLengthDistribution:
         keep = expected >= 5
         stat = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
         assert chi2.sf(stat, int(keep.sum()) - 1) > 0.001
+
+    def test_alias_stack_matches_walker_loop(self, rng):
+        # every row of a (..., k) stack gets exactly the table of Walker's
+        # one-pair-at-a-time loop, and a table reproduces its row: mass of
+        # column c = (q_c + the shortfalls 1 - q_j of the j aliased to c) / k
+        probs = rng.random((3, 4, 40)) ** 6
+        probs[0, 0] = 1.0
+        probs[1, 2, :30] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        J, q = sampler._alias_setup(probs)
+        assert J.shape == q.shape == probs.shape
+        for idx in np.ndindex(3, 4):
+            j1, q1 = _walker_alias(probs[idx])
+            assert np.array_equal(j1, J[idx]) and np.array_equal(q1, q[idx])
+            qq = np.minimum(q[idx], 1.0)
+            mass = qq + np.bincount(J[idx], 1.0 - qq, minlength=40)
+            assert np.allclose(mass / 40, probs[idx], rtol=0, atol=1e-14)
+        pmf = sampler.length_pmf(0.01, 1e-10)._pmf      # 6,817 columns
+        for got, want in zip(sampler._alias_setup(pmf), _walker_alias(pmf)):
+            assert np.array_equal(got, want)
 
     def test_conditional_draws_respect_floor(self, rng):
         d = sampler.length_pmf(0.5, 1e-8)
