@@ -13,11 +13,13 @@ through the Cholesky pivots of G_A.  It needs no truncation, so its
 ``truncation_bias_rate`` is 0.
 
 The ring engine samples the loops of the truncated soup that are able to
-touch the target: a loop of half-length m reaches at most m from its root,
-so the relevant sub-process has root intensity mass(>= delta(root)) with
-delta the L1 distance to the target.  Roots are drawn ring by ring
-(Poisson counts per ring, uniform placement), lengths from the conditional
-law m >= delta, timestamps as uniform marks, shapes as diagonal bridges.
+touch the target's bounding box: a loop of half-length m reaches at most m
+from its root, so the relevant sub-process has root intensity
+mass(>= delta(root)) with delta the L1 distance to the box.  Roots are
+drawn on the box's rings (Poisson counts per ring, uniform placement),
+lengths from the conditional law m >= delta, timestamps as uniform marks,
+shapes as diagonal bridges; every target, boxes and sparse point sets
+alike, uses these rings, with no superposition and no acceptance step.
 Discarding loops that provably cannot intersect the target leaves the law
 of every coverage functional unchanged, and the truncation carries a
 certified bias rate (``sampler.truncation_bias_rate``) that reports add to
@@ -28,8 +30,9 @@ per unit time: the ring engine's expected traced cells (``cell_rate``)
 against the trace chain's expected steps (``step_rate``), both times the
 first horizon.  step_rate is at least |A|, so where cell_rate is not
 above |A| the ring engine is taken without factoring G_A.  Sets whose
-trace setup (Green's table, G_A and the alias tables, ``trace_setup_bytes``)
-would exceed TRACE_SETUP_BYTES keep the ring engine, which needs neither.
+trace setup (G_A and the alias tables, ``trace_setup_bytes``, which counts
+|A| only) would exceed TRACE_SETUP_BYTES keep the ring engine, which needs
+neither.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -45,8 +48,8 @@ import numpy as np
 
 from .greens import mu_gamma_o
 from .lattice import Box, Point
-from .laws import (TargetSet, exp1_power_cdf, green_matrix, gumbel_cdf,
-                   one_point_law, u_star)
+from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
+                   u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from .sampler import (LengthDistribution, _alias_setup, balanced_signs,
@@ -55,8 +58,9 @@ from .sampler import (LengthDistribution, _alias_setup, balanced_signs,
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
 #: Most bytes the trace chain's setup may hold; larger sets keep the ring
-#: engine.  This also bounds the setup time: about 18 s for the widest
-#: table, 2 s to factor and invert the largest G_A (one core).
+#: engine.  The largest set that fits is box:38 (1,444 points), whatever the
+#: spread of a set; building, factoring and inverting its G_A takes about 1 s
+#: on one core.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
@@ -72,25 +76,13 @@ class ResourceCeilingError(RuntimeError):
 # Targets
 
 
-class BoxTarget:
-    """n x n box of vertices anchored at the origin corner."""
+class Target:
+    """A target set inside its bounding box ``box``.  The ring engine draws
+    roots on the box's L1 rings: a loop rooted at distance delta from the box
+    reaches A only if its half-length is at least delta, and vertex_index
+    decides which of its cells are hits."""
 
-    def __init__(self, side: int):
-        if side < 1:
-            raise ValueError("side must be >= 1")
-        self.box = Box(0, 0, side - 1, side - 1)
-        self.side = side
-
-    @property
-    def size(self) -> int:
-        return self.box.area
-
-    @property
-    def label(self) -> str:
-        return f"box:{self.side}"
-
-    def points(self) -> list[Point]:
-        return [(i, j) for i in range(self.side) for j in range(self.side)]
+    box: Box
 
     def ring_count(self, delta):
         return self.box.ring_count(delta)
@@ -114,6 +106,27 @@ class BoxTarget:
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.box.distance(x, y)
 
+
+class BoxTarget(Target):
+    """n x n box of vertices anchored at the origin corner."""
+
+    def __init__(self, side: int):
+        if side < 1:
+            raise ValueError("side must be >= 1")
+        self.box = Box(0, 0, side - 1, side - 1)
+        self.side = side
+
+    @property
+    def size(self) -> int:
+        return self.box.area
+
+    @property
+    def label(self) -> str:
+        return f"box:{self.side}"
+
+    def points(self) -> list[Point]:
+        return [(i, j) for i in range(self.side) for j in range(self.side)]
+
     def vertex_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         inside = ((x >= self.box.x0) & (x <= self.box.x1)
                   & (y >= self.box.y0) & (y <= self.box.y1))
@@ -121,14 +134,13 @@ class BoxTarget:
         return np.where(inside, idx, -1)
 
 
-class PointsTarget:
-    """Sparse explicit point set; roots come from per-point rings with
-    acceptance correction on the overlap of the superposed intensities."""
+class PointsTarget(Target):
+    """Sparse explicit point set; its box is the bounding box."""
 
     #: Largest |coordinate| of a target point.  Traced cells lie within
-    #: 2 n_trunc <= 2**23 of a target point (or, for soups, in int32 range),
-    #: so they differ from every point by less than 2**32 per coordinate,
-    #: which is what keeps ``_key`` exact.
+    #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
+    #: range), so they differ from every point by less than 2**32 per
+    #: coordinate, which is what keeps ``_key`` exact.
     COORD_LIMIT = 1 << 30
 
     def __init__(self, points: list[Point]):
@@ -139,6 +151,7 @@ class PointsTarget:
         self.pts = np.asarray(points, dtype=np.int64)
         if np.abs(self.pts).max() > self.COORD_LIMIT:
             raise ValueError("target coordinates must lie within +-2**30")
+        self.box = Box(*self.pts.min(axis=0).tolist(), *self.pts.max(axis=0).tolist())
         keys = self._key(self.pts[:, 0], self.pts[:, 1])
         order = np.argsort(keys)
         self._sorted_keys = keys[order]
@@ -160,55 +173,12 @@ class PointsTarget:
     def points(self) -> list[Point]:
         return [(int(a), int(b)) for a, b in self.pts]
 
-    def ring_count(self, delta):
-        # superposed candidate rings over all centers (overlaps corrected
-        # by the acceptance step)
-        d = np.asarray(delta, dtype=np.int64)
-        return self.size * np.where(d > 0, 4 * d, 1)
-
-    def root_coords(self, rng, delta):
-        n = len(delta)
-        center = rng.integers(0, self.size, size=n)
-        cx, cy = self.pts[center, 0], self.pts[center, 1]
-        x, y = cx.copy(), cy.copy()
-        ring = delta > 0
-        if ring.any():
-            d = delta[ring]
-            idx = np.minimum((rng.random(int(ring.sum())) * 4 * d).astype(np.int64),
-                             4 * d - 1)
-            ox, oy = _point_ring_offsets(d, idx)
-            x[ring] = cx[ring] + ox
-            y[ring] = cy[ring] + oy
-        return x, y
-
-    def per_center_distances(self, x, y):
-        dx = np.abs(x[:, None] - self.pts[None, :, 0])
-        dy = np.abs(y[:, None] - self.pts[None, :, 1])
-        return dx + dy
-
     def vertex_index(self, x, y):
         keys = self._key(x, y)
         pos = np.searchsorted(self._sorted_keys, keys)
         pos = np.minimum(pos, self.size - 1)
         hit = self._sorted_keys[pos] == keys
         return np.where(hit, self._order[pos], -1)
-
-
-def _point_ring_offsets(delta: np.ndarray, idx: np.ndarray):
-    """Cells at L1 distance delta >= 1 from a point, by index in [0, 4 delta)."""
-    side = idx // delta
-    t = idx - side * delta
-    ox = np.empty(len(delta), dtype=np.int64)
-    oy = np.empty(len(delta), dtype=np.int64)
-    for s, (fx, fy) in enumerate((
-            (lambda d, t: d - t, lambda d, t: t),          # (+,0) -> (0,+)
-            (lambda d, t: -t, lambda d, t: d - t),         # (0,+) -> (-,0)
-            (lambda d, t: -(d - t), lambda d, t: -t),      # (-,0) -> (0,-)
-            (lambda d, t: t, lambda d, t: -(d - t)))):     # (0,-) -> (+,0)
-        sel = side == s
-        ox[sel] = fx(delta[sel], t[sel])
-        oy[sel] = fy(delta[sel], t[sel])
-    return ox, oy
 
 
 def make_target(spec: str):
@@ -333,13 +303,12 @@ class CoverTimeSample:
         return EmpiricalDistribution.from_samples(self.mu * self.values.values)
 
 
-def trace_setup_bytes(diameter: int, size: int) -> int:
-    """Peak bytes of the trace chain's setup for a set of L1 diameter
-    `diameter` and `size` points: the Green's table with its quadrature
-    scratch (about 4 doubles per (diameter + 1)^2 entry), and G_A, its
-    factor, Q and the alias construction (about 8 doubles per
-    size * (size + 1) entry); both measured on one core."""
-    return 8 * (4 * (diameter + 1) ** 2 + 8 * size * (size + 1))
+def trace_setup_bytes(size: int) -> int:
+    """Peak bytes of the trace chain's setup for a set of `size` points:
+    G_A, its factor, Q and the alias construction, about 8 doubles per
+    size * (size + 1) entry.  box:38 at kappa = 0.01 estimates 133.6 MB and
+    peaked 127 MB above the process's prior peak (one core)."""
+    return 8 * 8 * size * (size + 1)
 
 
 class TraceChain:
@@ -463,10 +432,9 @@ class CoverEngine:
         # every pivot g_j >= 1, so step_rate >= |A|: where cell_rate <= |A|
         # the ring engine wins without factoring G_A
         if sampler == "trace" or (sampler is None and target.size < self.cell_rate):
-            points = TargetSet(tuple(target.points()))
-            need = trace_setup_bytes(points.max_l1_diameter(), target.size)
+            need = trace_setup_bytes(target.size)
             if need <= TRACE_SETUP_BYTES:
-                g = green_matrix(kappa, points.points)
+                g = green_matrix(kappa, target.points())
                 chain = TraceChain(g)
                 self.step_rate = chain.step_rate
                 if sampler == "trace" or chain.step_rate < self.cell_rate:
@@ -485,33 +453,20 @@ class CoverEngine:
     # -- ring engine ------------------------------------------------------
 
     def _draw_loops(self, rng, n_rows: int, t0: float, t1: float):
-        """One Poisson slab of relevant loops over [t0, t1) for n_rows replicas.
-
-        Returns (row, delta, x, y, m, t) arrays; thinning/acceptance against
-        the exact target intensity is already applied.
-        """
+        """One Poisson slab of relevant loops over [t0, t1) for n_rows
+        replicas, as (row, x, y, m, t) arrays."""
         lam = self.class_rates * ((t1 - t0) * n_rows)
         counts = rng.poisson(lam)
         total = int(counts.sum())
         if total == 0:
             e = np.array([], dtype=np.int64)
-            return e, e, e, e, e, np.array([], dtype=np.float64)
+            return e, e, e, e, np.array([], dtype=np.float64)
         delta = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         row = rng.integers(0, n_rows, size=total)
         x, y = self.target.root_coords(rng, delta)
-        if isinstance(self.target, PointsTarget) and self.target.size > 1:
-            per = self.target.per_center_distances(x, y)
-            dmin = per.min(axis=1)
-            masses = np.where(per <= self.dist.n_trunc,
-                              self.mass_geq[np.minimum(per, self.dist.n_trunc)],
-                              0.0)
-            accept_p = self.mass_geq[dmin] / masses.sum(axis=1)
-            keep = rng.random(total) < accept_p
-            row, delta, x, y = row[keep], dmin[keep], x[keep], y[keep]
-            total = len(row)
         m = self.dist.sample_at_least(rng, delta)
         t = t0 + (t1 - t0) * rng.random(total)
-        return row, delta, x, y, m, t
+        return row, x, y, m, t
 
     def _fold_coverage(self, rng, state, rows, x, y, m, t):
         """Stream loop traces into per-(row, vertex) minima; state is
@@ -555,7 +510,7 @@ class CoverEngine:
         if self.chain is not None:
             self.chain.slab(rng, state, t0, t1)
             return
-        rows, delta, x, y, m, t = self._draw_loops(rng, len(state), t0, t1)
+        rows, x, y, m, t = self._draw_loops(rng, len(state), t0, t1)
         self._fold_coverage(rng, state, rows, x, y, m, t)
 
     def _batch_size(self) -> int:
@@ -643,7 +598,7 @@ def run_blocks(job, arg_list, workers: int = 1):
 
 def cover_time(rng: np.random.Generator, kappa: float, target) -> float:
     """One cover-time draw; target is a BoxTarget/PointsTarget or point list."""
-    if not isinstance(target, (BoxTarget, PointsTarget)):
+    if not isinstance(target, Target):
         target = PointsTarget(list(target))
     engine = CoverEngine(kappa, target)
     return float(engine._cover_batch(rng, 1)[0])
@@ -683,7 +638,7 @@ def cover_time_from_soup(soup, points: list[Point]) -> float:
 
 def cover_time_ensemble(seed: int, kappa: float, target, replicas: int, workers: int = 1,
                         work_guard: float | None = None) -> CoverTimeSample:
-    if not isinstance(target, (BoxTarget, PointsTarget)):
+    if not isinstance(target, Target):
         target = PointsTarget(list(target))
     engine = CoverEngine(kappa, target)
     return engine.ensemble(seed, replicas, workers, work_guard)

@@ -25,7 +25,7 @@ from math import log
 import numpy as np
 
 # greens_table by name: the benchmark's tracer patches laws.greens_table
-from .greens import GreensTable, greens_table, mu_gamma_o
+from .greens import greens_at, greens_table, mu_gamma_o
 from .lattice import Point, l1
 from .records import Verdict, verdict
 
@@ -59,20 +59,30 @@ def _log_det(g: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(np.linalg.cholesky(g), 0, -2, -1)).sum(axis=-1)
 
 
-def green_matrix(kappa: float, points, table: GreensTable | None = None) -> np.ndarray:
-    """G_B of distinct points B, from `table` or a table that spans B."""
-    b = TargetSet(tuple(map(tuple, points)))
-    if table is None:
-        table = greens_table(kappa, max(1, b.max_l1_diameter()))
-    return table.matrix(b.points)
+def green_matrix(kappa: float, points) -> np.ndarray:
+    """G_B of distinct points B, with G evaluated once per distinct folded
+    displacement (max, min) of (|dx|, |dy|).  The keys of the displacements
+    are built in row blocks of about 2^16 entries, so the scratch beyond the
+    (|B|, |B|) arrays stays small."""
+    x, y = np.asarray(TargetSet(tuple(map(tuple, points))).points, dtype=np.int64).T
+    span = int(max(np.ptp(x), np.ptp(y))) + 1
+    if span * span >= 1 << 63:
+        raise ValueError("point set too wide for int64 displacement keys")
+    keys = np.empty((len(x), len(x)), dtype=np.int64)
+    rows = max(1, (1 << 16) // len(x))
+    for i in range(0, len(x), rows):
+        dx, dy = np.abs(x[i:i + rows, None] - x), np.abs(y[i:i + rows, None] - y)
+        keys[i:i + rows] = np.maximum(dx, dy) * span + np.minimum(dx, dy)
+    distinct = np.unique(keys)
+    g = greens_at(kappa, np.stack(np.divmod(distinct, span), axis=1))
+    return g[np.searchsorted(distinct, keys)]
 
 
-def prob_uncovered(kappa: float, points, u: float,
-                   table: GreensTable | None = None) -> float:
+def prob_uncovered(kappa: float, points, u: float) -> float:
     """det(G_B)^{-u}: no loop of the soup up to time u visits the set B."""
     if u < 0:
         raise ValueError("u must be >= 0")
-    return math.exp(-u * float(_log_det(green_matrix(kappa, points, table))))
+    return math.exp(-u * float(_log_det(green_matrix(kappa, points))))
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,8 @@ def cover_law(kappa: float, points) -> CoverLaw:
     return CoverLaw(tuple(terms))
 
 
-def prob_no_shared_loop(kappa: float, x: Point, u: float,
-                        table: GreensTable | None = None) -> float:
-    goo, gox = green_matrix(kappa, [(0, 0), x], table)[0].tolist()
+def prob_no_shared_loop(kappa: float, x: Point, u: float) -> float:
+    goo, gox = green_matrix(kappa, [(0, 0), x])[0].tolist()
     return (1.0 - (gox / goo) ** 2) ** u
 
 
@@ -315,7 +324,6 @@ class SecondMomentReport:
 
 
 def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
-                         table: GreensTable | None = None,
                          pair_guard: int = 10_000) -> SecondMomentReport:
     """Evaluate every pair-sum inequality for the uncovered set at (1-eps) u*.
 
@@ -334,8 +342,7 @@ def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
     mu = mu_gamma_o(kappa).value
     us = u_star(kappa, n, mu)
     u_eval = (1.0 - epsilon) * us
-    if table is None:
-        table = greens_table(kappa, max(1, A.max_l1_diameter()))
+    table = greens_table(kappa, max(1, A.max_l1_diameter()))
 
     classes = SeparationClassification.for_parameters(kappa, n, mu)
     counts = A.pair_distance_counts()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,9 +161,15 @@ class LengthDistribution:
         return np.minimum(np.maximum(m, d), self.n_trunc)
 
 
+@lru_cache(maxsize=32)
 def length_pmf(kappa: float, tail_tol: float,
                ceiling: int = DEFAULT_N_TRUNC_CEILING) -> LengthDistribution:
-    return LengthDistribution.build(kappa, tail_tol, ceiling)
+    """The shared LengthDistribution of (kappa, tail_tol, ceiling), alias
+    table included, built once; its arrays are read-only."""
+    dist = LengthDistribution.build(kappa, tail_tol, ceiling)
+    for a in (dist.weights, dist._pmf, dist._cdf):
+        a.flags.writeable = False
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +347,7 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
     i32 = np.iinfo(np.int32)
     if min(window.x0, window.y0) < i32.min or max(window.x1, window.y1) > i32.max:
         raise ValueError("window coordinates must fit in int32")
-    dist = LengthDistribution.build(kappa, tail_tol, ceiling)
+    dist = length_pmf(kappa, tail_tol, ceiling)
     if time_horizon == 0:
         empty = np.array([], dtype=np.int32)
         return SoupSample(kappa=kappa, window=window, time_horizon=0.0,
@@ -365,7 +371,7 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
         raise ValueError("delta_horizon must be >= 0")
     if delta_horizon == 0:
         return soup
-    dist = LengthDistribution.build(soup.kappa, soup.tail_tol)
+    dist = length_pmf(soup.kappa, soup.tail_tol, DEFAULT_N_TRUNC_CEILING)
     t0 = soup.time_horizon
     rx, ry, hl, ts, packed = _sample_slice(soup.seed, soup.window, t0,
                                            t0 + delta_horizon, soup.n_slices,

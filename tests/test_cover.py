@@ -53,16 +53,19 @@ class TestTargets:
             == [t.box.ring_count(d) for d in range(6)]
 
     def test_point_ring_cells_exact(self):
-        t = PointsTarget([(2, 3)])
+        # roots at delta are exactly the cells of the bounding box's ring
+        single, pair = PointsTarget([(2, 3)]), PointsTarget([(0, 0), (3, -2)])
+        assert (pair.box.x0, pair.box.y0, pair.box.x1, pair.box.y1) == (0, -2, 3, 0)
+        for t in (single, pair):
+            for delta in (1, 2, 4):
+                rng = np.random.default_rng(1)
+                n = 64 * int(t.ring_count(delta))
+                x, y = t.root_coords(rng, np.full(n, delta, dtype=np.int64))
+                assert set(zip(x.tolist(), y.tolist())) == set(t.box.ring_points(delta))
         for delta in (1, 2, 4):
-            rng = np.random.default_rng(1)
-            x, y = t.root_coords(rng, np.full(64 * delta, delta, dtype=np.int64))
-            cells = set(zip(x.tolist(), y.tolist()))
-            expect = {(2 + dx, 3 + dy)
-                      for dx in range(-delta, delta + 1)
-                      for dy in range(-delta, delta + 1)
-                      if abs(dx) + abs(dy) == delta}
-            assert cells == expect
+            assert set(single.box.ring_points(delta)) == {
+                (2 + dx, 3 + dy) for dx in range(-delta, delta + 1)
+                for dy in range(-delta, delta + 1) if abs(dx) + abs(dy) == delta}
 
     def test_vertex_index(self):
         t = PointsTarget([(0, 0), (5, -3)])
@@ -161,6 +164,17 @@ class TestEngineAgainstLaws:
             bias = s.truncation_bias_rate * u
             assert abs(emp.cdf(u) - law) <= 3 * se + bias
 
+    def test_sparse_set_determinant_law(self):
+        # a set that is not a box: the ring engine draws on its bounding box
+        kappa, pts = 0.5, [(0, 0), (6, 1), (2, 5)]
+        s = self.ensemble(17, kappa, PointsTarget(pts), 20_000)
+        emp = s.values
+        for u in (0.5, 1.0, 2.0, 4.0):
+            law = laws.cover_law(kappa, pts)(u)
+            se = math.sqrt(max(law * (1 - law), 1e-9) / emp.count)
+            bias = s.truncation_bias_rate * u
+            assert abs(emp.cdf(u) - law) <= 3 * se + bias
+
     def test_translation_invariance(self):
         a = self.ensemble(7, 0.5, PointsTarget([(0, 0)]), 15_000)
         b = self.ensemble(8, 0.5, PointsTarget([(7, 3)]), 15_000)
@@ -187,7 +201,8 @@ class TestEngineAgainstLaws:
 
 
 class TestRingEngineAgainstLaws(TestEngineAgainstLaws):
-    """The ring engine's PointsTarget path, which wide sets still take."""
+    """The ring engine on point sets, through their bounding boxes' rings;
+    sets of more than 1,444 points, over the trace budget, still take it."""
 
     sampler = "ring"
 
@@ -198,6 +213,10 @@ class TestTraceChainAgainstLaws(TestEngineAgainstLaws):
 
 def _no_green_matrix(*args):
     raise AssertionError("G_A built for a set over the trace setup budget")
+
+
+def _no_greens_table(*args):
+    raise AssertionError("Green's table built for G_A")
 
 
 class TestTraceChain:
@@ -253,7 +272,7 @@ class TestTraceChain:
         # a set whose trace setup just fits takes the chain; one byte less
         # and it keeps the ring engine without building G_A
         target = BoxTarget(4)
-        need = cover.trace_setup_bytes(6, 16)
+        need = cover.trace_setup_bytes(16)
         monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need)
         assert CoverEngine(0.05, target).sampler == "trace"
         monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need - 1)
@@ -263,7 +282,6 @@ class TestTraceChain:
 
     @pytest.mark.parametrize("kappa,target", [
         (0.01, BoxTarget(200)),   # 40,000 points: G_A alone would be 12.8 GB
-        (1.0, PointsTarget([(0, 0), (2047, 0)])),   # a 2048^2 table
     ])
     def test_sets_over_budget_keep_the_ring_engine(self, monkeypatch, kappa, target):
         monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
@@ -272,6 +290,20 @@ class TestTraceChain:
         assert e.sampler == "ring" and e.step_rate == math.inf
         with pytest.raises(ResourceCeilingError):
             CoverEngine(kappa, target, sampler="trace")
+
+    @pytest.mark.parametrize("spec,kappa", [
+        ("points:(0,0);(2047,0)", 1.0), ("line:3x1000", 0.1)])
+    def test_wide_sparse_sets_take_the_trace_chain(self, monkeypatch, spec, kappa):
+        # G_A of a sparse set needs no Green's table, however wide the set
+        monkeypatch.setattr(laws, "greens_table", _no_greens_table)
+        assert CoverEngine(kappa, make_target(spec)).sampler == "trace"
+
+    def test_forced_ring_engine_on_a_long_line(self):
+        # 1,500 points over the trace budget; the ring engine's memory does
+        # not grow with loops x |A|
+        e = CoverEngine(0.5, make_target("line:1500x2"), sampler="ring")
+        s = e.ensemble(41, 8)
+        assert s.sampler == "ring" and np.isfinite(s.values.values).all()
 
     def test_clamped_negative_mass_is_rounding(self):
         # Q = I - G_A^{-1} is nonnegative; rounding leaves about -1e-15

@@ -33,6 +33,17 @@ class TestGreensValue:
         with pytest.raises(ValueError):
             greens.greens_value(-0.5, (0, 0))
 
+    def test_value_matches_table(self):
+        # x is evaluated alone; a table of radius |x| agrees within its
+        # own error estimate
+        eps = np.finfo(np.float64).eps
+        for kappa in (1.0, 0.05, 1e-4):
+            for x in ((0, 0), (1, 0), (-3, 2), (5, -7), (-12, -12)):
+                t = greens.greens_table(kappa, max(1, abs(x[0]) + abs(x[1])))
+                v, err = greens.greens_value(kappa, x)
+                assert abs(v - t.value(x)) <= t.tail_bound
+                assert err >= 16 * eps * t.origin()
+
     def test_truncation_self_consistency(self):
         # closed form against the walk series on every even point of the table
         eps = np.finfo(np.float64).eps

@@ -68,3 +68,16 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     tracing.probe_loopsoup(tracer)
     tracer.install()
     tracer.uninstall()
+
+
+def test_benchmark_workloads_set_up():
+    # the workloads' own calls (cover.make_target, CoverEngine(kappa, target),
+    # ...) must keep working; the test above checks only the patched names
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for workload in ("cover-massive", "cover-dense", "soup-window", "greens-laws"):
+        proc = subprocess.run([sys.executable, str(repo / "bench" / "workloads.py"),
+                               "--workload", workload, "--setup-only"],
+                              env=env, cwd=repo, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{workload}: {proc.stderr[-2000:]}"

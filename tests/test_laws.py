@@ -95,6 +95,24 @@ class TestDeterminantLaw:
         with pytest.raises(ValueError):
             laws.prob_uncovered(0.5, [(1, 2), (0, 0), (1, 2)], 1.0)
 
+    def test_green_matrix_matches_table(self, rng):
+        # one quadrature per distinct displacement against a table of radius
+        # diam(B), to 1e-15 relative to the largest entry G(o): BLAS row
+        # blocking may move the last bit, and entries near 1e-19 (kappa = 1,
+        # |x| ~ 30) carry the quadrature's cancellation, not its accuracy
+        grid = [(i, j) for i in range(-16, 17) for j in range(-16, 17)]
+        sets = [[(3, -7)],
+                [(0, 0), (4, 4), (-4, -4), (4, -4), (-4, 4), (0, 8), (8, 0)],
+                [grid[i] for i in rng.choice(len(grid), 40, replace=False)]]
+        for kappa in (1.0, 0.05, 1e-4):
+            for pts in sets:
+                diam = laws.TargetSet(tuple(pts)).max_l1_diameter()
+                ref = greens.greens_table(kappa, max(1, diam)).matrix(pts)
+                g = laws.green_matrix(kappa, pts)
+                assert np.abs(g - ref).max() <= 1e-15 * ref[0, 0]
+        with pytest.raises(ValueError, match="int64"):
+            laws.green_matrix(0.5, [(0, 0), (1 << 32, 0)])
+
     def test_cover_law_one_point(self):
         u = np.array([0.0, 0.3, 1.0, 4.0])
         goo = greens.green_origin(0.5)

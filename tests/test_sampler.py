@@ -197,6 +197,18 @@ class TestWindowSoup:
                 assert getattr(long, f)[:k].tobytes() == getattr(short, f).tobytes()
             assert long.steps_packed[:k] == short.steps_packed
 
+    def test_extensions_reuse_the_length_law(self, monkeypatch):
+        # the length law, alias table included, is built once per soup
+        sampler.length_pmf.cache_clear()
+        calls = []
+        build = sampler.LengthDistribution.build
+        monkeypatch.setattr(sampler.LengthDistribution, "build",
+                            lambda *args: calls.append(args) or build(*args))
+        soup = sampler.sample_window_soup(3, 2.5, Box(0, 0, 3, 3), 1.0, 1e-8)
+        for _ in range(3):
+            soup = sampler.extend_soup(soup, 1.0)
+        assert len(calls) == 1 and soup.n_slices == 4
+
     def test_root_counts_poisson(self):
         # per-root loop counts of one large soup against Poisson(T mass),
         # roots tallied through the x-major placement of the window
