@@ -2,10 +2,11 @@
 
 Subcommands: greens, verify (bounds|appendix|all), laws (pair|second-moment),
 soup sample, covertime, example (two-far|neighbors|many-sep), gumbel-scan,
-emit-plotdata.  Global flags --seed/--workers/--out-dir/--quick; the first
-three default to LOOPSOUP_SEED/LOOPSOUP_WORKERS/LOOPSOUP_OUT_DIR from the
+emit-plotdata.  Global flags --seed/--workers/--out-dir/--quick default to
+LOOPSOUP_SEED/LOOPSOUP_WORKERS/LOOPSOUP_OUT_DIR/LOOPSOUP_QUICK from the
 environment, else to the same keys of an optional flat key=value config
-file (--config), and a flag on the command line overrides both.  Option
+file (--config), and a flag on the command line overrides both; quick takes
+1/0, true/false or yes/no.  Option
 values may start with "-" (--window -3,-3,3,3).  Exit codes: 0 ok,
 1 asserted check failed, 2 config error, 3 resource ceiling (a length law
 or walk series past its truncation ceiling, a cover run past its work guard).
@@ -62,6 +63,18 @@ def _parse_floats(text: str):
         return [float(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"bad boolean {text!r}; expected 1/0, true/false "
+                          f"or yes/no") from None
 
 
 def _parse_ints(text: str):
@@ -545,7 +558,7 @@ def main(argv=None) -> int:
         # on the command line overrides them
         pre, _ = parser.parse_known_args(argv)
         defaults = effective_defaults(pre.config)
-        flat = {"seed": int, "workers": int, "out-dir": str}
+        flat = {"seed": int, "workers": int, "out-dir": str, "quick": _parse_bool}
         parser.set_defaults(**{key.replace("-", "_"): cast(defaults[key])
                                for key, cast in flat.items() if key in defaults})
         args = parser.parse_args(argv)

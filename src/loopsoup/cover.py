@@ -2,9 +2,13 @@
 
 Two exact-in-law samplers of the soup's first-visit times on the target A
 share one batch loop: per Poisson slab of time they fold loops into
-per-(replica, vertex) minima of uniform timestamps, and the horizon starts
-at twice the expected cover time and doubles until every replica's set is
-covered.
+per-(replica, vertex) minima of uniform timestamps.  mu T(A) - log|A| is
+about Gumbel, so a replica is mostly covered by u* + O(1/mu): the first
+slab ends at u* + 1/mu (at 1/mu for a single point), and each later slab,
+drawn for the replicas still uncovered only, is 1/mu, 2/mu, 4/mu, ... long.
+The soup's loops form a Poisson process in time, whose increments over
+disjoint slabs are independent, so any fixed sequence of slab boundaries
+is exact.
 
 The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
@@ -52,20 +56,20 @@ from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
-from .sampler import (LengthDistribution, _alias_setup, balanced_signs,
-                      loop_vertices, truncation_bias_rate, unpack_steps)
+from .sampler import (_alias_setup, balanced_signs, length_pmf, loop_vertices,
+                      truncation_bias_rate, unpack_steps)
 
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
 #: Most bytes the trace chain's setup may hold; larger sets keep the ring
-#: engine.  The largest set that fits is box:38 (1,444 points), whatever the
-#: spread of a set; building, factoring and inverting its G_A takes about 1 s
-#: on one core.
+#: engine.  Any set of at most 1,758 points fits, whatever its spread; the
+#: largest box is box:41 (1,681 points), whose G_A, factor, inverse and
+#: alias tables take about 1 s on one core.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
-_MAX_DOUBLINGS = 48
+_MAX_SLABS = 48
 
 
 class ResourceCeilingError(RuntimeError):
@@ -304,11 +308,13 @@ class CoverTimeSample:
 
 
 def trace_setup_bytes(size: int) -> int:
-    """Peak bytes of the trace chain's setup for a set of `size` points:
-    G_A, its factor, Q and the alias construction, about 8 doubles per
-    size * (size + 1) entry.  box:38 at kappa = 0.01 estimates 133.6 MB and
-    peaked 127 MB above the process's prior peak (one core)."""
-    return 8 * 8 * size * (size + 1)
+    """Peak bytes of the trace chain's setup for a set of `size` points,
+    fitted to the rise of the process's peak RSS while the engine is built
+    (one core): 42 bytes per size * (size + 1) entry, set by G_A and its
+    inverse with LAPACK's working copies, plus 4 MiB.  box:32 estimates
+    48.3 MB and peaked 47.7 MB, box:38 91.8 MB and 89.1 MB, box:41
+    122.9 MB and 119.7 MB."""
+    return 42 * size * (size + 1) + (4 << 20)
 
 
 class TraceChain:
@@ -337,15 +343,21 @@ class TraceChain:
 
     def build_tables(self, g: np.ndarray) -> None:
         """Alias tables of Q's rows plus the killing deficit as column n.
-        Rounding leaves entries of about -1e-15 where Q is ~0; they are
-        clamped to 0 and their mass per row is kept in ``clamped``."""
+
+        Q = I - G_A^{-1} and the deficit are written into one (n, n + 1)
+        table, which the alias construction then scales in place; the
+        setup's peak is numpy's inversion of G_A.  Rounding leaves entries
+        of about -1e-15 where Q is ~0; they are clamped to 0 and their mass
+        per row is kept in ``clamped``."""
         n = len(g)
-        q = -np.linalg.inv(g)
+        table = np.empty((n, n + 1))
+        q = table[:, :n]
+        np.negative(np.linalg.inv(g), out=q)
         q[np.diag_indices(n)] += 1.0
         self.clamped = -np.minimum(q, 0.0).sum(axis=1)
         np.maximum(q, 0.0, out=q)
-        kill = np.maximum(1.0 - q.sum(axis=1), 0.0)
-        alias, keep = _alias_setup(np.concatenate([q, kill[:, None]], axis=1))
+        table[:, n] = np.maximum(1.0 - q.sum(axis=1), 0.0)
+        alias, keep = _alias_setup(table, overwrite=True)
         self._alias, self._keep = alias.ravel(), keep.ravel()
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
@@ -409,7 +421,7 @@ class CoverEngine:
             raise ValueError(f"unknown sampler {sampler!r}")
         self.kappa = kappa
         self.target = target
-        self.dist = LengthDistribution.build(kappa, TAIL_TOL)
+        self.dist = length_pmf(kappa, TAIL_TOL)
         self.mu = mu_gamma_o(kappa).value
         n = self.dist.n_trunc
         deltas = np.arange(0, n + 1, dtype=np.int64)
@@ -422,12 +434,13 @@ class CoverEngine:
         suffix_mw = mw[::-1].cumsum()[::-1]
         cells = self.ring_counts * 2.0 * suffix_mw[np.maximum(deltas, 1) - 1]
         self.cell_rate = float(cells.sum())
+        # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
-            self.horizon0 = 2.0 * self.u_star
+            self.horizon0 = self.u_star + 1.0 / self.mu
         else:
             self.u_star = None
-            self.horizon0 = 2.0 / self.mu
+            self.horizon0 = 1.0 / self.mu
         self.chain, self.step_rate = None, math.inf
         # every pivot g_j >= 1, so step_rate >= |A|: where cell_rate <= |A|
         # the ring engine wins without factoring G_A
@@ -497,12 +510,11 @@ class CoverEngine:
             px[:, 1:] = x[sel, None] + sx[:, :-1]
             py[:, 1:] = y[sel, None] + sy[:, :-1]
             vi = self.target.vertex_index(px.ravel(), py.ravel())
-            hit = vi >= 0
-            if not hit.any():
+            hit = np.flatnonzero(vi >= 0)
+            if not len(hit):
                 continue
-            rep = np.repeat(rows[sel], 2 * mi)
-            tt = np.repeat(t[sel], 2 * mi)
-            np.minimum.at(flat, rep[hit] * V + vi[hit], tt[hit])
+            loop = sel[hit // (2 * mi)]
+            np.minimum.at(flat, rows[loop] * V + vi[hit], t[loop])
 
     # -- public sampling --------------------------------------------------
 
@@ -515,7 +527,8 @@ class CoverEngine:
 
     def _batch_size(self) -> int:
         """Replicas per batch, so that the ring engine's traced cells or the
-        trace chain's loops and excursions per batch stay within budget."""
+        trace chain's loops and excursions in the first slab, the only one
+        that draws for every replica of the batch, stay within budget."""
         if self.chain is None:
             per_rep = max(self.cell_rate * self.horizon0, 1.0)
             return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
@@ -534,12 +547,16 @@ class CoverEngine:
         return out
 
     def _cover_batch(self, rng, b: int) -> np.ndarray:
+        """Cover times of b replicas.  The first slab, [0, horizon0), is
+        drawn for all of them; each later slab only for the replicas still
+        uncovered, 1/mu, 2/mu, 4/mu, ... long.  The boundaries are fixed in
+        advance, so the slabs are independent pieces of one Poisson soup."""
         V = self.target.size
         state = np.full((b, V), np.inf)
         times = np.full(b, np.nan)
         active = np.arange(b)
-        t0, t1 = 0.0, self.horizon0
-        for _ in range(_MAX_DOUBLINGS):
+        t0, t1, step = 0.0, self.horizon0, 1.0 / self.mu
+        for _ in range(_MAX_SLABS):
             sub = np.full((len(active), V), np.inf)
             sub[:] = state[active]
             self._slab(rng, sub, t0, t1)
@@ -550,16 +567,19 @@ class CoverEngine:
             active = active[~covered]
             if len(active) == 0:
                 return times
-            t0, t1 = t1, 2.0 * t1
+            t0, t1, step = t1, t1 + step, 2.0 * step
         raise ResourceCeilingError(
-            f"target not covered within {_MAX_DOUBLINGS} horizon doublings")
+            f"target not covered within {_MAX_SLABS} slabs (horizon {t0:.6g})")
 
     def ensemble(self, seed: int, replicas: int, workers: int = 1,
                  work_guard: float | None = None) -> CoverTimeSample:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        # work up to the end of the second slab, which bounds the mean
+        # horizon a replica is drawn to: about u* + 1.64/mu for a large set
+        # and 1.71/mu for one point
         rate = self.cell_rate if self.chain is None else self.step_rate
-        est = rate * self.horizon0 * replicas
+        est = rate * (self.horizon0 + 1.0 / self.mu) * replicas
         if work_guard is not None and est > work_guard:
             raise ResourceCeilingError(
                 f"estimated work {est:.3g} exceeds guard {work_guard:.3g}")

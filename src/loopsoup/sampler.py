@@ -49,34 +49,43 @@ def required_n_trunc(kappa: float, tail_tol: float,
 _ALIAS_WINDOW = 64
 
 
-def _alias_setup(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _alias_setup(probs: np.ndarray,
+                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Alias tables (J, q) for O(1) draws from each row of a (..., k) stack
     of distributions: draw column c uniformly, keep it if U < q[c], else J[c].
+    J is int32; with overwrite, q is probs itself, scaled in place.
 
     Every row runs Walker's construction with a stack of small (q < 1) and
-    one of large columns: the top large absorbs smalls from the top of the
-    small stack, one by one, until it drops below 1 and becomes the next
-    small.  A pass does one large's absorptions in every row at once, over
-    a window of the small stack, with the same sequential subtractions, so
-    a single row gets exactly the classic table.
+    one of large columns, both in one int32 index row P: P[:ns] holds the
+    smalls and P[ns0:ns0 + nl] the larges, ns0 being the initial count of
+    smalls.  The top large absorbs smalls from the top of the small stack,
+    one by one, until it drops below 1 and becomes the next small; it has
+    absorbed one by then, so ns never exceeds ns0 and the stacks never meet.
+    A pass does one large's absorptions in every row at once, over a window
+    of the small stack, with the same sequential subtractions, so a single
+    row gets exactly the classic table.
     """
     probs = np.asarray(probs, dtype=np.float64)
     k = probs.shape[-1]
-    q = probs.reshape(-1, k) * k
-    J = np.zeros(q.shape, dtype=np.int64)
-    small = q < 1.0
-    S = np.argsort(~small, axis=1, kind="stable")  # smalls, ascending, first
-    L = np.argsort(small, axis=1, kind="stable")   # larges, ascending, first
-    ns = small.sum(axis=1)
+    q = probs.reshape(-1, k)
+    if overwrite:
+        q *= k
+    else:
+        q = q * k
+    J = np.zeros(q.shape, dtype=np.int32)
+    # smalls, ascending, then larges, ascending
+    P = np.argsort(q >= 1.0, axis=1, kind="stable").astype(np.int32)
+    ns = np.count_nonzero(q < 1.0, axis=1)
+    base = ns.copy()
     nl = k - ns
     cols = np.arange(k)
     act = np.flatnonzero((ns > 0) & (nl > 0))
     while act.size:
         top, w = ns[act], min(int(ns[act].max()), _ALIAS_WINDOW)
-        big = L[act, nl[act] - 1]
+        big = P[act, base[act] + nl[act] - 1]
         pos = top[:, None] - 1 - cols[:w]              # smalls in pop order
         valid = pos >= 0
-        s = S[act[:, None], np.maximum(pos, 0)]
+        s = P[act[:, None], np.maximum(pos, 0)]
         left = np.empty((len(act), w + 1))
         left[:, 0] = q[act, big]
         left[:, 1:] = np.where(valid, 1.0 - q[act[:, None], s], 0.0)
@@ -90,7 +99,7 @@ def _alias_setup(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ns[act] -= taken
         d = act[drops]                                 # the large becomes a small
         nl[d] -= 1
-        S[d, ns[d]] = big[drops]
+        P[d, ns[d]] = big[drops]
         ns[d] += 1
         act = act[(ns[act] > 0) & (nl[act] > 0)]
     return J.reshape(probs.shape), q.reshape(probs.shape)
@@ -161,15 +170,23 @@ class LengthDistribution:
         return np.minimum(np.maximum(m, d), self.n_trunc)
 
 
-@lru_cache(maxsize=32)
 def length_pmf(kappa: float, tail_tol: float,
                ceiling: int = DEFAULT_N_TRUNC_CEILING) -> LengthDistribution:
     """The shared LengthDistribution of (kappa, tail_tol, ceiling), alias
-    table included, built once; its arrays are read-only."""
+    table included, built once whether the ceiling is given or defaulted;
+    its arrays are read-only."""
+    return _length_law(float(kappa), float(tail_tol), int(ceiling))
+
+
+@lru_cache(maxsize=32)
+def _length_law(kappa: float, tail_tol: float, ceiling: int) -> LengthDistribution:
     dist = LengthDistribution.build(kappa, tail_tol, ceiling)
     for a in (dist.weights, dist._pmf, dist._cdf):
         a.flags.writeable = False
     return dist
+
+
+length_pmf.cache_clear = _length_law.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +201,7 @@ def bridge_steps(rng: np.random.Generator, half_length: int,
     """(count, 2m) arrays of step codes, uniform over closed 2m-step walks.
 
     Each row shuffles m plus-ones and m minus-ones independently in the two
-    diagonal coordinates (rank trick: order statistics of uniforms).
+    diagonal coordinates.
     """
     m = half_length
     if m < 1:
@@ -195,12 +212,12 @@ def bridge_steps(rng: np.random.Generator, half_length: int,
 
 
 def balanced_signs(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    """(count, 2m) rows of m plus-ones and m minus-ones in uniform order."""
-    order = np.argsort(rng.random((count, 2 * m)), axis=1, kind="stable")
+    """(count, 2m) rows of m plus-ones and m minus-ones in uniform order:
+    one int8 template, shuffled row by row in place."""
     sgn = np.empty((count, 2 * m), dtype=np.int8)
-    np.put_along_axis(sgn, order[:, :m], 1, axis=1)
-    np.put_along_axis(sgn, order[:, m:], -1, axis=1)
-    return sgn
+    sgn[:, :m] = 1
+    sgn[:, m:] = -1
+    return rng.permuted(sgn, axis=1, out=sgn)
 
 
 def _codes_from_diagonal(ds: np.ndarray, dd: np.ndarray) -> np.ndarray:
@@ -371,7 +388,7 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
         raise ValueError("delta_horizon must be >= 0")
     if delta_horizon == 0:
         return soup
-    dist = length_pmf(soup.kappa, soup.tail_tol, DEFAULT_N_TRUNC_CEILING)
+    dist = length_pmf(soup.kappa, soup.tail_tol)
     t0 = soup.time_horizon
     rx, ry, hl, ts, packed = _sample_slice(soup.seed, soup.window, t0,
                                            t0 + delta_horizon, soup.n_slices,

@@ -130,3 +130,41 @@ def test_verify_bounds_at_tiny_kappa_skips_series(capsys):
     cross = [r for r in rows if r[0] == "greens-series-cross-check"]
     assert len(cross) == 1 and cross[0][1] == "hypothesis-not-met"
     assert cross[0][3] == "rhs=268435456"
+
+
+def _quick_seen(monkeypatch, *argv) -> bool:
+    """args.quick as a subcommand receives it."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_greens",
+                        lambda args: seen.append(args.quick) or cli.EXIT_OK)
+    assert _run(*argv, "greens", "--kappa", 0.5) == cli.EXIT_OK
+    return seen[0]
+
+
+def test_quick_from_environment_and_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    monkeypatch.delenv("LOOPSOUP_QUICK", raising=False)
+    assert _quick_seen(monkeypatch) is False
+    for value, want in (("1", True), ("yes", True), ("TRUE", True),
+                        ("0", False), ("no", False), ("false", False)):
+        monkeypatch.setenv("LOOPSOUP_QUICK", value)
+        assert _quick_seen(monkeypatch) is want
+        monkeypatch.delenv("LOOPSOUP_QUICK")
+        cfg.write_text(f"quick = {value}\n")
+        assert _quick_seen(monkeypatch, "--config", cfg) is want
+    # the environment overrides the file, and the flag overrides both
+    monkeypatch.setenv("LOOPSOUP_QUICK", "no")
+    cfg.write_text("quick = yes\n")
+    assert _quick_seen(monkeypatch, "--config", cfg) is False
+    assert _quick_seen(monkeypatch, "--config", cfg, "--quick") is True
+
+
+def test_bad_quick_value_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LOOPSOUP_QUICK", "maybe")
+    assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+    assert "maybe" in capsys.readouterr().err
+    monkeypatch.delenv("LOOPSOUP_QUICK")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quick = 2\n")
+    assert _run("--config", cfg, "greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+    assert "'2'" in capsys.readouterr().err

@@ -202,7 +202,7 @@ class TestEngineAgainstLaws:
 
 class TestRingEngineAgainstLaws(TestEngineAgainstLaws):
     """The ring engine on point sets, through their bounding boxes' rings;
-    sets of more than 1,444 points, over the trace budget, still take it."""
+    sets of more than 1,758 points, over the trace budget, still take it."""
 
     sampler = "ring"
 
@@ -336,6 +336,54 @@ class TestPathwiseProperties:
         assert t > 0
 
 
+class TestSlabSchedule:
+    """The first slab ends at horizon0 = u* + 1/mu and later slabs, for the
+    uncovered replicas only, are 1/mu, 2/mu, 4/mu, ... long."""
+
+    @pytest.mark.parametrize("engine,seed", [("ring", 51), ("trace", 52)])
+    def test_law_across_slab_edges(self, engine, seed):
+        # the ECDF at and around the first two slab boundaries against the
+        # exact determinant law
+        e = CoverEngine(0.5, BoxTarget(3), sampler=engine)
+        s = e.ensemble(seed, 20_000)
+        assert s.sampler == engine
+        law = laws.cover_law(0.5, e.target.points())
+        h0, step = e.horizon0, 1.0 / e.mu
+        for u in (h0 / 2, h0, h0 + step, h0 + 3 * step):
+            assert law.rounding_bound(u) <= 1e-9
+            p = float(law(u))
+            se = math.sqrt(p * (1 - p) / s.values.count)
+            assert abs(s.values.cdf(u) - p) <= 3 * se + s.truncation_bias_rate * u
+
+    def test_traced_cells_stop_near_the_cover_time(self, monkeypatch):
+        # box:16 at kappa = 0.5 needs about u* + 1.64/mu of soup per
+        # replica (0.65 of 2 u*, the first horizon the engine once drew for
+        # every replica); the cells it traces pin that
+        e = CoverEngine(0.5, BoxTarget(16))
+        assert e.sampler == "ring"
+        cells = []
+        index = e.target.vertex_index
+        monkeypatch.setattr(e.target, "vertex_index",
+                            lambda x, y: cells.append(len(x)) or index(x, y))
+        e.ensemble(53, 512)
+        assert sum(cells) / 512 < 0.7 * e.cell_rate * 2.0 * e.u_star
+
+
+def test_engine_and_soups_share_the_length_law(monkeypatch):
+    # one build of the (kappa, tail_tol) law, whether the ceiling is given
+    # or defaulted, for the engine and for soups
+    sampler.length_pmf.cache_clear()
+    calls = []
+    build = sampler.LengthDistribution.build
+    monkeypatch.setattr(sampler.LengthDistribution, "build",
+                        lambda *args: calls.append(args) or build(*args))
+    engine = CoverEngine(2.5, PointsTarget([(0, 0), (2, 0)]), sampler="ring")
+    soup = sampler.sample_window_soup(3, 2.5, Box(0, 0, 3, 3), 1.0, cover.TAIL_TOL)
+    sampler.extend_soup(soup, 1.0)
+    law = sampler.length_pmf(2.5, cover.TAIL_TOL, sampler.DEFAULT_N_TRUNC_CEILING)
+    assert len(calls) == 1 and engine.dist is law
+
+
 class TestDeterminismAndGuards:
     def test_same_seed_identical(self):
         a = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 5000)
@@ -353,7 +401,7 @@ class TestDeterminismAndGuards:
         assert ks_2samp(a.values.values, b.values.values).pvalue > 0.001
 
     def test_horizon_start_invariance(self):
-        # doubling from u* or from 4 u* gives the same law
+        # a first slab ending at horizon0 or at 4 horizon0 gives the same law
         target = PointsTarget([(0, 0), (4, 0)])
         e1 = CoverEngine(0.5, target)
         e2 = CoverEngine(0.5, target)
