@@ -184,9 +184,7 @@ def cmd_laws_pair(args) -> int:
 
 
 def cmd_laws_second_moment(args) -> int:
-    policy = laws.parse_epsilon(args.epsilon)
-    mu = greens.mu_gamma_o(args.kappa).value
-    eps = policy.resolve(mu)
+    eps = laws.resolve_epsilon(args.epsilon, greens.mu_gamma_o(args.kappa).value)
     report = laws.second_moment_report(args.kappa, laws.box_set(args.box), eps)
     _emit_verdicts(args, report.verdicts, "second_moment.csv")
     counts = ",".join(f"{k}={v}" for k, v in report.class_pair_counts.items())
@@ -251,8 +249,8 @@ def cmd_covertime(args) -> int:
 
 def cmd_example(args) -> int:
     if args.which == "two-far":
-        rep = cover.run_example_two_far(args.kappa, args.separation,
-                                        args.replicas, args.seed, args.workers)
+        rep = cover.run_example_many_sep(args.kappa, 2, args.separation,
+                                         args.replicas, args.seed, args.workers)
     elif args.which == "neighbors":
         grid = _parse_floats(args.kappa_grid)
         rep = cover.run_example_neighbors(grid, args.replicas, args.seed,

@@ -18,16 +18,18 @@ through the Cholesky pivots of G_A.  It needs no truncation, so its
 
 The ring engine samples the loops of the truncated soup that are able to
 touch the target's bounding box: a loop of half-length m reaches at most m
-from its root, so the relevant sub-process has root intensity
-mass(>= delta(root)) with delta the L1 distance to the box.  Roots are
-drawn on the box's rings (Poisson counts per ring, uniform placement),
-lengths from the conditional law m >= delta, timestamps as uniform marks,
-shapes as diagonal bridges; every target, boxes and sparse point sets
-alike, uses these rings, with no superposition and no acceptance step.
-Discarding loops that provably cannot intersect the target leaves the law
-of every coverage functional unchanged, and the truncation carries a
-certified bias rate (``sampler.truncation_bias_rate``) that reports add to
-their statistical error.
+from its root, so only roots within L1 distance m of the box matter.  It
+draws one half-length at a time: for m = 1..n_trunc, Poisson(w_m reach_m)
+loops per unit time and replica, reach_m counting the cells within m of the
+box, each rooted on ring delta <= m with probability proportional to the
+ring's size and uniformly on it, with a uniform timestamp and a diagonal
+bridge for its shape.  This is the soup's intensity ring_count(delta) w_m
+1{m >= max(delta, 1)} grouped by m; every target, boxes and sparse point
+sets alike, uses its box's rings, with no acceptance step.  Discarding loops
+that provably cannot intersect the target leaves the law of every coverage
+functional unchanged, and the truncation carries a certified bias rate
+(``sampler.truncation_bias_rate``) that reports add to their statistical
+error.
 
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller work
 per unit time: the ring engine's expected traced cells (``cell_rate``)
@@ -67,6 +69,7 @@ TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
 #: alias tables take about 1 s on one core.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
+_FOLD_CELLS = 1 << 20     # traced cells per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
@@ -82,14 +85,12 @@ class ResourceCeilingError(RuntimeError):
 
 class Target:
     """A target set inside its bounding box ``box``.  The ring engine draws
-    roots on the box's L1 rings: a loop rooted at distance delta from the box
-    reaches A only if its half-length is at least delta, and vertex_index
-    decides which of its cells are hits."""
+    roots on the box's L1 rings (``root_coords``, one ring delta per root):
+    a loop rooted at distance delta from the box reaches A only if its
+    half-length is at least delta, and vertex_index decides which of its
+    cells are hits."""
 
     box: Box
-
-    def ring_count(self, delta):
-        return self.box.ring_count(delta)
 
     def root_coords(self, rng, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = self.box.ring_count(delta)
@@ -106,9 +107,6 @@ class Target:
         if out.any():
             x[out], y[out] = self.box.ring_cells(delta[out], idx[out])
         return x, y
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.box.distance(x, y)
 
 
 class BoxTarget(Target):
@@ -414,7 +412,9 @@ class TraceChain:
 class CoverEngine:
     """Cover-time sampling of one target at one kappa, by the trace chain
     or the ring engine, whichever has the smaller work estimate; sampler
-    "ring" or "trace" forces one."""
+    "ring" or "trace" forces one.  The ring engine's estimate, cell_rate =
+    sum_m 2m w_m reach_m, is its exact mean number of traced cells per unit
+    time and replica."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -424,16 +424,12 @@ class CoverEngine:
         self.dist = length_pmf(kappa, TAIL_TOL)
         self.mu = mu_gamma_o(kappa).value
         n = self.dist.n_trunc
-        deltas = np.arange(0, n + 1, dtype=np.int64)
-        self.mass_geq = self.dist.mass_at_least(np.maximum(deltas, 1))
-        self.ring_counts = target.ring_count(deltas).astype(np.float64)
-        self.class_rates = self.ring_counts * self.mass_geq
-        self.rate_total = float(self.class_rates.sum())
-        # mean traced cells per unit time: the ring engine's work estimate
-        mw = self.dist.weights * np.arange(1, n + 1)
-        suffix_mw = mw[::-1].cumsum()[::-1]
-        cells = self.ring_counts * 2.0 * suffix_mw[np.maximum(deltas, 1) - 1]
-        self.cell_rate = float(cells.sum())
+        # reach[m]: cells within L1 distance m of the box, the roots of the
+        # loops of half-length m that can touch it
+        self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)),
+                               dtype=np.float64)
+        m = np.arange(1, n + 1)
+        self.cell_rate = float((2.0 * m * self.dist.weights * self.reach[1:]).sum())
         # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
@@ -458,72 +454,57 @@ class CoverEngine:
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
         if self.chain is None:
             self.sampler = "ring"
-            self.bias_rate = truncation_bias_rate(self.dist, target)
+            self.bias_rate = truncation_bias_rate(self.dist, target.box)
         else:
             self.sampler = "trace"
             self.bias_rate = 0.0
 
     # -- ring engine ------------------------------------------------------
 
-    def _draw_loops(self, rng, n_rows: int, t0: float, t1: float):
-        """One Poisson slab of relevant loops over [t0, t1) for n_rows
-        replicas, as (row, x, y, m, t) arrays."""
-        lam = self.class_rates * ((t1 - t0) * n_rows)
-        counts = rng.poisson(lam)
-        total = int(counts.sum())
-        if total == 0:
-            e = np.array([], dtype=np.int64)
-            return e, e, e, e, np.array([], dtype=np.float64)
-        delta = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        row = rng.integers(0, n_rows, size=total)
-        x, y = self.target.root_coords(rng, delta)
-        m = self.dist.sample_at_least(rng, delta)
-        t = t0 + (t1 - t0) * rng.random(total)
-        return row, x, y, m, t
+    def _ring_slab(self, rng, state: np.ndarray, t0: float, t1: float) -> None:
+        """Fold the relevant loops with timestamps in [t0, t1) into state, a
+        C-contiguous (rows, V) array of first-visit times, in place.
 
-    def _fold_coverage(self, rng, state, rows, x, y, m, t):
-        """Stream loop traces into per-(row, vertex) minima; state is
-        (rows, V) float64."""
-        V = self.target.size
-        order = np.argsort(m, kind="stable")
-        m_sorted = m[order]
-        bounds = np.searchsorted(m_sorted, np.arange(1, self.dist.n_trunc + 2))
+        Half-length by half-length: Poisson(rows (t1 - t0) w_m reach[m])
+        loops, each rooted on ring delta <= m with probability proportional
+        to its cell count, uniformly on it, and traced as a diagonal bridge,
+        at most _FOLD_CELLS cells at a time."""
+        rows, V = state.shape
         flat = state.reshape(-1)
-        start = 0
-        for mi in range(1, self.dist.n_trunc + 1):
-            stop = bounds[mi]
-            if stop == start:
-                continue
-            sel = order[start:stop]
-            start = stop
-            g = len(sel)
-            ds = balanced_signs(rng, g, mi).astype(np.int32)
-            dd = balanced_signs(rng, g, mi).astype(np.int32)
-            sx = (ds - dd) >> 1
-            sy = (ds + dd) >> 1
-            np.cumsum(sx, axis=1, out=sx)
-            np.cumsum(sy, axis=1, out=sy)
-            px = np.empty((g, 2 * mi), dtype=np.int64)
-            py = np.empty((g, 2 * mi), dtype=np.int64)
-            px[:, 0] = x[sel]
-            py[:, 0] = y[sel]
-            px[:, 1:] = x[sel, None] + sx[:, :-1]
-            py[:, 1:] = y[sel, None] + sy[:, :-1]
-            vi = self.target.vertex_index(px.ravel(), py.ravel())
-            hit = np.flatnonzero(vi >= 0)
-            if not len(hit):
-                continue
-            loop = sel[hit // (2 * mi)]
-            np.minimum.at(flat, rows[loop] * V + vi[hit], t[loop])
+        counts = rng.poisson((rows * (t1 - t0)) * self.dist.weights * self.reach[1:])
+        for m in (np.flatnonzero(counts) + 1).tolist():
+            left, chunk = int(counts[m - 1]), max(1, _FOLD_CELLS // (2 * m))
+            while left:
+                g = min(left, chunk)
+                left -= g
+                delta = np.searchsorted(self.reach, rng.random(g) * self.reach[m],
+                                        side="right")
+                x, y = self.target.root_coords(rng, delta)
+                row = rng.integers(0, rows, size=g)
+                t = t0 + (t1 - t0) * rng.random(g)
+                ds = balanced_signs(rng, g, m).astype(np.int32)
+                dd = balanced_signs(rng, g, m).astype(np.int32)
+                sx = (ds - dd) >> 1
+                sy = (ds + dd) >> 1
+                np.cumsum(sx, axis=1, out=sx)
+                np.cumsum(sy, axis=1, out=sy)
+                px = np.empty((g, 2 * m), dtype=np.int64)
+                py = np.empty((g, 2 * m), dtype=np.int64)
+                px[:, 0], py[:, 0] = x, y
+                px[:, 1:] = x[:, None] + sx[:, :-1]
+                py[:, 1:] = y[:, None] + sy[:, :-1]
+                vi = self.target.vertex_index(px.ravel(), py.ravel())
+                hit = np.flatnonzero(vi >= 0)
+                loop = hit // (2 * m)
+                np.minimum.at(flat, row[loop] * V + vi[hit], t[loop])
 
     # -- public sampling --------------------------------------------------
 
     def _slab(self, rng, state: np.ndarray, t0: float, t1: float) -> None:
         if self.chain is not None:
             self.chain.slab(rng, state, t0, t1)
-            return
-        rows, x, y, m, t = self._draw_loops(rng, len(state), t0, t1)
-        self._fold_coverage(rng, state, rows, x, y, m, t)
+        else:
+            self._ring_slab(rng, state, t0, t1)
 
     def _batch_size(self) -> int:
         """Replicas per batch, so that the ring engine's traced cells or the
@@ -686,15 +667,6 @@ class ExampleReport:
     @property
     def ok(self) -> bool:
         return all(v.verdict != VERDICT_FAILS for v in self.verdicts)
-
-
-def run_example_two_far(kappa: float, separation: int, replicas: int,
-                        seed: int = 1, workers: int = 1) -> ExampleReport:
-    """Two points at separation >= 10 kappa^-2: rescaled cover time vs the
-    square of the one-point law, with the analytic decoupling gap reported."""
-    if separation % 2 or separation < 10.0 / kappa ** 2:
-        raise ValueError("separation must be even and >= 10 kappa^-2")
-    return run_example_many_sep(kappa, 2, separation, replicas, seed, workers)
 
 
 def analytic_two_point_gap(kappa: float, u: float, mu: float) -> float:

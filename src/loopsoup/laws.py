@@ -140,31 +140,17 @@ def expected_uncovered(kappa: float, set_size: int, epsilon: float) -> float:
     return float(set_size) ** epsilon
 
 
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    """Policy for the thinning exponent: explicit or 1/(c * mu0)."""
-
-    derivation: str  # "explicit" | "one-over-100-mu" | "one-over-400-mu"
-    epsilon: float | None = None
-
-    def resolve(self, mu: float) -> float:
-        if self.derivation == "explicit":
-            if self.epsilon is None or not 0 < self.epsilon < 1:
-                raise ValueError("explicit epsilon must lie in (0, 1)")
-            return self.epsilon
-        if self.derivation == "one-over-100-mu":
-            return 1.0 / (100.0 * mu)
-        if self.derivation == "one-over-400-mu":
-            return 1.0 / (400.0 * mu)
-        raise ValueError(f"unknown epsilon derivation {self.derivation!r}")
-
-
-def parse_epsilon(spec: str) -> EpsilonPolicy:
+def resolve_epsilon(spec: str, mu: float) -> float:
+    """The thinning exponent: "auto100" is 1/(100 mu), "auto400" is
+    1/(400 mu), anything else an explicit value in (0, 1)."""
     if spec == "auto100":
-        return EpsilonPolicy("one-over-100-mu")
+        return 1.0 / (100.0 * mu)
     if spec == "auto400":
-        return EpsilonPolicy("one-over-400-mu")
-    return EpsilonPolicy("explicit", float(spec))
+        return 1.0 / (400.0 * mu)
+    epsilon = float(spec)
+    if not 0 < epsilon < 1:
+        raise ValueError("explicit epsilon must lie in (0, 1)")
+    return epsilon
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from .series import SeriesTruncationError, exp_tail_bound, loop_term_array
 DEFAULT_N_TRUNC_CEILING = 1 << 22
 
 
-def required_n_trunc(kappa: float, tail_tol: float,
-                     ceiling: int = DEFAULT_N_TRUNC_CEILING) -> int:
+def required_n_trunc(kappa: float, tail_tol: float) -> int:
     """Smallest N with N*kappa >= 1/2 and certified pmf tail below tail_tol.
 
     The omitted mass beyond N is at most 4 exp(-N kappa/4) / (2(N+1)).
@@ -40,9 +39,10 @@ def required_n_trunc(kappa: float, tail_tol: float,
     n = max(1, math.ceil(0.5 / kappa))
     while exp_tail_bound(kappa, n) / (2.0 * (n + 1)) > tail_tol:
         n = max(n + 1, int(n * 1.21))
-        if n > ceiling:
-            raise SeriesTruncationError(
-                f"length truncation exceeds ceiling {ceiling} at kappa={kappa:g}")
+    if n > DEFAULT_N_TRUNC_CEILING:
+        raise SeriesTruncationError(
+            f"length truncation exceeds ceiling {DEFAULT_N_TRUNC_CEILING} "
+            f"at kappa={kappa:g}")
     return n
 
 
@@ -120,19 +120,17 @@ class LengthDistribution:
     total_mass: float
     tail_mass_bound: float
     _pmf: np.ndarray = field(repr=False)
-    _cdf: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, kappa: float, tail_tol: float,
-              ceiling: int = DEFAULT_N_TRUNC_CEILING) -> "LengthDistribution":
-        n = required_n_trunc(kappa, tail_tol, ceiling)
+    def build(cls, kappa: float, tail_tol: float) -> "LengthDistribution":
+        n = required_n_trunc(kappa, tail_tol)
         t = loop_term_array(kappa, n)
         weights = t / (2.0 * np.arange(1, n + 1, dtype=np.float64))
         total = float(weights.sum())
         pmf = weights / total
         return cls(kappa=kappa, n_trunc=n, weights=weights, total_mass=total,
                    tail_mass_bound=exp_tail_bound(kappa, n) / (2.0 * (n + 1)),
-                   _pmf=pmf, _cdf=np.cumsum(pmf))
+                   _pmf=pmf)
 
     @cached_property
     def _alias(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +141,6 @@ class LengthDistribution:
         m = np.asarray(m, dtype=np.int64)
         return self._pmf[m - 1]
 
-    def mass_at_least(self, delta) -> np.ndarray:
-        """Truncated intensity of loops with half-length >= delta (0 -> all)."""
-        d = np.maximum(np.asarray(delta, dtype=np.int64), 1)
-        # reversed cumsum keeps the suffix exact (no cancellation at the tail)
-        suffix = np.cumsum(self.weights[::-1])[::-1]
-        out = np.where(d <= self.n_trunc, suffix[np.minimum(d, self.n_trunc) - 1], 0.0)
-        return out
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Alias-method draws of half-lengths, O(1) each."""
         J, q = self._alias
@@ -158,35 +148,15 @@ class LengthDistribution:
         keep = rng.random(size) < q[kk]
         return np.where(keep, kk, J[kk]) + 1
 
-    def sample_at_least(self, rng: np.random.Generator,
-                        min_half_length: np.ndarray) -> np.ndarray:
-        """Draws conditioned on half-length >= the per-draw minimum."""
-        d = np.maximum(np.asarray(min_half_length, dtype=np.int64), 1)
-        if np.any(d > self.n_trunc):
-            raise ValueError("conditional minimum exceeds truncation")
-        lo = np.concatenate(([0.0], self._cdf))[d - 1]
-        u = lo + rng.random(d.shape) * np.maximum(self._cdf[-1] - lo, 0.0)
-        m = np.searchsorted(self._cdf, u, side="right") + 1
-        return np.minimum(np.maximum(m, d), self.n_trunc)
-
-
-def length_pmf(kappa: float, tail_tol: float,
-               ceiling: int = DEFAULT_N_TRUNC_CEILING) -> LengthDistribution:
-    """The shared LengthDistribution of (kappa, tail_tol, ceiling), alias
-    table included, built once whether the ceiling is given or defaulted;
-    its arrays are read-only."""
-    return _length_law(float(kappa), float(tail_tol), int(ceiling))
-
 
 @lru_cache(maxsize=32)
-def _length_law(kappa: float, tail_tol: float, ceiling: int) -> LengthDistribution:
-    dist = LengthDistribution.build(kappa, tail_tol, ceiling)
-    for a in (dist.weights, dist._pmf, dist._cdf):
+def length_pmf(kappa: float, tail_tol: float) -> LengthDistribution:
+    """The shared LengthDistribution of (kappa, tail_tol), alias table
+    included; its arrays are read-only."""
+    dist = LengthDistribution.build(kappa, tail_tol)
+    for a in (dist.weights, dist._pmf):
         a.flags.writeable = False
     return dist
-
-
-length_pmf.cache_clear = _length_law.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +324,7 @@ def _sample_slice(seed: int, window: Box, t0: float, t1: float,
 
 
 def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
-                       time_horizon: float, tail_tol: float,
-                       ceiling: int = DEFAULT_N_TRUNC_CEILING) -> SoupSample:
+                       time_horizon: float, tail_tol: float) -> SoupSample:
     """Exact truncated soup over a window of roots up to a time horizon."""
     if time_horizon < 0:
         raise ValueError("time_horizon must be >= 0")
@@ -364,7 +333,7 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
     i32 = np.iinfo(np.int32)
     if min(window.x0, window.y0) < i32.min or max(window.x1, window.y1) > i32.max:
         raise ValueError("window coordinates must fit in int32")
-    dist = length_pmf(kappa, tail_tol, ceiling)
+    dist = length_pmf(kappa, tail_tol)
     if time_horizon == 0:
         empty = np.array([], dtype=np.int32)
         return SoupSample(kappa=kappa, window=window, time_horizon=0.0,
@@ -404,24 +373,25 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
                       steps_packed=soup.steps_packed + packed)
 
 
-def truncation_bias_rate(dist: LengthDistribution, target) -> float:
-    """Certified intensity of discarded loops that could have hit the target.
+def truncation_bias_rate(dist: LengthDistribution, box: Box) -> float:
+    """Certified intensity of discarded loops that could have hit the box.
 
-    target is any object with a vectorized ``ring_count`` (a Box or a cover
-    target).  A discarded loop has half-length m > n_trunc and reaches at
-    most m from its root, so only roots with delta(root) <= m matter.
-    Summing the tail bound ring by ring converges geometrically; the result
-    times an evaluation time u bounds any coverage-probability bias at u.
+    The ring engine draws, for each half-length m <= n_trunc, the loops
+    rooted within L1 distance m of its target's box; what it discards are
+    the loops of half-length m > n_trunc, which reach at most m from their
+    root, so only roots with delta(root) <= m matter.  Summing the tail
+    bound ring by ring converges geometrically; the result times an
+    evaluation time u bounds any coverage-probability bias at u.
     """
     n = dist.n_trunc
     kappa = dist.kappa
-    # Roots within the truncation range of the target all see the same tail.
-    inside = int(target.ring_count(np.arange(n + 1)).sum())
+    # Roots within the truncation range of the box all see the same tail.
+    inside = int(box.ring_count(np.arange(n + 1)).sum())
     rate = inside * dist.tail_mass_bound
     d = n + 1
     while True:
         # ring counts come a block at a time; terms still add ring by ring
-        for count in target.ring_count(np.arange(d, d + 1024)).tolist():
+        for count in box.ring_count(np.arange(d, d + 1024)).tolist():
             term = count * exp_tail_bound(kappa, d - 1) / (2.0 * d)
             rate += term
             if term < 1e-22 * max(rate, 1e-300):

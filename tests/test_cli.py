@@ -80,6 +80,20 @@ def test_soup_sample_csv_identical_for_same_seed(tmp_path):
     assert blobs[0] == blobs[1] and blobs[0].count(b"\n") > 1
 
 
+def test_two_far_is_many_sep_of_two(tmp_path):
+    # `example two-far` is `example many-sep --count 2` under its own
+    # artifact names
+    blobs = {}
+    for which, extra in (("two-far", []), ("many-sep", ["--count", 2])):
+        d = tmp_path / which
+        rc = _run("--seed", 4, "--out-dir", d, "example", which, "--kappa", 1.0,
+                  "--separation", 10, "--replicas", 2000, *extra)
+        blobs[which] = [rc] + [(d / f"example_{which}{suffix}").read_bytes()
+                               for suffix in (".csv", "_cover.csv", "_cover.json")]
+    assert blobs["two-far"] == blobs["many-sep"]
+    assert blobs["two-far"][0] == cli.EXIT_OK
+
+
 def test_emit_plotdata_rescales_with_sidecar(tmp_path):
     # one point: mu T is exactly Exp(1), so exp1 holds at a calibrated
     # threshold; box:4 against the Gumbel limit law of mu T - log|A|

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,17 +38,17 @@ class TestTargets:
     def test_box_ring_roundtrip(self):
         t = BoxTarget(3)
         for delta in (1, 2, 5):
-            n = t.ring_count(delta)
+            n = t.box.ring_count(delta)
             rng = np.random.default_rng(0)
             x, y = t.root_coords(rng, np.full(4 * n, delta, dtype=np.int64))
             assert set(zip(x.tolist(), y.tolist())) \
                 == set(t.box.ring_points(delta))
-            assert (t.distance(x, y) == delta).all()
+            assert (t.box.distance(x, y) == delta).all()
         # one draw over mixed rings: every cell sits on its own ring and
         # every ring is covered
-        deltas = np.repeat(np.arange(6), 40 * t.ring_count(np.arange(6)))
+        deltas = np.repeat(np.arange(6), 40 * t.box.ring_count(np.arange(6)))
         x, y = t.root_coords(np.random.default_rng(1), deltas)
-        assert (t.distance(x, y) == deltas).all()
+        assert (t.box.distance(x, y) == deltas).all()
         for delta in range(6):
             on_ring = deltas == delta
             assert set(zip(x[on_ring].tolist(), y[on_ring].tolist())) \
@@ -59,7 +63,7 @@ class TestTargets:
         for t in (single, pair):
             for delta in (1, 2, 4):
                 rng = np.random.default_rng(1)
-                n = 64 * int(t.ring_count(delta))
+                n = 64 * int(t.box.ring_count(delta))
                 x, y = t.root_coords(rng, np.full(n, delta, dtype=np.int64))
                 assert set(zip(x.tolist(), y.tolist())) == set(t.box.ring_points(delta))
         for delta in (1, 2, 4):
@@ -369,9 +373,51 @@ class TestSlabSchedule:
         assert sum(cells) / 512 < 0.7 * e.cell_rate * 2.0 * e.u_star
 
 
+class TestRingSlab:
+    """The ring engine's slab, drawn one half-length at a time."""
+
+    @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(3,1)"])
+    def test_cell_rate_counts_cells(self, monkeypatch, spec):
+        # cell_rate, summed by half-length, is the ring-class sum
+        # sum_delta R(delta) 2 sum_{m >= max(delta, 1)} m w_m regrouped, and
+        # the exact mean number of traced cells per unit time and replica
+        e = CoverEngine(0.5, make_target(spec), sampler="ring")
+        d = e.dist
+        m = np.arange(1, d.n_trunc + 1)
+        suffix = np.cumsum((m * d.weights)[::-1])[::-1]
+        delta = np.arange(d.n_trunc + 1)
+        by_ring = (e.target.box.ring_count(delta) * 2.0
+                   * suffix[np.maximum(delta, 1) - 1]).sum()
+        assert abs(e.cell_rate - by_ring) <= 1e-12 * by_ring
+        cells = []
+        index = e.target.vertex_index
+        monkeypatch.setattr(e.target, "vertex_index",
+                            lambda x, y: cells.append(len(x)) or index(x, y))
+        rng = np.random.default_rng(61)
+        rows, dt, per_slab = 16, 0.5, []
+        for _ in range(400):
+            cells.clear()
+            e._ring_slab(rng, np.full((rows, e.target.size), np.inf), 0.0, dt)
+            per_slab.append(sum(cells))
+        per_slab = np.asarray(per_slab, dtype=np.float64)
+        se = per_slab.std(ddof=1) / math.sqrt(len(per_slab))
+        assert abs(per_slab.mean() - e.cell_rate * dt * rows) <= 5 * se
+
+    def test_ring_slab_peak_memory(self):
+        # a full batch of 4,094 replicas at box:16, kappa = 0.5: holding the
+        # first slab's 3.7M loops whole peaked near 611 MB
+        code = ("import resource; from loopsoup.cover import BoxTarget, CoverEngine; "
+                "s = CoverEngine(0.5, BoxTarget(16)).ensemble(7, 4094); "
+                "print(s.sampler, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cover.__file__).parent.parent),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[0] == "ring" and int(out[1]) / 1024 < 300
+
+
 def test_engine_and_soups_share_the_length_law(monkeypatch):
-    # one build of the (kappa, tail_tol) law, whether the ceiling is given
-    # or defaulted, for the engine and for soups
+    # one build of the (kappa, tail_tol) law, for the engine and for soups
     sampler.length_pmf.cache_clear()
     calls = []
     build = sampler.LengthDistribution.build
@@ -380,7 +426,7 @@ def test_engine_and_soups_share_the_length_law(monkeypatch):
     engine = CoverEngine(2.5, PointsTarget([(0, 0), (2, 0)]), sampler="ring")
     soup = sampler.sample_window_soup(3, 2.5, Box(0, 0, 3, 3), 1.0, cover.TAIL_TOL)
     sampler.extend_soup(soup, 1.0)
-    law = sampler.length_pmf(2.5, cover.TAIL_TOL, sampler.DEFAULT_N_TRUNC_CEILING)
+    law = sampler.length_pmf(2.5, cover.TAIL_TOL)
     assert len(calls) == 1 and engine.dist is law
 
 
@@ -423,12 +469,12 @@ class TestDeterminismAndGuards:
 class TestExamples:
     def test_two_far_rejects_bad_separation(self):
         with pytest.raises(ValueError):
-            cover.run_example_two_far(1.0, 9, 100)   # odd
+            cover.run_example_many_sep(1.0, 2, 9, 100)   # odd
         with pytest.raises(ValueError):
-            cover.run_example_two_far(1.0, 8, 100)   # < 10 kappa^-2
+            cover.run_example_many_sep(1.0, 2, 8, 100)   # < 10 kappa^-2
 
     def test_two_far_small_run(self):
-        rep = cover.run_example_two_far(1.0, 10, 4000, seed=2)
+        rep = cover.run_example_many_sep(1.0, 2, 10, 4000, seed=2)
         assert rep.ok
         assert rep.details["analytic_gap"] > 0
 

@@ -46,6 +46,24 @@ def test_every_module_level_definition_is_referenced():
     assert not unreferenced, unreferenced
 
 
+def test_every_stored_attribute_is_read():
+    # an attribute a class of the package stores on self that no source,
+    # test or benchmark file reads is dead state
+    repo = Path(__file__).resolve().parent.parent
+    files = [*MODULES, *(repo / "tests").glob("*.py"), *(repo / "bench").glob("*.py")]
+    read = {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{node.lineno} {cls.name}.{node.attr}"
+              for path in MODULES
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef)
+              for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"
+              and node.attr not in read]
+    assert not unread, unread
+
+
 def test_import_does_not_load_quadrature_package():
     # scipy.integrate costs more than the rest of `import loopsoup` together
     env = dict(os.environ, PYTHONPATH=str(Path(loopsoup.__file__).parent.parent))

@@ -161,9 +161,12 @@ class TestUStarAndExpectations:
 
     def test_epsilon_policy(self):
         mu = 0.5
-        assert laws.parse_epsilon("auto100").resolve(mu) == pytest.approx(0.02)
-        assert laws.parse_epsilon("auto400").resolve(mu) == pytest.approx(0.005)
-        assert laws.parse_epsilon("0.25").resolve(mu) == 0.25
+        assert laws.resolve_epsilon("auto100", mu) == pytest.approx(0.02)
+        assert laws.resolve_epsilon("auto400", mu) == pytest.approx(0.005)
+        assert laws.resolve_epsilon("0.25", mu) == 0.25
+        for bad in ("1.5", "0", "nan", "auto"):
+            with pytest.raises(ValueError):
+                laws.resolve_epsilon(bad, mu)
 
 
 class TestPairBound:

@@ -45,15 +45,10 @@ class TestLengthDistribution:
 
     def test_truncation_ceiling(self):
         with pytest.raises(SeriesTruncationError):
-            sampler.length_pmf(1e-7, 1e-12, ceiling=1000)
-
-    def test_mass_at_least_suffix(self):
-        d = sampler.length_pmf(0.5, 1e-6)
-        m = d.mass_at_least(np.array([0, 1, 2, d.n_trunc, d.n_trunc + 5]))
-        assert m[0] == m[1] == pytest.approx(d.total_mass)
-        assert m[2] == pytest.approx(d.total_mass - d.weights[0])
-        assert m[3] == pytest.approx(d.weights[-1])
-        assert m[4] == 0.0
+            sampler.length_pmf(1e-7, 1e-12)
+        # N kappa >= 1/2 alone asks for 5,000,000 > 2^22 half-lengths
+        with pytest.raises(SeriesTruncationError):
+            sampler.required_n_trunc(1e-7, 1e-6)
 
     def test_alias_draws_match_pmf(self, rng):
         d = sampler.length_pmf(0.5, 1e-8)
@@ -83,12 +78,6 @@ class TestLengthDistribution:
         pmf = sampler.length_pmf(0.01, 1e-10)._pmf      # 6,817 columns
         for got, want in zip(sampler._alias_setup(pmf), _walker_alias(pmf)):
             assert np.array_equal(got, want)
-
-    def test_conditional_draws_respect_floor(self, rng):
-        d = sampler.length_pmf(0.5, 1e-8)
-        floor = rng.integers(1, 20, size=5000)
-        draws = d.sample_at_least(rng, floor)
-        assert (draws >= floor).all()
 
 
 class TestBridges:
