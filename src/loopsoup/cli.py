@@ -6,10 +6,12 @@ emit-plotdata.  Global flags --seed/--workers/--out-dir/--quick default to
 LOOPSOUP_SEED/LOOPSOUP_WORKERS/LOOPSOUP_OUT_DIR/LOOPSOUP_QUICK from the
 environment, else to the same keys of an optional flat key=value config
 file (--config), and a flag on the command line overrides both; quick takes
-1/0, true/false or yes/no.  Option
-values may start with "-" (--window -3,-3,3,3).  Exit codes: 0 ok,
-1 asserted check failed, 2 config error, 3 resource ceiling (a length law
-or walk series past its truncation ceiling, a cover run past its work guard).
+1/0, true/false or yes/no.  Option values may start with "-" (--window
+-3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
+(arguments, config file, environment, set or epsilon spec), 3 resource
+ceiling (a length law or walk series past its truncation ceiling, a cover
+run past its work guard), 4 any other error (a value outside a function's
+domain, or a fault in the program), printed as "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CEILING = 3
+EXIT_ERROR = 4
 
 ENV_PREFIX = "LOOPSOUP_"
 
@@ -59,10 +62,8 @@ def _parse_point(text: str):
 
 
 def _parse_floats(text: str):
-    try:
-        return [float(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+    return _parse_spec(lambda t: [float(v) for v in t.split(",") if v], text,
+                       what="numeric list")
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
@@ -77,16 +78,23 @@ def _parse_bool(text: str) -> bool:
                           f"or yes/no") from None
 
 
-def _parse_ints(text: str):
+def _parse_spec(parse, text: str, *rest, what: str = ""):
+    """parse(text, *rest), with a ValueError or OSError as a ConfigError."""
     try:
-        return [int(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        return parse(text, *rest)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {text!r}" if what else str(exc)) from exc
+
+
+def _parse_ints(text: str):
+    return _parse_spec(lambda t: [int(v) for v in t.split(",") if v], text,
+                       what="integer list")
 
 
 def load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    text = _parse_spec(lambda p: Path(p).read_text(), path)
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -184,7 +192,8 @@ def cmd_laws_pair(args) -> int:
 
 
 def cmd_laws_second_moment(args) -> int:
-    eps = laws.resolve_epsilon(args.epsilon, greens.mu_gamma_o(args.kappa).value)
+    eps = _parse_spec(laws.resolve_epsilon, args.epsilon,
+                      greens.mu_gamma_o(args.kappa).value)
     report = laws.second_moment_report(args.kappa, laws.box_set(args.box), eps)
     _emit_verdicts(args, report.verdicts, "second_moment.csv")
     counts = ",".join(f"{k}={v}" for k, v in report.class_pair_counts.items())
@@ -236,7 +245,7 @@ def _ensemble_artifacts(args, sample: cover.CoverTimeSample, name: str,
 
 
 def cmd_covertime(args) -> int:
-    target = make_target(args.set)
+    target = _parse_spec(make_target, args.set)
     sample = cover_time_ensemble(args.seed, args.kappa, target, args.replicas,
                                  workers=args.workers, work_guard=args.work_guard)
     _ensemble_artifacts(args, sample, "covertime", [])
@@ -255,12 +264,10 @@ def cmd_example(args) -> int:
         grid = _parse_floats(args.kappa_grid)
         rep = cover.run_example_neighbors(grid, args.replicas, args.seed,
                                           args.workers)
-    elif args.which == "many-sep":
+    else:   # many-sep; argparse restricts the choices
         rep = cover.run_example_many_sep(args.kappa, args.count,
                                          args.separation, args.replicas,
                                          args.seed, args.workers)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown example {args.which}")
     _emit_verdicts(args, rep.verdicts, f"example_{args.which}.csv")
     for key, sample in rep.ensembles.items():
         _ensemble_artifacts(args, sample, f"example_{args.which}_{key}",
@@ -557,16 +564,20 @@ def main(argv=None) -> int:
         pre, _ = parser.parse_known_args(argv)
         defaults = effective_defaults(pre.config)
         flat = {"seed": int, "workers": int, "out-dir": str, "quick": _parse_bool}
-        parser.set_defaults(**{key.replace("-", "_"): cast(defaults[key])
-                               for key, cast in flat.items() if key in defaults})
+        parser.set_defaults(**{
+            key.replace("-", "_"): _parse_spec(cast, defaults[key])
+            for key, cast in flat.items() if key in defaults})
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResourceCeilingError, SeriesTruncationError) as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_CEILING
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,9 +12,9 @@ is exact.
 
 The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
-loops and fields*), decomposed by each loop's lowest vertex in A's order
-through the Cholesky pivots of G_A.  It needs no truncation, so its
-``truncation_bias_rate`` is 0.
+loops and fields*), decomposed by each loop's lowest vertex in a
+coarse-to-fine order of A through the Cholesky pivots of G_A.  It needs no
+truncation, so its ``truncation_bias_rate`` is 0.
 
 The ring engine samples the loops of the truncated soup that are able to
 touch the target's bounding box: a loop of half-length m reaches at most m
@@ -34,11 +34,10 @@ error.
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller work
 per unit time: the ring engine's expected traced cells (``cell_rate``)
 against the trace chain's expected steps (``step_rate``), both times the
-first horizon.  step_rate is at least |A|, so where cell_rate is not
-above |A| the ring engine is taken without factoring G_A.  Sets whose
+first horizon.  step_rate >= |A| (G(o) - 1/2), and where cell_rate is
+not above that the ring engine is taken without factoring G_A.  Sets whose
 trace setup (G_A and the alias tables, ``trace_setup_bytes``, which counts
-|A| only) would exceed TRACE_SETUP_BYTES keep the ring engine, which needs
-neither.
+|A| only) would exceed TRACE_SETUP_BYTES keep the ring engine.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -186,6 +185,7 @@ class PointsTarget(Target):
 def make_target(spec: str):
     """Parse `box:<n>`, `points:(x,y);(x,y);...`, or `line:<k>x<sep>`."""
     kind, _, rest = spec.partition(":")
+    cause = None
     try:
         if kind == "box":
             return BoxTarget(int(rest))
@@ -202,12 +202,9 @@ def make_target(spec: str):
             k, sep = rest.split("x")
             return PointsTarget([(i * int(sep), 0) for i in range(int(k))])
     except (ValueError, TypeError) as exc:
-        raise ValueError(
-            f"bad set spec {spec!r}; grammar: box:<n> | "
-            f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>") from exc
-    raise ValueError(
-        f"bad set spec {spec!r}; grammar: box:<n> | "
-        f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>")
+        cause = exc
+    raise ValueError(f"bad set spec {spec!r}; grammar: box:<n> | "
+                     f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>") from cause
 
 
 # ---------------------------------------------------------------------------
@@ -315,53 +312,69 @@ def trace_setup_bytes(size: int) -> int:
     return 42 * size * (size + 1) + (4 << 20)
 
 
+def coarse_to_fine(points: np.ndarray) -> np.ndarray:
+    """The trace chain's order of (n, 2) points: coarsest dyadic level of
+    the offset (dx, dy) from the bounding box's corner (trailing zeros of
+    dx | dy) first, then bit-reversed dx, then dy; it is translation-free."""
+    d = (points - points.min(axis=0)).T
+    v = np.stack([d[1], d[0], (d[0] | d[1]) & -(d[0] | d[1])])
+    rev = np.zeros_like(v)
+    for _ in range(int(v.max()).bit_length()):   # any common width orders alike
+        rev, v = rev << 1 | v & 1, v >> 1
+    return np.lexsort(rev)   # the last key, the level, first; then dx, dy
+
+
 class TraceChain:
     """The soup's trace on A as the loop soup of the chain Q = I - G_A^{-1}.
 
-    A is taken in its target's vertex order x_1..x_n and G_A = C C^T.  The
-    pivot g_j = C_jj^2 is the Green's function at x_j of Q killed on
+    A is taken in the order x_1..x_n of ``coarse_to_fine`` and G_A = C C^T.
+    The pivot g_j = C_jj^2 is the Green's function at x_j of Q killed on
     x_{<j}, and the loops whose lowest vertex is x_j have mass log g_j (so
     sum_j log g_j = log det G_A).  Per unit time and replica they number
     Poisson(log g_j); each is logseries(1 - 1/g_j) excursions of Q from x_j
     that return to x_j.  An excursion is drawn by rejection: an attempt
     that steps into x_{<j} or into Q's killing deficit is discarded with
     its visits and restarted from x_j.  Root j makes g_j attempts per unit
-    time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate =
-    sum_j C_jj sum_{l>=j} C_lj is the exact expected number of steps per
-    unit time, rejected attempts included.  Steps are drawn from per-row
-    alias tables over the n vertices and the killing deficit.
+    time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate, the sum of
+    C_jj sum_{l>=j} C_lj over roots with g_j > 1, is the exact mean number
+    of steps per unit time with rejections (box:16, kappa = 0.01: 1,735,
+    and 2,734 in raster order).  g_j = 1 iff x_j's four neighbours precede
+    it, else g_j >= 1 + (4+kappa)^-2, so pivots nearer 1 are set to 1.  The
+    alias tables' row and column v are vertex v = 1..n and column 0 is the
+    killing deficit: a step from root j fails iff it lands below j.
     """
 
-    def __init__(self, g: np.ndarray):
+    def __init__(self, g: np.ndarray, kappa: float):
         c = np.linalg.cholesky(g)
         pivot = np.diagonal(c)
-        self.log_g = 2.0 * np.log(pivot)
-        self.p_return = 1.0 - 1.0 / pivot ** 2
-        self.step_rate = float((pivot * c.sum(axis=0)).sum())
+        gj = np.where(pivot ** 2 < 1.0 + 0.5 / (4.0 + kappa) ** 2, 1.0, pivot ** 2)
+        self.log_g = np.log(gj)
+        self.p_return = 1.0 - 1.0 / gj
+        self.step_rate = float((pivot * c.sum(axis=0))[gj > 1.0].sum())
 
     def build_tables(self, g: np.ndarray) -> None:
-        """Alias tables of Q's rows plus the killing deficit as column n.
+        """Alias tables of Q's rows, with the killing deficit as column 0.
 
-        Q = I - G_A^{-1} and the deficit are written into one (n, n + 1)
+        Q = I - G_A^{-1} and the deficit are written into one (n + 1, n + 1)
         table, which the alias construction then scales in place; the
         setup's peak is numpy's inversion of G_A.  Rounding leaves entries
         of about -1e-15 where Q is ~0; they are clamped to 0 and their mass
         per row is kept in ``clamped``."""
         n = len(g)
-        table = np.empty((n, n + 1))
-        q = table[:, :n]
+        table = np.zeros((n + 1, n + 1))
+        q = table[1:, 1:]
         np.negative(np.linalg.inv(g), out=q)
         q[np.diag_indices(n)] += 1.0
         self.clamped = -np.minimum(q, 0.0).sum(axis=1)
         np.maximum(q, 0.0, out=q)
-        table[:, n] = np.maximum(1.0 - q.sum(axis=1), 0.0)
+        table[1:, 0] = np.maximum(1.0 - q.sum(axis=1), 0.0)
         alias, keep = _alias_setup(table, overwrite=True)
         self._alias, self._keep = alias.ravel(), keep.ravel()
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
         """Fold the loops with timestamps in [t0, t1) into state, a
-        C-contiguous (rows, n) array of first-visit times, in place; returns
-        the number of chain steps."""
+        C-contiguous (rows, n) array of first-visit times in the chain's
+        vertex order, in place; returns the number of chain steps."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
@@ -372,34 +385,36 @@ class TraceChain:
         np.minimum.at(flat, cell, t)
         root = cell % n
         loop = np.repeat(np.arange(len(cell)), rng.logseries(self.p_return[root]))
-        base, when, lo = (cell - root)[loop], t[loop], root[loop]
+        # per excursion: the state offset of vertex v is base + v
+        base, when, lo = (cell - root - 1)[loop], t[loop], root[loop] + 1
         attempt = np.zeros(len(loop), dtype=np.int64)
-        walker, cur = np.arange(len(loop)), lo.copy()
-        log: list[tuple] = []   # (walker, vertex, attempt) of visits past the root
+        walker, wlo, off = np.arange(len(loop)), lo, lo * (n + 1)
+        log: list[tuple] = []   # (walker, next vertex, attempt) of every step
         logged, budget, steps = 0, _VISIT_BUDGET, 0
         while len(walker):
             steps += len(walker)
             u = rng.random(len(walker)) * (n + 1)
             col = u.astype(np.intp)
-            at = cur * (n + 1) + col
+            at = off + col
             nxt = np.where(u - col < self._keep[at], col, self._alias[at])
-            fail = (nxt < lo) | (nxt == n)
-            on = (nxt > lo) & (nxt < n)
-            w = walker[on]
-            log.append((w, nxt[on], attempt[w]))
-            logged += len(w)
+            log.append((walker, nxt, attempt[walker]))
+            logged += len(walker)
+            fail = nxt < wlo
             attempt[walker[fail]] += 1
-            live = nxt != lo
-            walker, lo, cur = walker[live], lo[live], np.where(fail, lo, nxt)[live]
+            live = nxt != wlo
+            off = np.where(fail, wlo, nxt)[live] * (n + 1)
+            walker, wlo = walker[live], wlo[live]
             if logged > budget or not len(walker):
-                # fold the visits of finished excursions; drop those of
-                # rejected attempts and those that come after the vertex's
-                # first visit so far; keep the rest of those under way
+                # fold the visits (steps past the root in the last attempt)
+                # of finished excursions, less those after the vertex's first
+                # visit so far; keep the rest of those under way
                 w, v, a = (np.concatenate(x) for x in zip(*log))
+                ok = (v > lo[w]) & (a == attempt[w])
+                w, v, a = w[ok], v[ok], a[ok]
+                at = base[w] + v
+                ok = when[w] < flat[at]
                 going = np.zeros(len(loop), dtype=bool)
                 going[walker] = True
-                at = base[w] + v
-                ok = (a == attempt[w]) & (when[w] < flat[at])
                 done = ok & ~going[w]
                 np.minimum.at(flat, at[done], when[w[done]])
                 ok &= going[w]
@@ -419,8 +434,7 @@ class CoverEngine:
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
             raise ValueError(f"unknown sampler {sampler!r}")
-        self.kappa = kappa
-        self.target = target
+        self.kappa, self.target = kappa, target
         self.dist = length_pmf(kappa, TAIL_TOL)
         self.mu = mu_gamma_o(kappa).value
         n = self.dist.n_trunc
@@ -438,13 +452,16 @@ class CoverEngine:
             self.u_star = None
             self.horizon0 = 1.0 / self.mu
         self.chain, self.step_rate = None, math.inf
-        # every pivot g_j >= 1, so step_rate >= |A|: where cell_rate <= |A|
-        # the ring engine wins without factoring G_A
-        if sampler == "trace" or (sampler is None and target.size < self.cell_rate):
+        # step_rate >= tr(G_A) - |A|, the loops' visits, plus one rejected
+        # attempt per unit time at each root with g_j > 1, at least half of
+        # the roots: below that floor the ring engine wins without G_A
+        self.step_floor = target.size * (math.exp(self.mu) - 0.5)
+        if sampler == "trace" or (sampler is None and self.step_floor < self.cell_rate):
             need = trace_setup_bytes(target.size)
             if need <= TRACE_SETUP_BYTES:
-                g = green_matrix(kappa, target.points())
-                chain = TraceChain(g)
+                order = coarse_to_fine(np.asarray(target.points(), dtype=np.int64))
+                g = green_matrix(kappa, target.points())[np.ix_(order, order)]
+                chain = TraceChain(g, kappa)
                 self.step_rate = chain.step_rate
                 if sampler == "trace" or chain.step_rate < self.cell_rate:
                     chain.build_tables(g)
@@ -452,12 +469,9 @@ class CoverEngine:
             elif sampler == "trace":
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
-        if self.chain is None:
-            self.sampler = "ring"
-            self.bias_rate = truncation_bias_rate(self.dist, target.box)
-        else:
-            self.sampler = "trace"
-            self.bias_rate = 0.0
+        self.sampler = "ring" if self.chain is None else "trace"
+        self.bias_rate = (truncation_bias_rate(self.dist, target.box)
+                          if self.chain is None else 0.0)
 
     # -- ring engine ------------------------------------------------------
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from loopsoup import cli
 from loopsoup.cover import calibrated_ks_threshold
@@ -182,3 +186,30 @@ def test_bad_quick_value_is_config_error(tmp_path, monkeypatch, capsys):
     cfg.write_text("quick = 2\n")
     assert _run("--config", cfg, "greens", "--kappa", 0.5) == cli.EXIT_CONFIG
     assert "'2'" in capsys.readouterr().err
+
+
+def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, capsys):
+    # a ValueError raised by a subcommand's computation is no config error
+    def fail(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli, "cover_time_ensemble", fail)
+    assert _run("covertime", "--set", "box:2", "--kappa", 0.5,
+                "--replicas", 4) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.strip() == "error: ValueError: injected"
+    # bad set and epsilon specs, flag defaults and config files still are
+    for argv in (("covertime", "--set", "box:x", "--kappa", 0.5, "--replicas", 4),
+                 ("laws", "second-moment", "--kappa", 0.5, "--box", 2,
+                  "--epsilon", "2"),
+                 ("--config", tmp_path / "missing.cfg", "greens", "--kappa", 0.5)):
+        assert _run(*argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+    monkeypatch.setenv("LOOPSOUP_SEED", "seven")
+    assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+
+
+def test_python_m_loopsoup():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "loopsoup", "--help"], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.startswith("usage: loopsoup")

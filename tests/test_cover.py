@@ -252,14 +252,52 @@ class TestTraceChain:
 
     def test_step_rate_counts_steps(self):
         # step_rate is the exact mean number of chain steps per unit time
-        # (summing C's rows instead of its columns is 9% off here, 15 se)
-        engine = CoverEngine(0.01, BoxTarget(3))
-        assert engine.sampler == "trace"
-        rng = np.random.default_rng(23)
-        steps = np.array([engine.chain.slab(rng, np.full((64, 9), np.inf), 0.0, 1.0)
-                          for _ in range(300)], dtype=np.float64)
-        se = steps.std(ddof=1) / math.sqrt(len(steps))
-        assert abs(steps.mean() - 64 * engine.step_rate) <= 5 * se
+        # (summing C's rows instead of its columns is 9% off at box:3, 15
+        # se); box:8 has nine roots whose pivot is exactly 1, which draw no
+        # loops (counting one step per unit time for each is 11 se off)
+        for side, kappa, seed in ((3, 0.01, 23), (8, 0.05, 24)):
+            engine = CoverEngine(kappa, BoxTarget(side))
+            assert engine.sampler == "trace"
+            rng = np.random.default_rng(seed)
+            steps = np.array([engine.chain.slab(rng, np.full((64, side * side), np.inf),
+                                                0.0, 1.0)
+                              for _ in range(300)], dtype=np.float64)
+            se = steps.std(ddof=1) / math.sqrt(len(steps))
+            assert abs(steps.mean() - 64 * engine.step_rate) <= 5 * se
+
+    def test_coarse_to_fine_order_cuts_steps(self):
+        # the target's raster order leaves each root more lower neighbours,
+        # into which its attempts are rejected
+        target = BoxTarget(16)
+        raster = cover.TraceChain(laws.green_matrix(0.01, target.points()), 0.01)
+        assert CoverEngine(0.01, target).step_rate <= 0.7 * raster.step_rate
+
+    def test_coarse_to_fine_order(self):
+        pts = np.array(BoxTarget(4).points())
+        assert pts[cover.coarse_to_fine(pts)][:4].tolist() == [[0, 0], [0, 2],
+                                                               [2, 0], [2, 2]]
+        sparse = np.array(make_target("points:(0,0);(3,1);(2,5);(6,4);(1,1)").points())
+        for p in (pts, sparse):
+            order = cover.coarse_to_fine(p)
+            assert sorted(order.tolist()) == list(range(len(p)))
+            for shift in ((7, -3), (-(1 << 30), (1 << 30) - 6)):
+                assert (cover.coarse_to_fine(p + shift) == order).all()
+
+    def test_pivots_of_one(self):
+        # the centre of a 3x3 box comes after its four neighbours, so its
+        # pivot is exactly 1; rounded below 1 it would give rng.poisson a
+        # negative mean
+        spec = "points:(0,0);(0,1);(0,2);(1,0);(1,2);(2,0);(2,1);(2,2);(1,1)"
+        kappa, target = 1e-3, make_target(spec)
+        e = CoverEngine(kappa, target)
+        assert e.sampler == "trace" and (e.chain.log_g == 0.0).sum() == 1
+        s = e.ensemble(25, 20_000)
+        law = laws.cover_law(kappa, target.points())
+        for u in (1.0, 2.0, 4.0):
+            assert law.rounding_bound(u) <= 1e-9
+            p = float(law(u))
+            se = math.sqrt(p * (1 - p) / s.values.count)
+            assert abs(s.values.cdf(u) - p) <= 3 * se
 
     def test_dispatch_by_work_estimate(self):
         for spec, kappa, chosen in (("box:16", 0.5, "ring"), ("box:16", 0.1, "ring"),
@@ -268,9 +306,13 @@ class TestTraceChain:
             e = CoverEngine(kappa, make_target(spec))
             assert e.sampler == chosen
             assert (e.step_rate < e.cell_rate) == (chosen == "trace")
-            # the skip rule rests on step_rate >= |A| (every pivot is >= 1)
+            # the skip rule rests on step_rate >= step_floor
             forced = CoverEngine(kappa, e.target, sampler="trace")
-            assert forced.step_rate >= e.target.size
+            assert forced.step_rate >= forced.step_floor
+        # roots with pivot 1 take no steps, so step_rate can fall below |A|
+        # (box:8, kappa = 100: 56 against 64), not below step_floor
+        e = CoverEngine(100.0, BoxTarget(8), sampler="trace")
+        assert e.step_floor <= e.step_rate < e.target.size
 
     def test_setup_budget_edge(self, monkeypatch):
         # a set whose trace setup just fits takes the chain; one byte less
@@ -290,7 +332,7 @@ class TestTraceChain:
     def test_sets_over_budget_keep_the_ring_engine(self, monkeypatch, kappa, target):
         monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
         e = CoverEngine(kappa, target)
-        assert target.size < e.cell_rate   # only the budget keeps the ring
+        assert e.step_floor < e.cell_rate   # only the budget keeps the ring
         assert e.sampler == "ring" and e.step_rate == math.inf
         with pytest.raises(ResourceCeilingError):
             CoverEngine(kappa, target, sampler="trace")
