@@ -33,8 +33,7 @@ import numpy as np
 
 from . import cover, greens, laws, sampler, walks
 from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
-                    calibrated_ks_threshold, cover_time_ensemble, ks_distance,
-                    make_target)
+                    cover_time_ensemble, ks_distance, ks_threshold, make_target)
 from .lattice import STEP_DX, STEP_DY, Box
 from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
@@ -61,11 +60,6 @@ def _parse_point(text: str):
         raise ConfigError(f"bad point {text!r}; expected i,j") from exc
 
 
-def _parse_floats(text: str):
-    return _parse_spec(lambda t: [float(v) for v in t.split(",") if v], text,
-                       what="numeric list")
-
-
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
@@ -79,16 +73,35 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_spec(parse, text: str, *rest, what: str = ""):
-    """parse(text, *rest), with a ValueError or OSError as a ConfigError."""
+    """parse(text, *rest), with a ValueError, OSError or argparse type error
+    as a ConfigError; `what` names the value in the message."""
     try:
         return parse(text, *rest)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad {what} {text!r}" if what else str(exc)) from exc
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
-def _parse_ints(text: str):
-    return _parse_spec(lambda t: [int(v) for v in t.split(",") if v], text,
-                       what="integer list")
+def _number(cast, low: float, strict: bool = False):
+    """An argparse type: a finite cast(text) that is >= low, or > low if
+    strict; anything else is a parse error naming the flag."""
+    def number(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"expected {cast.__name__} {'>' if strict else '>='} {low:g}, "
+                f"got {text!r}")
+        return value
+    return number
+
+
+def _listed(item):
+    """An argparse type: a nonempty comma list of item(text) values."""
+    def comma_list(text: str):
+        values = [item(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError(text)
+        return values
+    return comma_list
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -143,7 +156,7 @@ def _exit_from(verdicts) -> int:
 def cmd_greens(args) -> int:
     rows = []
     x = _parse_point(args.x)
-    for kappa in _parse_floats(args.kappa):
+    for kappa in args.kappa:
         value, err = greens.greens_value(kappa, x)
         rows.append(["greens", kappa, x[0], x[1], value, err])
         mu = greens.mu_gamma_o(kappa)
@@ -159,8 +172,7 @@ def cmd_greens(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    grid = _parse_floats(args.kappa_grid)
-    verdicts = greens.check_green_bounds(grid, args.radius)
+    verdicts = greens.check_green_bounds(args.kappa_grid, args.radius)
     _emit_verdicts(args, verdicts)
     return _exit_from(verdicts)
 
@@ -175,7 +187,7 @@ def cmd_verify_appendix(args) -> int:
 def cmd_laws_pair(args) -> int:
     x = _parse_point(args.x)
     rows = []
-    for kappa in _parse_floats(args.kappa):
+    for kappa in args.kappa:
         point = laws.prob_uncovered(kappa, [(0, 0)], args.u)
         pair = laws.prob_uncovered(kappa, [(0, 0), x], args.u)
         nosh = laws.prob_no_shared_loop(kappa, x, args.u)
@@ -202,10 +214,9 @@ def cmd_laws_second_moment(args) -> int:
 
 
 def cmd_soup_sample(args) -> int:
-    win = _parse_ints(args.window)
-    if len(win) != 4:
+    if len(args.window) != 4:
         raise ConfigError("--window expects x0,y0,x1,y1")
-    soup = sampler.sample_window_soup(args.seed, args.kappa, Box(*win),
+    soup = sampler.sample_window_soup(args.seed, args.kappa, Box(*args.window),
                                       args.horizon, args.tail_tol)
     header = ["replica", "root_x", "root_y", "half_length", "timestamp", "steps"]
     rows = [[0, int(soup.root_x[i]), int(soup.root_y[i]),
@@ -261,9 +272,8 @@ def cmd_example(args) -> int:
         rep = cover.run_example_many_sep(args.kappa, 2, args.separation,
                                          args.replicas, args.seed, args.workers)
     elif args.which == "neighbors":
-        grid = _parse_floats(args.kappa_grid)
-        rep = cover.run_example_neighbors(grid, args.replicas, args.seed,
-                                          args.workers)
+        rep = cover.run_example_neighbors(args.kappa_grid, args.replicas,
+                                          args.seed, args.workers)
     else:   # many-sep; argparse restricts the choices
         rep = cover.run_example_many_sep(args.kappa, args.count,
                                          args.separation, args.replicas,
@@ -276,7 +286,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_gumbel_scan(args) -> int:
-    rep = cover.run_gumbel_scan(args.kappa, _parse_ints(args.boxes),
+    rep = cover.run_gumbel_scan(args.kappa, args.boxes,
                                 args.replicas, args.seed, args.workers,
                                 work_guard=args.work_guard)
     _emit_verdicts(args, rep.verdicts, "gumbel_scan.csv")
@@ -387,12 +397,12 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     verdicts.append(verdict("pair-identity-chain", "pair-avoidance-identity",
                             "kappa in {1,0.25}", float(idok), 1.0, idok))
 
-    # One-point law via Monte Carlo at a calibrated threshold.
+    # One-point law via Monte Carlo at the KS distance's 0.999 quantile.
     replicas = 10_000 if quick else 100_000
     sample = cover_time_ensemble(args.seed, 0.25, PointsTarget([(0, 0)]),
                                  replicas, workers=args.workers)
     d = ks_distance(sample.scaled(), laws.one_point_law)
-    thr = calibrated_ks_threshold(replicas) + sample.truncation_bias_bound
+    thr = ks_threshold(replicas) + sample.truncation_bias_bound
     verdicts.append(verdict("one-point-exponential-law", "one-point-law",
                             f"kappa=0.25,replicas={replicas},seed={args.seed}",
                             d, thr, d <= thr))
@@ -401,7 +411,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     pts, replicas = [(0, 0), (1, 0), (0, 2)], 10_000 if quick else 40_000
     sample = cover_time_ensemble(args.seed, 0.5, pts, replicas, workers=args.workers)
     d = ks_distance(sample.values, laws.cover_law(0.5, pts))
-    thr = calibrated_ks_threshold(replicas) + sample.truncation_bias_bound
+    thr = ks_threshold(replicas) + sample.truncation_bias_bound
     verdicts.append(verdict("cover-determinant-law", "determinant-law",
                             f"kappa=0.5,set={sample.target_label},replicas={replicas},"
                             f"seed={args.seed}", d, thr, d <= thr))
@@ -455,26 +465,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="loopsoup",
         description="Simulation and numerical verification lab for the "
                     "two-dimensional killed-random-walk loop soup.")
+    count, positive = _number(int, 1), _number(float, 0.0, strict=True)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=count, default=1)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--quick", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("greens", help="evaluate G at a point")
-    g.add_argument("--kappa", required=True, help="kappa or comma list")
+    g.add_argument("--kappa", type=_listed(positive), required=True,
+                   help="kappa or comma list")
     g.add_argument("--x", default="0,0")
     g.set_defaults(func=cmd_greens)
 
     v = sub.add_parser("verify", help="verification suites")
     vs = v.add_subparsers(dest="what", required=True)
     vb = vs.add_parser("bounds")
-    vb.add_argument("--kappa-grid", required=True)
-    vb.add_argument("--radius", type=int, default=20)
+    vb.add_argument("--kappa-grid", type=_listed(positive), required=True)
+    vb.add_argument("--radius", type=_number(int, 2), default=20)
     vb.set_defaults(func=cmd_verify_bounds)
     va = vs.add_parser("appendix")
-    va.add_argument("--n-max", type=int, default=100)
+    va.add_argument("--n-max", type=count, default=100)
     va.set_defaults(func=cmd_verify_appendix)
     vall = vs.add_parser("all")
     vall.set_defaults(func=cmd_verify_all)
@@ -482,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     lw = sub.add_parser("laws", help="closed-form law evaluation")
     ls = lw.add_subparsers(dest="what", required=True)
     lp = ls.add_parser("pair")
-    lp.add_argument("--kappa", required=True)
+    lp.add_argument("--kappa", type=_listed(positive), required=True)
     lp.add_argument("--x", required=True)
-    lp.add_argument("--u", type=float, required=True)
+    lp.add_argument("--u", type=_number(float, 0.0), required=True)
     lp.set_defaults(func=cmd_laws_pair)
     lm = ls.add_parser("second-moment")
-    lm.add_argument("--kappa", type=float, required=True)
-    lm.add_argument("--box", type=int, required=True)
+    lm.add_argument("--kappa", type=positive, required=True)
+    lm.add_argument("--box", type=_number(int, 2), required=True)
     lm.add_argument("--epsilon", default="auto100",
                     help="float | auto100 | auto400")
     lm.set_defaults(func=cmd_laws_second_moment)
@@ -496,36 +508,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("soup", help="soup sampling")
     ss = sp.add_subparsers(dest="what", required=True)
     s1 = ss.add_parser("sample")
-    s1.add_argument("--kappa", type=float, required=True)
-    s1.add_argument("--window", required=True, help="x0,y0,x1,y1")
-    s1.add_argument("--horizon", type=float, required=True)
-    s1.add_argument("--tail-tol", type=float, default=1e-8)
+    s1.add_argument("--kappa", type=positive, required=True)
+    s1.add_argument("--window", type=_listed(int), required=True, help="x0,y0,x1,y1")
+    s1.add_argument("--horizon", type=_number(float, 0.0), required=True)
+    s1.add_argument("--tail-tol", type=positive, default=1e-8)
     s1.add_argument("--out", default=None)
     s1.set_defaults(func=cmd_soup_sample)
 
     c = sub.add_parser("covertime", help="cover-time ensemble (exact trace "
                        "chain, or the ring engine with the half-length law "
                        f"truncated at omitted mass {cover.TAIL_TOL:g})")
-    c.add_argument("--kappa", type=float, required=True)
+    c.add_argument("--kappa", type=positive, required=True)
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")
-    c.add_argument("--replicas", type=int, required=True)
+    c.add_argument("--replicas", type=count, required=True)
     c.add_argument("--work-guard", type=float, default=5e11)
     c.set_defaults(func=cmd_covertime)
 
     e = sub.add_parser("example", help="worked cover-time examples")
     e.add_argument("which", choices=["two-far", "neighbors", "many-sep"])
-    e.add_argument("--kappa", type=float, default=1.0)
-    e.add_argument("--kappa-grid", default="0.5,0.1,0.02")
+    e.add_argument("--kappa", type=positive, default=1.0)
+    e.add_argument("--kappa-grid", type=_listed(positive), default="0.5,0.1,0.02")
     e.add_argument("--separation", type=int, default=10)
-    e.add_argument("--count", type=int, default=2)
-    e.add_argument("--replicas", type=int, default=20000)
+    e.add_argument("--count", type=count, default=2)
+    e.add_argument("--replicas", type=count, default=20000)
     e.set_defaults(func=cmd_example)
 
     gs = sub.add_parser("gumbel-scan", help="box-size trend vs the Gumbel law")
-    gs.add_argument("--kappa", type=float, default=0.5)
-    gs.add_argument("--boxes", default="8,16,32")
-    gs.add_argument("--replicas", type=int, default=20000)
+    gs.add_argument("--kappa", type=positive, default=0.5)
+    gs.add_argument("--boxes", type=_listed(count), default="8,16,32")
+    gs.add_argument("--replicas", type=count, default=20000)
     gs.add_argument("--work-guard", type=float, default=5e11)
     gs.set_defaults(func=cmd_gumbel_scan)
 
@@ -563,9 +575,10 @@ def main(argv=None) -> int:
         # on the command line overrides them
         pre, _ = parser.parse_known_args(argv)
         defaults = effective_defaults(pre.config)
-        flat = {"seed": int, "workers": int, "out-dir": str, "quick": _parse_bool}
+        flat = {"seed": int, "workers": _number(int, 1), "out-dir": str,
+                "quick": _parse_bool}
         parser.set_defaults(**{
-            key.replace("-", "_"): _parse_spec(cast, defaults[key])
+            key.replace("-", "_"): _parse_spec(cast, defaults[key], what=key)
             for key, cast in flat.items() if key in defaults})
         args = parser.parse_args(argv)
         return args.func(args)

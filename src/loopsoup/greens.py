@@ -26,7 +26,7 @@ from scipy.special import ellipkm1
 from .lattice import Point, fold_octant, l1, octant_points
 from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
 from .series import (DEFAULT_M_CEILING, exp_tail_bound, loop_series_gram,
-                     loop_term_array, loop_weight_series, step_weight)
+                     loop_term_array, step_weight)
 from .walks import WalkCountTable, count_walks_diagonal
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -37,11 +37,10 @@ _CHUNK_ENTRIES = 1 << 18
 @dataclass(frozen=True)
 class GreensTable:
     """G(x) on |x| <= radius, stored on one octant as the array _g[a, b],
-    a >= b >= 0; values() folds displacements onto it and matrix(A) is the
-    Green's matrix G_A = [G(x - y)].  tail_bound is the absolute error
-    estimate of every entry: the largest gap between the 32- and 16-node
-    quadratures over the table plus a rounding floor of 16 eps G(o).  The
-    origin entry is green_origin itself."""
+    a >= b >= 0; values() folds displacements onto it.  tail_bound is the
+    absolute error estimate of every entry: the largest gap between the 32-
+    and 16-node quadratures over the table plus a rounding floor of 16 eps
+    G(o).  The origin entry is green_origin itself."""
 
     kappa: float
     radius: int
@@ -59,19 +58,6 @@ class GreensTable:
     def value(self, x: Point) -> float:
         return float(self.values(x[0], x[1]))
 
-    def matrix(self, points) -> np.ndarray:
-        """G_A for points of shape (..., k, 2); a stack of sets gives a stack.
-        Rows go in blocks of about 2^16 entries, so the scratch stays small
-        next to the result."""
-        p = np.asarray(points, dtype=np.int64)
-        k = p.shape[-2]
-        out = np.empty(p.shape[:-1] + (k,))
-        rows = max(1, (1 << 16) // max(1, p.size // 2))
-        for i in range(0, k, rows):
-            d = p[..., i:i + rows, None, :] - p[..., None, :, :]
-            out[..., i:i + rows, :] = self.values(d[..., 0], d[..., 1])
-        return out
-
     def origin(self) -> float:
         return float(self._g[0, 0])
 
@@ -85,10 +71,11 @@ def green_origin(kappa: float) -> float:
     return 2.0 / pi * float(ellipkm1(kappa * (8.0 + kappa) / (4.0 + kappa) ** 2))
 
 
-def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
-    """G at octant points (a, b), a >= b >= 0, by `nodes`-point Gauss-Legendre
-    on panels of [0, pi] that double from sqrt(kappa)/4: the integrand's
-    nearest complex singularity sits ~sqrt(kappa) from t = 0."""
+def _angle_rule(kappa: float, nodes: int):
+    """Nodes t of `nodes`-point Gauss-Legendre on panels of [0, pi] that
+    double from sqrt(kappa)/4 (the integrands' nearest complex singularity
+    sits ~sqrt(kappa) from t = 0), with their weights, sqrt(A^2 - B^2) and
+    log r at each node."""
     beta = step_weight(kappa)
     edges = [0.0, min(pi, math.sqrt(kappa) / 4.0)]
     while edges[-1] < pi:
@@ -99,7 +86,13 @@ def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarr
     a_minus_b = beta * (kappa + 4.0 * np.sin(0.5 * t) ** 2)  # A - B, no cancellation
     s = np.sqrt(a_minus_b * (a_minus_b + 4.0 * beta))       # sqrt(A^2 - B^2)
     log_r = -np.log1p((a_minus_b + s) / (2.0 * beta))
-    weights = (half[:, None] * w).ravel() / (pi * s)
+    return t, (half[:, None] * w).ravel(), s, log_r
+
+
+def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
+    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule."""
+    t, w, s, log_r = _angle_rule(kappa, nodes)
+    weights = w / (pi * s)
     out = np.empty(len(points))
     step = max(1, _CHUNK_ENTRIES // len(t))
     for i in range(0, len(points), step):
@@ -189,11 +182,13 @@ def mu_gamma_o(kappa: float) -> MuGammaO:
                     method="elliptic")
 
 
-def rooted_intensity(kappa: float, rel_tol: float = 1e-10,
-                     m_ceiling: int = DEFAULT_M_CEILING) -> float:
-    """Per-vertex intensity of the rooted soup: sum_m (L_{2m}/(2m)) beta^{2m}."""
-    value, _, _ = loop_weight_series(kappa, rel_tol, m_ceiling)
-    return value
+def rooted_intensity(kappa: float) -> float:
+    """Per-vertex intensity of the rooted soup, sum_m (L_{2m}/(2m)) beta^{2m}
+    = -(2 pi)^-2 int int log(1 - 2 beta (cos a + cos b)) da db.  The inner
+    angle integrates to log(beta / r), so it is log(4 + kappa) + (1/pi)
+    int_0^pi log r(t) dt; it tends to log 4 - 4 Catalan / pi as kappa -> 0."""
+    _, w, _, log_r = _angle_rule(kappa, 32)
+    return math.log(4.0 + kappa) + float(w @ log_r) / pi
 
 
 # ---------------------------------------------------------------------------

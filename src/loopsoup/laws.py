@@ -332,12 +332,11 @@ def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
 
     classes = SeparationClassification.for_parameters(kappa, n, mu)
     counts = A.pair_distance_counts()
-    disp = sorted(counts)
-    mult = 2.0 * np.array([counts[d] for d in disp])  # ordered pairs
-    pairs = np.zeros((len(disp), 2, 2), dtype=np.int64)
-    pairs[:, 1] = disp
-    p = np.exp(-u_eval * _log_det(table.matrix(pairs)))
-    cls_idx = classes.classify(pairs[:, 1].sum(axis=1))
+    a, b = np.array(list(counts)).T
+    mult = 2.0 * np.array(list(counts.values()))  # ordered pairs
+    goo, g = table.origin(), table.values(a, b)
+    p = np.exp(-u_eval * np.log((goo - g) * (goo + g)))  # (G(o)^2 - G(x)^2)^-u
+    cls_idx = classes.classify(a + b)
     sums, n_pairs = (np.bincount(cls_idx, w, len(CLASS_NAMES)) for w in (mult * p, mult))
     class_sums = dict(zip(CLASS_NAMES, sums.tolist()))
     class_counts = dict(zip(CLASS_NAMES, n_pairs.astype(int).tolist()))

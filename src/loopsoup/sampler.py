@@ -23,7 +23,8 @@ import numpy as np
 
 from .lattice import Box, Point, STEP_DX, STEP_DY
 from .rng import block_stream
-from .series import SeriesTruncationError, exp_tail_bound, loop_term_array
+from .series import (SeriesTruncationError, exp_tail_bound, loop_term_array,
+                     step_weight)
 
 #: Ceiling on the truncation half-length a sampler is willing to prepare.
 DEFAULT_N_TRUNC_CEILING = 1 << 22
@@ -34,6 +35,7 @@ def required_n_trunc(kappa: float, tail_tol: float) -> int:
 
     The omitted mass beyond N is at most 4 exp(-N kappa/4) / (2(N+1)).
     """
+    step_weight(kappa)
     if tail_tol <= 0:
         raise ValueError("tail_tol must be > 0")
     n = max(1, math.ceil(0.5 / kappa))
@@ -297,9 +299,6 @@ class SoupSample:
         return RootedLoop(root=(int(self.root_x[i]), int(self.root_y[i])),
                           steps=unpack_steps(self.steps_packed[i],
                                              2 * int(self.half_length[i])))
-
-    def loops(self):
-        return (self.loop(i) for i in range(len(self)))
 
 
 def _sample_slice(seed: int, window: Box, t0: float, t1: float,

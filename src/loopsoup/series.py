@@ -27,7 +27,8 @@ from scipy.special import gammaln
 
 #: Hard ceiling on summed half-lengths; beyond it the certified tail bound
 #: cannot be brought under tolerance in reasonable time, so the sum raises
-#: SeriesTruncationError.  G itself comes from the closed form in ``greens``.
+#: SeriesTruncationError.  G and the rooted intensity come from the closed
+#: forms in ``greens``.
 DEFAULT_M_CEILING = 1 << 28
 
 _FIRST_BLOCK = 1 << 12
@@ -57,18 +58,6 @@ def log_loop_term(kappa: float, m: np.ndarray) -> np.ndarray:
     beta = step_weight(kappa)
     m = np.asarray(m, dtype=np.float64)
     return 2.0 * m * math.log(beta) + 2.0 * (gammaln(2 * m + 1) - 2 * gammaln(m + 1))
-
-
-def _block_terms(kappa: float, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-    """t_m for m in [m0, m1): log-anchored head, exact ratio cumprod after."""
-    beta = step_weight(kappa)
-    q = (4.0 * beta) ** 2
-    m = np.arange(m0, m1, dtype=np.float64)
-    r = np.empty(m1 - m0)
-    r[0] = math.exp(float(log_loop_term(kappa, np.array([m0]))[0]))
-    if m1 - m0 > 1:
-        r[1:] = q * (1.0 - 0.5 / m[1:]) ** 2
-    return np.cumprod(r), m
 
 
 @dataclass
@@ -142,41 +131,10 @@ def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
         block = min(block * 2, _MAX_BLOCK)
 
 
-def loop_weight_series(kappa: float, rel_tol: float,
-                       m_ceiling: int = DEFAULT_M_CEILING) -> tuple[float, int, float]:
-    """sum_{m>=1} t_m / (2m): the per-vertex rooted loop intensity.
-
-    Returns (value, m_trunc, tail_bound); the tail of the weighted series is
-    the unweighted bound divided by 2(m_trunc + 1).
-    """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
-    total = 0.0
-    comp = 0.0  # Neumaier carry across blocks
-    m0 = 1
-    block = _FIRST_BLOCK
-    while True:
-        m1 = min(m0 + block, m_ceiling + 1)
-        t, m = _block_terms(kappa, m0, m1)
-        part = float(np.sum(t / (2.0 * m)))
-        s = total + part
-        if abs(total) >= abs(part):
-            comp += (total - s) + part
-        else:
-            comp += (part - s) + total
-        total = s
-        m_last = m1 - 1
-        tail = exp_tail_bound(kappa, m_last) / (2.0 * (m_last + 1))
-        if m_last * kappa >= 0.5 and tail <= rel_tol * (total + comp):
-            return total + comp, m_last, tail
-        if m1 > m_ceiling:
-            raise SeriesTruncationError(
-                f"rooted intensity tail not certified at kappa={kappa:g}")
-        m0 = m1
-        block = min(block * 2, _MAX_BLOCK)
-
-
 def loop_term_array(kappa: float, m_max: int) -> np.ndarray:
-    """t_m for m = 1..m_max as a dense array (moderate m_max only)."""
-    t, _ = _block_terms(kappa, 1, m_max + 1)
-    return t
+    """t_m for m = 1..m_max as a dense array (moderate m_max only): t_1 from
+    log space, the rest by a cumulative product of exact one-step ratios."""
+    q = (4.0 * step_weight(kappa)) ** 2
+    r = q * (1.0 - 0.5 / np.arange(1, m_max + 1, dtype=np.float64)) ** 2
+    r[0] = math.exp(float(log_loop_term(kappa, np.array([1]))[0]))
+    return np.cumprod(r)

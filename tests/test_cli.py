@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from loopsoup import cli
-from loopsoup.cover import calibrated_ks_threshold
+from loopsoup.cover import ks_threshold
 
 
 def _run(*argv) -> int:
@@ -99,11 +101,11 @@ def test_two_far_is_many_sep_of_two(tmp_path):
 
 
 def test_emit_plotdata_rescales_with_sidecar(tmp_path):
-    # one point: mu T is exactly Exp(1), so exp1 holds at a calibrated
-    # threshold; box:4 against the Gumbel limit law of mu T - log|A|
+    # one point: mu T is exactly Exp(1), so exp1 holds at the KS distance's
+    # 0.999 quantile; box:4 against the Gumbel limit law of mu T - log|A|
     # (raw cover times gave KS 0.949 here)
     for label, target, cdf, threshold in (
-            ("pt", "points:(0,0)", "exp1", calibrated_ks_threshold(4000)),
+            ("pt", "points:(0,0)", "exp1", ks_threshold(4000)),
             ("box", "box:4", "gumbel", 0.1)):
         d = tmp_path / label
         assert _run("--seed", 1, "--out-dir", d, "covertime", "--set", target,
@@ -206,6 +208,32 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
         assert capsys.readouterr().err.startswith("config error:")
     monkeypatch.setenv("LOOPSOUP_SEED", "seven")
     assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+    monkeypatch.setenv("LOOPSOUP_SEED", "7")
+    monkeypatch.setenv("LOOPSOUP_WORKERS", "0")   # checked as --workers is
+    assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+    assert "workers: expected int >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("covertime", "--set", "box:2", "--kappa", 0, "--replicas", 4), "--kappa"),
+    (("covertime", "--set", "box:2", "--kappa", -1, "--replicas", 4), "--kappa"),
+    (("covertime", "--set", "box:2", "--kappa", 0.5, "--replicas", 0), "--replicas"),
+    (("example", "many-sep", "--count", 0), "--count"),
+    (("gumbel-scan", "--replicas", 0), "--replicas"),
+    (("verify", "bounds", "--kappa-grid", 0.5, "--radius", 0), "--radius"),
+    (("soup", "sample", "--kappa", 0.5, "--window", "0,0,1,1", "--horizon", -1),
+     "--horizon"),
+    (("soup", "sample", "--kappa", 0.5, "--window", "0,0,1,1", "--horizon", 1,
+      "--tail-tol", 0), "--tail-tol"),
+    (("greens", "--kappa", -1), "--kappa"),
+    (("laws", "pair", "--kappa", 0.5, "--x", "1,0", "--u", -1), "--u"),
+    (("laws", "second-moment", "--kappa", 0.5, "--box", 0), "--box"),
+])
+def test_argument_domains_are_parse_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_python_m_loopsoup():

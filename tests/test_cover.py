@@ -10,10 +10,9 @@ from scipy.stats import ks_2samp
 
 from loopsoup import cover, laws, sampler
 from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
-                            PointsTarget, ResourceCeilingError,
-                            calibrated_ks_threshold, cover_time,
+                            PointsTarget, ResourceCeilingError, cover_time,
                             cover_time_ensemble, cover_time_from_soup,
-                            ks_distance, make_target)
+                            ks_distance, ks_threshold, make_target)
 from loopsoup.lattice import Box
 
 
@@ -111,10 +110,14 @@ class TestKs:
         emp = EmpiricalDistribution.from_samples(rng.random(n))
         assert ks_distance(emp, lambda v: v) < 1.95 / math.sqrt(n)
 
-    def test_calibrated_threshold_near_asymptotic(self):
-        thr = calibrated_ks_threshold(20_000, runs=400)
-        assert 0.7 * 1.9495 / math.sqrt(20_000) <= thr \
-            <= 1.3 * 1.9495 / math.sqrt(20_000)
+    def test_ks_threshold_against_exact_quantile(self):
+        # Stephens' scaling is within 0.15% of the exact quantile for
+        # n >= 39, and conservative below
+        from scipy.stats import kstwo
+        for n in (1, 2, 10, 38, 39, 50, 192, 4000, 20_000, 100_000):
+            exact = kstwo.ppf(0.999, n)
+            assert ks_threshold(n) >= exact if n <= 38 \
+                else abs(ks_threshold(n) / exact - 1.0) <= 1.5e-3
 
     def test_cdf_evaluation(self):
         emp = EmpiricalDistribution.from_samples([1.0, 2.0])
@@ -144,7 +147,7 @@ class TestEngineAgainstLaws:
     def test_one_point_ks(self):
         s = self.ensemble(5, 0.25, PointsTarget([(0, 0)]), 20_000)
         d = ks_distance(s.scaled(), laws.one_point_law)
-        assert d <= calibrated_ks_threshold(20_000) + s.truncation_bias_bound
+        assert d <= ks_threshold(20_000) + s.truncation_bias_bound
 
     def test_two_point_cdf_reconstruction(self):
         # P(T({o,x}) <= u) = 1 - 2 P(pt uncov) + P(pair uncov), exactly
@@ -503,6 +506,13 @@ class TestDeterminismAndGuards:
         with pytest.raises(ResourceCeilingError):
             eng.ensemble(1, 10_000_000_000, work_guard=5e11)
 
+    def test_kappa_checked_first(self):
+        for kappa in (0.0, -1.0):
+            with pytest.raises(ValueError, match="kappa must be > 0"):
+                CoverEngine(kappa, BoxTarget(2))
+            with pytest.raises(ValueError, match="kappa must be > 0"):
+                sampler.length_pmf(kappa, 1e-8)
+
     def test_replicas_one(self):
         s = cover_time_ensemble(1, 0.5, PointsTarget([(0, 0)]), 1)
         assert s.values.count == 1
@@ -524,7 +534,7 @@ class TestExamples:
         rep = cover.run_example_many_sep(1.0, 1, 10, 4000, seed=2)
         emp = rep.ensembles["cover"].scaled()
         assert ks_distance(emp, laws.one_point_law) \
-            <= calibrated_ks_threshold(4000) + 1e-3
+            <= ks_threshold(4000) + 1e-3
 
     def test_gumbel_scan_guard(self):
         with pytest.raises(ResourceCeilingError):

@@ -1,8 +1,5 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +8,7 @@ from loopsoup import greens
 from loopsoup.lattice import fold_octant
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import (SeriesTruncationError, exp_tail_bound,
-                             loop_series_gram, loop_weight_series, step_weight)
+                             loop_series_gram, loop_term_array, step_weight)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -111,48 +108,20 @@ class TestGreensTable:
         rhs = beta * sum(t.value(y) for y in ((4, 2), (2, 2), (3, 3), (3, 1)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_matrix_matches_value(self):
+    def test_values_fold_onto_octant(self):
         # irregular points with negative coordinates, in no particular order
         t = greens.greens_table(0.2, 16)
-        pts = [(3, -2), (-1, 0), (0, 0), (-4, -3), (2, 5)]
+        pts = np.array([(3, -2), (-1, 0), (0, 0), (-4, -3), (2, 5)])
         octant = dict(zip(t.points(), t.values(*np.array(t.points()).T).tolist()))
-        g = t.matrix(pts)
+        d = pts[:, None] - pts[None]
+        g = t.values(d[..., 0], d[..., 1])
         assert g.shape == (5, 5)
-        for i, p in enumerate(pts):
-            for j, q in enumerate(pts):
-                x = (p[0] - q[0], p[1] - q[1])
-                assert g[i, j] == t.value(x) == octant[fold_octant(x)]
+        for x, gx in zip(map(tuple, d.reshape(-1, 2).tolist()), g.ravel()):
+            assert gx == t.value(x) == octant[fold_octant(x)]
         with pytest.raises(ValueError):
-            t.matrix([(0, 0), (9, -8)])
+            t.values([0, 9], [0, -8])
         with pytest.raises(ValueError):
             t.value((-17, 0))
-
-    def test_matrix_row_blocks_match_whole_matrix(self, rng):
-        # matrix() goes in row blocks; each block must equal the whole
-        # displacement array folded at once, on sets of several blocks
-        # and on stacks
-        t = greens.greens_table(0.3, 40)
-
-        def whole(p):
-            d = p[..., :, None, :] - p[..., None, :, :]
-            return t.values(d[..., 0], d[..., 1])
-
-        for pts in (rng.integers(-10, 11, size=(k, 2)) for k in (1, 7, 300, 700)):
-            assert np.array_equal(t.matrix(pts), whole(pts))
-        for shape in ((40, 5, 2), (30, 3, 60, 2), (2, 400, 2)):
-            stack = rng.integers(-10, 11, size=shape)
-            assert np.array_equal(t.matrix(stack), whole(stack))
-
-    def test_box_64_matrix_peak_memory(self):
-        # 134 MB of G_A; holding the whole (k, k, 2) displacement array and
-        # its folds at once peaked near 950 MB
-        code = ("import resource; from loopsoup import greens, laws; "
-                "g = greens.greens_table(1e-4, 126).matrix(laws.box_set(64).points); "
-                "print(g.shape[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-        env = dict(os.environ, PYTHONPATH=str(Path(greens.__file__).parent.parent))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        assert out[0] == "4096" and int(out[1]) / 1024 < 400
 
 
 class TestMuGammaO:
@@ -185,12 +154,34 @@ class TestRootedIntensity:
         vals = [greens.rooted_intensity(k) for k in (1.0, 0.5, 0.1)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_doubled_truncation_cross_check(self):
-        v, m_trunc, _ = loop_weight_series(0.1, 1e-8)
-        from loopsoup.series import loop_term_array
-        t = loop_term_array(0.1, 2 * m_trunc)
-        direct = float((t / (2.0 * np.arange(1, 2 * m_trunc + 1))).sum())
-        assert abs(direct - v) <= 1e-8 * v
+    def test_bracketed_by_partial_sums(self):
+        # sum_{m<=N} t_m/(2m) <= intensity <= that + the certified tail
+        for kappa in (2.5, 1.0, 0.1, 0.01):
+            n = math.ceil(40.0 / kappa)
+            t = loop_term_array(kappa, n)
+            head = float((t / (2.0 * np.arange(1, n + 1))).sum())
+            v = greens.rooted_intensity(kappa)
+            assert head <= v <= head + exp_tail_bound(kappa, n) / (2.0 * (n + 1))
+
+    def test_catalan_limit(self):
+        catalan = 0.915965594177219015054603514932384110774
+        v = greens.rooted_intensity(1e-12)
+        assert v == pytest.approx(math.log(4.0) - 4.0 * catalan / math.pi, rel=1e-10)
+
+
+class TestLoopTerms:
+    def test_against_exact_terms(self):
+        # t_m = beta^{2m} C(2m, m)^2 in exact rationals of the rounded beta;
+        # exp(log_loop_term) is good only to about |log t_m| eps
+        for kappa in (4.0, 1.0, 0.1, 1e-4):
+            b2 = Fraction(step_weight(kappa)) ** 2
+            exact, c, p = [], 1, Fraction(1)
+            for m in range(1, 501):
+                c, p = c * (2 * m) * (2 * m - 1) // (m * m), p * b2
+                exact.append(float(c * c * p))
+            ref = np.array(exact)
+            t = loop_term_array(kappa, len(ref))[ref > 0]
+            assert np.abs(t / ref[ref > 0] - 1.0).max() <= 1e-13
 
 
 class TestBoundReports:

@@ -25,23 +25,40 @@ def test_every_imported_name_is_used():
     assert MODULES and not unused, unused
 
 
-def test_every_module_level_definition_is_referenced():
-    # a def or class of the package that no source, test or benchmark file
-    # names, as a bare name or an attribute, is dead API
+def _names(kind) -> set[str]:
+    # the bare names (kind ast.Name) or attributes (ast.Attribute) that the
+    # source, test and benchmark files name
     repo = Path(__file__).resolve().parent.parent
     files = [*MODULES, Path(loopsoup.__file__), *(repo / "tests").glob("*.py"),
              *(repo / "bench").glob("*.py")]
-    referenced = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    return {node.id if kind is ast.Name else node.attr
+            for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, kind)}
+
+
+def test_every_module_level_definition_is_referenced():
+    # a def or class of the package that nothing names, as a bare name or an
+    # attribute, is dead API
+    referenced = _names(ast.Name) | _names(ast.Attribute)
     unreferenced = [f"{path.name}:{node.lineno} {node.name}"
                     for path in MODULES
                     for node in ast.parse(path.read_text()).body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in referenced]
+    assert not unreferenced, unreferenced
+
+
+def test_every_method_is_referenced():
+    # so is a method or property of a package class that nothing names as
+    # an attribute; dunders are called by the language
+    referenced = _names(ast.Attribute)
+    unreferenced = [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+                    for path in MODULES
+                    for cls in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__")
                     and node.name not in referenced]
     assert not unreferenced, unreferenced
 

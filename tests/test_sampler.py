@@ -39,7 +39,7 @@ class TestLengthDistribution:
 
     def test_total_mass_vs_intensity(self):
         d = sampler.length_pmf(0.4, 1e-10)
-        full = greens.rooted_intensity(0.4, 1e-13)
+        full = greens.rooted_intensity(0.4)
         assert d.total_mass <= full + 1e-15
         assert full - d.total_mass <= d.tail_mass_bound
 
