@@ -10,8 +10,9 @@ file (--config), and a flag on the command line overrides both; quick takes
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
 (arguments, config file, environment, set or epsilon spec), 3 resource
 ceiling (a length law or walk series past its truncation ceiling, a cover
-run past its work guard), 4 any other error (a value outside a function's
-domain, or a fault in the program), printed as "error: <type>: <message>".
+run past its work guard, a soup slice past its loop ceiling), 4 any other
+error (a value outside a function's domain, or a fault in the program),
+printed as "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -268,16 +269,13 @@ def cmd_covertime(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.which == "two-far":
-        rep = cover.run_example_many_sep(args.kappa, 2, args.separation,
-                                         args.replicas, args.seed, args.workers)
-    elif args.which == "neighbors":
+    if args.which == "neighbors":
         rep = cover.run_example_neighbors(args.kappa_grid, args.replicas,
                                           args.seed, args.workers)
-    else:   # many-sep; argparse restricts the choices
-        rep = cover.run_example_many_sep(args.kappa, args.count,
-                                         args.separation, args.replicas,
-                                         args.seed, args.workers)
+    else:   # two-far is many-sep of two; argparse restricts the choices
+        count = 2 if args.which == "two-far" else args.count
+        rep = cover.run_example_many_sep(args.kappa, count, args.separation,
+                                         args.replicas, args.seed, args.workers)
     _emit_verdicts(args, rep.verdicts, f"example_{args.which}.csv")
     for key, sample in rep.ensembles.items():
         _ensemble_artifacts(args, sample, f"example_{args.which}_{key}",

@@ -60,6 +60,7 @@ from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from .sampler import (_alias_setup, balanced_signs, length_pmf, loop_vertices,
                       truncation_bias_rate, unpack_steps)
+from .series import ResourceCeilingError  # raised here, re-exported to callers
 
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
@@ -73,10 +74,6 @@ _FOLD_CELLS = 1 << 20     # traced cells per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
-
-
-class ResourceCeilingError(RuntimeError):
-    """Requested run exceeds the configured work guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +731,7 @@ def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
     details = {}
     for side in box_sides:
         target = BoxTarget(side)
-        engine = CoverEngine(kappa, target)
-        sample = engine.ensemble(seed, replicas, workers, work_guard)
+        sample = cover_time_ensemble(seed, kappa, target, replicas, workers, work_guard)
         z = sample.mu * sample.values.values - math.log(target.size)
         distances.append(ks_distance(EmpiricalDistribution.from_samples(z),
                                      gumbel_cdf))

@@ -90,23 +90,25 @@ def _angle_rule(kappa: float, nodes: int):
 
 
 def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
-    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule."""
+    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule; a
+    chunk computes exp(a log r) once per distinct a and cos(b t) per distinct b."""
     t, w, s, log_r = _angle_rule(kappa, nodes)
     weights = w / (pi * s)
     out = np.empty(len(points))
     step = max(1, _CHUNK_ENTRIES // len(t))
     for i in range(0, len(points), step):
-        a, b = points[i:i + step].T
-        out[i:i + step] = (np.cos(np.outer(b, t)) * np.exp(np.outer(a, log_r))) @ weights
+        (a, ia), (b, ib) = (np.unique(c, return_inverse=True)
+                            for c in points[i:i + step].T)
+        out[i:i + step] = (np.cos(np.outer(b, t))[ib]
+                           * np.exp(np.outer(a, log_r))[ia]) @ weights
     return out
 
 
 @lru_cache(maxsize=32)
 def _greens_table_cached(kappa: float, radius: int) -> GreensTable:
     octant = np.array(octant_points(radius))
-    pts = octant.astype(np.float64)
-    values = _greens_quadrature(kappa, pts, 32)
-    gap = float(np.abs(values - _greens_quadrature(kappa, pts, 16)).max())
+    values = _greens_quadrature(kappa, octant, 32)
+    gap = float(np.abs(values - _greens_quadrature(kappa, octant, 16)).max())
     values[0] = goo = green_origin(kappa)  # octant_points starts at the origin
     g = np.zeros((radius + 1, radius + 1))
     g[octant[:, 0], octant[:, 1]] = values
@@ -126,7 +128,7 @@ def greens_at(kappa: float, octant, nodes: int = 32) -> np.ndarray:
     """G at the octant points (a, b), a >= b >= 0, of shape (k, 2), by the
     `nodes`-point quadrature; G(o) is green_origin itself."""
     octant = np.asarray(octant, dtype=np.int64)
-    g = _greens_quadrature(kappa, octant.astype(np.float64), nodes)
+    g = _greens_quadrature(kappa, octant, nodes)
     g[octant[:, 0] == 0] = green_origin(kappa)
     return g
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -66,14 +66,8 @@ def fmt(x) -> str:
 
 
 def write_verdicts_csv(path: str | Path, verdicts: Iterable[Verdict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(VERDICT_COLUMNS)
-        for v in verdicts:
-            d = asdict(v)
-            w.writerow([fmt(d[c]) for c in VERDICT_COLUMNS])
+    write_rows_csv(path, VERDICT_COLUMNS,
+                   ([getattr(v, c) for c in VERDICT_COLUMNS] for v in verdicts))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

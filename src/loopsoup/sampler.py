@@ -23,11 +23,13 @@ import numpy as np
 
 from .lattice import Box, Point, STEP_DX, STEP_DY
 from .rng import block_stream
-from .series import (SeriesTruncationError, exp_tail_bound, loop_term_array,
-                     step_weight)
+from .series import (ResourceCeilingError, SeriesTruncationError,
+                     exp_tail_bound, loop_term_array, step_weight)
 
 #: Ceiling on the truncation half-length a sampler is willing to prepare.
 DEFAULT_N_TRUNC_CEILING = 1 << 22
+#: Expected loops per soup slice: 1 GiB at the ~80 bytes a loop peaks at when drawn
+MAX_SOUP_LOOPS = (1 << 30) // 80
 
 
 def required_n_trunc(kappa: float, tail_tol: float) -> int:
@@ -305,6 +307,9 @@ def _sample_slice(seed: int, window: Box, t0: float, t1: float,
                   time_slice: int, dist: LengthDistribution):
     """All loops rooted in the window with timestamps in [t0, t1), drawn
     whole-window from the slice's own stream."""
+    loops = window.area * (t1 - t0) * dist.total_mass
+    if loops > MAX_SOUP_LOOPS:
+        raise ResourceCeilingError(f"soup slice of {loops:.3g} > {MAX_SOUP_LOOPS} loops")
     rng = block_stream(seed, "soup", time_slice)
     counts = rng.poisson((t1 - t0) * dist.total_mass, size=window.area)
     cell = np.repeat(np.arange(window.area), counts)
@@ -333,20 +338,13 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
     if min(window.x0, window.y0) < i32.min or max(window.x1, window.y1) > i32.max:
         raise ValueError("window coordinates must fit in int32")
     dist = length_pmf(kappa, tail_tol)
-    if time_horizon == 0:
-        empty = np.array([], dtype=np.int32)
-        return SoupSample(kappa=kappa, window=window, time_horizon=0.0,
-                          n_trunc=dist.n_trunc, tail_tol=tail_tol, seed=seed,
-                          n_slices=0, root_x=empty, root_y=empty,
-                          half_length=empty.copy(),
-                          timestamp=np.array([], dtype=np.float64),
-                          steps_packed=[])
     rx, ry, hl, ts, packed = _sample_slice(seed, window, 0.0, time_horizon,
                                            0, dist)
+    # a zero horizon draws nothing, and its first extension is slice 0
     return SoupSample(kappa=kappa, window=window, time_horizon=time_horizon,
                       n_trunc=dist.n_trunc, tail_tol=tail_tol, seed=seed,
-                      n_slices=1, root_x=rx, root_y=ry, half_length=hl,
-                      timestamp=ts, steps_packed=packed)
+                      n_slices=int(time_horizon > 0), root_x=rx, root_y=ry,
+                      half_length=hl, timestamp=ts, steps_packed=packed)
 
 
 def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:

@@ -41,6 +41,10 @@ class SeriesTruncationError(RuntimeError):
     """Certified tail bound cannot reach the tolerance within the ceiling."""
 
 
+class ResourceCeilingError(RuntimeError):
+    """Requested run exceeds the configured work guard."""
+
+
 def step_weight(kappa: float) -> float:
     """beta = 1/(4+kappa); 4*beta < 1 makes every series here convergent."""
     if kappa <= 0:

@@ -135,6 +135,14 @@ def test_series_truncation_exits_resource_ceiling(capsys):
     assert len(err) == 1 and err[0].startswith("resource ceiling:")
 
 
+def test_unsamplable_soup_horizon_exits_resource_ceiling(capsys):
+    # a finite horizon whose loop count no soup could hold is refused up front
+    assert _run("soup", "sample", "--kappa", 0.5, "--window", "0,0,1,1",
+                "--horizon", 1e300) == cli.EXIT_CEILING
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("resource ceiling:")
+
+
 def test_greens_at_tiny_kappa(capsys):
     assert _run("greens", "--kappa", "1e-9") == cli.EXIT_OK
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]

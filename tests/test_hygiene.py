@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import loopsoup
+from loopsoup import laws
 
 MODULES = sorted(p for p in Path(loopsoup.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -102,7 +103,14 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     tracer = tracing.Tracer()
     tracing.probe_loopsoup(tracer)
     tracer.install()
-    tracer.uninstall()
+    try:
+        # the report must still reach its table and histogram through the
+        # patched names, or their per-layer metrics read 0
+        laws.second_moment_report(0.5, laws.box_set(3), 0.05)
+    finally:
+        tracer.uninstall()
+    spans = {name for _, name in tracer.seconds}
+    assert {"laws.second_moment", "greens.table", "laws.pair_histogram"} <= spans
 
 
 def test_benchmark_workloads_set_up():

@@ -251,17 +251,39 @@ class TestSecondMoment:
             assert laws.TargetSet(tuple(pts)).max_l1_diameter() == brute
 
     def test_pair_distance_counts_brute_force(self):
-        # irregular, negative coordinates, and enough points for two row blocks
+        def brute(pts):
+            out = Counter()
+            for i, p in enumerate(pts):
+                for q in pts[i + 1:]:
+                    dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
+                    out[(max(dx, dy), min(dx, dy))] += 1
+            return dict(out)
+
+        # irregular with negative coordinates, one row, one column, and two
+        # points far apart on one axis (a padded length 3^2 5^6 keeps it fast)
         rng = np.random.default_rng(11)
         cells = rng.choice(70 * 50, size=700, replace=False)
-        pts = [(int(c % 70) - 40, int(c // 70) - 17) for c in cells]
-        brute = Counter()
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
-                brute[(max(dx, dy), min(dx, dy))] += 1
-        assert laws.TargetSet(tuple(pts)).pair_distance_counts() == dict(brute)
+        irregular = [(int(c % 70) - 40, int(c // 70) - 17) for c in cells]
+        row = [(int(x), 5) for x in rng.choice(400, size=90, replace=False) - 200]
+        column = [(y, x) for x, y in row]
+        for pts in (irregular, row, column, [(0, 0), (0, 70_312)]):
+            assert laws.TargetSet(tuple(pts)).pair_distance_counts() == brute(pts)
         assert laws.TargetSet(((3, -2),)).pair_distance_counts() == {}
+
+        # an odd box against (s - |dx|)(s - |dy|) ordered pairs per displacement
+        s = 37
+        closed = Counter()
+        for dx in range(-s + 1, s):
+            for dy in range(-s + 1, s):
+                if (dx, dy) != (0, 0):
+                    a, b = abs(dx), abs(dy)
+                    closed[(max(a, b), min(a, b))] += (s - a) * (s - b)
+        assert laws.box_set(s).pair_distance_counts() == {
+            k: v // 2 for k, v in closed.items()}
+
+        # a padded grid over the ceiling is refused before it is allocated
+        with pytest.raises(ValueError, match="cells"):
+            laws.TargetSet(((0, 0), (10 ** 6, 10 ** 6))).pair_distance_counts()
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from scipy.stats import chi2, poisson
 
 from loopsoup import greens, laws, sampler
 from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
-from loopsoup.series import SeriesTruncationError
+from loopsoup.series import ResourceCeilingError, SeriesTruncationError
 
 
 def _walker_alias(probs):
@@ -185,6 +185,14 @@ class TestWindowSoup:
             for f in ("root_x", "root_y", "half_length", "timestamp"):
                 assert getattr(long, f)[:k].tobytes() == getattr(short, f).tobytes()
             assert long.steps_packed[:k] == short.steps_packed
+
+    def test_loop_ceiling(self):
+        # 1e9 on four roots expects about 5.5e8 loops; extensions are checked too
+        soup = sampler.sample_window_soup(2, 0.5, Box(0, 0, 1, 1), 1.0, 1e-6)
+        with pytest.raises(ResourceCeilingError):
+            sampler.sample_window_soup(2, 0.5, Box(0, 0, 1, 1), 1e9, 1e-6)
+        with pytest.raises(ResourceCeilingError):
+            sampler.extend_soup(soup, 1e9)
 
     def test_extensions_reuse_the_length_law(self, monkeypatch):
         # the length law, alias table included, is built once per soup
