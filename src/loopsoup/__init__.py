@@ -19,4 +19,4 @@ from .sampler import (LengthDistribution, RootedLoop, SoupSample, extend_soup,
                       length_pmf, sample_rooted_loop, sample_window_soup)
 from .walks import (WalkCountTable, count_loops_closed_form,
                     count_walks_bruteforce, count_walks_diagonal,
-                    count_walks_dp, verify_dominance)
+                    verify_dominance)

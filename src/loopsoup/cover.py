@@ -1,4 +1,4 @@
-"""Cover-time Monte Carlo for finite target sets.
+"""Cover-time Monte Carlo for finite target sets (``lattice.PointsTarget``).
 
 Two exact-in-law samplers of the soup's first-visit times on the target A
 share one batch loop: per Poisson slab of time they fold loops into
@@ -53,7 +53,7 @@ import numpy as np
 from scipy.special import kolmogi
 
 from .greens import mu_gamma_o
-from .lattice import Box, Point
+from .lattice import BoxTarget, Point, PointsTarget  # re-exported to callers
 from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
@@ -74,110 +74,6 @@ _FOLD_CELLS = 1 << 20     # traced cells per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
-
-
-# ---------------------------------------------------------------------------
-# Targets
-
-
-class Target:
-    """A target set inside its bounding box ``box``.  The ring engine draws
-    roots on the box's L1 rings (``root_coords``, one ring delta per root):
-    a loop rooted at distance delta from the box reaches A only if its
-    half-length is at least delta, and vertex_index decides which of its
-    cells are hits."""
-
-    box: Box
-
-    def root_coords(self, rng, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = self.box.ring_count(delta)
-        idx = np.minimum((rng.random(len(delta)) * counts).astype(np.int64),
-                         counts - 1)
-        x = np.empty(len(delta), dtype=np.int64)
-        y = np.empty(len(delta), dtype=np.int64)
-        inside = delta == 0
-        if inside.any():
-            h = self.box.height
-            x[inside] = self.box.x0 + idx[inside] // h
-            y[inside] = self.box.y0 + idx[inside] % h
-        out = ~inside
-        if out.any():
-            x[out], y[out] = self.box.ring_cells(delta[out], idx[out])
-        return x, y
-
-
-class BoxTarget(Target):
-    """n x n box of vertices anchored at the origin corner."""
-
-    def __init__(self, side: int):
-        if side < 1:
-            raise ValueError("side must be >= 1")
-        self.box = Box(0, 0, side - 1, side - 1)
-        self.side = side
-
-    @property
-    def size(self) -> int:
-        return self.box.area
-
-    @property
-    def label(self) -> str:
-        return f"box:{self.side}"
-
-    def points(self) -> list[Point]:
-        return [(i, j) for i in range(self.side) for j in range(self.side)]
-
-    def vertex_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        inside = ((x >= self.box.x0) & (x <= self.box.x1)
-                  & (y >= self.box.y0) & (y <= self.box.y1))
-        idx = (x - self.box.x0) * self.box.height + (y - self.box.y0)
-        return np.where(inside, idx, -1)
-
-
-class PointsTarget(Target):
-    """Sparse explicit point set; its box is the bounding box."""
-
-    #: Largest |coordinate| of a target point.  Traced cells lie within
-    #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
-    #: range), so they differ from every point by less than 2**32 per
-    #: coordinate, which is what keeps ``_key`` exact.
-    COORD_LIMIT = 1 << 30
-
-    def __init__(self, points: list[Point]):
-        if not points:
-            raise ValueError("need at least one point")
-        if len(set(points)) != len(points):
-            raise ValueError("duplicate points")
-        self.pts = np.asarray(points, dtype=np.int64)
-        if np.abs(self.pts).max() > self.COORD_LIMIT:
-            raise ValueError("target coordinates must lie within +-2**30")
-        self.box = Box(*self.pts.min(axis=0).tolist(), *self.pts.max(axis=0).tolist())
-        keys = self._key(self.pts[:, 0], self.pts[:, 1])
-        order = np.argsort(keys)
-        self._sorted_keys = keys[order]
-        self._order = order
-
-    @staticmethod
-    def _key(x, y):
-        # equal keys (mod 2**64) force y = y' and then x = x' mod 2**32
-        return (np.asarray(x, dtype=np.int64) << 32) + np.asarray(y, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return len(self.pts)
-
-    @property
-    def label(self) -> str:
-        return "points:" + ";".join(f"({int(a)},{int(b)})" for a, b in self.pts)
-
-    def points(self) -> list[Point]:
-        return [(int(a), int(b)) for a, b in self.pts]
-
-    def vertex_index(self, x, y):
-        keys = self._key(x, y)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, self.size - 1)
-        hit = self._sorted_keys[pos] == keys
-        return np.where(hit, self._order[pos], -1)
 
 
 def make_target(spec: str):
@@ -439,8 +335,7 @@ class CoverEngine:
         if sampler == "trace" or (sampler is None and self.step_floor < self.cell_rate):
             need = trace_setup_bytes(target.size)
             if need <= TRACE_SETUP_BYTES:
-                order = coarse_to_fine(np.asarray(target.points(), dtype=np.int64))
-                g = green_matrix(kappa, target.points())[np.ix_(order, order)]
+                g = green_matrix(kappa, target.pts[coarse_to_fine(target.pts)])
                 chain = TraceChain(g, kappa)
                 self.step_rate = chain.step_rate
                 if sampler == "trace" or chain.step_rate < self.cell_rate:
@@ -592,7 +487,7 @@ def run_blocks(job, arg_list, workers: int = 1):
 
 def cover_time(rng: np.random.Generator, kappa: float, target) -> float:
     """One cover-time draw; target is a BoxTarget/PointsTarget or point list."""
-    if not isinstance(target, Target):
+    if not isinstance(target, PointsTarget):
         target = PointsTarget(list(target))
     engine = CoverEngine(kappa, target)
     return float(engine._cover_batch(rng, 1)[0])
@@ -632,7 +527,7 @@ def cover_time_from_soup(soup, points: list[Point]) -> float:
 
 def cover_time_ensemble(seed: int, kappa: float, target, replicas: int, workers: int = 1,
                         work_guard: float | None = None) -> CoverTimeSample:
-    if not isinstance(target, Target):
+    if not isinstance(target, PointsTarget):
         target = PointsTarget(list(target))
     engine = CoverEngine(kappa, target)
     return engine.ensemble(seed, replicas, workers, work_guard)

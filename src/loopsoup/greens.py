@@ -353,13 +353,6 @@ def local_clt_scan_max(table: WalkCountTable, n_max: int) -> float:
     return worst
 
 
-def local_clt_min_constant(table: WalkCountTable, n_max: int) -> float:
-    """Minimal C >= 0 with P(S_n = x) <= (2/n) e^{-|x|^2/(2n)} + C/(n |x|^2)
-    over all 3 <= |x| <= n <= n_max (constants are nonnegative here, so the
-    raw scan max is clamped at zero)."""
-    return max(0.0, local_clt_scan_max(table, n_max))
-
-
 def _sandwich_rows(check: str, anchor: str, n_max: int, terms) -> list[Verdict]:
     """check-lower/-upper rows for lo <= v <= hi over 1 <= n <= n_max, where
     terms(n) = (v, lo, hi); each lhs is the worst gap on its side."""

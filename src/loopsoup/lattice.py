@@ -1,10 +1,18 @@
 """Geometry of Z^2 under the L1 norm: symmetry folding, diagonal coordinates,
-and exact parametrization of L1 rings around points and boxes.
+exact parametrization of L1 rings around points and boxes, and the finite
+target sets A.
 
 Walk counts and Green's values are invariant under the 8 lattice symmetries
 (coordinate swap and sign flips), so most tables store one octant and fold on
 access.  Ring parametrization lets the cover engine draw roots at given L1
 distances from a box target without enumerating the plane.
+
+``PointsTarget`` (and ``BoxTarget`` for side x side boxes) is the one type
+of a finite set A: it validates its points once, and holds what the cover
+engines, the determinant law and the pair sums read off A (its bounding box,
+vertex lookup, ring roots, displacement histogram and L1 diameter).  It
+lives here because ``laws`` and ``cover`` both need it and ``laws`` cannot
+import ``cover``.
 """
 
 from __future__ import annotations
@@ -148,3 +156,127 @@ class Box:
                     for y in range(self.y0, self.y1 + 1)]
         xs, ys = self.ring_cells(delta, np.arange(self.ring_count(delta)))
         return list(zip(xs.tolist(), ys.tolist()))
+
+
+PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
+
+
+class PointsTarget:
+    """A finite set A of distinct lattice points: ``pts``, the (n, 2) int64
+    array of A in the given order (vertex v is ``pts[v]``), inside its
+    bounding box ``box``.  The ring engine draws roots on the box's L1 rings
+    (``root_coords``, one ring delta per root): a loop rooted at distance
+    delta from the box reaches A only if its half-length is at least delta,
+    and ``vertex_index`` decides which of its cells are hits."""
+
+    #: Largest |coordinate| of a target point.  Traced cells lie within
+    #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
+    #: range), so they differ from every point by less than 2**32 per
+    #: coordinate, which is what keeps ``_key`` exact.
+    COORD_LIMIT = 1 << 30
+
+    def __init__(self, points):
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts) or pts.dtype.kind not in "iu":
+            raise ValueError("points must be a nonempty (n, 2) array of integers")
+        if pts.min() < -self.COORD_LIMIT or pts.max() > self.COORD_LIMIT:
+            raise ValueError("target coordinates must lie within +-2**30")
+        self.pts = pts.astype(np.int64)
+        self.box = Box(*self.pts.min(axis=0).tolist(), *self.pts.max(axis=0).tolist())
+        keys = self._key(self.pts[:, 0], self.pts[:, 1])
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+            raise ValueError("duplicate points")
+
+    @staticmethod
+    def _key(x, y):
+        # equal keys (mod 2**64) force y = y' and then x = x' mod 2**32
+        return (np.asarray(x, dtype=np.int64) << 32) + np.asarray(y, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return len(self.pts)
+
+    @property
+    def label(self) -> str:
+        return "points:" + ";".join(f"({a},{b})" for a, b in self.points())
+
+    def points(self) -> list[Point]:
+        return list(map(tuple, self.pts.tolist()))
+
+    def vertex_index(self, x, y):
+        keys = self._key(x, y)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
+
+    def root_coords(self, rng, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        counts = self.box.ring_count(delta)
+        idx = np.minimum((rng.random(len(delta)) * counts).astype(np.int64),
+                         counts - 1)
+        x = np.empty(len(delta), dtype=np.int64)
+        y = np.empty(len(delta), dtype=np.int64)
+        inside = delta == 0
+        if inside.any():
+            h = self.box.height
+            x[inside] = self.box.x0 + idx[inside] // h
+            y[inside] = self.box.y0 + idx[inside] % h
+        out = ~inside
+        if out.any():
+            x[out], y[out] = self.box.ring_cells(delta[out], idx[out])
+        return x, y
+
+    def pair_distance_counts(self) -> dict[Point, int]:
+        """Multiplicity of each unordered displacement between distinct
+        points, folded to (max, min) of (|dx|, |dy|), in ascending order:
+        the autocorrelation of the set's indicator by FFT on its bounding box
+        (sx, sy) zero-padded to (2sx-1, 2sy-1), rounded under a guard (every
+        residual < 1/4, |A|^2 in all).  40-60 bytes of scratch per padded
+        cell; a grid over PAIR_GRID_CELLS cells raises ValueError up front."""
+        n, sx, sy = self.size, self.box.width, self.box.height
+        grid = (2 * sx - 1, 2 * sy - 1)
+        if grid[0] * grid[1] > PAIR_GRID_CELLS:
+            raise ValueError(f"padded pair grid {grid} exceeds {PAIR_GRID_CELLS} cells")
+        ind = np.zeros((sx, sy))
+        ind[self.pts[:, 0] - self.box.x0, self.pts[:, 1] - self.box.y0] = 1.0
+        f = np.fft.rfft2(ind, grid)
+        corr = np.fft.irfft2(f * f.conj(), grid)
+        counts = np.rint(corr)
+        if np.abs(corr - counts).max() >= 0.25 or counts.sum() != n * n:
+            raise ArithmeticError("pair histogram FFT did not round to counts")
+        # index i of an axis of length p is displacement i, or i - p past the middle
+        dx, dy = (np.minimum(np.arange(p), p - np.arange(p)) for p in grid)
+        short = min(sx, sy)  # min(|dx|, |dy|) < short: the keys below are distinct
+        fold = np.maximum(dx[:, None], dy) * short + np.minimum(dx[:, None], dy)
+        hist = np.bincount(fold.ravel(), counts.ravel()).astype(np.int64) // 2
+        hist[0] = 0  # displacement 0 pairs each point only with itself
+        return {divmod(k, short): int(hist[k]) for k in np.flatnonzero(hist).tolist()}
+
+    def max_l1_diameter(self) -> int:
+        """Largest L1 distance between two points: |dx| + |dy| is the larger
+        of |d(x + y)| and |d(x - y)|."""
+        x, y = self.pts.T
+        return int(max(np.ptp(x + y), np.ptp(x - y)))
+
+
+class BoxTarget(PointsTarget):
+    """side x side box of vertices anchored at the origin corner, x-major:
+    vertex (i, j) is number i side + j."""
+
+    MAX_SIDE = 2048  # the largest box whose pair grid fits PAIR_GRID_CELLS
+
+    def __init__(self, side: int):
+        if not 1 <= side <= self.MAX_SIDE:
+            raise ValueError(f"side must lie in [1, {self.MAX_SIDE}]")
+        i = np.arange(side)
+        super().__init__(np.stack([np.repeat(i, side), np.tile(i, side)], axis=1))
+
+    @property
+    def label(self) -> str:
+        return f"box:{self.box.width}"
+
+    def vertex_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        inside = ((x >= self.box.x0) & (x <= self.box.x1)
+                  & (y >= self.box.y0) & (y <= self.box.y1))
+        idx = (x - self.box.x0) * self.box.height + (y - self.box.y0)
+        return np.where(inside, idx, -1)

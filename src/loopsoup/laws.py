@@ -12,6 +12,10 @@ vertices of A is exactly one; A_eps denotes the subset still uncovered at
 to show A_eps is small and spread out, with three-state verdicts because
 several hypotheses (kappa^-1 >= exp(e^32), "|A| large enough") are far
 beyond numerical reach.
+
+Point sets are ``lattice.PointsTarget``; ``TargetSet`` is kept as its name
+here because callers (and the benchmark's tracer, which patches
+``laws.TargetSet.pair_distance_counts``) reach the set type through ``laws``.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ import numpy as np
 
 # greens_table by name: the benchmark's tracer patches laws.greens_table
 from .greens import greens_at, greens_table, mu_gamma_o
-from .lattice import Point, l1
+from .lattice import BoxTarget, Point, l1
+# the same class object, so a patch of laws.TargetSet reaches every set
+from .lattice import PointsTarget as TargetSet
 from .records import Verdict, verdict
 
 E9 = math.exp(9)
 E30 = math.exp(30)
 LOG_EE32 = math.exp(32)  # log(kappa^-1) must exceed e^32 for the core lemmas
-PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
 
 
 def gumbel_cdf(z):
@@ -61,13 +66,13 @@ def _log_det(g: np.ndarray) -> np.ndarray:
 
 def green_matrix(kappa: float, points) -> np.ndarray:
     """G_B of distinct points B, with G evaluated once per distinct folded
-    displacement (max, min) of (|dx|, |dy|).  The keys of the displacements
-    are built in row blocks of about 2^16 entries, so the scratch beyond the
-    (|B|, |B|) arrays stays small."""
-    x, y = np.asarray(TargetSet(tuple(map(tuple, points))).points, dtype=np.int64).T
-    span = int(max(np.ptp(x), np.ptp(y))) + 1
-    if span * span >= 1 << 63:
-        raise ValueError("point set too wide for int64 displacement keys")
+    displacement (max, min) of (|dx|, |dy|): int64 keys below span^2 <=
+    (2**31 + 1)^2, as TargetSet bounds |coordinates| by 2**30, built and then
+    overwritten by G_B in row blocks of about 2^16 entries, so one (|B|, |B|)
+    array and np.unique's sorted copy of it are the only large ones."""
+    target = TargetSet(points)
+    x, y = target.pts.T
+    span = max(target.box.width, target.box.height)
     keys = np.empty((len(x), len(x)), dtype=np.int64)
     rows = max(1, (1 << 16) // len(x))
     for i in range(0, len(x), rows):
@@ -75,7 +80,10 @@ def green_matrix(kappa: float, points) -> np.ndarray:
         keys[i:i + rows] = np.maximum(dx, dy) * span + np.minimum(dx, dy)
     distinct = np.unique(keys)
     g = greens_at(kappa, np.stack(np.divmod(distinct, span), axis=1))
-    return g[np.searchsorted(distinct, keys)]
+    g_b = keys.view(np.float64)
+    for i in range(0, len(x), rows):
+        g_b[i:i + rows] = g[np.searchsorted(distinct, keys[i:i + rows])]
+    return g_b
 
 
 def prob_uncovered(kappa: float, points, u: float) -> float:
@@ -153,58 +161,8 @@ def resolve_epsilon(spec: str, mu: float) -> float:
     return epsilon
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """Finite set of lattice points with cached displacement machinery."""
-
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("target set must be nonempty")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("target set has duplicate points")
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def pair_distance_counts(self) -> dict[Point, int]:
-        """Multiplicity of each unordered displacement between distinct
-        points, folded to (max, min) of (|dx|, |dy|), in ascending order:
-        the autocorrelation of the set's indicator by FFT on its bounding box
-        (sx, sy) zero-padded to (2sx-1, 2sy-1), rounded under a guard (every
-        residual < 1/4, |A|^2 in all).  40-60 bytes of scratch per padded
-        cell; a grid over PAIR_GRID_CELLS cells raises ValueError up front."""
-        x, y = np.asarray(self.points, dtype=np.int64).T
-        n, sx, sy = len(x), int(np.ptp(x)) + 1, int(np.ptp(y)) + 1
-        grid = (2 * sx - 1, 2 * sy - 1)
-        if grid[0] * grid[1] > PAIR_GRID_CELLS:
-            raise ValueError(f"padded pair grid {grid} exceeds {PAIR_GRID_CELLS} cells")
-        ind = np.zeros((sx, sy))
-        ind[x - x.min(), y - y.min()] = 1.0
-        f = np.fft.rfft2(ind, grid)
-        corr = np.fft.irfft2(f * f.conj(), grid)
-        counts = np.rint(corr)
-        if np.abs(corr - counts).max() >= 0.25 or counts.sum() != n * n:
-            raise ArithmeticError("pair histogram FFT did not round to counts")
-        # index i of an axis of length p is displacement i, or i - p past the middle
-        dx, dy = (np.minimum(np.arange(p), p - np.arange(p)) for p in grid)
-        short = min(sx, sy)  # min(|dx|, |dy|) < short: the keys below are distinct
-        fold = np.maximum(dx[:, None], dy) * short + np.minimum(dx[:, None], dy)
-        hist = np.bincount(fold.ravel(), counts.ravel()).astype(np.int64) // 2
-        hist[0] = 0  # displacement 0 pairs each point only with itself
-        return {divmod(k, short): int(hist[k]) for k in np.flatnonzero(hist).tolist()}
-
-    def max_l1_diameter(self) -> int:
-        """Largest L1 distance between two points: |dx| + |dy| is the larger
-        of |d(x + y)| and |d(x - y)|."""
-        x, y = np.asarray(self.points, dtype=np.int64).T
-        return int(max(np.ptp(x + y), np.ptp(x - y)))
-
-
-def box_set(side: int) -> TargetSet:
-    return TargetSet(tuple((i, j) for i in range(side) for j in range(side)))
+def box_set(side: int) -> BoxTarget:
+    return BoxTarget(side)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +212,7 @@ def quasi_independence_bound(kappa: float, K: TargetSet, u: float,
     mu = mu_gamma_o(kappa).value
     bound = 2.0 * K.size ** 2 * u * float(set_size) ** (-1.0 / mu)
     sep = float(set_size) ** (1.0 / mu) * kappa ** (-0.5)
-    pts = K.points
+    pts = K.points()
     return bound, all(abs(p[0] - q[0]) + abs(p[1] - q[1]) >= sep
                       for i, p in enumerate(pts) for q in pts[i + 1:])
 

@@ -306,13 +306,14 @@ class SoupSample:
 def _sample_slice(seed: int, window: Box, t0: float, t1: float,
                   time_slice: int, dist: LengthDistribution):
     """All loops rooted in the window with timestamps in [t0, t1), drawn
-    whole-window from the slice's own stream."""
+    whole-window from the slice's own stream: Poisson(area (t1 - t0) mass)
+    loops on uniform cells (Poisson splitting), sorted x-major, so time and
+    memory follow the loops, not the window's area."""
     loops = window.area * (t1 - t0) * dist.total_mass
     if loops > MAX_SOUP_LOOPS:
         raise ResourceCeilingError(f"soup slice of {loops:.3g} > {MAX_SOUP_LOOPS} loops")
     rng = block_stream(seed, "soup", time_slice)
-    counts = rng.poisson((t1 - t0) * dist.total_mass, size=window.area)
-    cell = np.repeat(np.arange(window.area), counts)
+    cell = np.sort(rng.integers(0, window.area, size=rng.poisson(loops)))
     rx = (window.x0 + cell // window.height).astype(np.int32)
     ry = (window.y0 + cell % window.height).astype(np.int32)
     hl = dist.sample(rng, len(cell)).astype(np.int32)

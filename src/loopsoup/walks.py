@@ -149,10 +149,6 @@ class WalkCountTable:
                 yield p, lv[i]
 
 
-def count_walks_dp(n_max: int, radius: int) -> WalkCountTable:
-    return WalkCountTable.build(n_max, radius)
-
-
 def count_loops_closed_form(n: int) -> int:
     """Closed loops of length 2n rooted at a vertex: C(2n, n)^2."""
     if n < 1:

@@ -92,6 +92,32 @@ class TestTargets:
         for bad in ((lim + 1, 0), (0, -lim - 1)):
             with pytest.raises(ValueError, match=r"2\*\*30"):
                 PointsTarget([bad])
+        # empty, a flat list, three coordinates, non-integers, duplicates
+        for bad in ([], [0, 0, 1, 2], [(0, 0, 1)], [(0.5, 1)]):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                PointsTarget(bad)
+        with pytest.raises(ValueError, match="duplicate"):
+            PointsTarget([(0, 0), (1, 2), (0, 0)])
+        for side in (0, BoxTarget.MAX_SIDE + 1):
+            with pytest.raises(ValueError, match="side"):
+                BoxTarget(side)
+
+    def test_one_set_type(self):
+        # laws and cover share the class; a box lists its points x-major
+        assert laws.TargetSet is PointsTarget
+        assert isinstance(laws.box_set(5), BoxTarget)
+        for s in (1, 4, 7):
+            box = BoxTarget(s)
+            assert box.vertex_index(*box.pts.T).tolist() == list(range(s * s))
+            assert box.points() == [(i, j) for i in range(s) for j in range(s)]
+        # a 6x6 box listed in shuffled order has the box's pair sums
+        pts = BoxTarget(6).points()
+        np.random.default_rng(3).shuffle(pts)
+        spec = "points:" + ";".join(f"({a},{b})" for a, b in pts)
+        shuffled = laws.second_moment_report(0.5, make_target(spec), 0.05)
+        box = laws.second_moment_report(0.5, laws.box_set(6), 0.05)
+        assert shuffled.class_pair_counts == box.class_pair_counts
+        assert shuffled.class_sums == box.class_sums
 
 
 class TestKs:

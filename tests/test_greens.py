@@ -222,6 +222,6 @@ class TestAppendix:
         assert count_walks_diagonal(4, (3, 1)) == 4
 
     def test_c_star_stability(self, big_walk_table):
-        c50 = greens.local_clt_min_constant(big_walk_table, 50)
-        c100 = greens.local_clt_min_constant(big_walk_table, 100)
+        c50 = greens.verify_appendix_bounds(50, big_walk_table).c_star
+        c100 = greens.verify_appendix_bounds(100, big_walk_table).c_star
         assert abs(c100 - c50) <= 0.1 * max(abs(c50), 1e-9)

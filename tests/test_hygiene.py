@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import loopsoup
-from loopsoup import laws
+from loopsoup import cover, laws
 
 MODULES = sorted(p for p in Path(loopsoup.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -107,10 +107,17 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         # the report must still reach its table and histogram through the
         # patched names, or their per-layer metrics read 0
         laws.second_moment_report(0.5, laws.box_set(3), 0.05)
+        spans = {name for _, name in tracer.seconds}
+        assert {"laws.second_moment", "greens.table", "laws.pair_histogram"} <= spans
+        # so must the ring engine's root placement and vertex lookup, patched
+        # on each set class, for a box and for a point set alike
+        for target in (cover.BoxTarget(3), cover.PointsTarget([(0, 0), (2, 1)])):
+            tracer.seconds.clear()
+            cover.CoverEngine(0.5, target, sampler="ring").ensemble(1, 8)
+            spans = {name for _, name in tracer.seconds}
+            assert {"cover.root_coords", "cover.vertex_index"} <= spans, target.label
     finally:
         tracer.uninstall()
-    spans = {name for _, name in tracer.seconds}
-    assert {"laws.second_moment", "greens.table", "laws.pair_histogram"} <= spans
 
 
 def test_benchmark_workloads_set_up():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ class TestWindowSoup:
             sampler.sample_window_soup(2, 0.5, Box(0, 0, 1, 1), 1e9, 1e-6)
         with pytest.raises(ResourceCeilingError):
             sampler.extend_soup(soup, 1e9)
+
+    def test_slice_cost_follows_loops_not_window_area(self):
+        # a 3,162^2 window at horizon 1e-9 expects about 0.006 loops; one
+        # draw per window cell would take 0.5 s and a 200 MB peak
+        sampler.length_pmf(0.5, 1e-8)   # the cached length law is not counted
+        tracemalloc.start()
+        try:
+            soup = sampler.sample_window_soup(1, 0.5, (0, 0, 3161, 3161), 1e-9, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(soup) == 0 and peak < 1 << 20
+        # the loops of a slice stay in x-major root order
+        soup = sampler.sample_window_soup(2, 0.5, Box(-4, 3, 5, 12), 3.0, 1e-6)
+        cell = (soup.root_x.astype(np.int64) + 4) * 10 + (soup.root_y - 3)
+        assert len(soup) > 10 and (np.diff(cell) >= 0).all()
 
     def test_extensions_reuse_the_length_law(self, monkeypatch):
         # the length law, alias table included, is built once per soup

@@ -8,8 +8,8 @@ from loopsoup.lattice import (diagonal_coords, fold_octant, l1,
                               symmetry_orbit)
 from loopsoup.walks import (BRUTE_FORCE_MAX_STEPS, WalkCountTable,
                             count_loops_closed_form, count_walks_bruteforce,
-                            count_walks_diagonal, count_walks_dp,
-                            verify_dominance, walk_endpoint_counts)
+                            count_walks_diagonal, verify_dominance,
+                            walk_endpoint_counts)
 
 
 class TestBruteForce:
@@ -38,22 +38,22 @@ class TestBruteForce:
 
 class TestDpTable:
     def test_origin_loops(self):
-        assert count_walks_dp(6, 6).count(6, (0, 0)) == 400
+        assert WalkCountTable.build(6, 6).count(6, (0, 0)) == 400
 
     def test_spot_value_vs_bruteforce(self):
-        assert count_walks_dp(4, 4).count(4, (2, 0)) == 16
+        assert WalkCountTable.build(4, 4).count(4, (2, 0)) == 16
 
     def test_interior_recursion(self):
-        t = count_walks_dp(5, 5)
+        t = WalkCountTable.build(5, 5)
         nbrs = [(2, 0), (0, 0), (1, 1), (1, -1)]
         assert t.count(5, (1, 0)) == sum(t.count(4, y) for y in nbrs)
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
-            count_walks_dp(5, 4)
+            WalkCountTable.build(5, 4)
 
     def test_column_sums(self):
-        t = count_walks_dp(8, 8)
+        t = WalkCountTable.build(8, 8)
         for n in range(9):
             total = sum(w * len(symmetry_orbit(p)) for p, w in t.level_items(n))
             assert total == 4 ** n
@@ -88,7 +88,7 @@ class TestOracleEquivalence:
     def test_three_way_agreement(self):
         for n in range(0, 9):
             tally = walk_endpoint_counts(n)
-            table = count_walks_dp(n, n) if n else None
+            table = WalkCountTable.build(n, n) if n else None
             for x, w in tally.items():
                 assert count_walks_diagonal(n, x) == w
                 if table is not None:
@@ -117,7 +117,7 @@ class TestDominance:
         assert rep.ok and rep.checked > 0
 
     def test_spot_value(self):
-        t = count_walks_dp(8, 8)
+        t = WalkCountTable.build(8, 8)
         assert t.count(8, (2, 2)) <= t.count(8, (0, 0)) == 4900
 
     def test_origin_is_never_a_violation(self):
