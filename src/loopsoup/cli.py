@@ -10,7 +10,8 @@ file (--config), and a flag on the command line overrides both; quick takes
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
 (arguments, config file, environment, set or epsilon spec), 3 resource
 ceiling (a length law or walk series past its truncation ceiling, a cover
-run past its work guard, a soup slice past its loop ceiling), 4 any other
+run past its work guard, a soup slice past its loop ceiling, a second-moment
+set past its pair-sum guard), 4 any other
 error (a value outside a function's domain, or a fault in the program),
 printed as "error: <type>: <message>".
 
@@ -31,6 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import chdtrc
 
 from . import cover, greens, laws, sampler, walks
 from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
@@ -82,15 +84,16 @@ def _parse_spec(parse, text: str, *rest, what: str = ""):
         raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
-def _number(cast, low: float, strict: bool = False):
+def _number(cast, low: float, strict: bool = False, high: float = math.inf):
     """An argparse type: a finite cast(text) that is >= low, or > low if
-    strict; anything else is a parse error naming the flag."""
+    strict, and <= high; anything else is a parse error naming the flag."""
     def number(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and value <= high):
             raise argparse.ArgumentTypeError(
-                f"expected {cast.__name__} {'>' if strict else '>='} {low:g}, "
-                f"got {text!r}")
+                f"expected {cast.__name__} {'>' if strict else '>='} {low:g}"
+                f"{f' and <= {high:g}' if high < math.inf else ''}, got {text!r}")
         return value
     return number
 
@@ -414,19 +417,22 @@ def _verify_all_verdicts(args) -> list[Verdict]:
                             f"kappa=0.5,set={sample.target_label},replicas={replicas},"
                             f"seed={args.seed}", d, thr, d <= thr))
 
-    # Sampler structure: bridge closure and length-law chi-square.
-    dist = sampler.length_pmf(0.5, 1e-8)
-    rng = cover.block_stream(args.seed, "verify-sampler", 0)
-    ms = dist.sample(rng, 20_000)
-    counts = np.bincount(ms, minlength=dist.n_trunc + 1)[1:]
-    expected = 20_000 * dist._pmf
-    keep = expected >= 5
-    chi2 = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
-    from scipy.stats import chi2 as chi2_dist
-    pval = float(chi2_dist.sf(chi2, int(keep.sum()) - 1))
+    # Sampler structure: the half-lengths of one window soup of about 20,000
+    # loops against the normalized weights (bins under 20 expected pooled),
+    # and bridge closure.
+    dist, win = sampler.length_pmf(0.5, 1e-8), Box(0, 0, 9, 9)
+    soup = sampler.sample_window_soup(args.seed, 0.5, win,
+                                      20_000 / (win.area * dist.total_mass), 1e-8)
+    counts = np.bincount(soup.half_length, minlength=dist.n_trunc + 1)[1:]
+    expected = len(soup) * dist.weights / dist.total_mass
+    big = expected >= 20
+    obs = np.append(counts[big], counts[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    pval = float(chdtrc(len(exp) - 1, ((obs - exp) ** 2 / exp).sum()))
     verdicts.append(verdict("length-law-chi-square", PLUMBING,
-                            f"kappa=0.5,draws=20000,seed={args.seed}",
+                            f"kappa=0.5,loops={len(soup)},seed={args.seed}",
                             pval, 0.001, pval > 0.001))
+    rng = cover.block_stream(args.seed, "verify-sampler", 0)
     steps = sampler.bridge_steps(rng, 6, 512)
     closure = bool((STEP_DX[steps].sum(axis=1) == 0).all()
                    and (STEP_DY[steps].sum(axis=1) == 0).all())
@@ -498,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     lp.set_defaults(func=cmd_laws_pair)
     lm = ls.add_parser("second-moment")
     lm.add_argument("--kappa", type=positive, required=True)
-    lm.add_argument("--box", type=_number(int, 2), required=True)
+    lm.add_argument("--box", type=_number(int, 2, high=cover.BoxTarget.MAX_SIDE),
+                    required=True)
     lm.add_argument("--epsilon", default="auto100",
                     help="float | auto100 | auto400")
     lm.set_defaults(func=cmd_laws_second_moment)

@@ -88,7 +88,7 @@ def make_target(spec: str):
             for tok in rest.split(";"):
                 tok = tok.strip()
                 if not (tok.startswith("(") and tok.endswith(")")):
-                    raise ValueError(tok)
+                    raise ValueError(f"bad point {tok!r}")
                 a, b = tok[1:-1].split(",")
                 pts.append((int(a), int(b)))
             return PointsTarget(pts)
@@ -97,7 +97,8 @@ def make_target(spec: str):
             return PointsTarget([(i * int(sep), 0) for i in range(int(k))])
     except (ValueError, TypeError) as exc:
         cause = exc
-    raise ValueError(f"bad set spec {spec!r}; grammar: box:<n> | "
+    why = f": {cause}" if cause is not None else ""
+    raise ValueError(f"bad set spec {spec!r}{why}; grammar: box:<n> | "
                      f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>") from cause
 
 
@@ -175,12 +176,12 @@ class CoverTimeSample:
 
 
 def trace_setup_bytes(size: int) -> int:
-    """Peak bytes of the trace chain's setup for a set of `size` points,
-    fitted to the rise of the process's peak RSS while the engine is built
-    (one core): 42 bytes per size * (size + 1) entry, set by G_A and its
-    inverse with LAPACK's working copies, plus 4 MiB.  box:32 estimates
-    48.3 MB and peaked 47.7 MB, box:38 91.8 MB and 89.1 MB, box:41
-    122.9 MB and 119.7 MB."""
+    """Peak bytes of the trace chain's setup for a set of `size` points:
+    42 bytes per size * (size + 1) entry, set by G_A and its inverse with
+    LAPACK's working copies, plus 4 MiB.  It bounds the rise of the
+    process's peak RSS while the engine is built (one core, kappa = 0.01,
+    the same in two runs) by about 20%: box:32 estimates 48.3 MB and rose
+    41.6 MB, box:38 91.8 MB and 77.0 MB, box:41 122.9 MB and 99.6 MB."""
     return 42 * size * (size + 1) + (4 << 20)
 
 
@@ -240,7 +241,7 @@ class TraceChain:
         self.clamped = -np.minimum(q, 0.0).sum(axis=1)
         np.maximum(q, 0.0, out=q)
         table[1:, 0] = np.maximum(1.0 - q.sum(axis=1), 0.0)
-        alias, keep = _alias_setup(table, overwrite=True)
+        alias, keep = _alias_setup(table)
         self._alias, self._keep = alias.ravel(), keep.ravel()
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
@@ -485,27 +486,22 @@ def run_blocks(job, arg_list, workers: int = 1):
 # Spec-level operations
 
 
-def cover_time(rng: np.random.Generator, kappa: float, target) -> float:
-    """One cover-time draw; target is a BoxTarget/PointsTarget or point list."""
-    if not isinstance(target, PointsTarget):
-        target = PointsTarget(list(target))
-    engine = CoverEngine(kappa, target)
-    return float(engine._cover_batch(rng, 1)[0])
-
-
 def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     """Per-point first cover times under an explicit soup (inf if missed).
 
-    Loops are decoded in half-length groups so the pathwise route stays
-    usable as an oracle at thousands of loops.
+    The packed steps are joined once, and loops are decoded in half-length
+    groups, by byte offsets, so the pathwise route stays usable as an oracle
+    at thousands of loops.
     """
     target = PointsTarget(points)
     best = np.full(len(points), np.inf)
-    hl = np.asarray(soup.half_length)
+    hl = np.asarray(soup.half_length, dtype=np.int64)
+    nbytes = (2 * hl + 3) // 4
+    start = np.cumsum(nbytes) - nbytes
+    buf = np.frombuffer(b"".join(soup.steps_packed), dtype=np.uint8)
     for m in np.unique(hl).tolist():
         idx = np.nonzero(hl == m)[0]
-        buf = b"".join(soup.steps_packed[i] for i in idx)
-        raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(idx), -1)
+        raw = buf[start[idx, None] + np.arange((2 * m + 3) // 4)]
         px, py = loop_vertices(soup.root_x[idx], soup.root_y[idx],
                                unpack_steps(raw, 2 * m))
         vi = target.vertex_index(px.ravel(), py.ravel())
@@ -514,15 +510,6 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
             tt = np.repeat(soup.timestamp[idx], 2 * m)
             np.minimum.at(best, vi[hit], tt[hit])
     return best
-
-
-def cover_time_from_soup(soup, points: list[Point]) -> float:
-    """Cover time of `points` under an explicitly sampled soup (pathwise)."""
-    best = first_cover_times_from_soup(soup, points)
-    worst = float(best.max())
-    if not math.isfinite(worst):
-        raise ValueError("soup horizon does not cover the target")
-    return worst
 
 
 def cover_time_ensemble(seed: int, kappa: float, target, replicas: int, workers: int = 1,

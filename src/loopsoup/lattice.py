@@ -21,8 +21,6 @@ import numpy as np
 
 Point = tuple[int, int]
 
-ORIGIN: Point = (0, 0)
-
 # Step codes: 0=E, 1=N, 2=W, 3=S.  In diagonal coordinates s=x1+x2, d=x2-x1
 # each step changes (s, d) by (+1,-1), (+1,+1), (-1,+1), (-1,-1) respectively.
 STEP_DX = np.array([1, 0, -1, 0], dtype=np.int64)
@@ -43,10 +41,6 @@ def fold_octant(x: Point) -> Point:
     """Canonical representative (a, b) with a >= b >= 0 of the symmetry orbit."""
     a, b = abs(x[0]), abs(x[1])
     return (a, b) if a >= b else (b, a)
-
-
-def neighbors(x: Point) -> list[Point]:
-    return [(x[0] + 1, x[1]), (x[0] - 1, x[1]), (x[0], x[1] + 1), (x[0], x[1] - 1)]
 
 
 def octant_points(radius: int) -> list[Point]:

@@ -33,10 +33,12 @@ from .lattice import BoxTarget, Point, l1
 # the same class object, so a patch of laws.TargetSet reaches every set
 from .lattice import PointsTarget as TargetSet
 from .records import Verdict, verdict
+from .series import ResourceCeilingError
 
 E9 = math.exp(9)
 E30 = math.exp(30)
 LOG_EE32 = math.exp(32)  # log(kappa^-1) must exceed e^32 for the core lemmas
+PAIR_GUARD = 10_000  # most points second_moment_report sums pairs over
 
 
 def gumbel_cdf(z):
@@ -275,8 +277,8 @@ class SecondMomentReport:
         return sum(self.class_sums.values())
 
 
-def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
-                         pair_guard: int = 10_000) -> SecondMomentReport:
+def second_moment_report(kappa: float, A: TargetSet,
+                         epsilon: float) -> SecondMomentReport:
     """Evaluate every pair-sum inequality for the uncovered set at (1-eps) u*.
 
     The left-hand sides are exact sums of the two-point avoidance law over
@@ -285,8 +287,8 @@ def second_moment_report(kappa: float, A: TargetSet, epsilon: float,
     rows informational by construction.
     """
     n = A.size
-    if n > pair_guard:
-        raise ValueError(f"|A| = {n} exceeds the pair-sum guard {pair_guard}")
+    if n > PAIR_GUARD:
+        raise ResourceCeilingError(f"|A| = {n} exceeds the pair-sum guard {PAIR_GUARD}")
     if n < 2:
         raise ValueError("need at least two points")
     if not 0.0 < epsilon < 1.0:

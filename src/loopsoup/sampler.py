@@ -2,9 +2,11 @@
 
 The rooted representation makes this exact: the soup restricted to loops of
 half-length m <= n_trunc and roots in a window is a Poisson process with,
-per root, total mass sum_m w_m where w_m = (L_{2m}/(2m)) beta^{2m}.  Loop
-counts are Poisson, half-lengths follow the normalized w, timestamps are
-uniform marks, and the loop shape is a pair of independent +-1 bridges in
+per root, total mass sum_m w_m where w_m = (L_{2m}/(2m)) beta^{2m}.  The
+loops of each half-length m are an independent Poisson process of rate w_m
+per root, so a window soup draws one Poisson count per half-length, as the
+cover engine's ring slab does; roots are uniform on the window, timestamps
+are uniform marks, and the loop shape is a pair of independent +-1 bridges in
 the diagonal coordinates (every closed walk corresponds to exactly one such
 pair, so bridge shuffling is uniform over the C(2m,m)^2 rooted loops).
 
@@ -16,12 +18,12 @@ the same length; no multiplicity bookkeeping is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Box, Point, STEP_DX, STEP_DY
+from .lattice import Box, STEP_DX, STEP_DY
 from .rng import block_stream
 from .series import (ResourceCeilingError, SeriesTruncationError,
                      exp_tail_bound, loop_term_array, step_weight)
@@ -53,11 +55,10 @@ def required_n_trunc(kappa: float, tail_tol: float) -> int:
 _ALIAS_WINDOW = 64
 
 
-def _alias_setup(probs: np.ndarray,
-                 overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _alias_setup(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alias tables (J, q) for O(1) draws from each row of a (..., k) stack
     of distributions: draw column c uniformly, keep it if U < q[c], else J[c].
-    J is int32; with overwrite, q is probs itself, scaled in place.
+    J is int32; q is probs itself (as float64), scaled in place.
 
     Every row runs Walker's construction with a stack of small (q < 1) and
     one of large columns, both in one int32 index row P: P[:ns] holds the
@@ -72,10 +73,7 @@ def _alias_setup(probs: np.ndarray,
     probs = np.asarray(probs, dtype=np.float64)
     k = probs.shape[-1]
     q = probs.reshape(-1, k)
-    if overwrite:
-        q *= k
-    else:
-        q = q * k
+    q *= k
     J = np.zeros(q.shape, dtype=np.int32)
     # smalls, ascending, then larges, ascending
     P = np.argsort(q >= 1.0, axis=1, kind="stable").astype(np.int32)
@@ -123,43 +121,24 @@ class LengthDistribution:
     weights: np.ndarray
     total_mass: float
     tail_mass_bound: float
-    _pmf: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, kappa: float, tail_tol: float) -> "LengthDistribution":
         n = required_n_trunc(kappa, tail_tol)
         t = loop_term_array(kappa, n)
         weights = t / (2.0 * np.arange(1, n + 1, dtype=np.float64))
-        total = float(weights.sum())
-        pmf = weights / total
-        return cls(kappa=kappa, n_trunc=n, weights=weights, total_mass=total,
-                   tail_mass_bound=exp_tail_bound(kappa, n) / (2.0 * (n + 1)),
-                   _pmf=pmf)
-
-    @cached_property
-    def _alias(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on the first sample(): the cover engine never draws from it
-        return _alias_setup(self._pmf)
-
-    def pmf(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=np.int64)
-        return self._pmf[m - 1]
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Alias-method draws of half-lengths, O(1) each."""
-        J, q = self._alias
-        kk = rng.integers(0, self.n_trunc, size=size)
-        keep = rng.random(size) < q[kk]
-        return np.where(keep, kk, J[kk]) + 1
+        return cls(kappa=kappa, n_trunc=n, weights=weights,
+                   total_mass=float(weights.sum()),
+                   tail_mass_bound=exp_tail_bound(kappa, n) / (2.0 * (n + 1)))
 
 
 @lru_cache(maxsize=32)
 def length_pmf(kappa: float, tail_tol: float) -> LengthDistribution:
-    """The shared LengthDistribution of (kappa, tail_tol), alias table
-    included; its arrays are read-only."""
+    """The shared LengthDistribution of (kappa, tail_tol), which window soups
+    and the cover engine draw their per-half-length Poisson counts from; its
+    weights are read-only."""
     dist = LengthDistribution.build(kappa, tail_tol)
-    for a in (dist.weights, dist._pmf):
-        a.flags.writeable = False
+    dist.weights.flags.writeable = False
     return dist
 
 
@@ -182,7 +161,8 @@ def bridge_steps(rng: np.random.Generator, half_length: int,
         raise ValueError("half_length must be >= 1")
     ds = balanced_signs(rng, count, m)
     dd = balanced_signs(rng, count, m)
-    return _codes_from_diagonal(ds, dd)
+    return np.where(ds > 0, np.where(dd > 0, 1, 0),
+                    np.where(dd > 0, 2, 3)).astype(np.int8)
 
 
 def balanced_signs(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -192,37 +172,6 @@ def balanced_signs(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     sgn[:, :m] = 1
     sgn[:, m:] = -1
     return rng.permuted(sgn, axis=1, out=sgn)
-
-
-def _codes_from_diagonal(ds: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    return np.where(ds > 0, np.where(dd > 0, 1, 0),
-                    np.where(dd > 0, 2, 3)).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class RootedLoop:
-    """A rooted loop: root vertex plus an even closed step sequence."""
-
-    root: Point
-    steps: np.ndarray  # int8 codes, length 2m
-
-    @property
-    def half_length(self) -> int:
-        return len(self.steps) // 2
-
-    def vertices(self) -> np.ndarray:
-        """Visited vertices in walk order, root first (length 2m)."""
-        x, y = loop_vertices([self.root[0]], [self.root[1]], self.steps[None])
-        return np.stack([x[0], y[0]], axis=1)
-
-    def trace(self) -> set[Point]:
-        return {(int(a), int(b)) for a, b in self.vertices()}
-
-
-def sample_rooted_loop(rng: np.random.Generator, root: Point,
-                       half_length: int) -> RootedLoop:
-    """One uniform rooted loop of length 2*half_length at root."""
-    return RootedLoop(root=root, steps=bridge_steps(rng, half_length, 1)[0])
 
 
 def loop_vertices(root_x, root_y, codes) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +223,9 @@ class SoupSample:
     """Soup restricted to roots in a window, lengths <= 2 n_trunc, t <= horizon.
 
     Loops live in parallel arrays, ordered by time slice, then by root
-    (x-major); steps are packed 2-bit sequences.  The sample is a pure
+    (x-major); a slice's half-lengths come from one Poisson count per
+    half-length, in uniform order; steps_packed holds each loop's 2-bit
+    step codes, (2m + 3) // 4 bytes of them.  The sample is a pure
     function of (seed, kappa, window, horizon, tail_tol) and of the horizons
     it was extended by: every time slice draws from its own Philox stream,
     ``block_stream(seed, "soup", slice)``, so extending a soup never changes
@@ -297,26 +248,25 @@ class SoupSample:
     def __len__(self) -> int:
         return len(self.timestamp)
 
-    def loop(self, i: int) -> RootedLoop:
-        return RootedLoop(root=(int(self.root_x[i]), int(self.root_y[i])),
-                          steps=unpack_steps(self.steps_packed[i],
-                                             2 * int(self.half_length[i])))
-
 
 def _sample_slice(seed: int, window: Box, t0: float, t1: float,
                   time_slice: int, dist: LengthDistribution):
     """All loops rooted in the window with timestamps in [t0, t1), drawn
-    whole-window from the slice's own stream: Poisson(area (t1 - t0) mass)
-    loops on uniform cells (Poisson splitting), sorted x-major, so time and
-    memory follow the loops, not the window's area."""
-    loops = window.area * (t1 - t0) * dist.total_mass
-    if loops > MAX_SOUP_LOOPS:
-        raise ResourceCeilingError(f"soup slice of {loops:.3g} > {MAX_SOUP_LOOPS} loops")
+    whole-window from the slice's own stream: Poisson(area (t1 - t0) w_m)
+    loops of each half-length m, in uniform order, on sorted uniform cells
+    (Poisson splitting), so the loops are x-major and time and memory follow
+    them, not the window's area."""
+    span = window.area * (t1 - t0)
+    if span * dist.total_mass > MAX_SOUP_LOOPS:
+        raise ResourceCeilingError(
+            f"soup slice of {span * dist.total_mass:.3g} > {MAX_SOUP_LOOPS} loops")
     rng = block_stream(seed, "soup", time_slice)
-    cell = np.sort(rng.integers(0, window.area, size=rng.poisson(loops)))
+    counts = rng.poisson(span * dist.weights)
+    hl = rng.permutation(np.repeat(np.arange(1, dist.n_trunc + 1, dtype=np.int32),
+                                   counts))
+    cell = np.sort(rng.integers(0, window.area, size=len(hl)))
     rx = (window.x0 + cell // window.height).astype(np.int32)
     ry = (window.y0 + cell % window.height).astype(np.int32)
-    hl = dist.sample(rng, len(cell)).astype(np.int32)
     ts = t0 + (t1 - t0) * rng.random(len(cell))
     packed: list[bytes] = [b""] * len(cell)
     for m in np.unique(hl).tolist():

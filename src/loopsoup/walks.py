@@ -18,8 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import (Point, STEP_DX, STEP_DY, fold_octant, l1, neighbors,
-                      octant_points)
+from .lattice import Point, STEP_DX, STEP_DY, fold_octant, l1, octant_points
 
 #: Enumeration budget guard for the brute-force oracle (4**14 ~ 2.7e8 leaves).
 BRUTE_FORCE_MAX_STEPS = 14
@@ -159,22 +158,17 @@ def count_loops_closed_form(n: int) -> int:
 def count_walks_diagonal(n: int, x: Point) -> int:
     """W_n(x) from the diagonal-coordinate closed form.
 
-    Even n: the two diagonal components are independent +-1 bridges, giving
-    C(n, n/2 + s/2) * C(n, n/2 + d/2) when s, d are even (else 0).  Odd n is
-    the neighbor sum at n-1, matching the series manipulations elsewhere.
+    Every step moves s = x1 + x2 and d = x2 - x1 by +-1 each, all four sign
+    pairs once, so they are independent +-1 walks of n steps: W_n(x) =
+    C(n, (n+s)/2) * C(n, (n+d)/2) when n = s (mod 2) and |s|, |d| <= n
+    (s and d share parity), else 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n % 2 == 0:
-        s, d = x[0] + x[1], x[1] - x[0]
-        if s % 2 or d % 2:
-            return 0
-        m = n // 2
-        k1, k2 = m + s // 2, m + d // 2
-        if not (0 <= k1 <= n and 0 <= k2 <= n):
-            return 0
-        return comb(n, k1) * comb(n, k2)
-    return sum(count_walks_diagonal(n - 1, y) for y in neighbors(x))
+    s, d = x[0] + x[1], x[1] - x[0]
+    if (n + s) % 2 or abs(s) > n or abs(d) > n:
+        return 0
+    return comb(n, (n + s) // 2) * comb(n, (n + d) // 2)
 
 
 @dataclass

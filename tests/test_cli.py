@@ -236,12 +236,41 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     (("greens", "--kappa", -1), "--kappa"),
     (("laws", "pair", "--kappa", 0.5, "--x", "1,0", "--u", -1), "--u"),
     (("laws", "second-moment", "--kappa", 0.5, "--box", 0), "--box"),
+    (("laws", "second-moment", "--kappa", 0.5, "--box", 3000), "--box"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         _run(*argv)
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_documented_limits_exit_with_their_codes(capsys):
+    # the pair-sum guard is a resource ceiling
+    assert _run("laws", "second-moment", "--kappa", 0.5,
+                "--box", 101) == cli.EXIT_CEILING
+    assert capsys.readouterr().err.strip() == \
+        "resource ceiling: |A| = 10201 exceeds the pair-sum guard 10000"
+    # a rejected set spec names its cause before the grammar
+    for spec, cause in (("box:3000", "side must lie in [1, 2048]"),
+                        ("points:(0,0);(0,0)", "duplicate points")):
+        assert _run("covertime", "--set", spec, "--kappa", 0.5,
+                    "--replicas", 4) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad set spec {spec!r}: {cause}; "
+                              f"grammar: box:<n> |"), err
+
+
+def test_verify_all_does_not_load_scipy_stats():
+    # importing scipy.stats takes about a second, more than the whole
+    # quick suite; the length-law p-value comes from scipy.special
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    code = ("import sys; from loopsoup import cli; "
+            "code = cli.main(['--seed', '1', '--quick', 'verify', 'all']); "
+            "print(code, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_python_m_loopsoup():

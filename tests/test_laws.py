@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loopsoup import greens, laws
 from loopsoup.records import VERDICT_FAILS, VERDICT_NOT_MET
+from loopsoup.series import ResourceCeilingError
 
 
 class TestPointLaw:
@@ -301,7 +302,8 @@ class TestSecondMoment:
             laws.TargetSet(((0, 0), (10 ** 6, 10 ** 6))).pair_distance_counts()
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        # a documented limit, so a resource ceiling (exit 3), not a ValueError
+        with pytest.raises(ResourceCeilingError, match="pair-sum guard 10000"):
             laws.second_moment_report(0.5, laws.box_set(101), 0.05)
 
     def test_asymptotic_rows_flagged(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
-from loopsoup import greens, laws, sampler
+from loopsoup import cover, greens, laws, sampler
 from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
 from loopsoup.series import ResourceCeilingError, SeriesTruncationError
 
@@ -30,7 +30,7 @@ def _walker_alias(probs):
 class TestLengthDistribution:
     def test_pmf_normalized(self):
         d = sampler.length_pmf(0.5, 1e-8)
-        assert d._pmf.sum() == pytest.approx(1.0)
+        assert d.weights.sum() == pytest.approx(d.total_mass)
         assert d.n_trunc * 0.5 >= 0.5
 
     def test_weight_ratio(self):
@@ -51,14 +51,21 @@ class TestLengthDistribution:
         with pytest.raises(SeriesTruncationError):
             sampler.required_n_trunc(1e-7, 1e-6)
 
-    def test_alias_draws_match_pmf(self, rng):
+    def test_soup_half_lengths_match_weights(self):
+        # the per-half-length Poisson counts of one window soup of about
+        # 100,000 loops, against weights / total_mass (bins under 20 expected
+        # pooled, where the chi-square law of the statistic holds well)
         d = sampler.length_pmf(0.5, 1e-8)
-        draws = d.sample(rng, 100_000)
-        counts = np.bincount(draws, minlength=d.n_trunc + 1)[1:]
-        expected = 100_000 * d._pmf
-        keep = expected >= 5
-        stat = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
-        assert chi2.sf(stat, int(keep.sum()) - 1) > 0.001
+        win = Box(0, 0, 9, 9)
+        soup = sampler.sample_window_soup(
+            4, 0.5, win, 100_000 / (win.area * d.total_mass), 1e-8)
+        counts = np.bincount(soup.half_length, minlength=d.n_trunc + 1)[1:]
+        expected = len(soup) * d.weights / d.total_mass
+        big = expected >= 20
+        obs = np.append(counts[big], counts[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2.sf(stat, len(exp) - 1) > 0.001
 
     def test_alias_stack_matches_walker_loop(self, rng):
         # every row of a (..., k) stack gets exactly the table of Walker's
@@ -68,16 +75,18 @@ class TestLengthDistribution:
         probs[0, 0] = 1.0
         probs[1, 2, :30] = 0.0
         probs /= probs.sum(axis=-1, keepdims=True)
-        J, q = sampler._alias_setup(probs)
-        assert J.shape == q.shape == probs.shape
+        scaled = probs.copy()
+        J, q = sampler._alias_setup(scaled)
+        assert J.shape == q.shape == probs.shape and np.shares_memory(q, scaled)
         for idx in np.ndindex(3, 4):
             j1, q1 = _walker_alias(probs[idx])
             assert np.array_equal(j1, J[idx]) and np.array_equal(q1, q[idx])
             qq = np.minimum(q[idx], 1.0)
             mass = qq + np.bincount(J[idx], 1.0 - qq, minlength=40)
             assert np.allclose(mass / 40, probs[idx], rtol=0, atol=1e-14)
-        pmf = sampler.length_pmf(0.01, 1e-10)._pmf      # 6,817 columns
-        for got, want in zip(sampler._alias_setup(pmf), _walker_alias(pmf)):
+        d = sampler.length_pmf(0.01, 1e-10)               # 6,817 columns
+        pmf = d.weights / d.total_mass
+        for got, want in zip(sampler._alias_setup(pmf.copy()), _walker_alias(pmf)):
             assert np.array_equal(got, want)
 
 
@@ -112,18 +121,18 @@ class TestBridges:
         assert chi2.sf(stat, 35) > 0.001
 
     def test_trace_examples(self, rng):
-        loop = sampler.RootedLoop(root=(0, 0),
-                                  steps=np.array([0, 1, 2, 3], dtype=np.int8))
-        assert loop.trace() == {(0, 0), (1, 0), (1, 1), (0, 1)}
-        two = sampler.sample_rooted_loop(rng, (5, -2), 1)
-        assert len(two.trace()) == 2 and (5, -2) in two.trace()
+        x, y = sampler.loop_vertices([0], [0], np.array([[0, 1, 2, 3]], dtype=np.int8))
+        assert x.tolist() == [[0, 1, 1, 0]] and y.tolist() == [[0, 0, 1, 1]]
+        x, y = sampler.loop_vertices([5], [-2], sampler.bridge_steps(rng, 1, 1))
+        two = set(zip(x[0].tolist(), y[0].tolist()))
+        assert len(two) == 2 and (5, -2) in two
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2 ** 31))
     def test_trace_size_and_excursion(self, m, seed):
         rng = np.random.default_rng(seed)
-        loop = sampler.sample_rooted_loop(rng, (3, 4), m)
-        tr = loop.trace()
+        x, y = sampler.loop_vertices([3], [4], sampler.bridge_steps(rng, m, 1))
+        tr = set(zip(x[0].tolist(), y[0].tolist()))
         assert 2 <= len(tr) <= 2 * m
         assert max(abs(a - 3) + abs(b - 4) for a, b in tr) <= m
 
@@ -212,7 +221,7 @@ class TestWindowSoup:
         assert len(soup) > 10 and (np.diff(cell) >= 0).all()
 
     def test_extensions_reuse_the_length_law(self, monkeypatch):
-        # the length law, alias table included, is built once per soup
+        # the length law is built once per soup
         sampler.length_pmf.cache_clear()
         calls = []
         build = sampler.LengthDistribution.build
@@ -286,8 +295,8 @@ class TestWindowSoup:
         misses = 0
         for s in range(reps):
             soup = sampler.sample_window_soup(s, kappa, win, u, 1e-6)
-            hit = any((0, 0) in soup.loop(i).trace() for i in range(len(soup)))
-            misses += not hit
+            misses += not np.isfinite(
+                cover.first_cover_times_from_soup(soup, [(0, 0)])[0])
         p = laws.prob_uncovered(kappa, [(0, 0)], u)
         bias = u * sampler.truncation_bias_rate(d, Box(0, 0, 0, 0))
         se = math.sqrt(p * (1 - p) / reps)
