@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import cover, greens, laws, sampler, walks
 from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
@@ -314,17 +313,15 @@ def cmd_emit_plotdata(args) -> int:
     try:
         meta = json.loads(sidecar.read_text())
         mu, size = float(meta["mu_origin_loops"]), int(meta["target_size"])
+        with open(args.ensemble) as fh:
+            z = mu * np.array([float(r["cover_time"]) for r in csv.DictReader(fh)])
+        if args.cdf == "gumbel":
+            z -= math.log(size)
+        emp = EmpiricalDistribution.from_samples(z)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read mu_origin_loops and target_size from "
-                          f"the ensemble's JSON sidecar {sidecar}: {exc!r}") from exc
-    values = []
-    with open(args.ensemble) as fh:
-        for row in csv.DictReader(fh):
-            values.append(float(row["cover_time"]))
-    z = mu * np.asarray(values)
-    if args.cdf == "gumbel":
-        z -= math.log(size)
-    emp = EmpiricalDistribution.from_samples(z)
+        raise ConfigError(f"cannot read mu_origin_loops and target_size from the "
+                          f"JSON sidecar {sidecar} and cover_time samples from the "
+                          f"ensemble {args.ensemble}: {exc!r}") from exc
     rows = _plotdata_rows("ensemble", emp, cdf)
     write_rows_csv(args.out, ["series", "x", "y", "kind"], rows)
     print(f"wrote {len(rows)} plot points to {args.out}")
@@ -428,6 +425,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     big = expected >= 20
     obs = np.append(counts[big], counts[~big].sum())
     exp = np.append(expected[big], expected[~big].sum())
+    from scipy.special import chdtrc  # this row alone needs scipy
     pval = float(chdtrc(len(exp) - 1, ((obs - exp) ** 2 / exp).sum()))
     verdicts.append(verdict("length-law-chi-square", PLUMBING,
                             f"kappa=0.5,loops={len(soup)},seed={args.seed}",
@@ -471,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-dimensional killed-random-walk loop soup.")
     count, positive = _number(int, 1), _number(float, 0.0, strict=True)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--workers", type=count, default=1)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--quick", action="store_true")
@@ -527,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")
     c.add_argument("--replicas", type=count, required=True)
-    c.add_argument("--work-guard", type=float, default=5e11)
+    c.add_argument("--work-guard", type=positive, default=5e11)
     c.set_defaults(func=cmd_covertime)
 
     e = sub.add_parser("example", help="worked cover-time examples")
@@ -543,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--kappa", type=positive, default=0.5)
     gs.add_argument("--boxes", type=_listed(count), default="8,16,32")
     gs.add_argument("--replicas", type=count, default=20000)
-    gs.add_argument("--work-guard", type=float, default=5e11)
+    gs.add_argument("--work-guard", type=positive, default=5e11)
     gs.set_defaults(func=cmd_gumbel_scan)
 
     ep = sub.add_parser("emit-plotdata", help="tidy CDF/KS table from an ensemble")
@@ -580,8 +578,8 @@ def main(argv=None) -> int:
         # on the command line overrides them
         pre, _ = parser.parse_known_args(argv)
         defaults = effective_defaults(pre.config)
-        flat = {"seed": int, "workers": _number(int, 1), "out-dir": str,
-                "quick": _parse_bool}
+        flat = {"seed": _number(int, 0), "workers": _number(int, 1),
+                "out-dir": str, "quick": _parse_bool}
         parser.set_defaults(**{
             key.replace("-", "_"): _parse_spec(cast, defaults[key], what=key)
             for key, cast in flat.items() if key in defaults})

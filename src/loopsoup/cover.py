@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .greens import mu_gamma_o
 from .lattice import BoxTarget, Point, PointsTarget  # re-exported to callers
@@ -135,13 +134,13 @@ def ks_distance(emp: EmpiricalDistribution, cdf) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def ks_threshold(n: int, level: float = 0.999) -> float:
-    """The level-quantile of the KS distance of n exact draws: Kolmogorov's
-    limit quantile with Stephens' (1970) finite-n scaling sqrt(n) + 0.12 +
-    0.11/sqrt(n).  Within 0.15% of the exact quantile for n >= 39, and above
-    it for n <= 38."""
+def ks_threshold(n: int) -> float:
+    """The 0.999 quantile of the KS distance of n exact draws: Kolmogorov's
+    limit law's 0.999 quantile, 1.949474603504375, with Stephens' (1970)
+    finite-n scaling sqrt(n) + 0.12 + 0.11/sqrt(n).  Within 0.15% of the
+    exact quantile for n >= 39, and above it for n <= 38."""
     root = math.sqrt(n)
-    return float(kolmogi(1.0 - level)) / (root + 0.12 + 0.11 / root)
+    return 1.949474603504375 / (root + 0.12 + 0.11 / root)
 
 
 # ---------------------------------------------------------------------------

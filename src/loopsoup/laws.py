@@ -130,6 +130,8 @@ def cover_law(kappa: float, points) -> CoverLaw:
 
 
 def prob_no_shared_loop(kappa: float, x: Point, u: float) -> float:
+    if u < 0:
+        raise ValueError("u must be >= 0")
     goo, gox = green_matrix(kappa, [(0, 0), x])[0].tolist()
     return (1.0 - (gox / goo) ** 2) ** u
 

@@ -127,6 +127,24 @@ def test_emit_plotdata_without_sidecar_is_config_error(tmp_path, capsys):
     assert not (d / "plot.csv").exists()
 
 
+def test_emit_plotdata_with_bad_ensemble_is_config_error(tmp_path, capsys):
+    # a valid sidecar next to a missing, columnless or empty CSV
+    d = tmp_path / "run"
+    assert _run("--seed", 1, "--out-dir", d, "covertime", "--set", "box:2",
+                "--kappa", 0.5, "--replicas", 64) == cli.EXIT_OK
+    csv_path = d / "covertime.csv"
+    for text, cause in ((None, "FileNotFoundError"), ("t\n1.0\n", "KeyError"),
+                        ("replica,cover_time\n", "need at least one sample")):
+        csv_path.unlink(missing_ok=True)
+        if text is not None:
+            csv_path.write_text(text)
+        assert _run("emit-plotdata", "--ensemble", csv_path,
+                    "--out", d / "plot.csv") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and cause in err, err
+        assert not (d / "plot.csv").exists()
+
+
 def test_series_truncation_exits_resource_ceiling(capsys):
     # at kappa = 1e-9 the length law needs more than 2^22 half-lengths
     assert _run("covertime", "--set", "box:2", "--kappa", "1e-9",
@@ -220,6 +238,10 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     monkeypatch.setenv("LOOPSOUP_WORKERS", "0")   # checked as --workers is
     assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
     assert "workers: expected int >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("LOOPSOUP_WORKERS", "1")
+    monkeypatch.setenv("LOOPSOUP_SEED", "-3")
+    assert _run("greens", "--kappa", 0.5) == cli.EXIT_CONFIG
+    assert "seed: expected int >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -237,6 +259,10 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     (("laws", "pair", "--kappa", 0.5, "--x", "1,0", "--u", -1), "--u"),
     (("laws", "second-moment", "--kappa", 0.5, "--box", 0), "--box"),
     (("laws", "second-moment", "--kappa", 0.5, "--box", 3000), "--box"),
+    (("--seed", -1, "greens", "--kappa", 0.5), "--seed"),
+    (("covertime", "--set", "box:2", "--kappa", 0.5, "--replicas", 4,
+      "--work-guard", "nan"), "--work-guard"),
+    (("gumbel-scan", "--work-guard", 0), "--work-guard"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -139,8 +139,12 @@ class TestKs:
     def test_ks_threshold_against_exact_quantile(self):
         # Stephens' scaling is within 0.15% of the exact quantile for
         # n >= 39, and conservative below
+        from scipy.special import kolmogi
         from scipy.stats import kstwo
         for n in (1, 2, 10, 38, 39, 50, 192, 4000, 20_000, 100_000):
+            # the constant is Kolmogorov's limit quantile, to the last bit
+            assert ks_threshold(n) == float(kolmogi(1.0 - 0.999)) / (
+                math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
             exact = kstwo.ppf(0.999, n)
             assert ks_threshold(n) >= exact if n <= 38 \
                 else abs(ks_threshold(n) / exact - 1.0) <= 1.5e-3

@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,6 +31,17 @@ class TestGreensValue:
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
             greens.greens_value(-0.5, (0, 0))
+        with pytest.raises(ValueError, match="kappa must be > 0"):
+            greens.green_origin(0.0)
+
+    def test_origin_against_elliptic_integral(self):
+        # G(o) = 1/AGM(1, k') against (2/pi) K(1 - k'^2) through the
+        # complement of the parameter; kappa = 1 is where a loop until
+        # a == b would never end
+        from scipy.special import ellipkm1
+        for kappa in [*np.logspace(-14, 2, 240), 1.0]:
+            ref = 2.0 / math.pi * ellipkm1(kappa * (8 + kappa) / (4 + kappa) ** 2)
+            assert abs(greens.green_origin(kappa) / ref - 1.0) <= 2e-15
 
     def test_value_matches_table(self):
         # x is evaluated alone; a table of radius |x| agrees within its
@@ -171,8 +184,7 @@ class TestRootedIntensity:
 
 class TestLoopTerms:
     def test_against_exact_terms(self):
-        # t_m = beta^{2m} C(2m, m)^2 in exact rationals of the rounded beta;
-        # exp(log_loop_term) is good only to about |log t_m| eps
+        # t_m = beta^{2m} C(2m, m)^2 in exact rationals of the rounded beta
         for kappa in (4.0, 1.0, 0.1, 1e-4):
             b2 = Fraction(step_weight(kappa)) ** 2
             exact, c, p = [], 1, Fraction(1)
@@ -182,6 +194,14 @@ class TestLoopTerms:
             ref = np.array(exact)
             t = loop_term_array(kappa, len(ref))[ref > 0]
             assert np.abs(t / ref[ref > 0] - 1.0).max() <= 1e-13
+        # far out, against 40-digit terms: the running product's rounding
+        # grows about linearly in m (5.1e-13 at m = 120,000)
+        t, b = loop_term_array(1e-3, 120_000), Decimal(step_weight(1e-3))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for m in np.unique(np.geomspace(1, 120_000, 20).astype(int)).tolist():
+                exact = Decimal(comb(2 * m, m)) ** 2 * b ** (2 * m)
+                assert abs(Decimal(float(t[m - 1])) / exact - 1) <= Decimal("1e-12")
 
 
 class TestBoundReports:

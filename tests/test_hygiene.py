@@ -83,12 +83,14 @@ def test_every_stored_attribute_is_read():
 
 
 def test_import_does_not_load_quadrature_package():
-    # scipy.integrate costs more than the rest of `import loopsoup` together
+    # importing scipy.special alone costs more than the rest of `import
+    # loopsoup.cli` together; only the length-law chi-square row loads it
     env = dict(os.environ, PYTHONPATH=str(Path(loopsoup.__file__).parent.parent))
-    code = "import sys, loopsoup; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, loopsoup, loopsoup.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():

@@ -49,6 +49,11 @@ class TestPairLaws:
         with pytest.raises(ValueError):
             laws.prob_no_shared_loop(0.5, (0, 0), 1.0)
 
+    def test_rejects_negative_u(self):
+        # (1 - (G(x)/G(o))^2)^u is above 1 for u < 0
+        with pytest.raises(ValueError, match="u must be >= 0"):
+            laws.prob_no_shared_loop(0.5, (1, 0), -1.0)
+
     def test_identity_chain(self):
         for kappa in (1.0, 0.25, 0.05):
             for x in ((1, 0), (1, 1), (3, 0), (5, 2)):
