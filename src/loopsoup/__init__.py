@@ -11,12 +11,10 @@ from .cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
 from .greens import (GreensTable, MuGammaO, check_green_bounds, green_origin,
                      greens_table, greens_value, mu_gamma_o, rooted_intensity,
                      verify_appendix_bounds)
-from .laws import (TargetSet, cover_law, expected_uncovered, gumbel_cdf,
-                   one_point_law, pair_bound, prob_no_shared_loop,
-                   prob_uncovered, quasi_independence_bound,
-                   second_moment_report, u_star)
+from .laws import (TargetSet, cover_law, gumbel_cdf, one_point_law,
+                   prob_no_shared_loop, prob_uncovered, second_moment_report,
+                   u_star)
 from .sampler import (LengthDistribution, SoupSample, extend_soup, length_pmf,
                       sample_window_soup)
 from .walks import (WalkCountTable, count_loops_closed_form,
-                    count_walks_bruteforce, count_walks_diagonal,
-                    verify_dominance)
+                    count_walks_diagonal, verify_dominance)

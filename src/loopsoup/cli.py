@@ -359,7 +359,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     # Walk-count oracle agreement (three independent counters).
     n_oracle = 6 if quick else 10
     ok = True
-    table = walks.WalkCountTable.build(n_oracle, n_oracle)
+    table = walks.WalkCountTable.build(n_oracle)
     for n in range(n_oracle + 1):
         tally = walks.walk_endpoint_counts(n)
         for x, w in tally.items():
@@ -369,13 +369,13 @@ def _verify_all_verdicts(args) -> list[Verdict]:
                             f"n<={n_oracle}", float(ok), 1.0, ok))
 
     n_loops = 30 if quick else 100
-    big = walks.WalkCountTable.build(2 * n_loops, 2 * n_loops)
+    big = walks.WalkCountTable.build(2 * n_loops)
     ok = all(big.origin_loop_count(n) == walks.count_loops_closed_form(n)
              for n in range(1, n_loops + 1))
     verdicts.append(verdict("closed-loop-count-formula", "loop-count-square",
                             f"n<={n_loops}", float(ok), 1.0, ok))
 
-    dom = walks.verify_dominance(24, 24)
+    dom = walks.verify_dominance(24)
     verdicts.append(verdict("even-walk-dominance", "origin-dominance",
                             "lengths<=24", float(len(dom.violations)), 0.0, dom.ok))
 
@@ -407,7 +407,8 @@ def _verify_all_verdicts(args) -> list[Verdict]:
 
     # The determinant law of three points, exact for every kappa, the same way.
     pts, replicas = [(0, 0), (1, 0), (0, 2)], 10_000 if quick else 40_000
-    sample = cover_time_ensemble(args.seed, 0.5, pts, replicas, workers=args.workers)
+    sample = cover_time_ensemble(args.seed, 0.5, PointsTarget(pts), replicas,
+                                 workers=args.workers)
     d = ks_distance(sample.values, laws.cover_law(0.5, pts))
     thr = ks_threshold(replicas) + sample.truncation_bias_bound
     verdicts.append(verdict("cover-determinant-law", "determinant-law",

@@ -37,7 +37,9 @@ against the trace chain's expected steps (``step_rate``), both times the
 first horizon.  step_rate >= |A| (G(o) - 1/2), and where cell_rate is
 not above that the ring engine is taken without factoring G_A.  Sets whose
 trace setup (G_A and the alias tables, ``trace_setup_bytes``, which counts
-|A| only) would exceed TRACE_SETUP_BYTES keep the ring engine.
+|A| only) would exceed TRACE_SETUP_BYTES keep the ring engine.  At a
+kappa whose half-length law passes its truncation ceiling only the trace
+chain is left, and a set over that budget is refused.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -59,7 +61,8 @@ from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from .sampler import (_alias_setup, balanced_signs, length_pmf, loop_vertices,
                       truncation_bias_rate, unpack_steps)
-from .series import ResourceCeilingError  # raised here, re-exported to callers
+from .series import (ResourceCeilingError,  # raised here, re-exported to callers
+                     SeriesTruncationError)
 
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
@@ -107,7 +110,7 @@ def make_target(spec: str):
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted sample supporting exact CDF evaluation and KS distance."""
+    """Sorted finite sample supporting exact CDF evaluation and KS distance."""
 
     values: np.ndarray
 
@@ -116,6 +119,8 @@ class EmpiricalDistribution:
         v = np.sort(np.asarray(values, dtype=np.float64))
         if v.size < 1:
             raise ValueError("need at least one sample")
+        if not np.isfinite(v).all():
+            raise ValueError("samples must be finite")
         return cls(values=v)
 
     @property
@@ -311,15 +316,25 @@ class CoverEngine:
         if sampler not in (None, "ring", "trace"):
             raise ValueError(f"unknown sampler {sampler!r}")
         self.kappa, self.target = kappa, target
-        self.dist = length_pmf(kappa, TAIL_TOL)
         self.mu = mu_gamma_o(kappa).value
-        n = self.dist.n_trunc
-        # reach[m]: cells within L1 distance m of the box, the roots of the
-        # loops of half-length m that can touch it
-        self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)),
-                               dtype=np.float64)
-        m = np.arange(1, n + 1)
-        self.cell_rate = float((2.0 * m * self.dist.weights * self.reach[1:]).sum())
+        # the ring engine's length law, where it may run and its truncation
+        # fits the ceiling; without it only the trace chain is left
+        self.dist, self.cell_rate, no_ring = None, math.inf, ""
+        if sampler != "trace":
+            try:
+                self.dist = length_pmf(kappa, TAIL_TOL)
+            except SeriesTruncationError as exc:
+                if sampler == "ring":
+                    raise
+                no_ring = f", and the ring engine's {exc}"
+        if self.dist is not None:
+            n = self.dist.n_trunc
+            # reach[m]: cells within L1 distance m of the box, the roots of
+            # the loops of half-length m that can touch it
+            self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)),
+                                   dtype=np.float64)
+            m = np.arange(1, n + 1)
+            self.cell_rate = float((2.0 * m * self.dist.weights * self.reach[1:]).sum())
         # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
@@ -341,9 +356,9 @@ class CoverEngine:
                 if sampler == "trace" or chain.step_rate < self.cell_rate:
                     chain.build_tables(g)
                     self.chain = chain
-            elif sampler == "trace":
+            elif sampler == "trace" or self.dist is None:
                 raise ResourceCeilingError(
-                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
+                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}{no_ring}")
         self.sampler = "ring" if self.chain is None else "trace"
         self.bias_rate = (truncation_bias_rate(self.dist, target.box)
                           if self.chain is None else 0.0)
@@ -511,12 +526,9 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     return best
 
 
-def cover_time_ensemble(seed: int, kappa: float, target, replicas: int, workers: int = 1,
-                        work_guard: float | None = None) -> CoverTimeSample:
-    if not isinstance(target, PointsTarget):
-        target = PointsTarget(list(target))
-    engine = CoverEngine(kappa, target)
-    return engine.ensemble(seed, replicas, workers, work_guard)
+def cover_time_ensemble(seed: int, kappa: float, target: PointsTarget, replicas: int,
+                        workers: int = 1, work_guard: float | None = None) -> CoverTimeSample:
+    return CoverEngine(kappa, target).ensemble(seed, replicas, workers, work_guard)
 
 
 # ---------------------------------------------------------------------------

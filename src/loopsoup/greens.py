@@ -382,7 +382,7 @@ def verify_appendix_bounds(n_max: int,
                 + _sandwich_rows("central-binomial", "binomial-sandwich", n_max,
                                  central_binomial))
     if table is None:
-        table = WalkCountTable.build(n_max, n_max)
+        table = WalkCountTable.build(n_max)
     raw = local_clt_scan_max(table, n_max)
     c_star = max(0.0, raw)
     verdicts.append(verdict("local-clt-constant", "local-clt",

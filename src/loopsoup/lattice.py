@@ -1,11 +1,12 @@
-"""Geometry of Z^2 under the L1 norm: symmetry folding, diagonal coordinates,
-exact parametrization of L1 rings around points and boxes, and the finite
-target sets A.
+"""Geometry of Z^2 under the L1 norm: symmetry folding, exact
+parametrization of L1 rings around points and boxes, and the finite target
+sets A.
 
 Walk counts and Green's values are invariant under the 8 lattice symmetries
 (coordinate swap and sign flips), so most tables store one octant and fold on
 access.  Ring parametrization lets the cover engine draw roots at given L1
-distances from a box target without enumerating the plane.
+distances from a box target without enumerating the plane; ring 0 is the box
+itself, in x-major order, which also numbers the cells of a soup window.
 
 ``PointsTarget`` (and ``BoxTarget`` for side x side boxes) is the one type
 of a finite set A: it validates its points once, and holds what the cover
@@ -30,11 +31,6 @@ STEP_DY = np.array([0, 1, 0, -1], dtype=np.int64)
 def l1(x: Point) -> int:
     """L1 norm |x| = |x1| + |x2|."""
     return abs(x[0]) + abs(x[1])
-
-
-def diagonal_coords(x: Point) -> tuple[int, int]:
-    """(s, d) = (x1+x2, x2-x1); s and d always share parity."""
-    return x[0] + x[1], x[1] - x[0]
 
 
 def fold_octant(x: Point) -> Point:
@@ -62,9 +58,10 @@ class Box:
     """Axis-aligned inclusive box [x0, x1] x [y0, y1] with L1-ring helpers.
 
     A single point is the degenerate box x0 == x1, y0 == y1.  Ring delta
-    holds the lattice cells at L1 distance exactly delta from the box; the
-    parametrization maps an index in [0, ring_count(delta)) to a unique cell
-    so roots can be drawn uniformly on a ring in O(1).
+    holds the lattice cells at L1 distance exactly delta from the box, so
+    ring 0 is the box itself; the parametrization maps an index in
+    [0, ring_count(delta)) to a unique cell so roots can be drawn uniformly
+    on a ring in O(1).
     """
 
     def __init__(self, x0: int, y0: int, x1: int, y1: int):
@@ -105,49 +102,40 @@ class Box:
                         2 * (self.width + self.height) + 4 * (d - 1))[()]
 
     def ring_cells(self, delta, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of ring delta >= 1 by index; inverse-free uniform sampling.
+        """Cells of ring delta >= 0 by index; inverse-free uniform sampling.
 
-        delta is one ring for all indices or one ring per index.
+        idx is a 1-d array and delta one ring for all indices or one ring
+        per index.  Ring 0 is the box, x-major: index i height + j is
+        (x0 + i, y0 + j).
         """
-        idx = np.asarray(idx, dtype=np.int64)
-        delta = np.broadcast_to(np.asarray(delta, dtype=np.int64), idx.shape)
-        if np.any(delta < 1):
-            raise ValueError("ring_cells needs delta >= 1")
+        idx, delta = np.asarray(idx, dtype=np.int64), np.asarray(delta, dtype=np.int64)
+        if np.any(delta < 0):
+            raise ValueError("delta must be >= 0")
         w, h = self.width, self.height
-        out_x = np.empty_like(idx)
-        out_y = np.empty_like(idx)
-
-        # Segments: top(w), bottom(w), right(h), left(h), then the four
-        # diagonal corner runs of delta-1 cells each.
-        b0, b1, b2, b3 = w, 2 * w, 2 * w + h, 2 * w + 2 * h
-        sel = idx < b0
-        out_x[sel] = self.x0 + idx[sel]
-        out_y[sel] = self.y1 + delta[sel]
-        sel = (idx >= b0) & (idx < b1)
-        out_x[sel] = self.x0 + (idx[sel] - b0)
-        out_y[sel] = self.y0 - delta[sel]
-        sel = (idx >= b1) & (idx < b2)
-        out_x[sel] = self.x1 + delta[sel]
-        out_y[sel] = self.y0 + (idx[sel] - b1)
-        sel = (idx >= b2) & (idx < b3)
-        out_x[sel] = self.x0 - delta[sel]
-        out_y[sel] = self.y0 + (idx[sel] - b2)
-
-        rem = idx - b3
-        per = delta - 1
-        for q, (sx, sy) in enumerate(((1, 1), (-1, 1), (1, -1), (-1, -1))):
-            sel = (rem >= q * per) & (rem < (q + 1) * per)
-            a = rem[sel] - q * per[sel] + 1  # 1..delta-1
-            r = delta[sel] - a
-            out_x[sel] = (self.x1 + a) if sx > 0 else (self.x0 - a)
-            out_y[sel] = (self.y1 + r) if sy > 0 else (self.y0 - r)
+        out_x, out_y = self.x0 + idx // h, self.y0 + idx % h
+        if not delta.any():   # all on ring 0, as in a soup window
+            return out_x, out_y
+        delta = np.broadcast_to(delta, idx.shape)
+        ring = np.flatnonzero(delta)
+        idx, delta = idx[ring], delta[ring]
+        # Segments: top(w), bottom(w), right(h), left(h), then the corner
+        # runs q = 0..3 of delta-1 cells each, a = 1..delta-1 steps out from
+        # the box's corners in the diagonal directions (+,+), (-,+), (+,-), (-,-).
+        b1, b2, b3 = 2 * w, 2 * w + h, 2 * w + 2 * h
+        q, a = np.divmod(idx - b3, np.maximum(delta - 1, 1))
+        a += 1
+        out_x[ring] = np.select(
+            [idx < b1, idx < b2, idx < b3, q % 2 == 0],
+            [self.x0 + idx % w, self.x1 + delta, self.x0 - delta, self.x1 + a],
+            self.x0 - a)
+        out_y[ring] = np.select(
+            [idx < w, idx < b1, idx < b3, q < 2],
+            [self.y1 + delta, self.y0 - delta, self.y0 + (idx - b1) % h,
+             self.y1 + delta - a], self.y0 - delta + a)
         return out_x, out_y
 
     def ring_points(self, delta: int) -> list[Point]:
         """Full enumeration of a ring (small deltas; used by tests)."""
-        if delta == 0:
-            return [(x, y) for x in range(self.x0, self.x1 + 1)
-                    for y in range(self.y0, self.y1 + 1)]
         xs, ys = self.ring_cells(delta, np.arange(self.ring_count(delta)))
         return list(zip(xs.tolist(), ys.tolist()))
 
@@ -208,17 +196,7 @@ class PointsTarget:
         counts = self.box.ring_count(delta)
         idx = np.minimum((rng.random(len(delta)) * counts).astype(np.int64),
                          counts - 1)
-        x = np.empty(len(delta), dtype=np.int64)
-        y = np.empty(len(delta), dtype=np.int64)
-        inside = delta == 0
-        if inside.any():
-            h = self.box.height
-            x[inside] = self.box.x0 + idx[inside] // h
-            y[inside] = self.box.y0 + idx[inside] % h
-        out = ~inside
-        if out.any():
-            x[out], y[out] = self.box.ring_cells(delta[out], idx[out])
-        return x, y
+        return self.box.ring_cells(delta, idx)
 
     def pair_distance_counts(self) -> dict[Point, int]:
         """Multiplicity of each unordered displacement between distinct

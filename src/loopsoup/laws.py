@@ -29,14 +29,13 @@ import numpy as np
 
 # greens_table by name: the benchmark's tracer patches laws.greens_table
 from .greens import greens_at, greens_table, mu_gamma_o
-from .lattice import BoxTarget, Point, l1
+from .lattice import BoxTarget, Point
 # the same class object, so a patch of laws.TargetSet reaches every set
 from .lattice import PointsTarget as TargetSet
 from .records import Verdict, verdict
 from .series import ResourceCeilingError
 
 E9 = math.exp(9)
-E30 = math.exp(30)
 LOG_EE32 = math.exp(32)  # log(kappa^-1) must exceed e^32 for the core lemmas
 PAIR_GUARD = 10_000  # most points second_moment_report sums pairs over
 
@@ -145,13 +144,6 @@ def u_star(kappa: float, set_size: int, mu: float | None = None) -> float:
     return log(set_size) / mu
 
 
-def expected_uncovered(kappa: float, set_size: int, epsilon: float) -> float:
-    """E|A_eps| = |A|^eps: exact for every kappa and every finite A."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return float(set_size) ** epsilon
-
-
 def resolve_epsilon(spec: str, mu: float) -> float:
     """The thinning exponent: "auto100" is 1/(100 mu), "auto400" is
     1/(400 mu), anything else an explicit value in (0, 1)."""
@@ -167,69 +159,6 @@ def resolve_epsilon(spec: str, mu: float) -> float:
 
 def box_set(side: int) -> BoxTarget:
     return BoxTarget(side)
-
-
-# ---------------------------------------------------------------------------
-# Pair bounds at time (1-eps) u*
-
-
-def pair_bound(kappa: float, x: Point, epsilon: float,
-               set_size: int) -> tuple[float, str, bool]:
-    """Applicable upper bound on P(o, x both in A_eps), its regime, and
-    whether the regime's stated hypotheses actually hold.
-
-    Regimes: "medium" for 4 <= |x| <= 2/kappa, "large" for |x| >= 2/kappa,
-    otherwise the distance-free "all" bound.  All derivations assume
-    kappa^-1 > e^30, so hypotheses_met is False at any reachable kappa.
-    """
-    if x == (0, 0):
-        raise ValueError("x must differ from the origin")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    mu = mu_gamma_o(kappa).value
-    us = u_star(kappa, set_size, mu)
-    e = (1.0 - epsilon) * us
-    r = l1(x)
-    base = float(set_size) ** (-(1.0 - epsilon))
-    kinv = 1.0 / kappa
-    if 4 <= r <= 2 * kinv:
-        regime = "medium"
-        bound = base * (log(r) / math.pi) ** (-e)
-    elif r >= 2 * kinv:
-        regime = "large"
-        bound = base * (log(kinv) / (2 * math.pi)) ** (-e)
-    else:
-        regime = "all"
-        bound = base * (9.0 / 8.0) ** (-e)
-    return bound, regime, kinv > E30
-
-
-def quasi_independence_bound(kappa: float, K: TargetSet, u: float,
-                             set_size: int) -> tuple[float, bool]:
-    """(2 |K|^2 u |A|^{-1/mu0}, separation-hypothesis flag).
-
-    The flag records whether all pairwise distances in K reach the
-    decoupling scale |A|^{1/mu0} / sqrt(kappa).
-    """
-    if u < 1:
-        raise ValueError("u must be >= 1")
-    mu = mu_gamma_o(kappa).value
-    bound = 2.0 * K.size ** 2 * u * float(set_size) ** (-1.0 / mu)
-    sep = float(set_size) ** (1.0 / mu) * kappa ** (-0.5)
-    pts = K.points()
-    return bound, all(abs(p[0] - q[0]) + abs(p[1] - q[1]) >= sep
-                      for i, p in enumerate(pts) for q in pts[i + 1:])
-
-
-def in_h_class(kappa: float, A_size: int, K: TargetSet, epsilon: float,
-               mu: float | None = None) -> bool:
-    """Membership in the good-remnant class: size near |A|^eps and all
-    points separated by at least |A|^{1/mu0} / sqrt(kappa)."""
-    if mu is None:
-        mu = mu_gamma_o(kappa).value
-    size_ok = abs(K.size - A_size ** epsilon) <= A_size ** (0.75 * epsilon)
-    _, sep_ok = quasi_independence_bound(kappa, K, 1.0, A_size)
-    return size_ok and sep_ok
 
 
 # ---------------------------------------------------------------------------

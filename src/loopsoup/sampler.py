@@ -34,16 +34,19 @@ DEFAULT_N_TRUNC_CEILING = 1 << 22
 MAX_SOUP_LOOPS = (1 << 30) // 80
 
 
-def required_n_trunc(kappa: float, tail_tol: float) -> int:
-    """Smallest N with N*kappa >= 1/2 and certified pmf tail below tail_tol.
+def tail_mass(kappa: float, n: int) -> float:
+    """Certified cap on the half-length law's mass beyond n (n kappa >= 1/2):
+    the weights t_m/(2m) of m > n sum to at most 4 exp(-n kappa/4) / (2(n+1))."""
+    return exp_tail_bound(kappa, n) / (2.0 * (n + 1))
 
-    The omitted mass beyond N is at most 4 exp(-N kappa/4) / (2(N+1)).
-    """
+
+def required_n_trunc(kappa: float, tail_tol: float) -> int:
+    """Smallest N with N*kappa >= 1/2 and certified pmf tail below tail_tol."""
     step_weight(kappa)
     if tail_tol <= 0:
         raise ValueError("tail_tol must be > 0")
     n = max(1, math.ceil(0.5 / kappa))
-    while exp_tail_bound(kappa, n) / (2.0 * (n + 1)) > tail_tol:
+    while tail_mass(kappa, n) > tail_tol:
         n = max(n + 1, int(n * 1.21))
     if n > DEFAULT_N_TRUNC_CEILING:
         raise SeriesTruncationError(
@@ -129,7 +132,7 @@ class LengthDistribution:
         weights = t / (2.0 * np.arange(1, n + 1, dtype=np.float64))
         return cls(kappa=kappa, n_trunc=n, weights=weights,
                    total_mass=float(weights.sum()),
-                   tail_mass_bound=exp_tail_bound(kappa, n) / (2.0 * (n + 1)))
+                   tail_mass_bound=tail_mass(kappa, n))
 
 
 @lru_cache(maxsize=32)
@@ -265,8 +268,7 @@ def _sample_slice(seed: int, window: Box, t0: float, t1: float,
     hl = rng.permutation(np.repeat(np.arange(1, dist.n_trunc + 1, dtype=np.int32),
                                    counts))
     cell = np.sort(rng.integers(0, window.area, size=len(hl)))
-    rx = (window.x0 + cell // window.height).astype(np.int32)
-    ry = (window.y0 + cell % window.height).astype(np.int32)
+    rx, ry = (c.astype(np.int32) for c in window.ring_cells(0, cell))
     ts = t0 + (t1 - t0) * rng.random(len(cell))
     packed: list[bytes] = [b""] * len(cell)
     for m in np.unique(hl).tolist():
@@ -327,21 +329,16 @@ def truncation_bias_rate(dist: LengthDistribution, box: Box) -> float:
     The ring engine draws, for each half-length m <= n_trunc, the loops
     rooted within L1 distance m of its target's box; what it discards are
     the loops of half-length m > n_trunc, which reach at most m from their
-    root, so only roots with delta(root) <= m matter.  Summing the tail
-    bound ring by ring converges geometrically; the result times an
-    evaluation time u bounds any coverage-probability bias at u.
+    root, so a root on ring d only matters through the law's mass beyond
+    max(d - 1, n_trunc).  The rings d <= n_trunc all see tail_mass_bound.
+    A far ring d > n has ring_count(d) / (2d) = 2 + (W + H - 2)/d <= c =
+    2 + (W + H - 2)/(n + 1), so its term ring_count(d) tail_mass(kappa, d - 1)
+    is at most c exp_tail_bound(kappa, d - 1), a geometric series in d.
+    The result times an evaluation time u bounds any coverage-probability
+    bias at u.
     """
-    n = dist.n_trunc
-    kappa = dist.kappa
-    # Roots within the truncation range of the box all see the same tail.
+    n, kappa = dist.n_trunc, dist.kappa
     inside = int(box.ring_count(np.arange(n + 1)).sum())
-    rate = inside * dist.tail_mass_bound
-    d = n + 1
-    while True:
-        # ring counts come a block at a time; terms still add ring by ring
-        for count in box.ring_count(np.arange(d, d + 1024)).tolist():
-            term = count * exp_tail_bound(kappa, d - 1) / (2.0 * d)
-            rate += term
-            if term < 1e-22 * max(rate, 1e-300):
-                return rate
-            d += 1
+    c = 2.0 + (box.width + box.height - 2) / (n + 1)
+    return (inside * dist.tail_mass_bound
+            + c * exp_tail_bound(kappa, n) / -math.expm1(-kappa / 4.0))

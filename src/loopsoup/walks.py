@@ -3,7 +3,8 @@
 Three independent routes to W_n(x), the number of n-step walks from the
 origin to x, all in exact integer arithmetic:
 
-* brute force -- explicit enumeration of step sequences (the oracle),
+* endpoint sweep -- the endpoints of all 4**n step sequences tallied at
+  once (the enumeration oracle, n <= 12),
 * dynamic programming -- octant-folded table, exact up to n_max ~ 200,
 * closed form -- independent +-1 walks in the diagonal coordinates give
   W_n(x) = C(n, (n+s)/2) * C(n, (n+d)/2) with (s, d) = (x1+x2, x2-x1).
@@ -20,45 +21,14 @@ import numpy as np
 
 from .lattice import Point, STEP_DX, STEP_DY, fold_octant, l1, octant_points
 
-#: Enumeration budget guard for the brute-force oracle (4**14 ~ 2.7e8 leaves).
-BRUTE_FORCE_MAX_STEPS = 14
-
 #: Budget guard for the all-endpoints enumeration sweep.
 ENDPOINT_SWEEP_MAX_STEPS = 12
+#: Step sequences expanded per chunk of the sweep, which keeps memory flat.
+_SWEEP_CHUNK = 1 << 18
 
 
-def count_walks_bruteforce(n: int, x: Point) -> int:
-    """Count n-step walks from o to x by explicit enumeration.
-
-    Prunes branches that provably cannot reach x (L1 distance or parity),
-    which leaves the count exact while keeping n = 14 feasible.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > BRUTE_FORCE_MAX_STEPS:
-        raise ValueError(f"brute-force enumeration capped at n = {BRUTE_FORCE_MAX_STEPS}")
-    tx, ty = x
-
-    def rec(k: int, px: int, py: int) -> int:
-        rem = n - k
-        dist = abs(tx - px) + abs(ty - py)
-        if dist > rem or (rem - dist) & 1:
-            return 0
-        if k == n:
-            return 1
-        k += 1
-        return (rec(k, px + 1, py) + rec(k, px - 1, py)
-                + rec(k, px, py + 1) + rec(k, px, py - 1))
-
-    return rec(0, 0, 0)
-
-
-def walk_endpoint_counts(n: int, chunk: int = 1 << 18) -> dict[Point, int]:
-    """Endpoint tally of all 4**n step sequences (exact, vectorized).
-
-    Same enumeration oracle as count_walks_bruteforce but sweeping every
-    endpoint at once; the chunked digit expansion keeps memory flat.
-    """
+def walk_endpoint_counts(n: int) -> dict[Point, int]:
+    """Endpoint tally of all 4**n step sequences (exact, vectorized)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > ENDPOINT_SWEEP_MAX_STEPS:
@@ -69,8 +39,8 @@ def walk_endpoint_counts(n: int, chunk: int = 1 << 18) -> dict[Point, int]:
     grid = np.zeros(side * side, dtype=np.int64)
     total = 4 ** n
     shifts = np.arange(n, dtype=np.uint64) * 2
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _SWEEP_CHUNK):
+        ids = np.arange(start, min(start + _SWEEP_CHUNK, total), dtype=np.uint64)
         steps = (ids[:, None] >> shifts) & 3
         ex = STEP_DX[steps].sum(axis=1)
         ey = STEP_DY[steps].sum(axis=1)
@@ -88,23 +58,20 @@ class WalkCountTable:
     """Exact walk counts W_n(x) for all |x| <= n <= n_max, octant-folded.
 
     Interior recursion counts(n+1, x) = sum over neighbors y of counts(n, y)
-    is exact everywhere because radius >= n_max keeps the support away from
-    the table boundary.  Entries are arbitrary-precision integers.
+    is exact everywhere because the table's radius n_max keeps the support
+    away from its boundary.  Entries are arbitrary-precision integers.
     """
 
     n_max: int
-    radius: int
     _points: list[Point] = field(repr=False)
     _index: dict[Point, int] = field(repr=False)
     _levels: list[list[int]] = field(repr=False)
 
     @classmethod
-    def build(cls, n_max: int, radius: int) -> "WalkCountTable":
-        if radius < n_max:
-            raise ValueError("radius must be >= n_max (boundary clipping)")
-        points = octant_points(radius)
+    def build(cls, n_max: int) -> "WalkCountTable":
+        points = octant_points(n_max)
         index = {p: i for i, p in enumerate(points)}
-        zero_slot = len(points)  # folded neighbors beyond radius read 0 here
+        zero_slot = len(points)  # folded neighbors beyond n_max read 0 here
 
         nbr = np.empty((len(points), 4), dtype=np.int64)
         for i, (a, b) in enumerate(points):
@@ -123,17 +90,13 @@ class WalkCountTable:
                 cur[i] = prev[j0] + prev[j1] + prev[j2] + prev[j3]
             cur[zero_slot] = 0
             levels.append(cur)
-        return cls(n_max=n_max, radius=radius, _points=points, _index=index,
-                   _levels=levels)
+        return cls(n_max=n_max, _points=points, _index=index, _levels=levels)
 
     def count(self, n: int, x: Point) -> int:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must be in [0, {self.n_max}]")
-        d = l1(x)
-        if d > n:
+        if l1(x) > n:
             return 0
-        if d > self.radius:
-            raise ValueError("point outside table radius")
         return self._levels[n][self._index[fold_octant(x)]]
 
     def origin_loop_count(self, half_length: int) -> int:
@@ -176,7 +139,6 @@ class DominanceReport:
     """Scan result for W_{2n}(x) <= W_{2n}(o) over even-|x| points."""
 
     n_max: int
-    radius: int
     checked: int
     violations: list[tuple[int, Point, int, int]]
 
@@ -185,14 +147,12 @@ class DominanceReport:
         return not self.violations
 
 
-def verify_dominance(n_max: int, radius: int,
-                     table: WalkCountTable | None = None) -> DominanceReport:
-    """Check W_{2n}(x) <= W_{2n}(o) for all even |x| <= min(2n, radius), 2n <= n_max."""
-    if table is None:
-        table = WalkCountTable.build(n_max, radius)
+def verify_dominance(n_max: int) -> DominanceReport:
+    """Check W_{2n}(x) <= W_{2n}(o) for all even |x| <= 2n <= n_max."""
+    table = WalkCountTable.build(n_max)
     violations = []
     checked = 0
-    for n2 in range(0, min(n_max, table.n_max) + 1, 2):
+    for n2 in range(0, n_max + 1, 2):
         woo = table.count(n2, (0, 0))
         for p, w in table.level_items(n2):
             if l1(p) % 2:
@@ -200,5 +160,4 @@ def verify_dominance(n_max: int, radius: int,
             checked += 1
             if w > woo:
                 violations.append((n2, p, w, woo))
-    return DominanceReport(n_max=n_max, radius=radius, checked=checked,
-                           violations=violations)
+    return DominanceReport(n_max=n_max, checked=checked, violations=violations)

@@ -7,7 +7,7 @@ from loopsoup.walks import WalkCountTable
 @pytest.fixture(scope="session")
 def big_walk_table() -> WalkCountTable:
     """Exact walk counts up to length 200 (shared; ~10 s to build)."""
-    return WalkCountTable.build(200, 200)
+    return WalkCountTable.build(200)
 
 
 @pytest.fixture()

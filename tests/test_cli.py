@@ -134,7 +134,8 @@ def test_emit_plotdata_with_bad_ensemble_is_config_error(tmp_path, capsys):
                 "--kappa", 0.5, "--replicas", 64) == cli.EXIT_OK
     csv_path = d / "covertime.csv"
     for text, cause in ((None, "FileNotFoundError"), ("t\n1.0\n", "KeyError"),
-                        ("replica,cover_time\n", "need at least one sample")):
+                        ("replica,cover_time\n", "need at least one sample"),
+                        ("replica,cover_time\n0,nan\n1,2\n", "samples must be finite")):
         csv_path.unlink(missing_ok=True)
         if text is not None:
             csv_path.write_text(text)
@@ -146,11 +147,20 @@ def test_emit_plotdata_with_bad_ensemble_is_config_error(tmp_path, capsys):
 
 
 def test_series_truncation_exits_resource_ceiling(capsys):
-    # at kappa = 1e-9 the length law needs more than 2^22 half-lengths
-    assert _run("covertime", "--set", "box:2", "--kappa", "1e-9",
+    # at kappa = 1e-9 the length law needs more than 2^22 half-lengths, so
+    # only the trace chain is left, and box:64 is over its setup budget
+    assert _run("covertime", "--set", "box:64", "--kappa", "1e-9",
                 "--replicas", 4) == cli.EXIT_CEILING
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("resource ceiling:")
+    assert "trace setup" in err[0] and "length truncation" in err[0]
+
+
+def test_small_kappa_runs_on_the_trace_chain(capsys):
+    # past the length law's ceiling a set within the trace budget is exact
+    assert _run("covertime", "--kappa", "5e-6", "--set", "box:4",
+                "--replicas", 8) == cli.EXIT_OK
+    assert "sampler=trace" in capsys.readouterr().out
 
 
 def test_unsamplable_soup_horizon_exits_resource_ceiling(capsys):

@@ -14,6 +14,7 @@ from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             cover_time_ensemble, first_cover_times_from_soup,
                             ks_distance, ks_threshold, make_target)
 from loopsoup.lattice import Box
+from loopsoup.series import SeriesTruncationError
 
 
 class TestTargets:
@@ -54,6 +55,15 @@ class TestTargets:
                 == set(t.box.ring_points(delta))
         assert t.box.ring_count(np.arange(6)).tolist() \
             == [t.box.ring_count(d) for d in range(6)]
+
+    @pytest.mark.parametrize("side", [1, 3, 16])
+    def test_ring_zero_is_the_box_in_vertex_order(self, side):
+        t = BoxTarget(side)
+        x, y = t.box.ring_cells(0, np.arange(t.box.area))
+        assert np.array_equal(np.stack([x, y], axis=1), t.pts)
+        for delta in (-1, np.array([0, 2, -1])):
+            with pytest.raises(ValueError):
+                t.box.ring_cells(delta, np.arange(3))
 
     def test_point_ring_cells_exact(self):
         # roots at delta are exactly the cells of the bounding box's ring
@@ -253,6 +263,10 @@ def _no_green_matrix(*args):
     raise AssertionError("G_A built for a set over the trace setup budget")
 
 
+def _no_length_law(*args):
+    raise AssertionError("length law built for a forced trace chain")
+
+
 def _no_greens_table(*args):
     raise AssertionError("Green's table built for G_A")
 
@@ -263,6 +277,7 @@ class TestTraceChain:
     @pytest.mark.parametrize("spec,kappa,seed,grid", [
         ("box:3", 0.01, 21, (1.5, 2.5, 4.0)),
         ("box:4", 0.05, 22, (3.0, 4.0, 6.0)),
+        ("box:4", 5e-6, 27, (1.5, 2.0, 3.0)),   # past the length law's ceiling
     ])
     def test_determinant_law(self, spec, kappa, seed, grid):
         target = make_target(spec)
@@ -347,6 +362,16 @@ class TestTraceChain:
         # (box:8, kappa = 100: 56 against 64), not below step_floor
         e = CoverEngine(100.0, BoxTarget(8), sampler="trace")
         assert e.step_floor <= e.step_rate < e.target.size
+
+    def test_trace_chain_below_the_length_ceiling(self, monkeypatch):
+        # at kappa = 5e-6 the ring engine's length law passes its ceiling
+        # (test_determinant_law runs the dispatch there): a forced trace
+        # chain never builds the law, and a forced ring engine raises
+        monkeypatch.setattr(cover, "length_pmf", _no_length_law)
+        assert CoverEngine(5e-6, BoxTarget(4), sampler="trace").sampler == "trace"
+        monkeypatch.undo()
+        with pytest.raises(SeriesTruncationError):
+            CoverEngine(5e-6, BoxTarget(4), sampler="ring")
 
     def test_setup_budget_edge(self, monkeypatch):
         # a set whose trace setup just fits takes the chain; one byte less

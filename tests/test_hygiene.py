@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -26,15 +27,18 @@ def test_every_imported_name_is_used():
     assert MODULES and not unused, unused
 
 
-def _names(kind) -> set[str]:
-    # the bare names (kind ast.Name) or attributes (ast.Attribute) that the
-    # source, test and benchmark files name
+def _trees() -> list[ast.Module]:
+    # the source, test and benchmark files
     repo = Path(__file__).resolve().parent.parent
     files = [*MODULES, Path(loopsoup.__file__), *(repo / "tests").glob("*.py"),
              *(repo / "bench").glob("*.py")]
+    return [ast.parse(path.read_text()) for path in files]
+
+
+def _names(kind) -> set[str]:
+    # the bare names (kind ast.Name) or attributes (ast.Attribute) they name
     return {node.id if kind is ast.Name else node.attr
-            for path in files for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, kind)}
+            for tree in _trees() for node in ast.walk(tree) if isinstance(node, kind)}
 
 
 def test_every_module_level_definition_is_referenced():
@@ -80,6 +84,45 @@ def test_every_stored_attribute_is_read():
               and isinstance(node.value, ast.Name) and node.value.id == "self"
               and node.attr not in read]
     assert not unread, unread
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a defaulted parameter of a package function that no call in the
+    # source, test or benchmark files sets, by keyword or by position, has
+    # one value in use; calls are matched by the called name (a class name
+    # for __init__), and a call with *args or **kwargs sets every parameter
+    most, keywords = {}, {}
+    for tree in _trees():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                          or any(k.arg is None for k in call.keywords))
+                most[name] = max(most.get(name, 0), math.inf if spread else len(call.args))
+                keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unset = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(fn)
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            # self or cls is bound, except on a staticmethod
+            bound = int(cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            unset += [f"{path.name}:{fn.lineno} {fn.name}({arg.arg}=)"
+                      for i, arg in enumerate(params[first:], start=first)
+                      if i - bound >= most.get(name, 0)
+                      and arg.arg not in keywords.get(name, ())]
+            unset += [f"{path.name}:{fn.lineno} {fn.name}({arg.arg}=)"
+                      for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None and arg.arg not in keywords.get(name, ())]
+    assert not unset, unset
 
 
 def test_import_does_not_load_quadrature_package():

@@ -172,16 +172,6 @@ class TestUStarAndExpectations:
         assert laws.u_star(0.5, 100 ** 2) \
             == pytest.approx(2 * laws.u_star(0.5, 100))
 
-    def test_expected_uncovered_identity(self):
-        assert laws.expected_uncovered(0.5, 10_000, 0.5) == pytest.approx(100.0)
-
-    def test_expected_uncovered_epsilon_limit(self):
-        assert laws.expected_uncovered(0.5, 10_000, 1e-9) == pytest.approx(1.0)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            laws.expected_uncovered(0.5, 100, 1.5)
-
     def test_epsilon_policy(self):
         mu = 0.5
         assert laws.resolve_epsilon("auto100", mu) == pytest.approx(0.02)
@@ -190,53 +180,6 @@ class TestUStarAndExpectations:
         for bad in ("1.5", "0", "nan", "auto"):
             with pytest.raises(ValueError):
                 laws.resolve_epsilon(bad, mu)
-
-
-class TestPairBound:
-    def test_medium_regime_selection(self):
-        _, regime, hyp = laws.pair_bound(0.1, (5, 0), 0.1, 64)
-        assert regime == "medium"
-        assert hyp is False  # kappa^-1 = 10 << e^30
-
-    def test_large_regime_selection(self):
-        _, regime, _ = laws.pair_bound(0.5, (30, 0), 0.1, 64)
-        assert regime == "large"
-
-    def test_all_regime_for_close_points(self):
-        _, regime, _ = laws.pair_bound(0.5, (1, 0), 0.1, 64)
-        assert regime == "all"
-
-    def test_returns_both_sides_when_hypotheses_unmet(self):
-        bound, _, hyp = laws.pair_bound(0.1, (5, 0), 0.1, 64)
-        assert bound > 0 and hyp is False
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            laws.pair_bound(0.1, (0, 0), 0.1, 64)
-
-
-class TestQuasiIndependence:
-    def test_singleton_formula(self):
-        mu = greens.mu_gamma_o(0.5).value
-        k = laws.TargetSet(((0, 0),))
-        bound, ok = laws.quasi_independence_bound(0.5, k, 2.0, 100)
-        assert bound == pytest.approx(2 * 2.0 * 100 ** (-1 / mu))
-        assert ok  # no pairs to violate separation
-
-    def test_close_pair_fails_separation(self):
-        k = laws.TargetSet(((0, 0), (1, 0)))
-        _, ok = laws.quasi_independence_bound(0.5, k, 1.0, 10_000)
-        assert not ok
-
-    def test_rejects_small_u(self):
-        with pytest.raises(ValueError):
-            laws.quasi_independence_bound(0.5, laws.TargetSet(((0, 0),)), 0.5, 10)
-
-
-class TestHClass:
-    def test_close_pair_not_in_class(self):
-        k = laws.TargetSet(((0, 0), (1, 0)))
-        assert not laws.in_h_class(0.5, 10_000, k, 0.05)
 
 
 class TestSecondMoment:

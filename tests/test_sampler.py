@@ -304,6 +304,25 @@ class TestWindowSoup:
 
 
 class TestBiasRate:
+    @pytest.mark.parametrize("kappa,box", [
+        (0.5, Box(0, 0, 15, 15)), (1e-4, Box(0, 0, 15, 15)),
+        (1e-4, Box(0, 0, 63, 63)), (1e-4, Box(0, 0, 1, 1)),
+        (1e-4, Box(0, 0, 2998, 0)),
+    ])
+    def test_against_ring_by_ring_sum(self, kappa, box):
+        # the discarded loops rooted on ring d reach the box only beyond
+        # half-length max(d - 1, n), whose weights sum to at most
+        # 4 exp(-m kappa / 4) / (2(m + 1)) beyond m; summed ring by ring up
+        # to d = n + 120/kappa, where the rest is below e^-30 of the sum
+        d = sampler.length_pmf(kappa, 1e-10)
+        n = d.n_trunc
+        rings = np.arange(n + 1, n + 1 + int(120 / kappa))
+        near = box.ring_count(np.arange(n + 1)).sum() * d.tail_mass_bound
+        far = (box.ring_count(rings) * 4.0 * np.exp(-(rings - 1) * kappa / 4.0)
+               / (2.0 * rings)).sum()
+        rate = sampler.truncation_bias_rate(d, box)
+        assert near + far <= rate <= 1.01 * (near + far)
+
     def test_decreases_with_tolerance(self):
         d1 = sampler.length_pmf(0.5, 1e-6)
         d2 = sampler.length_pmf(0.5, 1e-10)

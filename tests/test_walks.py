@@ -4,56 +4,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup.lattice import (diagonal_coords, fold_octant, l1,
-                              symmetry_orbit)
-from loopsoup.walks import (BRUTE_FORCE_MAX_STEPS, WalkCountTable,
-                            count_loops_closed_form, count_walks_bruteforce,
-                            count_walks_diagonal, verify_dominance,
-                            walk_endpoint_counts)
+from loopsoup.lattice import fold_octant, l1, symmetry_orbit
+from loopsoup.walks import (ENDPOINT_SWEEP_MAX_STEPS, WalkCountTable,
+                            count_loops_closed_form, count_walks_diagonal,
+                            verify_dominance, walk_endpoint_counts)
 
 
 class TestBruteForce:
+    """Spot values of the enumeration oracle, the endpoint sweep."""
+
     def test_two_step_loops(self):
-        assert count_walks_bruteforce(2, (0, 0)) == 4
+        assert walk_endpoint_counts(2)[(0, 0)] == 4
 
     def test_four_step_loops(self):
-        assert count_walks_bruteforce(4, (0, 0)) == 36
+        assert walk_endpoint_counts(4)[(0, 0)] == 36
 
     def test_two_steps_to_diagonal(self):
-        assert count_walks_bruteforce(2, (1, 1)) == 2
+        assert walk_endpoint_counts(2)[(1, 1)] == 2
 
     def test_parity_blocks_odd_loops(self):
-        assert count_walks_bruteforce(3, (0, 0)) == 0
+        assert (0, 0) not in walk_endpoint_counts(3)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            count_walks_bruteforce(BRUTE_FORCE_MAX_STEPS + 1, (0, 0))
-
-    def test_matches_endpoint_tally(self):
-        for n in range(0, 7):
-            tally = walk_endpoint_counts(n)
-            for x in [(0, 0), (1, 0), (2, 1), (n, 0), (1, 1)]:
-                assert count_walks_bruteforce(n, x) == tally.get(x, 0)
+            walk_endpoint_counts(ENDPOINT_SWEEP_MAX_STEPS + 1)
 
 
 class TestDpTable:
     def test_origin_loops(self):
-        assert WalkCountTable.build(6, 6).count(6, (0, 0)) == 400
+        assert WalkCountTable.build(6).count(6, (0, 0)) == 400
 
     def test_spot_value_vs_bruteforce(self):
-        assert WalkCountTable.build(4, 4).count(4, (2, 0)) == 16
+        assert WalkCountTable.build(4).count(4, (2, 0)) == 16
 
     def test_interior_recursion(self):
-        t = WalkCountTable.build(5, 5)
+        t = WalkCountTable.build(5)
         nbrs = [(2, 0), (0, 0), (1, 1), (1, -1)]
         assert t.count(5, (1, 0)) == sum(t.count(4, y) for y in nbrs)
 
-    def test_radius_guard(self):
-        with pytest.raises(ValueError):
-            WalkCountTable.build(5, 4)
-
     def test_column_sums(self):
-        t = WalkCountTable.build(8, 8)
+        t = WalkCountTable.build(8)
         for n in range(9):
             total = sum(w * len(symmetry_orbit(p)) for p, w in t.level_items(n))
             assert total == 4 ** n
@@ -88,7 +78,7 @@ class TestOracleEquivalence:
     def test_three_way_agreement(self):
         for n in range(0, 9):
             tally = walk_endpoint_counts(n)
-            table = WalkCountTable.build(n, n) if n else None
+            table = WalkCountTable.build(n) if n else None
             for x, w in tally.items():
                 assert count_walks_diagonal(n, x) == w
                 if table is not None:
@@ -113,15 +103,15 @@ class TestOracleEquivalence:
 
 class TestDominance:
     def test_no_violations(self):
-        rep = verify_dominance(10, 10)
+        rep = verify_dominance(10)
         assert rep.ok and rep.checked > 0
 
     def test_spot_value(self):
-        t = WalkCountTable.build(8, 8)
+        t = WalkCountTable.build(8)
         assert t.count(8, (2, 2)) <= t.count(8, (0, 0)) == 4900
 
     def test_origin_is_never_a_violation(self):
-        rep = verify_dominance(8, 8)
+        rep = verify_dominance(8)
         assert all(p != (0, 0) for _, p, _, _ in rep.violations)
 
 
@@ -133,10 +123,3 @@ class TestLattice:
         assert fold_octant(f) == f
         assert f[0] >= f[1] >= 0
         assert l1(f) == l1((a, b))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(-30, 30), st.integers(-30, 30))
-    def test_diagonal_coords_parity(self, a, b):
-        s, d = diagonal_coords((a, b))
-        assert (s + d) % 2 == 0
-        assert max(abs(s), abs(d)) == l1((a, b))
