@@ -19,11 +19,11 @@ truncation, so its ``truncation_bias_rate`` is 0.
 The ring engine samples the loops of the truncated soup that are able to
 touch the target's bounding box: a loop of half-length m reaches at most m
 from its root, so only roots within L1 distance m of the box matter.  It
-draws one half-length at a time: for m = 1..n_trunc, Poisson(w_m reach_m)
-loops per unit time and replica, reach_m counting the cells within m of the
-box, each rooted on ring delta <= m with probability proportional to the
-ring's size and uniformly on it, with a uniform timestamp and a diagonal
-bridge for its shape.  This is the soup's intensity ring_count(delta) w_m
+draws, for m = 1..n_trunc, Poisson(w_m reach_m) loops per unit time and
+replica, reach_m counting the cells within m of the box, each rooted on ring
+delta <= m with probability proportional to the ring's size and uniformly on
+it, with a uniform timestamp, and traces them one position at a time, in
+lockstep.  This is the soup's intensity ring_count(delta) w_m
 1{m >= max(delta, 1)} grouped by m; every target, boxes and sparse point
 sets alike, uses its box's rings, with no acceptance step.  Discarding loops
 that provably cannot intersect the target leaves the law of every coverage
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -59,8 +60,9 @@ from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
-from .sampler import (_alias_setup, balanced_signs, length_pmf, loop_vertices,
-                      truncation_bias_rate, unpack_steps)
+from . import sampler as _sampler
+from .sampler import (_alias_setup, length_pmf, loop_vertices, truncation_bias_rate,
+                      unpack_steps, urn_steps)
 from .series import (ResourceCeilingError,  # raised here, re-exported to callers
                      SeriesTruncationError)
 
@@ -72,10 +74,13 @@ TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
 #: alias tables take about 1 s on one core.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
-_FOLD_CELLS = 1 << 20     # traced cells per ring-engine fold
+_FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
+# unused here, kept only for the benchmark's tracer, which patches it, until
+# ROADMAP item 4 replaces the patches (as laws.TargetSet is)
+balanced_signs = _sampler.balanced_signs
 
 
 def make_target(spec: str):
@@ -306,11 +311,11 @@ class CoverEngine:
     or the ring engine, whichever has the smaller work estimate; sampler
     "ring" or "trace" forces one.  The ring engine's estimate, cell_rate =
     sum_m 2m w_m reach_m, is its exact mean number of traced cells per unit
-    time and replica.  At the measured points the dispatch picks the faster
-    engine (ms per replica on one core, ring against trace): the ring engine
-    at kappa = 0.5 on box:8, box:16 and box:32 (0.16, 0.55 and 1.76 against
-    0.30, 1.60 and 8.2), the trace chain on box:16 at kappa = 0.01 (26
-    against 2.2)."""
+    time and replica.  Ms per replica on one core, ring against trace:
+    kappa = 0.5 on box:8, box:16 and box:32, 0.12, 0.40 and 1.53 against
+    0.42, 2.4 and 11.5; box:16 at kappa = 0.1, 0.05 and 0.01, 0.77, 1.40 and
+    11.4 against 2.3, 2.9 and 2.6.  The dispatch picks the faster engine at
+    each, except the trace chain at box:16, kappa = 0.05."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -369,38 +374,29 @@ class CoverEngine:
         """Fold the relevant loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, V) array of first-visit times, in place.
 
-        Half-length by half-length: Poisson(rows (t1 - t0) w_m reach[m])
-        loops, each rooted on ring delta <= m with probability proportional
-        to its cell count, uniformly on it, and traced as a diagonal bridge,
-        at most _FOLD_CELLS cells at a time."""
+        Poisson(rows (t1 - t0) w_m reach[m]) loops of each half-length m, in
+        descending half-length, _FOLD_LOOPS at a time.  A fold draws, in this
+        order, each loop's ring delta <= m (by cell count), root (uniform on
+        the ring), row and timestamp, then its steps (``urn_steps``); it folds
+        the roots, then each position's cells as they are traced."""
         rows, V = state.shape
         flat = state.reshape(-1)
         counts = rng.poisson((rows * (t1 - t0)) * self.dist.weights * self.reach[1:])
-        for m in (np.flatnonzero(counts) + 1).tolist():
-            left, chunk = int(counts[m - 1]), max(1, _FOLD_CELLS // (2 * m))
-            while left:
-                g = min(left, chunk)
-                left -= g
-                delta = np.searchsorted(self.reach, rng.random(g) * self.reach[m],
-                                        side="right")
-                x, y = self.target.root_coords(rng, delta)
-                row = rng.integers(0, rows, size=g)
-                t = t0 + (t1 - t0) * rng.random(g)
-                ds = balanced_signs(rng, g, m).astype(np.int32)
-                dd = balanced_signs(rng, g, m).astype(np.int32)
-                sx = (ds - dd) >> 1
-                sy = (ds + dd) >> 1
-                np.cumsum(sx, axis=1, out=sx)
-                np.cumsum(sy, axis=1, out=sy)
-                px = np.empty((g, 2 * m), dtype=np.int64)
-                py = np.empty((g, 2 * m), dtype=np.int64)
-                px[:, 0], py[:, 0] = x, y
-                px[:, 1:] = x[:, None] + sx[:, :-1]
-                py[:, 1:] = y[:, None] + sy[:, :-1]
-                vi = self.target.vertex_index(px.ravel(), py.ravel())
+        ends = np.cumsum(counts[::-1])   # where half-length n_trunc - k ends
+        for a in range(0, ends[-1], _FOLD_LOOPS):
+            m = self.dist.n_trunc - np.searchsorted(
+                ends, np.arange(a, min(a + _FOLD_LOOPS, ends[-1])), side="right")
+            delta = np.searchsorted(self.reach, rng.random(len(m)) * self.reach[m],
+                                    side="right")
+            x, y = self.target.root_coords(rng, delta)
+            base = rng.integers(0, rows, size=len(m)) * V
+            t = t0 + (t1 - t0) * rng.random(len(m))
+            for live, dx, dy in chain([(len(m), 0, 0)], urn_steps(rng, m)):
+                x[:live] += dx
+                y[:live] += dy
+                vi = self.target.vertex_index(x[:live], y[:live])
                 hit = np.flatnonzero(vi >= 0)
-                loop = hit // (2 * m)
-                np.minimum.at(flat, row[loop] * V + vi[hit], t[loop])
+                np.minimum.at(flat, base[hit] + vi[hit], t[hit])
 
     # -- public sampling --------------------------------------------------
 

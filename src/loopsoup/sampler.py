@@ -45,9 +45,12 @@ def required_n_trunc(kappa: float, tail_tol: float) -> int:
     step_weight(kappa)
     if tail_tol <= 0:
         raise ValueError("tail_tol must be > 0")
-    n = max(1, math.ceil(0.5 / kappa))
-    while tail_mass(kappa, n) > tail_tol:
-        n = max(n + 1, int(n * 1.21))
+    lo = n = max(1, math.ceil(0.5 / kappa))
+    while tail_mass(kappa, n) > tail_tol and n <= DEFAULT_N_TRUNC_CEILING:
+        lo, n = n, 2 * n   # tail_mass decreases in N: bracket N, then bisect
+    while n - lo > 1:   # tail_mass(lo) > tail_tol >= tail_mass(n), or n too big
+        mid = (lo + n) // 2
+        lo, n = (mid, n) if tail_mass(kappa, mid) > tail_tol else (lo, mid)
     if n > DEFAULT_N_TRUNC_CEILING:
         raise SeriesTruncationError(
             f"length truncation exceeds ceiling {DEFAULT_N_TRUNC_CEILING} "
@@ -175,6 +178,31 @@ def balanced_signs(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     sgn[:, :m] = 1
     sgn[:, m:] = -1
     return rng.permuted(sgn, axis=1, out=sgn)
+
+
+def urn_steps(rng: np.random.Generator, m: np.ndarray):
+    """Closed walks of half-lengths m (a nonempty descending int64 array) in
+    lockstep: yields (live, dx, dy) for positions i = 0 .. 2 m[0] - 2, live
+    counting the loops with 2m - 1 > i.  Each draws a (2, live) block of
+    float64 uniforms, row 0 for the diagonal s = x + y and row 1 for
+    d = y - x, and a loop steps +1 in a diagonal with probability (its
+    plus-steps left)/(2m - i): a sequential urn, so every closed walk has
+    probability C(2m, m)^-2.  dx = s - d and dy = s + d - 1 for the drawn
+    bits; the last step, back to the root, is forced."""
+    left = 2.0 * m                                # steps left, 2m - i
+    plus = np.stack([m, m]).astype(np.float64)    # plus-steps left per diagonal
+    # reused buffers: fresh (2, live) temporaries cost about as much as the draws
+    u, bits = np.empty(2 * len(m)), np.empty(2 * len(m), dtype=bool)
+    # 1 - 2m ascends, so the loops with 2m - 1 > i are those below -i
+    lives = np.searchsorted(1 - 2 * m, -np.arange(2 * m[0] - 1), side="left")
+    for live in lives.tolist():
+        draw = rng.random(out=u[:2 * live]).reshape(2, live)
+        draw *= left[:live]
+        step = np.less(draw, plus[:, :live], out=bits[:2 * live].reshape(2, live))
+        plus[:, :live] -= step
+        left[:live] -= 1.0
+        s, d = step.view(np.int8)
+        yield live, s - d, s + d - 1
 
 
 def loop_vertices(root_x, root_y, codes) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,17 @@ class TestLengthDistribution:
         with pytest.raises(SeriesTruncationError):
             sampler.required_n_trunc(1e-7, 1e-6)
 
+    @pytest.mark.parametrize("kappa", [2.5, 0.5, 0.1, 0.01, 1e-3, 1e-4, 3e-5])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_truncation_is_smallest(self, kappa, tol):
+        n = sampler.required_n_trunc(kappa, tol)
+        assert sampler.tail_mass(kappa, n) <= tol
+        assert n == math.ceil(0.5 / kappa) or sampler.tail_mass(kappa, n - 1) > tol
+
+    def test_truncation_reaches_its_ceiling(self):
+        # the smallest N at kappa = 9e-6 fits 2^22
+        assert sampler.length_pmf(9e-6, 1e-10).n_trunc == 3_807_357
+
     def test_soup_half_lengths_match_weights(self):
         # the per-half-length Poisson counts of one window soup of about
         # 100,000 loops, against weights / total_mass (bins under 20 expected
@@ -119,6 +130,48 @@ class TestBridges:
         expected = 100_000 / 36
         stat = (((counts[support] - expected) ** 2) / expected).sum()
         assert chi2.sf(stat, 35) > 0.001
+
+    @staticmethod
+    def _urn_walks(rng, m):
+        """Step codes of the lockstep urn's loops, (g, 2 max(m) - 1), -1 past
+        a loop's end, and each loop's number of positions."""
+        codes = np.full((len(m), 2 * m[0] - 1), -1)
+        positions = np.ones(len(m), dtype=np.int64)
+        lookup = np.full((3, 3), -1)
+        lookup[STEP_DX + 1, STEP_DY + 1] = np.arange(4)
+        for i, (live, dx, dy) in enumerate(sampler.urn_steps(rng, m)):
+            codes[:live, i] = lookup[dx + 1, dy + 1]
+            positions[:live] += 1
+        return codes, positions
+
+    def test_urn_loops_close(self, rng):
+        # one fold mixing half-lengths: 2m positions, and the forced last
+        # step from the final position returns to the root
+        m = np.repeat([3, 2, 1], 500)
+        codes, positions = self._urn_walks(rng, m)
+        assert np.array_equal(positions, 2 * m)
+        # code -1, past a loop's end, reads the appended zero step
+        x = np.append(STEP_DX, 0)[codes].sum(axis=1)
+        y = np.append(STEP_DY, 0)[codes].sum(axis=1)
+        assert (np.abs(x) + np.abs(y) == 1).all()
+
+    @pytest.mark.parametrize("m, walks", [(2, 36), (3, 400)])
+    def test_urn_loops_uniform(self, rng, m, walks):
+        # every closed 2m-step walk, C(2m, m)^2 of them, equally likely
+        codes, _ = self._urn_walks(rng, np.full(20_000, m))
+        key = codes @ 4 ** np.arange(2 * m - 1)
+        counts = np.bincount(key, minlength=4 ** (2 * m - 1))
+        support = np.flatnonzero(counts)
+        assert len(support) == walks
+        expected = 20_000 / walks
+        stat = (((counts[support] - expected) ** 2) / expected).sum()
+        assert chi2.sf(stat, walks - 1) > 1e-3
+
+    def test_urn_two_step_loops_uniform(self, rng):
+        codes, _ = self._urn_walks(rng, np.ones(20_000, dtype=np.int64))
+        counts = np.bincount(codes[:, 0], minlength=4)
+        stat = (((counts - 5_000) ** 2) / 5_000).sum()
+        assert chi2.sf(stat, 3) > 1e-3
 
     def test_trace_examples(self, rng):
         x, y = sampler.loop_vertices([0], [0], np.array([[0, 1, 2, 3]], dtype=np.int8))
