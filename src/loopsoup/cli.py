@@ -8,10 +8,11 @@ environment, else to the same keys of an optional flat key=value config
 file (--config), and a flag on the command line overrides both; quick takes
 1/0, true/false or yes/no.  Option values may start with "-" (--window
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
-(arguments, config file, environment, set or epsilon spec), 3 resource
-ceiling (a length law or walk series past its truncation ceiling, a cover
-run past its work guard, a soup slice past its loop ceiling, a second-moment
-set past its pair-sum guard), 4 any other
+(arguments, config file, environment, set or epsilon spec; a --box past
+2048 or a --radius past 4094 is an argument), 3 resource ceiling (a length
+law or walk series past its truncation ceiling, a cover run past its work
+guard, a soup slice past its loop ceiling, a second-moment set past its
+pair-sum guard of 65,536 points, box:256), 4 any other
 error (a value outside a function's domain, or a fault in the program),
 printed as "error: <type>: <message>".
 
@@ -486,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     vs = v.add_subparsers(dest="what", required=True)
     vb = vs.add_parser("bounds")
     vb.add_argument("--kappa-grid", type=_listed(positive), required=True)
-    vb.add_argument("--radius", type=_number(int, 2), default=20)
+    vb.add_argument("--radius", type=_number(int, 2, high=greens.MAX_RADIUS),
+                    default=20)
     vb.set_defaults(func=cmd_verify_bounds)
     va = vs.add_parser("appendix")
     va.add_argument("--n-max", type=count, default=100)

@@ -7,6 +7,15 @@ for |x1| >= |x2|, G(x) = (1/pi) int_0^pi cos(x2 t) r^|x1| /
 sqrt(A^2 - B^2) dt with A = 1 - 2 beta cos t, B = 2 beta and
 r = B / (A + sqrt(A^2 - B^2)), the other Fourier angle integrated exactly.
 
+The quadrature of that integral is a low-rank product: G(a, b) = sum_t
+r_t^a w_t / (pi s_t) cos(b t) over the rule's nodes t, with s = sqrt(A^2 -
+B^2).  So G at a set of octant points is one matrix product over the grid
+of their distinct a and distinct b values, read off at each point
+(_greens_grid), and a table of radius R is that product over the integer
+ranges 0 <= a <= R, 0 <= b <= R // 2.  Only where the grid would hold more
+than _GRID_PER_POINT entries per point (sets spread wide, with many
+distinct a and b) does each point take its own (points x nodes) product.
+
 mu0 = log G(o) is the total loop measure through a vertex and drives every
 avoidance law downstream.  The walk series of ``series`` stays as a
 cross-check.  check_green_bounds / verify_appendix_bounds turn each
@@ -22,24 +31,36 @@ from math import lgamma, log, pi
 
 import numpy as np
 
-from .lattice import Point, fold_octant, l1, octant_points
+from .lattice import BoxTarget, Point, fold_octant, l1
 from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
-from .series import (DEFAULT_M_CEILING, exp_tail_bound, loop_series_gram,
-                     loop_term_array, step_weight)
+from .series import (DEFAULT_M_CEILING, ResourceCeilingError, exp_tail_bound,
+                     loop_series_gram, loop_term_array, step_weight)
 from .walks import WalkCountTable, count_walks_diagonal
 
 _EPS = float(np.finfo(np.float64).eps)
-# Scratch of the (points x nodes) kernel per chunk of points, in floats.
+# Gauss-Legendre nodes and weights on [-1, 1] of the 32- and 16-node rules.
+_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 32)}
+# Scratch floats per block: rows of r^a of the grid product, or (points x
+# nodes) kernel rows of the per-point product.
 _CHUNK_ENTRIES = 1 << 18
+# Most grid entries per point of the grid product, so that its grid stays a
+# small multiple of the points' own memory; past it the per-point product
+# runs.  Time alone would allow more: at 66 entries per point (1,968 points,
+# kappa = 1e-4, one core) the grid product still took 6 ms against 15 ms.
+_GRID_PER_POINT = 8
+#: Largest table radius, 4094: the L1 diameter of the largest box a set
+#: spec accepts.
+MAX_RADIUS = 2 * (BoxTarget.MAX_SIDE - 1)
 
 
 @dataclass(frozen=True)
 class GreensTable:
-    """G(x) on |x| <= radius, stored on one octant as the array _g[a, b],
-    a >= b >= 0; values() folds displacements onto it.  tail_bound is the
-    absolute error estimate of every entry: the largest gap between the 32-
-    and 16-node quadratures over the table plus a rounding floor of 16 eps
-    G(o).  The origin entry is green_origin itself."""
+    """G(x) on |x| <= radius, stored as the grid _g[a, b], 0 <= a <= radius,
+    0 <= b <= radius // 2, whose octant a >= b, a + b <= radius holds G and
+    whose other entries are 0; values() folds displacements onto it.
+    tail_bound is the absolute error estimate of every entry: the largest gap
+    between the 32- and 16-node quadratures over the octant plus a rounding
+    floor of 16 eps G(o).  The origin entry is green_origin itself."""
 
     kappa: float
     radius: int
@@ -60,8 +81,20 @@ class GreensTable:
     def origin(self) -> float:
         return float(self._g[0, 0])
 
+    def octant(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays a, b of the octant points a >= b >= 0, a + b <= radius,
+        in ascending (a, b) order."""
+        return np.nonzero(_octant_mask(self.radius))
+
     def points(self) -> list[Point]:
-        return octant_points(self.radius)
+        return list(zip(*(c.tolist() for c in self.octant())))
+
+
+def _octant_mask(radius: int) -> np.ndarray:
+    """Which entries of the (radius + 1, radius // 2 + 1) grid [a, b] lie on
+    the octant a >= b, a + b <= radius."""
+    a = np.arange(radius + 1)[:, None]
+    return np.arange(radius // 2 + 1) <= np.minimum(a, radius - a)
 
 
 def green_origin(kappa: float) -> float:
@@ -76,16 +109,16 @@ def green_origin(kappa: float) -> float:
 
 
 def _angle_rule(kappa: float, nodes: int):
-    """Nodes t of `nodes`-point Gauss-Legendre on panels of [0, pi] that
-    double from sqrt(kappa)/4 (the integrands' nearest complex singularity
-    sits ~sqrt(kappa) from t = 0), with their weights, sqrt(A^2 - B^2) and
-    log r at each node."""
+    """Nodes t of `nodes`-point Gauss-Legendre (16 or 32) on panels of [0, pi]
+    that double from sqrt(kappa)/4 (the integrands' nearest complex
+    singularity sits ~sqrt(kappa) from t = 0), with their weights,
+    sqrt(A^2 - B^2) and log r at each node."""
     beta = step_weight(kappa)
     edges = [0.0, min(pi, math.sqrt(kappa) / 4.0)]
     while edges[-1] < pi:
         edges.append(min(pi, 2.0 * edges[-1]))
     half = 0.5 * np.diff(edges)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _LEGENDRE[nodes]
     t = ((np.asarray(edges[:-1]) + half)[:, None] + half[:, None] * x).ravel()
     a_minus_b = beta * (kappa + 4.0 * np.sin(0.5 * t) ** 2)  # A - B, no cancellation
     s = np.sqrt(a_minus_b * (a_minus_b + 4.0 * beta))       # sqrt(A^2 - B^2)
@@ -93,9 +126,34 @@ def _angle_rule(kappa: float, nodes: int):
     return t, (half[:, None] * w).ravel(), s, log_r
 
 
+def _greens_grid(kappa: float, a: np.ndarray, b: np.ndarray,
+                 nodes: int) -> np.ndarray:
+    """The (len(a), len(b)) grid of G's `nodes`-point quadrature at (a_i,
+    b_j): the product of r^a w / (pi s), (a x nodes), with cos(t b), (nodes x
+    b), in row blocks of at most _CHUNK_ENTRIES scratch floats of r^a."""
+    t, w, s, log_r = _angle_rule(kappa, nodes)
+    weights = w / (pi * s)
+    cos_tb = np.outer(t, b)
+    np.cos(cos_tb, out=cos_tb)
+    out = np.empty((len(a), len(b)))
+    rows = max(1, _CHUNK_ENTRIES // len(t))
+    for i in range(0, len(a), rows):
+        r_a = np.outer(a[i:i + rows], log_r)
+        np.exp(r_a, out=r_a)
+        r_a *= weights
+        np.matmul(r_a, cos_tb, out=out[i:i + rows])
+    return out
+
+
 def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
-    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule; a
-    chunk computes exp(a log r) once per distinct a and cos(b t) per distinct b."""
+    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule:
+    _greens_grid over the points' distinct a and distinct b, read off at each
+    point.  Where that grid has more than _GRID_PER_POINT entries per point,
+    each chunk of points takes the gathered (points x nodes) product instead,
+    computing exp(a log r) once per distinct a and cos(b t) per distinct b."""
+    (a, ia), (b, ib) = (np.unique(c, return_inverse=True) for c in points.T)
+    if len(a) * len(b) <= _GRID_PER_POINT * len(points):
+        return _greens_grid(kappa, a, b, nodes)[ia, ib]
     t, w, s, log_r = _angle_rule(kappa, nodes)
     weights = w / (pi * s)
     out = np.empty(len(points))
@@ -110,27 +168,33 @@ def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarr
 
 @lru_cache(maxsize=32)
 def _greens_table_cached(kappa: float, radius: int) -> GreensTable:
-    octant = np.array(octant_points(radius))
-    values = _greens_quadrature(kappa, octant, 32)
-    gap = float(np.abs(values - _greens_quadrature(kappa, octant, 16)).max())
-    values[0] = goo = green_origin(kappa)  # octant_points starts at the origin
-    g = np.zeros((radius + 1, radius + 1))
-    g[octant[:, 0], octant[:, 1]] = values
+    a, b = np.arange(radius + 1), np.arange(radius // 2 + 1)
+    g = _greens_grid(kappa, a, b, 32)
+    gap = _greens_grid(kappa, a, b, 16)
+    gap -= g
+    outside = ~_octant_mask(radius)
+    np.abs(gap, out=gap)[outside] = 0.0
+    g[outside] = 0.0
+    g[0, 0] = goo = green_origin(kappa)
     g.flags.writeable = False  # the cached table is shared
     return GreensTable(kappa=kappa, radius=radius,
-                       tail_bound=gap + 16.0 * _EPS * goo, _g=g)
+                       tail_bound=float(gap.max()) + 16.0 * _EPS * goo, _g=g)
 
 
 def greens_table(kappa: float, radius: int) -> GreensTable:
-    """Table of G over |x| <= radius, symmetrized from one octant."""
+    """Table of G over |x| <= radius, symmetrized from one octant; a radius
+    past MAX_RADIUS raises ResourceCeilingError before anything is built."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if radius > MAX_RADIUS:
+        raise ResourceCeilingError(
+            f"Green's table radius {radius} exceeds MAX_RADIUS {MAX_RADIUS}")
     return _greens_table_cached(float(kappa), int(radius))
 
 
 def greens_at(kappa: float, octant, nodes: int = 32) -> np.ndarray:
     """G at the octant points (a, b), a >= b >= 0, of shape (k, 2), by the
-    `nodes`-point quadrature; G(o) is green_origin itself."""
+    `nodes`-point quadrature (16 or 32); G(o) is green_origin itself."""
     octant = np.asarray(octant, dtype=np.int64)
     g = _greens_quadrature(kappa, octant, nodes)
     g[octant[:, 0] == 0] = green_origin(kappa)
@@ -213,7 +277,9 @@ def series_cross_check(table: GreensTable, tag: str) -> Verdict:
         return verdict("greens-series-cross-check", PLUMBING, tag, m_min,
                        DEFAULT_M_CEILING, False, hypotheses_met=False)
     res = loop_series_gram(table.kappa, table.radius // 2, 1e-12)
-    x1, x2 = np.array([p for p in table.points() if (p[0] + p[1]) % 2 == 0]).T
+    x1, x2 = table.octant()
+    even = (x1 + x2) % 2 == 0
+    x1, x2 = x1[even], x2[even]
     a, b = (x1 + x2) // 2, (x1 - x2) // 2
     series = res.gram[a, b] + (a == 0)  # the n = 0 term, at the origin only
     gap = float(np.abs(table.values(x1, x2) - series).max())
@@ -267,7 +333,7 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
                                    exp_tail_bound(kappa, N),
                                    tail_exact <= exp_tail_bound(kappa, N)))
         # Pointwise gap bounds, over the octant in sorted order.
-        a, b = np.array(table.points()).T
+        a, b = table.octant()
         vals = table.values(a, b)
         r, gaps = a + b, goo - vals
         worst_gap = float(gaps[1:].min())  # every point but the origin

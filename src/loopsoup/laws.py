@@ -37,7 +37,7 @@ from .series import ResourceCeilingError
 
 E9 = math.exp(9)
 LOG_EE32 = math.exp(32)  # log(kappa^-1) must exceed e^32 for the core lemmas
-PAIR_GUARD = 10_000  # most points second_moment_report sums pairs over
+PAIR_GUARD = 65_536  # most points second_moment_report sums pairs over: box:256
 
 
 def gumbel_cdf(z):
@@ -66,24 +66,41 @@ def _log_det(g: np.ndarray) -> np.ndarray:
 
 
 def green_matrix(kappa: float, points) -> np.ndarray:
-    """G_B of distinct points B, with G evaluated once per distinct folded
-    displacement (max, min) of (|dx|, |dy|): int64 keys below span^2 <=
-    (2**31 + 1)^2, as TargetSet bounds |coordinates| by 2**30, built and then
-    overwritten by G_B in row blocks of about 2^16 entries, so one (|B|, |B|)
-    array and np.unique's sorted copy of it are the only large ones."""
+    """G_B of distinct points B, with G evaluated once per folded displacement
+    (max, min) of (|dx|, |dy|).  Where the span of B's bounding box is at most
+    |B| (boxes and dense sets), G is taken on the whole octant 0 <= b <= a <
+    span and read back by index.  For wider sets G is taken once per distinct
+    displacement: int64 keys below span^2 <= (2**31 + 1)^2, as TargetSet
+    bounds |coordinates| by 2**30, built and then overwritten by G_B, so one
+    (|B|, |B|) array and np.unique's sorted copy of it are the only large
+    ones.  Rows go in blocks of about 2^16 entries."""
     target = TargetSet(points)
     x, y = target.pts.T
     span = max(target.box.width, target.box.height)
-    keys = np.empty((len(x), len(x)), dtype=np.int64)
     rows = max(1, (1 << 16) // len(x))
-    for i in range(0, len(x), rows):
-        dx, dy = np.abs(x[i:i + rows, None] - x), np.abs(y[i:i + rows, None] - y)
-        keys[i:i + rows] = np.maximum(dx, dy) * span + np.minimum(dx, dy)
+    blocks = [slice(i, i + rows) for i in range(0, len(x), rows)]
+
+    def folded(s):
+        dx, dy = np.abs(x[s, None] - x), np.abs(y[s, None] - y)
+        return np.maximum(dx, dy), np.minimum(dx, dy)
+
+    if span <= len(x):
+        a, b = np.tril_indices(span)
+        octant = np.zeros((span, span))
+        octant[a, b] = greens_at(kappa, np.stack([a, b], axis=1))
+        g_b = np.empty((len(x), len(x)))
+        for s in blocks:
+            g_b[s] = octant[folded(s)]
+        return g_b
+    keys = np.empty((len(x), len(x)), dtype=np.int64)
+    for s in blocks:
+        a, b = folded(s)
+        keys[s] = a * span + b
     distinct = np.unique(keys)
     g = greens_at(kappa, np.stack(np.divmod(distinct, span), axis=1))
     g_b = keys.view(np.float64)
-    for i in range(0, len(x), rows):
-        g_b[i:i + rows] = g[np.searchsorted(distinct, keys[i:i + rows])]
+    for s in blocks:
+        g_b[s] = g[np.searchsorted(distinct, keys[s])]
     return g_b
 
 

@@ -273,6 +273,7 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     (("covertime", "--set", "box:2", "--kappa", 0.5, "--replicas", 4,
       "--work-guard", "nan"), "--work-guard"),
     (("gumbel-scan", "--work-guard", 0), "--work-guard"),
+    (("verify", "bounds", "--kappa-grid", 0.5, "--radius", 4095), "--radius"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -282,11 +283,14 @@ def test_argument_domains_are_parse_errors(argv, flag, capsys):
 
 
 def test_documented_limits_exit_with_their_codes(capsys):
-    # the pair-sum guard is a resource ceiling
+    # the pair-sum guard is a resource ceiling, and box:256 lies within it
     assert _run("laws", "second-moment", "--kappa", 0.5,
-                "--box", 101) == cli.EXIT_CEILING
+                "--box", 256) == cli.EXIT_OK
+    capsys.readouterr()
+    assert _run("laws", "second-moment", "--kappa", 0.5,
+                "--box", 257) == cli.EXIT_CEILING
     assert capsys.readouterr().err.strip() == \
-        "resource ceiling: |A| = 10201 exceeds the pair-sum guard 10000"
+        "resource ceiling: |A| = 66049 exceeds the pair-sum guard 65536"
     # a rejected set spec names its cause before the grammar
     for spec, cause in (("box:3000", "side must lie in [1, 2048]"),
                         ("points:(0,0);(0,0)", "duplicate points")):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
@@ -9,8 +10,9 @@ import pytest
 from loopsoup import greens
 from loopsoup.lattice import fold_octant
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
-from loopsoup.series import (SeriesTruncationError, exp_tail_bound,
-                             loop_series_gram, loop_term_array, step_weight)
+from loopsoup.series import (ResourceCeilingError, SeriesTruncationError,
+                             exp_tail_bound, loop_series_gram, loop_term_array,
+                             step_weight)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -135,6 +137,47 @@ class TestGreensTable:
             t.values([0, 9], [0, -8])
         with pytest.raises(ValueError):
             t.value((-17, 0))
+
+    def test_grid_and_per_point_products_agree(self, monkeypatch):
+        # each path against the other within 8 eps G(o), forcing the one a
+        # set does not take; the radius-126 octant takes the grid product and
+        # 200 points spread over a 2**20 square the per-point one
+        eps = np.finfo(np.float64).eps
+        grids, real_grid, limit = [], greens._greens_grid, greens._GRID_PER_POINT
+        monkeypatch.setattr(greens, "_greens_grid",
+                            lambda *args: grids.append(1) or real_grid(*args))
+        octant = np.stack(greens.greens_table(1.0, 126).octant(), axis=1)
+        xy = np.random.default_rng(7).integers(0, 1 << 20, size=(200, 2))
+        wide = np.stack([xy.max(axis=1), xy.min(axis=1)], axis=1)
+        for pts, kappas, takes_grid in ((octant, (1.0, 0.01, 1e-6), True),
+                                        (wide, (1e-10, 1e-12), False)):
+            for kappa in kappas:
+                grids.clear()
+                g = greens._greens_quadrature(kappa, pts, 32)
+                assert bool(grids) == takes_grid
+                monkeypatch.setattr(greens, "_GRID_PER_POINT",
+                                    0 if takes_grid else math.inf)
+                other = greens._greens_quadrature(kappa, pts, 32)
+                monkeypatch.setattr(greens, "_GRID_PER_POINT", limit)
+                assert np.abs(g - other).max() <= 8 * eps * greens.green_origin(kappa)
+
+    def test_table_scratch_stays_in_row_blocks(self):
+        # the grid and its 16-node twin, plus row blocks of r^a and the
+        # (nodes x b) cosines: no per-point kernel, list of points or square
+        build = greens._greens_table_cached.__wrapped__
+        build(1e-4, 8)
+        tracemalloc.start()
+        try:
+            t = build(1e-4, 510)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t._g.shape == (511, 256)
+        assert peak < 4 * t._g.nbytes
+
+    def test_radius_ceiling(self):
+        with pytest.raises(ResourceCeilingError, match="MAX_RADIUS 4094"):
+            greens.greens_table(0.5, greens.MAX_RADIUS + 1)
 
 
 class TestMuGammaO:

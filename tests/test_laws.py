@@ -103,10 +103,12 @@ class TestDeterminantLaw:
             laws.prob_uncovered(0.5, [(1, 2), (0, 0), (1, 2)], 1.0)
 
     def test_green_matrix_matches_table(self, rng):
-        # one quadrature per distinct displacement against a table of radius
-        # diam(B), to 1e-15 relative to the largest entry G(o): BLAS row
-        # blocking may move the last bit, and entries near 1e-19 (kappa = 1,
-        # |x| ~ 30) carry the quadrature's cancellation, not its accuracy
+        # G on the octant below the span (the point and the 40 points of a
+        # 33 x 33 grid) or once per distinct displacement (the 7 spread
+        # points) against a table of radius diam(B), to 1e-15 relative to
+        # the largest entry G(o): BLAS blocking may move the last bit, and
+        # entries near 1e-19 (kappa = 1, |x| ~ 30) carry the quadrature's
+        # cancellation, not its accuracy
         grid = [(i, j) for i in range(-16, 17) for j in range(-16, 17)]
         sets = [[(3, -7)],
                 [(0, 0), (4, 4), (-4, -4), (4, -4), (-4, 4), (0, 8), (8, 0)],
@@ -251,8 +253,8 @@ class TestSecondMoment:
 
     def test_guard(self):
         # a documented limit, so a resource ceiling (exit 3), not a ValueError
-        with pytest.raises(ResourceCeilingError, match="pair-sum guard 10000"):
-            laws.second_moment_report(0.5, laws.box_set(101), 0.05)
+        with pytest.raises(ResourceCeilingError, match="pair-sum guard 65536"):
+            laws.second_moment_report(0.5, laws.box_set(257), 0.05)
 
     def test_asymptotic_rows_flagged(self):
         rep = laws.second_moment_report(0.5, laws.box_set(8), 0.05)
