@@ -16,5 +16,4 @@ from .laws import (TargetSet, cover_law, gumbel_cdf, one_point_law,
                    u_star)
 from .sampler import (LengthDistribution, SoupSample, extend_soup, length_pmf,
                       sample_window_soup)
-from .walks import (WalkCountTable, count_loops_closed_form,
-                    count_walks_diagonal, verify_dominance)
+from .walks import WalkCountTable, count_walks_diagonal, verify_dominance

@@ -8,11 +8,12 @@ environment, else to the same keys of an optional flat key=value config
 file (--config), and a flag on the command line overrides both; quick takes
 1/0, true/false or yes/no.  Option values may start with "-" (--window
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
-(arguments, config file, environment, set or epsilon spec; a --box past
-2048 or a --radius past 4094 is an argument), 3 resource ceiling (a length
-law or walk series past its truncation ceiling, a cover run past its work
-guard, a soup slice past its loop ceiling, a second-moment set past its
-pair-sum guard of 65,536 points, box:256), 4 any other
+(arguments, config file, environment, set or epsilon spec; a kappa past
+KAPPA_MAX = 1000, --box past 2048, --radius past 4094, --n-max past 1000 or
+empty or non-int32 --window is an argument), 3 resource ceiling (a length
+law or walk series past its truncation ceiling, a Green's series cross-check
+or cover run past its work guard, a soup slice past its loop ceiling, a
+second-moment set past its pair-sum guard of 65,536 points, box:256), 4 any other
 error (a value outside a function's domain, or a fault in the program),
 printed as "error: <type>: <message>".
 
@@ -40,7 +41,7 @@ from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
 from .lattice import STEP_DX, STEP_DY, Box
 from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
-from .series import SeriesTruncationError
+from .series import KAPPA_MAX, SeriesTruncationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,6 +97,14 @@ def _number(cast, low: float, strict: bool = False, high: float = math.inf):
                 f"{f' and <= {high:g}' if high < math.inf else ''}, got {text!r}")
         return value
     return number
+
+
+def _window(text: str) -> Box:
+    """An argparse type: the window x0,y0,x1,y1, a nonempty int32 Box."""
+    try:
+        return Box(*(int(v) for v in text.split(",")))
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"expected x0,y0,x1,y1 ({exc}), got {text!r}")
 
 
 def _listed(item):
@@ -218,9 +227,7 @@ def cmd_laws_second_moment(args) -> int:
 
 
 def cmd_soup_sample(args) -> int:
-    if len(args.window) != 4:
-        raise ConfigError("--window expects x0,y0,x1,y1")
-    soup = sampler.sample_window_soup(args.seed, args.kappa, Box(*args.window),
+    soup = sampler.sample_window_soup(args.seed, args.kappa, args.window,
                                       args.horizon, args.tail_tol)
     header = ["replica", "root_x", "root_y", "half_length", "timestamp", "steps"]
     rows = [[0, int(soup.root_x[i]), int(soup.root_y[i]),
@@ -371,7 +378,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
 
     n_loops = 30 if quick else 100
     big = walks.WalkCountTable.build(2 * n_loops)
-    ok = all(big.origin_loop_count(n) == walks.count_loops_closed_form(n)
+    ok = all(big.count(2 * n, (0, 0)) == walks.count_walks_diagonal(2 * n, (0, 0))
              for n in range(1, n_loops + 1))
     verdicts.append(verdict("closed-loop-count-formula", "loop-count-square",
                             f"n<={n_loops}", float(ok), 1.0, ok))
@@ -470,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and numerical verification lab for the "
                     "two-dimensional killed-random-walk loop soup.")
     count, positive = _number(int, 1), _number(float, 0.0, strict=True)
+    kappa = _number(float, 0.0, strict=True, high=KAPPA_MAX)   # every --kappa*
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--workers", type=count, default=1)
@@ -478,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("greens", help="evaluate G at a point")
-    g.add_argument("--kappa", type=_listed(positive), required=True,
+    g.add_argument("--kappa", type=_listed(kappa), required=True,
                    help="kappa or comma list")
     g.add_argument("--x", default="0,0")
     g.set_defaults(func=cmd_greens)
@@ -486,12 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verification suites")
     vs = v.add_subparsers(dest="what", required=True)
     vb = vs.add_parser("bounds")
-    vb.add_argument("--kappa-grid", type=_listed(positive), required=True)
+    vb.add_argument("--kappa-grid", type=_listed(kappa), required=True)
     vb.add_argument("--radius", type=_number(int, 2, high=greens.MAX_RADIUS),
                     default=20)
     vb.set_defaults(func=cmd_verify_bounds)
     va = vs.add_parser("appendix")
-    va.add_argument("--n-max", type=count, default=100)
+    va.add_argument("--n-max", type=_number(int, 1, high=greens.APPENDIX_N_MAX),
+                    default=100)
     va.set_defaults(func=cmd_verify_appendix)
     vall = vs.add_parser("all")
     vall.set_defaults(func=cmd_verify_all)
@@ -499,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     lw = sub.add_parser("laws", help="closed-form law evaluation")
     ls = lw.add_subparsers(dest="what", required=True)
     lp = ls.add_parser("pair")
-    lp.add_argument("--kappa", type=_listed(positive), required=True)
+    lp.add_argument("--kappa", type=_listed(kappa), required=True)
     lp.add_argument("--x", required=True)
     lp.add_argument("--u", type=_number(float, 0.0), required=True)
     lp.set_defaults(func=cmd_laws_pair)
     lm = ls.add_parser("second-moment")
-    lm.add_argument("--kappa", type=positive, required=True)
+    lm.add_argument("--kappa", type=kappa, required=True)
     lm.add_argument("--box", type=_number(int, 2, high=cover.BoxTarget.MAX_SIDE),
                     required=True)
     lm.add_argument("--epsilon", default="auto100",
@@ -514,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("soup", help="soup sampling")
     ss = sp.add_subparsers(dest="what", required=True)
     s1 = ss.add_parser("sample")
-    s1.add_argument("--kappa", type=positive, required=True)
-    s1.add_argument("--window", type=_listed(int), required=True, help="x0,y0,x1,y1")
+    s1.add_argument("--kappa", type=kappa, required=True)
+    s1.add_argument("--window", type=_window, required=True, help="x0,y0,x1,y1")
     s1.add_argument("--horizon", type=_number(float, 0.0), required=True)
     s1.add_argument("--tail-tol", type=positive, default=1e-8)
     s1.add_argument("--out", default=None)
@@ -524,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("covertime", help="cover-time ensemble (exact trace "
                        "chain, or the ring engine with the half-length law "
                        f"truncated at omitted mass {cover.TAIL_TOL:g})")
-    c.add_argument("--kappa", type=positive, required=True)
+    c.add_argument("--kappa", type=kappa, required=True)
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")
     c.add_argument("--replicas", type=count, required=True)
@@ -533,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("example", help="worked cover-time examples")
     e.add_argument("which", choices=["two-far", "neighbors", "many-sep"])
-    e.add_argument("--kappa", type=positive, default=1.0)
-    e.add_argument("--kappa-grid", type=_listed(positive), default="0.5,0.1,0.02")
+    e.add_argument("--kappa", type=kappa, default=1.0)
+    e.add_argument("--kappa-grid", type=_listed(kappa), default="0.5,0.1,0.02")
     e.add_argument("--separation", type=int, default=10)
     e.add_argument("--count", type=count, default=2)
     e.add_argument("--replicas", type=count, default=20000)
     e.set_defaults(func=cmd_example)
 
     gs = sub.add_parser("gumbel-scan", help="box-size trend vs the Gumbel law")
-    gs.add_argument("--kappa", type=positive, default=0.5)
+    gs.add_argument("--kappa", type=kappa, default=0.5)
     gs.add_argument("--boxes", type=_listed(count), default="8,16,32")
     gs.add_argument("--replicas", type=count, default=20000)
     gs.add_argument("--work-guard", type=positive, default=5e11)

@@ -20,12 +20,12 @@ The ring engine samples the loops of the truncated soup that are able to
 touch the target's bounding box: a loop of half-length m reaches at most m
 from its root, so only roots within L1 distance m of the box matter.  It
 draws, for m = 1..n_trunc, Poisson(w_m reach_m) loops per unit time and
-replica, reach_m counting the cells within m of the box, each rooted on ring
-delta <= m with probability proportional to the ring's size and uniformly on
-it, with a uniform timestamp, and traces them one position at a time, in
-lockstep.  This is the soup's intensity ring_count(delta) w_m
-1{m >= max(delta, 1)} grouped by m; every target, boxes and sparse point
-sets alike, uses its box's rings, with no acceptance step.  Discarding loops
+replica, reach_m counting the cells within m of the box, each rooted
+uniformly on those cells, by one integer draw below reach_m, with a uniform
+timestamp, and traces them one position at a time, in lockstep.  This is
+the soup's intensity ring_count(delta) w_m 1{m >= max(delta, 1)} grouped by
+m; every target, boxes and sparse point sets alike, uses its box's rings,
+with no acceptance step.  Discarding loops
 that provably cannot intersect the target leaves the law of every coverage
 functional unchanged, and the truncation carries a certified bias rate
 (``sampler.truncation_bias_rate``) that reports add to their statistical
@@ -336,8 +336,7 @@ class CoverEngine:
             n = self.dist.n_trunc
             # reach[m]: cells within L1 distance m of the box, the roots of
             # the loops of half-length m that can touch it
-            self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)),
-                                   dtype=np.float64)
+            self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)))
             m = np.arange(1, n + 1)
             self.cell_rate = float((2.0 * m * self.dist.weights * self.reach[1:]).sum())
         # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
@@ -376,9 +375,9 @@ class CoverEngine:
 
         Poisson(rows (t1 - t0) w_m reach[m]) loops of each half-length m, in
         descending half-length, _FOLD_LOOPS at a time.  A fold draws, in this
-        order, each loop's ring delta <= m (by cell count), root (uniform on
-        the ring), row and timestamp, then its steps (``urn_steps``); it folds
-        the roots, then each position's cells as they are traced."""
+        order, each loop's root number below reach[m] (``_ring_roots``), row
+        and timestamp, then its steps (``urn_steps``); it folds the roots,
+        then each position's cells as they are traced."""
         rows, V = state.shape
         flat = state.reshape(-1)
         counts = rng.poisson((rows * (t1 - t0)) * self.dist.weights * self.reach[1:])
@@ -386,9 +385,7 @@ class CoverEngine:
         for a in range(0, ends[-1], _FOLD_LOOPS):
             m = self.dist.n_trunc - np.searchsorted(
                 ends, np.arange(a, min(a + _FOLD_LOOPS, ends[-1])), side="right")
-            delta = np.searchsorted(self.reach, rng.random(len(m)) * self.reach[m],
-                                    side="right")
-            x, y = self.target.root_coords(rng, delta)
+            x, y = self._ring_roots(rng.integers(0, self.reach[m]))
             base = rng.integers(0, rows, size=len(m)) * V
             t = t0 + (t1 - t0) * rng.random(len(m))
             for live, dx, dy in chain([(len(m), 0, 0)], urn_steps(rng, m)):
@@ -397,6 +394,13 @@ class CoverEngine:
                 vi = self.target.vertex_index(x[:live], y[:live])
                 hit = np.flatnonzero(vi >= 0)
                 np.minimum.at(flat, base[hit] + vi[hit], t[hit])
+
+    def _ring_roots(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Root number r < reach[m] is cell r - reach[delta - 1] of the first
+        ring delta with reach[delta] > r: each cell within m of the box once."""
+        delta = np.searchsorted(self.reach, cell, side="right")
+        return self.target.root_coords(
+            delta, cell - np.where(delta > 0, self.reach[delta - 1], 0))
 
     # -- public sampling --------------------------------------------------
 

@@ -18,8 +18,9 @@ distinct a and b) does each point take its own (points x nodes) product.
 
 mu0 = log G(o) is the total loop measure through a vertex and drives every
 avoidance law downstream.  The walk series of ``series`` stays as a
-cross-check.  check_green_bounds / verify_appendix_bounds turn each
-inequality into a pass/fail/hypothesis record.
+cross-check, within SERIES_WORK_GUARD.  check_green_bounds /
+verify_appendix_bounds turn each inequality into a pass/fail/hypothesis
+record; the appendix's local-CLT scan reads W_n(x) from its closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .lattice import BoxTarget, Point, fold_octant, l1
 from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
 from .series import (DEFAULT_M_CEILING, ResourceCeilingError, exp_tail_bound,
                      loop_series_gram, loop_term_array, step_weight)
-from .walks import WalkCountTable, count_walks_diagonal
+from .walks import count_walks_diagonal
 
 _EPS = float(np.finfo(np.float64).eps)
 # Gauss-Legendre nodes and weights on [-1, 1] of the 32- and 16-node rules.
@@ -51,6 +52,10 @@ _GRID_PER_POINT = 8
 #: Largest table radius, 4094: the L1 diameter of the largest box a set
 #: spec accepts.
 MAX_RADIUS = 2 * (BoxTarget.MAX_SIDE - 1)
+#: Most gram products of the series cross-check, about 13 s on one core:
+#: radius 4094 runs at kappa = 0.01 (4.7e10), radius 600 at 1e-4.
+SERIES_WORK_GUARD = 1e11
+APPENDIX_N_MAX = 1000  # a 0.2 s scan; past n = 1023, C(n, k) overflows a float
 
 
 @dataclass(frozen=True)
@@ -265,14 +270,19 @@ def rooted_intensity(kappa: float) -> float:
 # Inequality reports
 
 
+def _series_half_lengths(kappa: float) -> float:
+    """(4/kappa) log(4/(1e-12 G(o))): partial sums stay below G(o), so the
+    series cannot certify rel_tol 1e-12 before this half-length."""
+    return 4.0 / kappa * log(4.0 / (1e-12 * green_origin(kappa)))
+
+
 def series_cross_check(table: GreensTable, tag: str) -> Verdict:
     """max |G - G_series| over the table's even points against the series'
     certified tail at rel_tol 1e-12, plus the table's estimate, plus m_trunc
-    eps G(o) for rounding m_trunc positive running-product terms.  Partial
-    sums stay below G(o), so the series cannot certify before half-length
-    (4/kappa) log(4/(1e-12 G(o))); past DEFAULT_M_CEILING that is reported."""
+    eps G(o) for rounding m_trunc positive running-product terms; where the
+    series needs more than DEFAULT_M_CEILING half-lengths that is reported."""
     goo = table.origin()
-    m_min = 4.0 / table.kappa * log(4.0 / (1e-12 * goo))
+    m_min = _series_half_lengths(table.kappa)
     if m_min > DEFAULT_M_CEILING:
         return verdict("greens-series-cross-check", PLUMBING, tag, m_min,
                        DEFAULT_M_CEILING, False, hypotheses_met=False)
@@ -295,6 +305,12 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
     or unquantified "large enough" constants are evaluated and reported with
     a hypothesis-not-met verdict instead of asserted.
     """
+    for kappa in kappa_grid:   # refuse an over-guard series cross-check up front
+        m, rows = _series_half_lengths(kappa), radius // 2 + 1
+        if m <= DEFAULT_M_CEILING and rows * rows * m > SERIES_WORK_GUARD:
+            raise ResourceCeilingError(
+                f"series cross-check at kappa={kappa:g}, radius {radius}: "
+                f"{rows * rows * m:.3g} gram products > {SERIES_WORK_GUARD:g}")
     out: list[Verdict] = []
     for kappa in kappa_grid:
         beta = step_weight(kappa)
@@ -394,32 +410,26 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
 class AppendixReport:
     verdicts: list[Verdict]
     c_star: float       # minimal nonnegative constant valid on the scan
-    c_star_raw: float   # raw scan maximum of n|x|^2 (P - gaussian term)
 
     @property
     def ok(self) -> bool:
         return all(v.verdict != VERDICT_FAILS for v in self.verdicts)
 
 
-def local_clt_scan_max(table: WalkCountTable, n_max: int) -> float:
-    """Raw max of n|x|^2 (P(S_n = x) - (2/n) e^{-|x|^2/(2n)}) over the scan.
-
-    Exhaustive over the exact walk table, 3 <= |x| <= n <= n_max.  Negative
-    means the gaussian term alone dominates everywhere scanned.
-    """
-    if n_max > table.n_max:
-        raise ValueError("n_max exceeds exact table range")
-    worst = -math.inf
+def local_clt_scan_max(n_max: int) -> float:
+    """Raw max of n|x|^2 (P(S_n = x) - (2/n) e^{-|x|^2/(2n)}) over 3 <= |x| <=
+    n <= n_max.  P(S_n = x) = B_n((n+s)/2) B_n((n+d)/2), (s, d) = (x1+x2,
+    x2-x1), from the fair binomial row B_n; at |x| = r it peaks on the
+    diagonal, |d| = n mod 2, at B_n((n+r)/2) B_n(n // 2), and the gaussian
+    term depends on r alone.  Negative means the gaussian term alone
+    dominates everywhere scanned."""
+    worst, row = -math.inf, [1, 2, 1]
     for n in range(3, n_max + 1):
-        inv4n = 4.0 ** (-n)
-        for p, w in table.level_items(n):
-            r = l1(p)
-            if r < 3:
-                continue
-            prob = float(w) * inv4n if n < 150 else math.exp(
-                math.log(float(w)) - n * math.log(4.0))
-            deficit = prob - (2.0 / n) * math.exp(-r * r / (2.0 * n))
-            worst = max(worst, n * r * r * deficit)
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]   # C(n, k)
+        half = np.array(row[n // 2:], dtype=float) * 2.0 ** -n   # B_n(k >= n // 2)
+        r = np.arange(4 - n % 2, n + 1, 2)
+        deficit = half[(r + 1) // 2] * half[0] - (2.0 / n) * np.exp(-r * r / (2.0 * n))
+        worst = max(worst, float((n * r * r * deficit).max()))
     return worst
 
 
@@ -432,8 +442,7 @@ def _sandwich_rows(check: str, anchor: str, n_max: int, terms) -> list[Verdict]:
             for side, worst in zip(("lower", "upper"), map(min, zip(*gaps)))]
 
 
-def verify_appendix_bounds(n_max: int,
-                           table: WalkCountTable | None = None) -> AppendixReport:
+def verify_appendix_bounds(n_max: int) -> AppendixReport:
     """Stirling sandwich, central binomial sandwich, and the local-CLT constant."""
     def stirling(n):
         lo = 0.5 * math.log(2 * pi) + (n + 0.5) * math.log(n) - n
@@ -447,12 +456,10 @@ def verify_appendix_bounds(n_max: int,
     verdicts = (_sandwich_rows("stirling", "stirling", n_max, stirling)
                 + _sandwich_rows("central-binomial", "binomial-sandwich", n_max,
                                  central_binomial))
-    if table is None:
-        table = WalkCountTable.build(n_max)
-    raw = local_clt_scan_max(table, n_max)
+    raw = local_clt_scan_max(n_max)
     c_star = max(0.0, raw)
     verdicts.append(verdict("local-clt-constant", "local-clt",
                             f"n<={n_max},raw={raw:g}",
                             c_star, math.inf, math.isfinite(c_star),
                             report_only=True))
-    return AppendixReport(verdicts=verdicts, c_star=c_star, c_star_raw=raw)
+    return AppendixReport(verdicts=verdicts, c_star=c_star)

@@ -39,11 +39,6 @@ def fold_octant(x: Point) -> Point:
     return (a, b) if a >= b else (b, a)
 
 
-def octant_points(radius: int) -> list[Point]:
-    """All (a, b) with a >= b >= 0 and a + b <= radius."""
-    return [(a, b) for a in range(radius + 1) for b in range(min(a, radius - a) + 1)]
-
-
 def symmetry_orbit(x: Point) -> set[Point]:
     a, b = x
     pts = set()
@@ -67,6 +62,8 @@ class Box:
     def __init__(self, x0: int, y0: int, x1: int, y1: int):
         if x1 < x0 or y1 < y0:
             raise ValueError("empty box")
+        if min(x0, y0) < -2 ** 31 or max(x1, y1) >= 2 ** 31:
+            raise ValueError("box coordinates must fit in int32")
         self.x0, self.y0, self.x1, self.y1 = x0, y0, x1, y1
 
     @property
@@ -146,10 +143,10 @@ PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
 class PointsTarget:
     """A finite set A of distinct lattice points: ``pts``, the (n, 2) int64
     array of A in the given order (vertex v is ``pts[v]``), inside its
-    bounding box ``box``.  The ring engine draws roots on the box's L1 rings
-    (``root_coords``, one ring delta per root): a loop rooted at distance
-    delta from the box reaches A only if its half-length is at least delta,
-    and ``vertex_index`` decides which of its cells are hits."""
+    bounding box ``box``.  The ring engine places roots on the box's L1 rings
+    (``root_coords``, one ring delta and index per root): a loop rooted at
+    distance delta from the box reaches A only if its half-length is at least
+    delta, and ``vertex_index`` decides which of its cells are hits."""
 
     #: Largest |coordinate| of a target point.  Traced cells lie within
     #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
@@ -192,10 +189,8 @@ class PointsTarget:
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
-    def root_coords(self, rng, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = self.box.ring_count(delta)
-        idx = np.minimum((rng.random(len(delta)) * counts).astype(np.int64),
-                         counts - 1)
+    def root_coords(self, delta: np.ndarray,
+                    idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.box.ring_cells(delta, idx)
 
     def pair_distance_counts(self) -> dict[Point, int]:

@@ -315,9 +315,6 @@ def sample_window_soup(seed: int, kappa: float, window: Box | tuple,
         raise ValueError("time_horizon must be >= 0")
     if not isinstance(window, Box):
         window = Box(*window)
-    i32 = np.iinfo(np.int32)
-    if min(window.x0, window.y0) < i32.min or max(window.x1, window.y1) > i32.max:
-        raise ValueError("window coordinates must fit in int32")
     dist = length_pmf(kappa, tail_tol)
     rx, ry, hl, ts, packed = _sample_slice(seed, window, 0.0, time_horizon,
                                            0, dist)

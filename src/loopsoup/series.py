@@ -36,6 +36,10 @@ _FIRST_BLOCK = 1 << 12
 # Blocks stay L3-resident: the kernel is memory-bound and larger blocks
 # spill cache and run ~4x slower.
 _MAX_BLOCK = 1 << 20
+_FW_ENTRIES = 1 << 22  # a block's rows Fw stay within 32 MB at any a_max
+#: Largest kappa: mu = log G(o) ~ 4 kappa^-2 keeps a relative precision of about
+#: eps kappa^2 / 4, 1.1e-11 at 1e3 and 2.9e-9 at 1e4, and rounds to 0 by 1e9.
+KAPPA_MAX = 1e3
 
 
 class SeriesTruncationError(RuntimeError):
@@ -48,8 +52,8 @@ class ResourceCeilingError(RuntimeError):
 
 def step_weight(kappa: float) -> float:
     """beta = 1/(4+kappa); 4*beta < 1 makes every series here convergent."""
-    if kappa <= 0:
-        raise ValueError("killing rate kappa must be > 0")
+    if not 0 < kappa <= KAPPA_MAX:
+        raise ValueError(f"killing rate kappa must be > 0 and <= {KAPPA_MAX:g}")
     return 1.0 / (4.0 + kappa)
 
 
@@ -67,11 +71,9 @@ class GramResult:
     """
 
     kappa: float
-    a_max: int
     gram: np.ndarray
     m_trunc: int
     tail_bound: float
-    rel_tol: float
 
 
 def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
@@ -90,7 +92,8 @@ def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
     q = (4.0 * beta) ** 2
     gram = np.zeros((a_max + 1, a_max + 1))
     m0, t_prev = 1, 1.0
-    block = _FIRST_BLOCK
+    most = min(_MAX_BLOCK, max(1, _FW_ENTRIES // (a_max + 1)))
+    block = min(_FIRST_BLOCK, most)
     ws_size = -1
     while True:
         m1 = min(m0 + block, m_ceiling + 1)
@@ -100,6 +103,7 @@ def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
             r = np.empty(n)
             num = np.empty(n)
             den = np.empty(n)
+            Fw = None   # release the old block's rows before the new ones
             Fw = np.empty((a_max + 1, n))
             ws_size = n
         m[:] = np.arange(m0, m1, dtype=np.float64)
@@ -122,14 +126,13 @@ def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
         m_last = m1 - 1
         tail = exp_tail_bound(kappa, m_last)
         if m_last * kappa >= 0.5 and tail <= rel_tol * (1.0 + gram[0, 0]):
-            return GramResult(kappa=kappa, a_max=a_max, gram=gram,
-                              m_trunc=m_last, tail_bound=tail, rel_tol=rel_tol)
+            return GramResult(kappa=kappa, gram=gram, m_trunc=m_last, tail_bound=tail)
         if m1 > m_ceiling:
             raise SeriesTruncationError(
                 f"tail bound not certified below rel_tol={rel_tol:g} within "
                 f"{m_ceiling} half-lengths at kappa={kappa:g}")
         m0 = m1
-        block = min(block * 2, _MAX_BLOCK)
+        block = min(block * 2, most)
 
 
 def loop_term_array(kappa: float, m_max: int) -> np.ndarray:

@@ -274,6 +274,13 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
       "--work-guard", "nan"), "--work-guard"),
     (("gumbel-scan", "--work-guard", 0), "--work-guard"),
     (("verify", "bounds", "--kappa-grid", 0.5, "--radius", 4095), "--radius"),
+    (("covertime", "--set", "box:2", "--kappa", 1e9, "--replicas", 4), "--kappa"),
+    (("greens", "--kappa", "0.5,1e200"), "--kappa"),
+    (("verify", "appendix", "--n-max", 1001), "--n-max"),
+    (("soup", "sample", "--kappa", 0.5, "--window", "3,3,0,0", "--horizon", 1),
+     "--window"),
+    (("soup", "sample", "--kappa", 0.5, "--window", f"0,0,1,{2 ** 31}",
+      "--horizon", 1), "--window"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -291,6 +298,10 @@ def test_documented_limits_exit_with_their_codes(capsys):
                 "--box", 257) == cli.EXIT_CEILING
     assert capsys.readouterr().err.strip() == \
         "resource ceiling: |A| = 66049 exceeds the pair-sum guard 65536"
+    # the series cross-check's work guard refuses before any table is built
+    assert _run("verify", "bounds", "--kappa-grid", 1e-4,
+                "--radius", 4094) == cli.EXIT_CEILING
+    assert "gram products" in capsys.readouterr().err
     # a rejected set spec names its cause before the grammar
     for spec, cause in (("box:3000", "side must lie in [1, 2048]"),
                         ("points:(0,0);(0,0)", "duplicate points")):

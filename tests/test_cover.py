@@ -39,22 +39,38 @@ class TestTargets:
         t = BoxTarget(3)
         for delta in (1, 2, 5):
             n = t.box.ring_count(delta)
-            rng = np.random.default_rng(0)
-            x, y = t.root_coords(rng, np.full(4 * n, delta, dtype=np.int64))
-            assert set(zip(x.tolist(), y.tolist())) \
-                == set(t.box.ring_points(delta))
+            x, y = t.root_coords(np.full(n, delta, dtype=np.int64), np.arange(n))
+            assert sorted(zip(x.tolist(), y.tolist())) \
+                == sorted(t.box.ring_points(delta))
+            assert len(set(zip(x.tolist(), y.tolist()))) == n
             assert (t.box.distance(x, y) == delta).all()
-        # one draw over mixed rings: every cell sits on its own ring and
+        # one call over mixed rings: every cell sits on its own ring and
         # every ring is covered
-        deltas = np.repeat(np.arange(6), 40 * t.box.ring_count(np.arange(6)))
-        x, y = t.root_coords(np.random.default_rng(1), deltas)
+        counts = t.box.ring_count(np.arange(6))
+        deltas = np.repeat(np.arange(6), counts)
+        idx = np.concatenate([np.arange(c) for c in counts])
+        x, y = t.root_coords(deltas, idx)
         assert (t.box.distance(x, y) == deltas).all()
         for delta in range(6):
             on_ring = deltas == delta
             assert set(zip(x[on_ring].tolist(), y[on_ring].tolist())) \
                 == set(t.box.ring_points(delta))
-        assert t.box.ring_count(np.arange(6)).tolist() \
-            == [t.box.ring_count(d) for d in range(6)]
+        assert counts.tolist() == [t.box.ring_count(d) for d in range(6)]
+
+    @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(3,-2)"])
+    def test_root_numbers_cover_the_reach_once(self, spec):
+        # root numbers r < reach[m] are the cells within L1 distance m of
+        # the bounding box, each once
+        e = CoverEngine(0.5, make_target(spec), sampler="ring")
+        box = e.target.box
+        for m in (1, 2, 5):
+            x, y = e._ring_roots(np.arange(e.reach[m]))
+            cells = list(zip(x.tolist(), y.tolist()))
+            gx, gy = np.meshgrid(np.arange(box.x0 - m, box.x1 + m + 1),
+                                 np.arange(box.y0 - m, box.y1 + m + 1))
+            near = box.distance(gx, gy) <= m
+            assert len(cells) == len(set(cells)) == e.reach[m]
+            assert set(cells) == set(zip(gx[near].tolist(), gy[near].tolist()))
 
     @pytest.mark.parametrize("side", [1, 3, 16])
     def test_ring_zero_is_the_box_in_vertex_order(self, side):
@@ -71,10 +87,10 @@ class TestTargets:
         assert (pair.box.x0, pair.box.y0, pair.box.x1, pair.box.y1) == (0, -2, 3, 0)
         for t in (single, pair):
             for delta in (1, 2, 4):
-                rng = np.random.default_rng(1)
-                n = 64 * int(t.box.ring_count(delta))
-                x, y = t.root_coords(rng, np.full(n, delta, dtype=np.int64))
-                assert set(zip(x.tolist(), y.tolist())) == set(t.box.ring_points(delta))
+                n = int(t.box.ring_count(delta))
+                x, y = t.root_coords(np.full(n, delta, dtype=np.int64), np.arange(n))
+                assert sorted(zip(x.tolist(), y.tolist())) \
+                    == sorted(t.box.ring_points(delta))
         for delta in (1, 2, 4):
             assert set(single.box.ring_points(delta)) == {
                 (2 + dx, 3 + dy) for dx in range(-delta, delta + 1)

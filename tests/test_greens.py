@@ -7,8 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from loopsoup import greens
-from loopsoup.lattice import fold_octant
+from loopsoup import greens, series
+from loopsoup.lattice import fold_octant, l1
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import (ResourceCeilingError, SeriesTruncationError,
                              exp_tail_bound, loop_series_gram, loop_term_array,
@@ -35,6 +35,23 @@ class TestGreensValue:
             greens.greens_value(-0.5, (0, 0))
         with pytest.raises(ValueError, match="kappa must be > 0"):
             greens.green_origin(0.0)
+        for kappa in (series.KAPPA_MAX * 1.001, 1e9, 1e200, math.nan):
+            with pytest.raises(ValueError, match="kappa must be > 0 and <= 1000"):
+                greens.mu_gamma_o(kappa)
+
+    def test_mu_at_kappa_max_against_decimal_agm(self):
+        # mu = log G(o) ~ 4 kappa^-2 keeps about eps kappa^2 / 4 of relative
+        # precision: 1.1e-11 at KAPPA_MAX = 1e3, 2.9e-9 at 1e4
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for kappa in (1e-6, 1.0, series.KAPPA_MAX):
+                k = Decimal(kappa)
+                a, b = Decimal(1), (k * (8 + k)).sqrt() / (4 + k)
+                for _ in range(60):
+                    a, b = (a + b) / 2, (a * b).sqrt()
+                exact = -a.ln()
+                mu = Decimal(greens.mu_gamma_o(kappa).value)
+                assert abs(mu / exact - 1) <= Decimal("1e-9"), kappa
 
     def test_origin_against_elliptic_integral(self):
         # G(o) = 1/AGM(1, k') against (2/pi) K(1 - k'^2) through the
@@ -179,6 +196,24 @@ class TestGreensTable:
         with pytest.raises(ResourceCeilingError, match="MAX_RADIUS 4094"):
             greens.greens_table(0.5, greens.MAX_RADIUS + 1)
 
+    def test_series_work_guard_refuses_up_front(self, monkeypatch):
+        # radius 4094 at kappa = 1e-4 would take about 4.6e12 gram products;
+        # the guard refuses before any table is built
+        monkeypatch.setattr(greens, "greens_table", None)
+        with pytest.raises(ResourceCeilingError, match="gram products"):
+            greens.check_green_bounds([0.5, 1e-4], greens.MAX_RADIUS)
+
+    def test_gram_blocks_stay_within_their_entries(self):
+        # at a_max = 50 the rows of a 2^20 half-length block took 428 MB; a
+        # block's rows now hold at most _FW_ENTRIES floats
+        tracemalloc.start()
+        try:
+            loop_series_gram(1e-4, 50, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * series._FW_ENTRIES
+
 
 class TestMuGammaO:
     def test_exp_mu_equals_greens(self):
@@ -284,7 +319,21 @@ class TestAppendix:
         # four 4-step walks reach (3,1): P(S_4=(3,1)) = 4/256
         assert count_walks_diagonal(4, (3, 1)) == 4
 
-    def test_c_star_stability(self, big_walk_table):
-        c50 = greens.verify_appendix_bounds(50, big_walk_table).c_star
-        c100 = greens.verify_appendix_bounds(100, big_walk_table).c_star
+    def test_c_star_stability(self):
+        c50 = greens.verify_appendix_bounds(50).c_star
+        c100 = greens.verify_appendix_bounds(100).c_star
         assert abs(c100 - c50) <= 0.1 * max(abs(c50), 1e-9)
+
+    @pytest.mark.parametrize("n_max", [60, 100, 200])
+    def test_scan_matches_the_exact_table(self, big_walk_table, n_max):
+        # the closed-form scan, a max over |x| at each n, against every
+        # octant point of the exact walk table at each n
+        worst = -math.inf
+        for n in range(3, n_max + 1):
+            for p, w in big_walk_table.level_items(n):
+                r = l1(p)
+                if r >= 3:
+                    gauss = (2.0 / n) * math.exp(-r * r / (2.0 * n))
+                    worst = max(worst, n * r * r * (w / 4 ** n - gauss))
+        raw = greens.local_clt_scan_max(n_max)
+        assert abs(raw - worst) <= 1e-12 * abs(worst)

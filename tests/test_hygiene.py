@@ -1,4 +1,6 @@
+import argparse
 import ast
+import inspect
 import math
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 from pathlib import Path
 
 import loopsoup
-from loopsoup import cover, laws
+from loopsoup import cli, cover, laws, series
 
 MODULES = sorted(p for p in Path(loopsoup.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -176,3 +178,27 @@ def test_benchmark_workloads_set_up():
                                "--workload", workload, "--setup-only"],
                               env=env, cwd=repo, capture_output=True, text=True)
         assert proc.returncode == 0, f"{workload}: {proc.stderr[-2000:]}"
+
+
+def test_every_kappa_option_takes_the_shared_kappa_type():
+    # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MAX; a
+    # list option's type is _listed(item), whose closure holds the item type
+    def parsers(p):
+        yield p
+        for a in p._actions:
+            if isinstance(a, argparse._SubParsersAction):
+                for sub in a.choices.values():
+                    yield from parsers(sub)
+
+    types = [inspect.getclosurevars(a.type).nonlocals.get("item", a.type)
+             for p in parsers(cli.build_parser()) for a in p._actions
+             if "kappa" in a.dest]
+    assert len(types) == 9 and len({id(t) for t in types}) == 1, types
+    kappa = types[0]
+    assert kappa(str(series.KAPPA_MAX)) == series.KAPPA_MAX
+    for bad in ("0", "-1", str(10 * series.KAPPA_MAX), "nan"):
+        try:
+            kappa(bad)
+        except argparse.ArgumentTypeError:
+            continue
+        raise AssertionError(bad)

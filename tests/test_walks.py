@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from loopsoup.lattice import fold_octant, l1, symmetry_orbit
 from loopsoup.walks import (ENDPOINT_SWEEP_MAX_STEPS, WalkCountTable,
-                            count_loops_closed_form, count_walks_diagonal,
-                            verify_dominance, walk_endpoint_counts)
+                            count_walks_diagonal, verify_dominance,
+                            walk_endpoint_counts)
+
+O = (0, 0)
 
 
 class TestBruteForce:
@@ -50,25 +52,23 @@ class TestDpTable:
 
     def test_closed_loops_match_formula(self, big_walk_table):
         for n in range(1, 101):
-            assert big_walk_table.origin_loop_count(n) \
-                == count_loops_closed_form(n)
+            assert big_walk_table.count(2 * n, O) == count_walks_diagonal(2 * n, O)
 
 
 class TestClosedForms:
     def test_small_loop_counts(self):
-        assert count_loops_closed_form(1) == 4
-        assert count_loops_closed_form(2) == 36
+        assert count_walks_diagonal(2, O) == 4
+        assert count_walks_diagonal(4, O) == 36
 
     def test_large_loop_count_exact(self):
-        assert count_loops_closed_form(10) == 184756 ** 2 == 34134779536
+        assert count_walks_diagonal(20, O) == 184756 ** 2 == 34134779536
 
     def test_diagonal_two_step(self):
         assert count_walks_diagonal(2, (1, 1)) == 2
 
     def test_diagonal_reduces_to_loop_count(self):
         for n in range(1, 9):
-            assert count_walks_diagonal(2 * n, (0, 0)) \
-                == count_loops_closed_form(n)
+            assert count_walks_diagonal(2 * n, O) == math.comb(2 * n, n) ** 2
 
     def test_diagonal_spot_value(self):
         assert count_walks_diagonal(4, (2, 0)) == 16
