@@ -14,7 +14,17 @@ The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
 loops and fields*), decomposed by each loop's lowest vertex in a
 coarse-to-fine order of A through the Cholesky pivots of G_A.  It needs no
-truncation, so its ``truncation_bias_rate`` is 0.
+truncation, so its ``truncation_bias_rate`` is 0.  The trace of the soup
+on a subset F is in turn the loop soup of Q_F = I - G_F^{-1}, so past a
+time t_residual = u* - c/mu, fixed in advance, a replica needs only its
+uncovered set F: the chain on A is drawn on [0, t_residual) only, and
+each replica is finished on the chain of its own F, on the same slab
+boundaries after t_residual.  The chains of a batch's F's are built at
+once, from G_F gathered out of G_A, and run as one stack of tables.  c
+comes from a cost model (``_STEP_S``, ``_POINT_S``) that weighs the chain
+on A's steps up to t_residual against the residual's cost per point of F,
+E|F| = |A| G(o)^-t_residual = e^c.  The ring engine, which builds no G_A,
+keeps the plain schedule.
 
 The ring engine samples the loops of the truncated soup that are able to
 touch the target's bounding box: a loop of half-length m reaches at most m
@@ -78,6 +88,15 @@ _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
+#: The trace chain's residual cost model, on one core of a 2-core Intel
+#: Xeon VM (numpy 2.4.6, OpenBLAS on one thread): a step of the chain on A
+#: costs about _STEP_S, lockstep overhead included (165 ns measured on
+#: box:16, kappa = 0.01), and the residual about _POINT_S per point of F,
+#: its stacked build included (_POINT_S fitted so that the best c, measured
+#: on box:8 and box:16 at kappa = 0.01, box:16 at 0.05 and box:32 at 1e-3,
+#: is the model's within about 0.5).
+_STEP_S = 160e-9
+_POINT_S = 32e-6
 # unused here, kept only for the benchmark's tracer, which patches it, until
 # ROADMAP item 4 replaces the patches (as laws.TargetSet is)
 balanced_signs = _sampler.balanced_signs
@@ -190,7 +209,12 @@ def trace_setup_bytes(size: int) -> int:
     LAPACK's working copies, plus 4 MiB.  It bounds the rise of the
     process's peak RSS while the engine is built (one core, kappa = 0.01,
     the same in two runs) by about 20%: box:32 estimates 48.3 MB and rose
-    41.6 MB, box:38 91.8 MB and 77.0 MB, box:41 122.9 MB and 99.6 MB."""
+    41.6 MB, box:38 91.8 MB and 77.0 MB, box:41 122.9 MB and 99.6 MB.
+    After the setup the engine keeps G_A (8 bytes an entry), from which the
+    residual gathers each G_F, beside the alias tables (12).  A batch's
+    residual holds about 40 bytes per entry of its stacked (|F| + 1)^2
+    tables, |F| the batch's largest F, until the batch ends: at box:41,
+    kappa = 0.01, 11 tables of at most 129^2 entries, about 7 MB."""
     return 42 * size * (size + 1) + (4 << 20)
 
 
@@ -224,53 +248,67 @@ class TraceChain:
     it, else g_j >= 1 + (4+kappa)^-2, so pivots nearer 1 are set to 1.  The
     alias tables' row and column v are vertex v = 1..n and column 0 is the
     killing deficit: a step from root j fails iff it lands below j.
+
+    g may be one (n, n) matrix or a (T, n, n) stack of them, one chain per
+    table (step_rate is then their sum): ``slab`` runs each row of its state
+    on the table it is given.  A set of k < n points is padded to n with
+    identity rows and columns, whose pivots are 1 and which no step reaches.
     """
 
     def __init__(self, g: np.ndarray, kappa: float):
-        c = np.linalg.cholesky(g)
-        pivot = np.diagonal(c)
+        c = np.linalg.cholesky(g.reshape(-1, *g.shape[-2:]))
+        pivot = np.diagonal(c, axis1=1, axis2=2)
         gj = np.where(pivot ** 2 < 1.0 + 0.5 / (4.0 + kappa) ** 2, 1.0, pivot ** 2)
         self.log_g = np.log(gj)
         self.p_return = 1.0 - 1.0 / gj
-        self.step_rate = float((pivot * c.sum(axis=0))[gj > 1.0].sum())
+        self.step_rate = float((pivot * c.sum(axis=1))[gj > 1.0].sum())
 
     def build_tables(self, g: np.ndarray) -> None:
         """Alias tables of Q's rows, with the killing deficit as column 0.
 
-        Q = I - G_A^{-1} and the deficit are written into one (n + 1, n + 1)
-        table, which the alias construction then scales in place; the
-        setup's peak is numpy's inversion of G_A.  Rounding leaves entries
+        Q = I - G^{-1} and the deficit are written into one (n + 1, n + 1)
+        table per matrix, which the alias construction then scales in place;
+        the setup's peak is numpy's inversion of G.  Rounding leaves entries
         of about -1e-15 where Q is ~0; they are clamped to 0 and their mass
         per row is kept in ``clamped``."""
-        n = len(g)
-        table = np.zeros((n + 1, n + 1))
-        q = table[1:, 1:]
+        g = g.reshape(-1, *g.shape[-2:])
+        tables, n = g.shape[:2]
+        table = np.zeros((tables, n + 1, n + 1))
+        q = table[:, 1:, 1:]
         np.negative(np.linalg.inv(g), out=q)
-        q[np.diag_indices(n)] += 1.0
-        self.clamped = -np.minimum(q, 0.0).sum(axis=1)
+        q[:, np.arange(n), np.arange(n)] += 1.0
+        self.clamped = -np.minimum(q, 0.0).sum(axis=2)
         np.maximum(q, 0.0, out=q)
-        table[1:, 0] = np.maximum(1.0 - q.sum(axis=1), 0.0)
+        table[:, 1:, 0] = np.maximum(1.0 - q.sum(axis=2), 0.0)
         alias, keep = _alias_setup(table)
         self._alias, self._keep = alias.ravel(), keep.ravel()
 
-    def slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
+    def slab(self, rng, state: np.ndarray, t0: float, t1: float,
+             tables: np.ndarray | None = None) -> int:
         """Fold the loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, n) array of first-visit times in the chain's
-        vertex order, in place; returns the number of chain steps."""
+        vertex order, in place, row r on table tables[r] (all on table 0 by
+        default); returns the number of chain steps."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
         flat = state.reshape(-1)
-        counts = rng.poisson((t1 - t0) * self.log_g, size=(rows, n))
+        # the per-root arrays of each row's table (of the one table if None)
+        log_g, p_return = ((self.log_g[0], self.p_return[0]) if tables is None else
+                           (self.log_g[tables], self.p_return[tables].ravel()))
+        counts = rng.poisson((t1 - t0) * log_g, size=(rows, n))
         cell = np.repeat(np.arange(rows * n), counts.ravel())   # row * n + root
         t = t0 + (t1 - t0) * rng.random(len(cell))
         np.minimum.at(flat, cell, t)
         root = cell % n
-        loop = np.repeat(np.arange(len(cell)), rng.logseries(self.p_return[root]))
-        # per excursion: the state offset of vertex v is base + v
+        loop = np.repeat(np.arange(len(cell)),
+                         rng.logseries(p_return[root if tables is None else cell]))
+        # per excursion: the state offset of vertex v is base + v, and row v
+        # of its table starts at table + v (n + 1)
         base, when, lo = (cell - root - 1)[loop], t[loop], root[loop] + 1
+        table = 0 if tables is None else (tables * (n + 1) ** 2)[cell // n][loop]
         attempt = np.zeros(len(loop), dtype=np.int64)
-        walker, wlo, off = np.arange(len(loop)), lo, lo * (n + 1)
+        walker, wlo, off = np.arange(len(loop)), lo, table + lo * (n + 1)
         log: list[tuple] = []   # (walker, next vertex, attempt) of every step
         logged, budget, steps = 0, _VISIT_BUDGET, 0
         while len(walker):
@@ -286,6 +324,8 @@ class TraceChain:
             live = nxt != wlo
             off = np.where(fail, wlo, nxt)[live] * (n + 1)
             walker, wlo = walker[live], wlo[live]
+            if tables is not None:   # skipped on one table: 7% of a small slab
+                off += table[walker]
             if logged > budget or not len(walker):
                 # fold the visits (steps past the root in the last attempt)
                 # of finished excursions, less those after the vertex's first
@@ -311,11 +351,14 @@ class CoverEngine:
     or the ring engine, whichever has the smaller work estimate; sampler
     "ring" or "trace" forces one.  The ring engine's estimate, cell_rate =
     sum_m 2m w_m reach_m, is its exact mean number of traced cells per unit
-    time and replica.  Ms per replica on one core, ring against trace:
-    kappa = 0.5 on box:8, box:16 and box:32, 0.12, 0.40 and 1.53 against
-    0.42, 2.4 and 11.5; box:16 at kappa = 0.1, 0.05 and 0.01, 0.77, 1.40 and
-    11.4 against 2.3, 2.9 and 2.6.  The dispatch picks the faster engine at
-    each, except the trace chain at box:16, kappa = 0.05."""
+    time and replica.  Ms per replica on one core, engine build included,
+    the range of two runs (each the median of three seeds), ring against
+    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.08-0.11, 0.23-0.25
+    and 0.91-1.06 against 0.19-0.27, 0.84-0.89 and 5.7-6.7; box:16 at kappa
+    = 0.1, 0.05 and 0.01, 0.45-0.60, 0.75-0.87 and 9.8-10.9 against
+    0.80-0.86, 0.88-0.97 and 1.02-1.28.  The dispatch picks the faster
+    engine at each, except the trace chain at box:16, kappa = 0.05, which
+    its residual has brought within about 15% of the ring engine."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -359,11 +402,20 @@ class CoverEngine:
                 self.step_rate = chain.step_rate
                 if sampler == "trace" or chain.step_rate < self.cell_rate:
                     chain.build_tables(g)
-                    self.chain = chain
+                    self.chain, self.green = chain, g
             elif sampler == "trace" or self.dist is None:
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}{no_ring}")
         self.sampler = "ring" if self.chain is None else "trace"
+        # the trace chain draws A only up to t_residual = u* - c/mu, then
+        # each replica's uncovered set F; c minimises _STEP_S step_rate t
+        # + _POINT_S S1(t), S1(t) = |A| G(o)^-t = E|F|, so S1 = e^c.  Past
+        # horizon0 too few replicas are left to repay the build
+        self.t_residual = math.inf
+        if self.chain is not None and self.u_star is not None:
+            c = math.log(_STEP_S * self.step_rate / (self.mu * _POINT_S))
+            if 0.0 < self.u_star - c / self.mu < self.horizon0:
+                self.t_residual = self.u_star - c / self.mu
         self.bias_rate = (truncation_bias_rate(self.dist, target.box)
                           if self.chain is None else 0.0)
 
@@ -404,21 +456,18 @@ class CoverEngine:
 
     # -- public sampling --------------------------------------------------
 
-    def _slab(self, rng, state: np.ndarray, t0: float, t1: float) -> None:
-        if self.chain is not None:
-            self.chain.slab(rng, state, t0, t1)
-        else:
-            self._ring_slab(rng, state, t0, t1)
-
     def _batch_size(self) -> int:
         """Replicas per batch, so that the ring engine's traced cells or the
         trace chain's loops and excursions in the first slab, the only one
-        that draws for every replica of the batch, stay within budget."""
+        that draws for every replica of the batch, stay within budget.  The
+        trace chain's first slab ends at t_residual where that comes before
+        horizon0."""
         if self.chain is None:
             per_rep = max(self.cell_rate * self.horizon0, 1.0)
             return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
         log_g = self.chain.log_g
-        per_rep = self.horizon0 * float((log_g + np.expm1(log_g)).sum())
+        first = min(self.t_residual, self.horizon0)
+        per_rep = first * float((log_g + np.expm1(log_g)).sum())
         return int(min(REPLICA_BLOCK, max(1, _WALKER_BUDGET // max(per_rep, 1.0))))
 
     def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
@@ -431,29 +480,64 @@ class CoverEngine:
             done += b
         return out
 
+    def _slab_edges(self) -> list[float]:
+        """0, horizon0, then 1/mu, 2/mu, 4/mu, ... further, with t_residual
+        inserted where it falls inside."""
+        edges, step = [0.0, self.horizon0], 1.0 / self.mu
+        for _ in range(_MAX_SLABS - 1):
+            edges.append(edges[-1] + step)
+            step *= 2.0
+        if self.t_residual < edges[-1]:
+            edges = sorted({*edges, self.t_residual})
+        return edges
+
     def _cover_batch(self, rng, b: int) -> np.ndarray:
         """Cover times of b replicas.  The first slab, [0, horizon0), is
         drawn for all of them; each later slab only for the replicas still
-        uncovered, 1/mu, 2/mu, 4/mu, ... long.  The boundaries are fixed in
-        advance, so the slabs are independent pieces of one Poisson soup."""
-        V = self.target.size
-        state = np.full((b, V), np.inf)
-        times = np.full(b, np.nan)
-        active = np.arange(b)
-        t0, t1, step = 0.0, self.horizon0, 1.0 / self.mu
-        for _ in range(_MAX_SLABS):
-            sub = state[active]   # a fresh C-contiguous copy
-            self._slab(rng, sub, t0, t1)
-            state[active] = sub
-            worst = sub.max(axis=1)
+        uncovered, 1/mu, 2/mu, 4/mu, ... long.  The trace chain's schedule
+        also has a boundary at t_residual (``_slab_edges``): the slabs
+        before it run on the chain on A, and those from it on, for each
+        replica still uncovered, on the chain of its own uncovered set
+        (``_residual_chains``), row r of the state on table r.  The
+        boundaries are fixed in advance, so the slabs are independent pieces
+        of one Poisson soup."""
+        state = np.full((b, self.target.size), np.inf)
+        rows, tables = np.arange(b), None   # each state row's replica and table
+        chain, times = self.chain, np.full(b, np.nan)
+        edges = self._slab_edges()
+        for t0, t1 in zip(edges, edges[1:]):
+            if t0 == self.t_residual:
+                chain, state = self._residual_chains(state)
+                tables = np.arange(len(state))
+            if chain is None:
+                self._ring_slab(rng, state, t0, t1)
+            else:
+                chain.slab(rng, state, t0, t1, tables)
+            worst = state.max(axis=1)
             covered = np.isfinite(worst)
-            times[active[covered]] = worst[covered]
-            active = active[~covered]
-            if len(active) == 0:
+            times[rows[covered]] = worst[covered]
+            if covered.all():
                 return times
-            t0, t1, step = t1, t1 + step, 2.0 * step
+            state, rows = state[~covered], rows[~covered]
+            if tables is not None:
+                tables = tables[~covered]
         raise ResourceCeilingError(
-            f"target not covered within {_MAX_SLABS} slabs (horizon {t0:.6g})")
+            f"target not covered within {_MAX_SLABS} slabs (horizon {edges[-1]:.6g})")
+
+    def _residual_chains(self, state: np.ndarray) -> tuple[TraceChain, np.ndarray]:
+        """One table per row of state: the trace chain of the row's uncovered
+        set F, with G_F gathered from G_A and padded with identity rows to
+        the largest F; and the rows' new state, inf on F and 0 on padding."""
+        uncovered = np.isinf(state)
+        size = uncovered.sum(axis=1)
+        pad = np.arange(size.max()) >= size[:, None]
+        idx = np.zeros(pad.shape, dtype=np.intp)
+        idx[~pad] = np.nonzero(uncovered)[1]   # both in row-major order
+        g = self.green[idx[:, :, None], idx[:, None, :]]
+        np.copyto(g, np.eye(pad.shape[1]), where=pad[:, :, None] | pad[:, None, :])
+        chain = TraceChain(g, self.kappa)
+        chain.build_tables(g)
+        return chain, np.where(pad, 0.0, np.inf)
 
     def ensemble(self, seed: int, replicas: int, workers: int = 1,
                  work_guard: float | None = None) -> CoverTimeSample:
@@ -461,9 +545,12 @@ class CoverEngine:
             raise ValueError("replicas must be >= 1")
         # work up to the end of the second slab, which bounds the mean
         # horizon a replica is drawn to: about u* + 1.64/mu for a large set
-        # and 1.71/mu for one point
+        # and 1.71/mu for one point.  With a residual, the chain on A's work
+        # up to t_residual, plus the residual's, which the cost model
+        # prices at 1/mu of the chain on A's work (_POINT_S e^c = _STEP_S
+        # step_rate / mu)
         rate = self.cell_rate if self.chain is None else self.step_rate
-        est = rate * (self.horizon0 + 1.0 / self.mu) * replicas
+        est = rate * (min(self.t_residual, self.horizon0) + 1.0 / self.mu) * replicas
         if work_guard is not None and est > work_guard:
             raise ResourceCeilingError(
                 f"estimated work {est:.3g} exceeds guard {work_guard:.3g}")

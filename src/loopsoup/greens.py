@@ -95,10 +95,10 @@ class GreensTable:
         return list(zip(*(c.tolist() for c in self.octant())))
 
 
-def _octant_mask(radius: int) -> np.ndarray:
-    """Which entries of the (radius + 1, radius // 2 + 1) grid [a, b] lie on
-    the octant a >= b, a + b <= radius."""
-    a = np.arange(radius + 1)[:, None]
+def _octant_mask(radius: int, rows: slice = slice(None)) -> np.ndarray:
+    """Which entries of the rows a of the (radius + 1, radius // 2 + 1) grid
+    [a, b] lie on the octant a >= b, a + b <= radius."""
+    a = np.arange(radius + 1)[rows, None]
     return np.arange(radius // 2 + 1) <= np.minimum(a, radius - a)
 
 
@@ -348,25 +348,39 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
                                    f"{tag},N={N}", tail_exact,
                                    exp_tail_bound(kappa, N),
                                    tail_exact <= exp_tail_bound(kappa, N)))
-        # Pointwise gap bounds, over the octant in sorted order.
-        a, b = table.octant()
-        vals = table.values(a, b)
-        r, gaps = a + b, goo - vals
-        worst_gap = float(gaps[1:].min())  # every point but the origin
+        # Pointwise gap bounds, over the octant in sorted order, a block of
+        # grid rows of at most _CHUNK_ENTRIES entries at a time; the first of
+        # equal extremes is kept, as over the whole octant
+        worst_gap, log_row, far_row = math.inf, None, None
+        step = max(1, _CHUNK_ENTRIES // (radius // 2 + 1))
+        for a0 in range(0, radius + 1, step):
+            a, b = np.nonzero(_octant_mask(radius, slice(a0, a0 + step)))
+            a += a0
+            vals = table.values(a, b)
+            r, gaps = a + b, goo - vals
+            # every point but the origin
+            worst_gap = min(worst_gap, float(np.min(gaps, where=r > 0, initial=math.inf)))
+            med = np.flatnonzero((4 <= r) & (r <= 2.0 / kappa))
+            if med.size:
+                score = gaps[med] - np.log(r[med]) / pi
+                i = med[np.argmin(score)]
+                if log_row is None or score.min() < log_row[0]:
+                    log_row = (score.min(), (int(a[i]), int(b[i])), float(gaps[i]))
+            far = np.flatnonzero(r >= 2.0 / kappa)
+            if far.size:
+                i = far[np.argmax(r[far])]
+                if far_row is None or r[i] > far_row[0]:
+                    far_row = (r[i], (int(a[i]), int(b[i])), float(vals[i]))
         out.append(verdict("gap-three-quarters", "origin-gap-min", tag,
                            0.75, worst_gap, worst_gap >= 0.75))
-        med = np.flatnonzero((4 <= r) & (r <= 2.0 / kappa))
-        if med.size and 1.0 / kappa >= 2.0:
-            i = med[np.argmin(gaps[med] - np.log(r[med]) / pi)]
-            lhs_pt, gap = (int(a[i]), int(b[i])), float(gaps[i])
+        if log_row is not None and 1.0 / kappa >= 2.0:
+            _, lhs_pt, gap = log_row
             rhs = log(l1(lhs_pt)) / pi
             out.append(verdict("gap-log-over-pi", "origin-gap-log",
                                f"{tag},x={lhs_pt}", gap, rhs, gap >= rhs))
         # Far point at half the origin value: asymptotic hypothesis, report only.
-        far = np.flatnonzero(r >= 2.0 / kappa)
-        if far.size:
-            i = far[np.argmax(r[far])]
-            x, gx = (int(a[i]), int(b[i])), float(vals[i])
+        if far_row is not None:
+            _, x, gx = far_row
             out.append(verdict("far-point-half", "far-point-ratio",
                                f"{tag},x={x}", gx, goo / 2.0, gx <= goo / 2.0,
                                hypotheses_met=1.0 / kappa >= math.exp(30)))

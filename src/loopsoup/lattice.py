@@ -109,26 +109,39 @@ class Box:
         if np.any(delta < 0):
             raise ValueError("delta must be >= 0")
         w, h = self.width, self.height
-        out_x, out_y = self.x0 + idx // h, self.y0 + idx % h
+        out_x, out_y = np.divmod(idx, h)
+        out_x += self.x0
+        out_y += self.y0
         if not delta.any():   # all on ring 0, as in a soup window
             return out_x, out_y
         delta = np.broadcast_to(delta, idx.shape)
         ring = np.flatnonzero(delta)
         idx, delta = idx[ring], delta[ring]
-        # Segments: top(w), bottom(w), right(h), left(h), then the corner
-        # runs q = 0..3 of delta-1 cells each, a = 1..delta-1 steps out from
-        # the box's corners in the diagonal directions (+,+), (-,+), (+,-), (-,-).
-        b1, b2, b3 = 2 * w, 2 * w + h, 2 * w + 2 * h
-        q, a = np.divmod(idx - b3, np.maximum(delta - 1, 1))
-        a += 1
-        out_x[ring] = np.select(
-            [idx < b1, idx < b2, idx < b3, q % 2 == 0],
-            [self.x0 + idx % w, self.x1 + delta, self.x0 - delta, self.x1 + a],
-            self.x0 - a)
-        out_y[ring] = np.select(
-            [idx < w, idx < b1, idx < b3, q < 2],
-            [self.y1 + delta, self.y0 - delta, self.y0 + (idx - b1) % h,
-             self.y1 + delta - a], self.y0 - delta + a)
+        # Segments, in index order: top(w), bottom(w), right(h), left(h), then
+        # the corner runs q = 0..3 of delta-1 cells each, a = 1..delta-1 steps
+        # out from the box's corners in the diagonal directions (+,+), (-,+),
+        # (+,-), (-,-).  Segment s at position p (the offset along a side, a
+        # on a corner run) is the cell (X0 + SX delta + PX p, Y0 + SY delta
+        # + PY p), its coefficients taken from column s below.
+        starts = np.array([0, w, 2 * w, 2 * w + h, 2 * w + 2 * h])
+        seg = (idx >= starts[1]).astype(np.intp)
+        for start in starts[2:]:
+            seg += idx >= start
+        p = idx - starts[seg]
+        corner = np.flatnonzero(seg == 4)
+        q, a = np.divmod(p[corner], delta[corner] - 1)
+        seg[corner] += q
+        p[corner] = a + 1
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        X0, SX, PX, Y0, SY, PY = np.array([
+            [x0, x0, x1, x0, x1, x0, x1, x0],
+            [0, 0, 1, -1, 0, 0, 0, 0],
+            [1, 1, 0, 0, 1, -1, 1, -1],
+            [y1, y0, y0, y0, y1, y1, y0, y0],
+            [1, -1, 0, 0, 1, 1, -1, -1],
+            [0, 0, 1, 1, -1, -1, 1, 1]], dtype=np.int64)
+        out_x[ring] = X0[seg] + SX[seg] * delta + PX[seg] * p
+        out_y[ring] = Y0[seg] + SY[seg] * delta + PY[seg] * p
         return out_x, out_y
 
     def ring_points(self, delta: int) -> list[Point]:

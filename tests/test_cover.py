@@ -17,6 +17,25 @@ from loopsoup.lattice import Box
 from loopsoup.series import SeriesTruncationError
 
 
+def _ring_cells_select(box, delta, idx):
+    # the reference: Box.ring_cells as np.select over the five segments
+    w, h = box.width, box.height
+    out_x, out_y = box.x0 + idx // h, box.y0 + idx % h
+    ring = np.flatnonzero(delta)
+    idx, delta = idx[ring], delta[ring]
+    b1, b2, b3 = 2 * w, 2 * w + h, 2 * w + 2 * h
+    q, a = np.divmod(idx - b3, np.maximum(delta - 1, 1))
+    a += 1
+    out_x[ring] = np.select(
+        [idx < b1, idx < b2, idx < b3, q % 2 == 0],
+        [box.x0 + idx % w, box.x1 + delta, box.x0 - delta, box.x1 + a], box.x0 - a)
+    out_y[ring] = np.select(
+        [idx < w, idx < b1, idx < b3, q < 2],
+        [box.y1 + delta, box.y0 - delta, box.y0 + (idx - b1) % h,
+         box.y1 + delta - a], box.y0 - delta + a)
+    return out_x, out_y
+
+
 class TestTargets:
     def test_make_target_box(self):
         t = make_target("box:3")
@@ -80,6 +99,21 @@ class TestTargets:
         for delta in (-1, np.array([0, 2, -1])):
             with pytest.raises(ValueError):
                 t.box.ring_cells(delta, np.arange(3))
+
+    @pytest.mark.parametrize("box", [Box(-3, 2, 4, 9), Box(5, 0, 5, 6), Box(0, -1, 6, -1)])
+    def test_ring_cells_match_the_select_formula(self, box):
+        # square, 1 x k and k x 1 boxes: every (delta, idx) for delta = 0..40,
+        # one ring per call and all rings in one call, maps to the cell of
+        # the np.select reference over five choice arrays per coordinate
+        counts = box.ring_count(np.arange(41))
+        deltas = np.repeat(np.arange(41), counts)
+        idx = np.concatenate([np.arange(c) for c in counts])
+        want = _ring_cells_select(box, deltas, idx)
+        assert all(np.array_equal(a, b) for a, b in zip(box.ring_cells(deltas, idx), want))
+        for delta in range(41):
+            on = deltas == delta
+            got = box.ring_cells(delta, idx[on])
+            assert all(np.array_equal(a, b[on]) for a, b in zip(got, want))
 
     def test_point_ring_cells_exact(self):
         # roots at delta are exactly the cells of the bounding box's ring
@@ -455,7 +489,10 @@ class TestPathwiseProperties:
 
 class TestSlabSchedule:
     """The first slab ends at horizon0 = u* + 1/mu and later slabs, for the
-    uncovered replicas only, are 1/mu, 2/mu, 4/mu, ... long."""
+    uncovered replicas only, are 1/mu, 2/mu, 4/mu, ... long.  The trace
+    chain draws A only up to t_residual, where that falls before horizon0,
+    and finishes each replica on the chain of its uncovered set F, on the
+    same boundaries after it."""
 
     @pytest.mark.parametrize("engine,seed", [("ring", 51), ("trace", 52)])
     def test_law_across_slab_edges(self, engine, seed):
@@ -471,6 +508,59 @@ class TestSlabSchedule:
             p = float(law(u))
             se = math.sqrt(p * (1 - p) / s.values.count)
             assert abs(s.values.cdf(u) - p) <= 3 * se + s.truncation_bias_rate * u
+
+    def test_residual_start_by_cost_model(self):
+        # E|F| = S1(t_residual) = e^c, c = log(step_rate _STEP_S / (mu
+        # _POINT_S)), where t_residual falls inside (0, horizon0); sets too
+        # small to repay the build, and the ring engine, keep the plain
+        # schedule
+        e = CoverEngine(0.01, BoxTarget(16))
+        c = math.log(e.step_rate * cover._STEP_S / (e.mu * cover._POINT_S))
+        assert e.sampler == "trace" and 0.0 < e.t_residual < e.horizon0
+        assert math.isclose(e.target.size * math.exp(-e.mu * e.t_residual), math.exp(c))
+        for spec, kappa in (("box:3", 0.01), ("points:(0,0);(1,1)", 0.01),
+                            ("box:16", 0.5), ("points:(0,0)", 0.01)):
+            assert CoverEngine(kappa, make_target(spec)).t_residual == math.inf
+
+    @pytest.mark.parametrize("spec,kappa,sampler_,replicas,seed", [
+        ("box:16", 0.01, None, 2000, 54), ("box:8", 0.5, "trace", 4000, 55)])
+    def test_uncovered_count_moments_at_t_residual(self, monkeypatch, spec, kappa,
+                                                   sampler_, replicas, seed):
+        # N = |F| at t_residual: E N = S1 = |A| G(o)^-t and E N(N - 1) = S2
+        # = sum over x != y of (G(o)^2 - G(x - y)^2)^-t, exactly, each
+        # within 4 standard errors
+        e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
+        t = e.t_residual
+        assert e.sampler == "trace" and 0.0 < t < e.horizon0
+        sizes, build = [], e._residual_chains
+        monkeypatch.setattr(e, "_residual_chains",
+                            lambda state: sizes.append(np.isinf(state).sum(axis=1))
+                            or build(state))
+        e.ensemble(seed, replicas)
+        n = np.zeros(replicas)
+        found = np.concatenate(sizes)
+        n[:len(found)] = found   # replicas covered before t_residual have N = 0
+        g = laws.green_matrix(kappa, e.target.points())
+        goo = g[0, 0]
+        pair = (goo ** 2 - g ** 2)[~np.eye(len(g), dtype=bool)]
+        for got, law in ((n, len(g) * goo ** -t), (n * (n - 1), (pair ** -t).sum())):
+            se = got.std(ddof=1) / math.sqrt(replicas)
+            assert abs(got.mean() - law) <= 4 * se
+
+    @pytest.mark.parametrize("start", ["zero", "u_star", "horizon0"])
+    def test_residual_determinant_law(self, monkeypatch, start):
+        # the residual from t = 0 (F = A), from u* and from horizon0, against
+        # the exact law; the model keeps box:3 on the plain schedule
+        kappa, target = 0.01, BoxTarget(3)
+        e = CoverEngine(kappa, target)
+        e.t_residual = {"zero": 0.0, "u_star": e.u_star, "horizon0": e.horizon0}[start]
+        builds, build = [], e._residual_chains
+        monkeypatch.setattr(e, "_residual_chains",
+                            lambda state: builds.append(len(state)) or build(state))
+        s = e.ensemble(56, 20_000)
+        assert s.sampler == "trace" and sum(builds) > 0
+        law = laws.cover_law(kappa, target.points())
+        assert ks_distance(s.values, law) <= ks_threshold(20_000)
 
     def test_traced_cells_stop_near_the_cover_time(self, monkeypatch):
         # box:16 at kappa = 0.5 needs about u* + 1.64/mu of soup per

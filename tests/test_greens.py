@@ -298,6 +298,18 @@ class TestBoundReports:
         assert "far-point-half" in flagged
         assert "short-walk-contrib" in flagged
 
+    def test_pointwise_rows_in_blocks(self, monkeypatch):
+        # the gap rows taken one grid row at a time give the verdicts of the
+        # whole octant in one block (41 x 21 entries), first extremes and
+        # all; the tables come from the cache, built before the patch
+        grid, radius = [2.0, 0.1, 0.01], 40
+        whole = greens.check_green_bounds(grid, radius)
+        monkeypatch.setattr(greens, "_CHUNK_ENTRIES", radius // 2 + 1)
+        blocked = greens.check_green_bounds(grid, radius)
+        assert blocked == whole
+        rows = {v.check for v in whole}
+        assert {"gap-three-quarters", "gap-log-over-pi", "far-point-half"} <= rows
+
     def test_unit_kappa_upper_enclosure_not_met(self):
         verdicts = greens.check_green_bounds([2.0], radius=6)
         row = [v for v in verdicts if v.check == "origin-upper"][0]

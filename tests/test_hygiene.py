@@ -138,15 +138,36 @@ def test_import_does_not_load_quadrature_package():
     assert out.strip() == "[]"
 
 
-def test_benchmark_tracer_finds_every_name_it_patches():
-    # `bench/run.py --trace 1` wraps program names from outside; a deleted
-    # or renamed one fails here rather than in the benchmark
+def _bench_tracing():
     bench = Path(__file__).resolve().parent.parent / "bench"
     sys.path.insert(0, str(bench))
     try:
         import tracing
     finally:
         sys.path.remove(str(bench))
+    return tracing
+
+
+def test_benchmark_tracer_patch_targets_exist():
+    # probe_loopsoup looks up every name it wraps with inspect.getattr_static,
+    # which raises on a deleted or renamed one, so `--trace 1` cannot lose a
+    # layer silently; probing alone installs nothing
+    tracing = _bench_tracing()
+    tracer = tracing.Tracer()
+    tracing.probe_loopsoup(tracer)
+    patched = {(owner, attr) for owner, attr, _, _ in tracer._patches}
+    assert {(cover, "balanced_signs"), (cover, "mu_gamma_o"),
+            (cover.CoverEngine, "ensemble"), (cover.PointsTarget, "root_coords"),
+            (cover.BoxTarget, "vertex_index"), (laws.TargetSet, "pair_distance_counts"),
+            (laws, "greens_table"), (cli, "write_json")} <= patched
+    for owner, attr, original, _ in tracer._patches:
+        assert inspect.getattr_static(owner, attr) is original, (owner, attr)
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # `bench/run.py --trace 1` wraps program names from outside; a deleted
+    # or renamed one fails here rather than in the benchmark
+    tracing = _bench_tracing()
     tracer = tracing.Tracer()
     tracing.probe_loopsoup(tracer)
     tracer.install()
