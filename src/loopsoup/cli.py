@@ -9,13 +9,13 @@ file (--config), and a flag on the command line overrides both; quick takes
 1/0, true/false or yes/no.  Option values may start with "-" (--window
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
 (arguments, config file, environment, set or epsilon spec; a kappa past
-KAPPA_MAX = 1000, --box past 2048, --radius past 4094, --n-max past 1000 or
-empty or non-int32 --window is an argument), 3 resource ceiling (a length
-law or walk series past its truncation ceiling, a Green's series cross-check
-or cover run past its work guard, a soup slice past its loop ceiling, a
-second-moment set past its pair-sum guard of 65,536 points, box:256), 4 any other
-error (a value outside a function's domain, or a fault in the program),
-printed as "error: <type>: <message>".
+KAPPA_MAX = 1000, --box past 2048, --radius past 4094, --n-max past 1000, an
+empty or non-int32 --window, an --x not of the form i,j, or 0,0 or past +-2**30
+for laws pair, is an argument), 3 resource ceiling (a length law or walk series
+past its truncation ceiling, a Green's series cross-check or cover run past its
+work guard, a soup slice past its loop ceiling, a second-moment set past its
+pair-sum guard of 65,536 points, box:256), 4 any other error (a value outside a
+function's domain, or a fault in the program), as "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -56,14 +56,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_point(text: str):
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError as exc:
-        raise ConfigError(f"bad point {text!r}; expected i,j") from exc
-
-
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
@@ -99,12 +91,21 @@ def _number(cast, low: float, strict: bool = False, high: float = math.inf):
     return number
 
 
-def _window(text: str) -> Box:
-    """An argparse type: the window x0,y0,x1,y1, a nonempty int32 Box."""
-    try:
-        return Box(*(int(v) for v in text.split(",")))
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"expected x0,y0,x1,y1 ({exc}), got {text!r}")
+def _ints(make, form: str):
+    """An argparse type: make(*ints) of a comma list of the form `form`."""
+    def comma_ints(text: str):
+        try:
+            return make(*(int(v) for v in text.split(",")))
+        except TypeError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected {form} ({exc}), got {text!r}")
+    return comma_ints
+
+
+def _pair_point(i: int, j: int) -> tuple[int, int]:
+    PointsTarget([(0, 0), (i, j)])   # not the origin, within COORD_LIMIT
+    return i, j
 
 
 def _listed(item):
@@ -168,10 +169,9 @@ def _exit_from(verdicts) -> int:
 
 def cmd_greens(args) -> int:
     rows = []
-    x = _parse_point(args.x)
     for kappa in args.kappa:
-        value, err = greens.greens_value(kappa, x)
-        rows.append(["greens", kappa, x[0], x[1], value, err])
+        value, err = greens.greens_value(kappa, args.x)
+        rows.append(["greens", kappa, *args.x, value, err])
         mu = greens.mu_gamma_o(kappa)
         rows.append(["mu-origin-loops", kappa, 0, 0, mu.value, 0.0])
     header = ["quantity", "kappa", "x1", "x2", "value", "error_bound"]
@@ -198,8 +198,7 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_laws_pair(args) -> int:
-    x = _parse_point(args.x)
-    rows = []
+    x, rows = args.x, []
     for kappa in args.kappa:
         point = laws.prob_uncovered(kappa, [(0, 0)], args.u)
         pair = laws.prob_uncovered(kappa, [(0, 0), x], args.u)
@@ -488,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("greens", help="evaluate G at a point")
     g.add_argument("--kappa", type=_listed(kappa), required=True,
                    help="kappa or comma list")
-    g.add_argument("--x", default="0,0")
+    g.add_argument("--x", type=_ints(lambda i, j: (i, j), "i,j"), default="0,0")
     g.set_defaults(func=cmd_greens)
 
     v = sub.add_parser("verify", help="verification suites")
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls = lw.add_subparsers(dest="what", required=True)
     lp = ls.add_parser("pair")
     lp.add_argument("--kappa", type=_listed(kappa), required=True)
-    lp.add_argument("--x", required=True)
+    lp.add_argument("--x", type=_ints(_pair_point, "i,j other than 0,0"), required=True)
     lp.add_argument("--u", type=_number(float, 0.0), required=True)
     lp.set_defaults(func=cmd_laws_pair)
     lm = ls.add_parser("second-moment")
@@ -524,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     ss = sp.add_subparsers(dest="what", required=True)
     s1 = ss.add_parser("sample")
     s1.add_argument("--kappa", type=kappa, required=True)
-    s1.add_argument("--window", type=_window, required=True, help="x0,y0,x1,y1")
+    s1.add_argument("--window", type=_ints(Box, "x0,y0,x1,y1"), required=True,
+                    help="x0,y0,x1,y1")
     s1.add_argument("--horizon", type=_number(float, 0.0), required=True)
     s1.add_argument("--tail-tol", type=positive, default=1e-8)
     s1.add_argument("--out", default=None)

@@ -90,11 +90,11 @@ _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _MAX_SLABS = 48
 #: The trace chain's residual cost model, on one core of a 2-core Intel
 #: Xeon VM (numpy 2.4.6, OpenBLAS on one thread): a step of the chain on A
-#: costs about _STEP_S, lockstep overhead included (165 ns measured on
-#: box:16, kappa = 0.01), and the residual about _POINT_S per point of F,
-#: its stacked build included (_POINT_S fitted so that the best c, measured
-#: on box:8 and box:16 at kappa = 0.01, box:16 at 0.05 and box:32 at 1e-3,
-#: is the model's within about 0.5).
+#: costs about _STEP_S, lockstep overhead included (165 ns on box:16, kappa
+#: = 0.01, on a kernel that counted attempts per excursion; ``TraceChain.slab``
+#: takes 143 ns), and the residual about _POINT_S per point of F, its stacked
+#: build included (_POINT_S fitted so that the best c, measured on box:8 and
+#: box:16 at kappa = 0.01, box:16 at 0.05 and box:32 at 1e-3, is within 0.5).
 _STEP_S = 160e-9
 _POINT_S = 32e-6
 # unused here, kept only for the benchmark's tracer, which patches it, until
@@ -238,11 +238,12 @@ class TraceChain:
     x_{<j}, and the loops whose lowest vertex is x_j have mass log g_j (so
     sum_j log g_j = log det G_A).  Per unit time and replica they number
     Poisson(log g_j); each is logseries(1 - 1/g_j) excursions of Q from x_j
-    that return to x_j.  An excursion is drawn by rejection: an attempt
-    that steps into x_{<j} or into Q's killing deficit is discarded with
-    its visits and restarted from x_j.  Root j makes g_j attempts per unit
-    time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate, the sum of
-    C_jj sum_{l>=j} C_lj over roots with g_j > 1, is the exact mean number
+    that return to x_j.  An excursion is drawn by rejection: an attempt that
+    steps into x_{<j} or into Q's killing deficit fails and restarts from
+    x_j, so its visits are the steps past x_j after the last failed one in
+    ``slab``'s log, which is in time order.  Root j makes g_j attempts per
+    unit time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate, the sum
+    of C_jj sum_{l>=j} C_lj over roots with g_j > 1, is the exact mean number
     of steps per unit time with rejections (box:16, kappa = 0.01: 1,735,
     and 2,734 in raster order).  g_j = 1 iff x_j's four neighbours precede
     it, else g_j >= 1 + (4+kappa)^-2, so pivots nearer 1 are set to 1.  The
@@ -250,9 +251,9 @@ class TraceChain:
     killing deficit: a step from root j fails iff it lands below j.
 
     g may be one (n, n) matrix or a (T, n, n) stack of them, one chain per
-    table (step_rate is then their sum): ``slab`` runs each row of its state
-    on the table it is given.  A set of k < n points is padded to n with
-    identity rows and columns, whose pivots are 1 and which no step reaches.
+    table (step_rate is then their sum; the chain on A is table 0), and a
+    set of k < n points is padded to n with identity rows and columns, whose
+    pivots are 1 and which no step reaches.
     """
 
     def __init__(self, g: np.ndarray, kappa: float):
@@ -284,32 +285,28 @@ class TraceChain:
         self._alias, self._keep = alias.ravel(), keep.ravel()
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float,
-             tables: np.ndarray | None = None) -> int:
+             tables: np.ndarray) -> int:
         """Fold the loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, n) array of first-visit times in the chain's
-        vertex order, in place, row r on table tables[r] (all on table 0 by
-        default); returns the number of chain steps."""
+        vertex order, in place, row r on table tables[r]; returns the number
+        of chain steps."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
         flat = state.reshape(-1)
-        # the per-root arrays of each row's table (of the one table if None)
-        log_g, p_return = ((self.log_g[0], self.p_return[0]) if tables is None else
-                           (self.log_g[tables], self.p_return[tables].ravel()))
-        counts = rng.poisson((t1 - t0) * log_g, size=(rows, n))
+        counts = rng.poisson((t1 - t0) * self.log_g[tables])
         cell = np.repeat(np.arange(rows * n), counts.ravel())   # row * n + root
         t = t0 + (t1 - t0) * rng.random(len(cell))
         np.minimum.at(flat, cell, t)
         root = cell % n
         loop = np.repeat(np.arange(len(cell)),
-                         rng.logseries(p_return[root if tables is None else cell]))
+                         rng.logseries(self.p_return[tables].ravel()[cell]))
         # per excursion: the state offset of vertex v is base + v, and row v
         # of its table starts at table + v (n + 1)
         base, when, lo = (cell - root - 1)[loop], t[loop], root[loop] + 1
-        table = 0 if tables is None else (tables * (n + 1) ** 2)[cell // n][loop]
-        attempt = np.zeros(len(loop), dtype=np.int64)
+        table = (tables * (n + 1) ** 2)[cell // n][loop]
         walker, wlo, off = np.arange(len(loop)), lo, table + lo * (n + 1)
-        log: list[tuple] = []   # (walker, next vertex, attempt) of every step
+        log: list[tuple] = []   # (walker, next vertex) of every step, in order
         logged, budget, steps = 0, _VISIT_BUDGET, 0
         while len(walker):
             steps += len(walker)
@@ -317,22 +314,22 @@ class TraceChain:
             col = u.astype(np.intp)
             at = off + col
             nxt = np.where(u - col < self._keep[at], col, self._alias[at])
-            log.append((walker, nxt, attempt[walker]))
+            log.append((walker, nxt))
             logged += len(walker)
-            fail = nxt < wlo
-            attempt[walker[fail]] += 1
             live = nxt != wlo
-            off = np.where(fail, wlo, nxt)[live] * (n + 1)
-            walker, wlo = walker[live], wlo[live]
-            if tables is not None:   # skipped on one table: 7% of a small slab
-                off += table[walker]
+            walker = walker[live]
+            off = np.maximum(nxt, wlo)[live] * (n + 1) + table[walker]
+            wlo = wlo[live]
             if logged > budget or not len(walker):
-                # fold the visits (steps past the root in the last attempt)
-                # of finished excursions, less those after the vertex's first
-                # visit so far; keep the rest of those under way
-                w, v, a = (np.concatenate(x) for x in zip(*log))
-                ok = (v > lo[w]) & (a == attempt[w])
-                w, v, a = w[ok], v[ok], a[ok]
+                # fold the visits of finished excursions (steps past the root
+                # after the last failed one), less those after the vertex's
+                # first visit so far; keep the rest of those under way
+                w, v = (np.concatenate(x) for x in zip(*log))
+                fail = v < lo[w]
+                last = np.full(len(loop), -1)
+                np.maximum.at(last, w[fail], np.flatnonzero(fail))
+                ok = (v > lo[w]) & (np.arange(len(w)) > last[w])
+                w, v = w[ok], v[ok]
                 at = base[w] + v
                 ok = when[w] < flat[at]
                 going = np.zeros(len(loop), dtype=bool)
@@ -340,7 +337,7 @@ class TraceChain:
                 done = ok & ~going[w]
                 np.minimum.at(flat, at[done], when[w[done]])
                 ok &= going[w]
-                log = [(w[ok], v[ok], a[ok])]
+                log = [(w[ok], v[ok])]
                 logged = int(ok.sum())
                 budget = max(_VISIT_BUDGET, 2 * logged)
         return steps
@@ -352,13 +349,13 @@ class CoverEngine:
     "ring" or "trace" forces one.  The ring engine's estimate, cell_rate =
     sum_m 2m w_m reach_m, is its exact mean number of traced cells per unit
     time and replica.  Ms per replica on one core, engine build included,
-    the range of two runs (each the median of three seeds), ring against
-    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.08-0.11, 0.23-0.25
-    and 0.91-1.06 against 0.19-0.27, 0.84-0.89 and 5.7-6.7; box:16 at kappa
-    = 0.1, 0.05 and 0.01, 0.45-0.60, 0.75-0.87 and 9.8-10.9 against
-    0.80-0.86, 0.88-0.97 and 1.02-1.28.  The dispatch picks the faster
-    engine at each, except the trace chain at box:16, kappa = 0.05, which
-    its residual has brought within about 15% of the ring engine."""
+    two runs of the median of three seeds (2,048 replicas; 512 at box:32
+    and at kappa = 0.01), ring against trace: kappa = 0.5 on box:8, box:16
+    and box:32, 0.10-0.11, 0.34 and 1.38-1.39 against 0.23-0.24, 0.99-1.04
+    and 5.3-5.6; box:16 at kappa = 0.1, 0.05 and 0.01, 0.60-0.65, 1.03-1.11
+    and 11.5-13.6 against 1.01-1.15, 1.12-1.14 and 1.55-1.62.  The dispatch
+    picks the faster engine at each but box:16, kappa = 0.05, where it takes
+    the trace chain, within about 10% of the ring engine."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -502,7 +499,7 @@ class CoverEngine:
         boundaries are fixed in advance, so the slabs are independent pieces
         of one Poisson soup."""
         state = np.full((b, self.target.size), np.inf)
-        rows, tables = np.arange(b), None   # each state row's replica and table
+        rows, tables = np.arange(b), np.zeros(b, np.intp)   # each row's replica, table
         chain, times = self.chain, np.full(b, np.nan)
         edges = self._slab_edges()
         for t0, t1 in zip(edges, edges[1:]):
@@ -518,9 +515,7 @@ class CoverEngine:
             times[rows[covered]] = worst[covered]
             if covered.all():
                 return times
-            state, rows = state[~covered], rows[~covered]
-            if tables is not None:
-                tables = tables[~covered]
+            state, rows, tables = state[~covered], rows[~covered], tables[~covered]
         raise ResourceCeilingError(
             f"target not covered within {_MAX_SLABS} slabs (horizon {edges[-1]:.6g})")
 

@@ -102,6 +102,14 @@ def _octant_mask(radius: int, rows: slice = slice(None)) -> np.ndarray:
     return np.arange(radius // 2 + 1) <= np.minimum(a, radius - a)
 
 
+def _octant_blocks(radius: int):
+    """``GreensTable.octant`` in blocks of at most _CHUNK_ENTRIES grid entries."""
+    step = max(1, _CHUNK_ENTRIES // (radius // 2 + 1))
+    for a0 in range(0, radius + 1, step):
+        a, b = np.nonzero(_octant_mask(radius, slice(a0, a0 + step)))
+        yield a + a0, b
+
+
 def green_origin(kappa: float) -> float:
     """G(o) = (2/pi) K(16 beta^2) = 1/AGM(1, sqrt(kappa (8+kappa)) beta) (Borwein
     and Borwein 1987).  A fixed 40 steps, of which 8 suffice at kappa = 1e-14: at
@@ -287,12 +295,12 @@ def series_cross_check(table: GreensTable, tag: str) -> Verdict:
         return verdict("greens-series-cross-check", PLUMBING, tag, m_min,
                        DEFAULT_M_CEILING, False, hypotheses_met=False)
     res = loop_series_gram(table.kappa, table.radius // 2, 1e-12)
-    x1, x2 = table.octant()
-    even = (x1 + x2) % 2 == 0
-    x1, x2 = x1[even], x2[even]
-    a, b = (x1 + x2) // 2, (x1 - x2) // 2
-    series = res.gram[a, b] + (a == 0)  # the n = 0 term, at the origin only
-    gap = float(np.abs(table.values(x1, x2) - series).max())
+    gap = 0.0
+    for x1, x2 in _octant_blocks(table.radius):
+        x1, x2 = np.compress((x1 + x2) % 2 == 0, [x1, x2], axis=1)
+        a, b = (x1 + x2) // 2, (x1 - x2) // 2
+        series = res.gram[a, b] + (a == 0)  # the n = 0 term, at the origin only
+        gap = max(gap, float(np.abs(table.values(x1, x2) - series).max(initial=0.0)))
     allow = res.tail_bound + table.tail_bound + res.m_trunc * _EPS * goo
     return verdict("greens-series-cross-check", PLUMBING, tag, gap, allow,
                    gap <= allow)
@@ -348,14 +356,10 @@ def check_green_bounds(kappa_grid, radius: int) -> list[Verdict]:
                                    f"{tag},N={N}", tail_exact,
                                    exp_tail_bound(kappa, N),
                                    tail_exact <= exp_tail_bound(kappa, N)))
-        # Pointwise gap bounds, over the octant in sorted order, a block of
-        # grid rows of at most _CHUNK_ENTRIES entries at a time; the first of
-        # equal extremes is kept, as over the whole octant
+        # Pointwise gap bounds, over the octant in sorted order, in blocks;
+        # the first of equal extremes is kept, as over the whole octant
         worst_gap, log_row, far_row = math.inf, None, None
-        step = max(1, _CHUNK_ENTRIES // (radius // 2 + 1))
-        for a0 in range(0, radius + 1, step):
-            a, b = np.nonzero(_octant_mask(radius, slice(a0, a0 + step)))
-            a += a0
+        for a, b in _octant_blocks(radius):
             vals = table.values(a, b)
             r, gaps = a + b, goo - vals
             # every point but the origin

@@ -281,6 +281,11 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
      "--window"),
     (("soup", "sample", "--kappa", 0.5, "--window", f"0,0,1,{2 ** 31}",
       "--horizon", 1), "--window"),
+    (("laws", "pair", "--kappa", 0.5, "--x", "0,0", "--u", 1), "--x"),
+    (("laws", "pair", "--kappa", 0.5, "--x", "1,0,2", "--u", 1), "--x"),
+    (("laws", "pair", "--kappa", 0.5, "--x", f"{2 ** 30 + 1},0", "--u", 1), "--x"),
+    (("greens", "--kappa", 0.5, "--x", "1"), "--x"),
+    (("greens", "--kappa", 0.5, "--x", "a,b"), "--x"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

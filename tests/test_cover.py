@@ -359,10 +359,24 @@ class TestTraceChain:
             assert engine.sampler == "trace"
             rng = np.random.default_rng(seed)
             steps = np.array([engine.chain.slab(rng, np.full((64, side * side), np.inf),
-                                                0.0, 1.0)
+                                                0.0, 1.0, np.zeros(64, np.intp))
                               for _ in range(300)], dtype=np.float64)
             se = steps.std(ddof=1) / math.sqrt(len(steps))
             assert abs(steps.mean() - 64 * engine.step_rate) <= 5 * se
+
+    @pytest.mark.parametrize("spec,kappa,sampler_,replicas,seed", [
+        ("box:3", 0.01, None, 96, 57), ("box:8", 0.5, "trace", 200, 58)])
+    def test_fold_budget_does_not_change_results(self, monkeypatch, spec, kappa,
+                                                 sampler_, replicas, seed):
+        # a fold after nearly every lockstep iteration catches excursions
+        # under way, whose visits wait for the end of their last attempt;
+        # box:3 keeps the plain schedule, box:8 runs the residual
+        e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
+        assert e.sampler == "trace" and (e.t_residual < e.horizon0) == (spec == "box:8")
+        want = e.ensemble(seed, replicas).values.values
+        for budget in (1, 7):
+            monkeypatch.setattr(cover, "_VISIT_BUDGET", budget)
+            assert np.array_equal(e.ensemble(seed, replicas).values.values, want)
 
     def test_coarse_to_fine_order_cuts_steps(self):
         # the target's raster order leaves each root more lower neighbours,
@@ -606,6 +620,27 @@ class TestRingSlab:
         per_slab = np.asarray(per_slab, dtype=np.float64)
         se = per_slab.std(ddof=1) / math.sqrt(len(per_slab))
         assert abs(per_slab.mean() - e.cell_rate * dt * rows) <= 5 * se
+
+    @pytest.mark.parametrize("spec,rows,seed", [
+        ("box:8", 4000, 57), ("box:16", 4000, 58),
+        ("points:(0,0);(3,1);(5,5)", 8000, 59)])
+    def test_uncovered_count_moments(self, spec, rows, seed):
+        # N, the points uncovered by one slab [0, u), u = 0.7 u*: E N = S1 =
+        # |A| G(o)^-u, give or take the truncation's bias_rate u per point,
+        # and E N(N - 1) = S2 = sum over x != y of (G(o)^2 - G(x - y)^2)^-u,
+        # each within 4 standard errors
+        e = CoverEngine(0.5, make_target(spec), sampler="ring")
+        u = 0.7 * e.u_star
+        state = np.full((rows, e.target.size), np.inf)
+        e._ring_slab(np.random.default_rng(seed), state, 0.0, u)
+        n = np.isinf(state).sum(axis=1).astype(np.float64)
+        g = laws.green_matrix(0.5, e.target.points())
+        goo = g[0, 0]
+        pair = (goo ** 2 - g ** 2)[~np.eye(len(g), dtype=bool)]
+        for got, law, bias in ((n, len(g) * goo ** -u, e.bias_rate * u * len(g)),
+                               (n * (n - 1), (pair ** -u).sum(), 0.0)):
+            se = got.std(ddof=1) / math.sqrt(rows)
+            assert abs(got.mean() - law) <= 4 * se + bias, (got.mean(), law, se)
 
     def test_ring_slab_peak_memory(self):
         # a full batch of 4,094 replicas at box:16, kappa = 0.5: holding the

@@ -299,9 +299,10 @@ class TestBoundReports:
         assert "short-walk-contrib" in flagged
 
     def test_pointwise_rows_in_blocks(self, monkeypatch):
-        # the gap rows taken one grid row at a time give the verdicts of the
-        # whole octant in one block (41 x 21 entries), first extremes and
-        # all; the tables come from the cache, built before the patch
+        # the gap rows and the series cross-check taken one grid row at a
+        # time give the verdicts of the whole octant in one block (41 x 21
+        # entries), first extremes and all; the tables come from the cache,
+        # built before the patch
         grid, radius = [2.0, 0.1, 0.01], 40
         whole = greens.check_green_bounds(grid, radius)
         monkeypatch.setattr(greens, "_CHUNK_ENTRIES", radius // 2 + 1)
@@ -309,6 +310,8 @@ class TestBoundReports:
         assert blocked == whole
         rows = {v.check for v in whole}
         assert {"gap-three-quarters", "gap-log-over-pi", "far-point-half"} <= rows
+        series = [v for v in whole if v.check == "greens-series-cross-check"]
+        assert len(series) == 3 and all(v.lhs > 0.0 for v in series)
 
     def test_unit_kappa_upper_enclosure_not_met(self):
         verdicts = greens.check_green_bounds([2.0], radius=6)

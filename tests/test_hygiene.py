@@ -55,6 +55,25 @@ def test_every_module_level_definition_is_referenced():
     assert not unreferenced, unreferenced
 
 
+def test_every_module_level_name_is_read():
+    # a name the package assigns at module level, a constant or an alias,
+    # that no source, test or benchmark file reads, as a bare name or an
+    # attribute, is dead API too; dunders are read by the language
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{node.lineno} {name.id}"
+              for path in [*MODULES, Path(loopsoup.__file__)]
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for name in ast.walk(target)
+              if isinstance(name, ast.Name) and not name.id.startswith("__")
+              and name.id not in read]
+    assert not unread, unread
+
+
 def test_every_method_is_referenced():
     # so is a method or property of a package class that nothing names as
     # an attribute; dunders are called by the language
