@@ -9,13 +9,14 @@ file (--config), and a flag on the command line overrides both; quick takes
 1/0, true/false or yes/no.  Option values may start with "-" (--window
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
 (arguments, config file, environment, set or epsilon spec; a kappa past
-KAPPA_MAX = 1000, --box past 2048, --radius past 4094, --n-max past 1000, an
-empty or non-int32 --window, an --x not of the form i,j, or 0,0 or past +-2**30
-for laws pair, is an argument), 3 resource ceiling (a length law or walk series
-past its truncation ceiling, a Green's series cross-check or cover run past its
-work guard, a soup slice past its loop ceiling, a second-moment set past its
-pair-sum guard of 65,536 points, box:256), 4 any other error (a value outside a
-function's domain, or a fault in the program), as "error: <type>: <message>".
+KAPPA_MAX = 1000, --box or a --boxes item past 2048, --radius past 4094,
+--n-max past 1000, an empty or non-int32 --window, an --x not of the form
+i,j or past +-2**30, or 0,0 for laws pair, is an argument), 3 resource
+ceiling (a length law or walk series past its truncation ceiling, a Green's
+series cross-check or cover run past its work guard, a soup slice past its
+loop ceiling, a second-moment set past its pair-sum guard of 65,536 points,
+box:256), 4 any other error (a value outside a function's domain, or a fault
+in the program), as "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -103,9 +104,16 @@ def _ints(make, form: str):
     return comma_ints
 
 
-def _pair_point(i: int, j: int) -> tuple[int, int]:
-    PointsTarget([(0, 0), (i, j)])   # not the origin, within COORD_LIMIT
-    return i, j
+def _point(origin: bool):
+    """An argparse type: a point i,j with |i|, |j| <= PointsTarget.COORD_LIMIT,
+    the origin only if `origin`."""
+    def point(i: int, j: int) -> tuple[int, int]:
+        if max(abs(i), abs(j)) > PointsTarget.COORD_LIMIT:
+            raise ValueError("coordinates must lie within +-2**30")
+        if not (origin or i or j):
+            raise ValueError("a pair needs two distinct points")
+        return i, j
+    return _ints(point, "i,j" if origin else "i,j other than 0,0")
 
 
 def _listed(item):
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("greens", help="evaluate G at a point")
     g.add_argument("--kappa", type=_listed(kappa), required=True,
                    help="kappa or comma list")
-    g.add_argument("--x", type=_ints(lambda i, j: (i, j), "i,j"), default="0,0")
+    g.add_argument("--x", type=_point(origin=True), default="0,0")
     g.set_defaults(func=cmd_greens)
 
     v = sub.add_parser("verify", help="verification suites")
@@ -508,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls = lw.add_subparsers(dest="what", required=True)
     lp = ls.add_parser("pair")
     lp.add_argument("--kappa", type=_listed(kappa), required=True)
-    lp.add_argument("--x", type=_ints(_pair_point, "i,j other than 0,0"), required=True)
+    lp.add_argument("--x", type=_point(origin=False), required=True)
     lp.add_argument("--u", type=_number(float, 0.0), required=True)
     lp.set_defaults(func=cmd_laws_pair)
     lm = ls.add_parser("second-moment")
@@ -551,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gs = sub.add_parser("gumbel-scan", help="box-size trend vs the Gumbel law")
     gs.add_argument("--kappa", type=kappa, default=0.5)
-    gs.add_argument("--boxes", type=_listed(count), default="8,16,32")
+    gs.add_argument("--boxes", default="8,16,32",
+                    type=_listed(_number(int, 1, high=cover.BoxTarget.MAX_SIDE)))
     gs.add_argument("--replicas", type=count, default=20000)
     gs.add_argument("--work-guard", type=positive, default=5e11)
     gs.set_defaults(func=cmd_gumbel_scan)

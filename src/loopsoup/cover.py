@@ -59,6 +59,7 @@ number.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -570,8 +571,11 @@ def _cover_block_job(args):
 
 
 def run_blocks(job, arg_list, workers: int = 1):
-    """Run per-block jobs and merge by block index (worker-count invariant)."""
-    if workers <= 1 or len(arg_list) <= 1:
+    """Run per-block jobs and merge by block index (worker-count invariant).
+    A process pool starts all its workers at the first job, so it gets at
+    most one per block and per CPU, whatever `workers` asks for."""
+    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [job(a) for a in arg_list]
     import concurrent.futures as cf
     with cf.ProcessPoolExecutor(max_workers=workers) as ex:

@@ -9,12 +9,13 @@ r = B / (A + sqrt(A^2 - B^2)), the other Fourier angle integrated exactly.
 
 The quadrature of that integral is a low-rank product: G(a, b) = sum_t
 r_t^a w_t / (pi s_t) cos(b t) over the rule's nodes t, with s = sqrt(A^2 -
-B^2).  So G at a set of octant points is one matrix product over the grid
-of their distinct a and distinct b values, read off at each point
-(_greens_grid), and a table of radius R is that product over the integer
-ranges 0 <= a <= R, 0 <= b <= R // 2.  Only where the grid would hold more
-than _GRID_PER_POINT entries per point (sets spread wide, with many
-distinct a and b) does each point take its own (points x nodes) product.
+B^2).  So G on the grid 0 <= a <= R, 0 <= b <= R' is one matrix product
+(_greens_grid), and a table of radius R is that product with R' = R // 2.
+greens_at is the one evaluator of G at displacements, and the one place
+that picks the product: it reads the grid that spans its folded
+displacements where that grid holds at most _GRID_PER_POINT entries per
+displacement, and otherwise (sets spread wide) gives each distinct (a, b)
+its own (points x nodes) product.
 
 mu0 = log G(o) is the total loop measure through a vertex and drives every
 avoidance law downstream.  The walk series of ``series`` stays as a
@@ -32,7 +33,7 @@ from math import lgamma, log, pi
 
 import numpy as np
 
-from .lattice import BoxTarget, Point, fold_octant, l1
+from .lattice import BoxTarget, Point, l1
 from .records import PLUMBING, VERDICT_FAILS, Verdict, verdict
 from .series import (DEFAULT_M_CEILING, ResourceCeilingError, exp_tail_bound,
                      loop_series_gram, loop_term_array, step_weight)
@@ -44,10 +45,10 @@ _LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (16, 32)}
 # Scratch floats per block: rows of r^a of the grid product, or (points x
 # nodes) kernel rows of the per-point product.
 _CHUNK_ENTRIES = 1 << 18
-# Most grid entries per point of the grid product, so that its grid stays a
-# small multiple of the points' own memory; past it the per-point product
-# runs.  Time alone would allow more: at 66 entries per point (1,968 points,
-# kappa = 1e-4, one core) the grid product still took 6 ms against 15 ms.
+# Most grid entries per displacement of the grid product, so that its grid
+# stays a small multiple of the displacements' memory; past it the per-point
+# product runs.  Time alone would allow more: at 66 entries per point (1,968
+# points, kappa = 1e-4, one core) the grid product took 6 ms against 15 ms.
 _GRID_PER_POINT = 8
 #: Largest table radius, 4094: the L1 diameter of the largest box a set
 #: spec accepts.
@@ -158,27 +159,6 @@ def _greens_grid(kappa: float, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _greens_quadrature(kappa: float, points: np.ndarray, nodes: int) -> np.ndarray:
-    """G at octant points (a, b), a >= b >= 0, by the `nodes`-point rule:
-    _greens_grid over the points' distinct a and distinct b, read off at each
-    point.  Where that grid has more than _GRID_PER_POINT entries per point,
-    each chunk of points takes the gathered (points x nodes) product instead,
-    computing exp(a log r) once per distinct a and cos(b t) per distinct b."""
-    (a, ia), (b, ib) = (np.unique(c, return_inverse=True) for c in points.T)
-    if len(a) * len(b) <= _GRID_PER_POINT * len(points):
-        return _greens_grid(kappa, a, b, nodes)[ia, ib]
-    t, w, s, log_r = _angle_rule(kappa, nodes)
-    weights = w / (pi * s)
-    out = np.empty(len(points))
-    step = max(1, _CHUNK_ENTRIES // len(t))
-    for i in range(0, len(points), step):
-        (a, ia), (b, ib) = (np.unique(c, return_inverse=True)
-                            for c in points[i:i + step].T)
-        out[i:i + step] = (np.cos(np.outer(b, t))[ib]
-                           * np.exp(np.outer(a, log_r))[ia]) @ weights
-    return out
-
-
 @lru_cache(maxsize=32)
 def _greens_table_cached(kappa: float, radius: int) -> GreensTable:
     a, b = np.arange(radius + 1), np.arange(radius // 2 + 1)
@@ -205,19 +185,44 @@ def greens_table(kappa: float, radius: int) -> GreensTable:
     return _greens_table_cached(float(kappa), int(radius))
 
 
-def greens_at(kappa: float, octant, nodes: int = 32) -> np.ndarray:
-    """G at the octant points (a, b), a >= b >= 0, of shape (k, 2), by the
-    `nodes`-point quadrature (16 or 32); G(o) is green_origin itself."""
-    octant = np.asarray(octant, dtype=np.int64)
-    g = _greens_quadrature(kappa, octant, nodes)
-    g[octant[:, 0] == 0] = green_origin(kappa)
-    return g
+def greens_at(kappa: float, dx, dy, nodes: int = 32) -> np.ndarray:
+    """G at the displacements (dx, dy), two int arrays of one shape, by the
+    `nodes`-point quadrature (16 or 32); G(o) is green_origin itself.  Each
+    displacement folds to a = max, b = min of (|dx|, |dy|) and its key
+    a (max b + 1) + b, below 2**63 for coordinates within +-2**30.  Where the
+    grid 0..max a x 0..max b holds at most _GRID_PER_POINT entries per
+    displacement, one _greens_grid product over it is read by key;
+    otherwise each distinct key, found by np.unique, takes the gathered
+    (points x nodes) product, computing exp(a log r) once per distinct a and
+    cos(b t) per distinct b of each chunk."""
+    dx, dy = (np.abs(np.asarray(v, dtype=np.int64)) for v in (dx, dy))
+    keys, b = np.maximum(dx, dy), np.minimum(dx, dy, out=dx)
+    a_top, b_top = int(keys.max(initial=0)) + 1, int(b.max(initial=0)) + 1
+    keys *= b_top
+    keys += b
+    if a_top * b_top <= _GRID_PER_POINT * keys.size:
+        g = _greens_grid(kappa, np.arange(a_top), np.arange(b_top), nodes).ravel()
+        g[0] = green_origin(kappa)
+        return g[keys]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    pairs = np.divmod(keys, b_top)
+    t, w, s, log_r = _angle_rule(kappa, nodes)
+    weights = w / (pi * s)
+    g = np.empty(len(keys))
+    step = max(1, _CHUNK_ENTRIES // len(t))
+    for i in range(0, len(keys), step):
+        (a, ia), (b, ib) = (np.unique(c[i:i + step], return_inverse=True)
+                            for c in pairs)
+        g[i:i + step] = (np.cos(np.outer(b, t))[ib]
+                         * np.exp(np.outer(a, log_r))[ia]) @ weights
+    g[keys == 0] = green_origin(kappa)
+    return g[inverse].reshape(dx.shape)
 
 
 def greens_value(kappa: float, x: Point) -> tuple[float, float]:
     """(G(x), absolute error estimate) for a single point: the gap between
     the 32- and 16-node quadratures at x plus a rounding floor of 16 eps G(o)."""
-    g32, g16 = (float(greens_at(kappa, [fold_octant(x)], nodes)[0])
+    g32, g16 = (float(greens_at(kappa, [x[0]], [x[1]], nodes)[0])
                 for nodes in (32, 16))
     return g32, abs(g32 - g16) + 16.0 * _EPS * green_origin(kappa)
 

@@ -66,41 +66,20 @@ def _log_det(g: np.ndarray) -> np.ndarray:
 
 
 def green_matrix(kappa: float, points) -> np.ndarray:
-    """G_B of distinct points B, with G evaluated once per folded displacement
-    (max, min) of (|dx|, |dy|).  Where the span of B's bounding box is at most
-    |B| (boxes and dense sets), G is taken on the whole octant 0 <= b <= a <
-    span and read back by index.  For wider sets G is taken once per distinct
-    displacement: int64 keys below span^2 <= (2**31 + 1)^2, as TargetSet
-    bounds |coordinates| by 2**30, built and then overwritten by G_B, so one
-    (|B|, |B|) array and np.unique's sorted copy of it are the only large
-    ones.  Rows go in blocks of about 2^16 entries."""
-    target = TargetSet(points)
-    x, y = target.pts.T
-    span = max(target.box.width, target.box.height)
-    rows = max(1, (1 << 16) // len(x))
-    blocks = [slice(i, i + rows) for i in range(0, len(x), rows)]
-
-    def folded(s):
-        dx, dy = np.abs(x[s, None] - x), np.abs(y[s, None] - y)
-        return np.maximum(dx, dy), np.minimum(dx, dy)
-
-    if span <= len(x):
-        a, b = np.tril_indices(span)
-        octant = np.zeros((span, span))
-        octant[a, b] = greens_at(kappa, np.stack([a, b], axis=1))
-        g_b = np.empty((len(x), len(x)))
-        for s in blocks:
-            g_b[s] = octant[folded(s)]
-        return g_b
-    keys = np.empty((len(x), len(x)), dtype=np.int64)
-    for s in blocks:
-        a, b = folded(s)
-        keys[s] = a * span + b
-    distinct = np.unique(keys)
-    g = greens_at(kappa, np.stack(np.divmod(distinct, span), axis=1))
-    g_b = keys.view(np.float64)
-    for s in blocks:
-        g_b[s] = g[np.searchsorted(distinct, keys[s])]
+    """G_B of distinct points B, in row blocks of about 2^18 pairs: rows
+    i0..i1 against columns i0.. go to greens_at, which alone picks the grid
+    or the per-point product, and fill the block and its transpose, so each
+    unordered pair is evaluated about once."""
+    x, y = TargetSet(points).pts.T
+    n = len(x)
+    g_b = np.empty((n, n))
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, (1 << 18) // (n - i0)))
+        g_b[i0:i1, i0:] = greens_at(kappa, x[i0:i1, None] - x[i0:],
+                                    y[i0:i1, None] - y[i0:])
+        g_b[i1:, i0:i1] = g_b[i0:i1, i1:].T
+        i0 = i1
     return g_b
 
 

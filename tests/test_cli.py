@@ -286,6 +286,9 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     (("laws", "pair", "--kappa", 0.5, "--x", f"{2 ** 30 + 1},0", "--u", 1), "--x"),
     (("greens", "--kappa", 0.5, "--x", "1"), "--x"),
     (("greens", "--kappa", 0.5, "--x", "a,b"), "--x"),
+    (("greens", "--kappa", 0.5, "--x", "3000000000000000000000,0"), "--x"),
+    (("greens", "--kappa", 0.5, "--x", "1073741825,0"), "--x"),
+    (("gumbel-scan", "--boxes", "8,5000"), "--boxes"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -684,6 +684,38 @@ class TestDeterminismAndGuards:
         b = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=2)
         assert np.array_equal(a.values.values, b.values.values)
 
+    def test_pool_size_is_bounded_by_blocks_and_cpus(self, monkeypatch):
+        # a process pool starts all its workers at the first job, so
+        # --workers 5000 must not ask for 5000; the fake pool records its
+        # size and runs the jobs inline, so no process is started here
+        import concurrent.futures
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, job, args):
+                return map(job, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for blocks, workers in ((3, 5000), (9, 5000), (9, 2), (1, 5000)):
+            assert cover.run_blocks(str, list(range(blocks)), workers) == \
+                [str(i) for i in range(blocks)]
+        assert sizes == [3, 4, 2]
+        # three replica blocks: the same values as one worker, from a pool of 3
+        a = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=1)
+        b = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=5000)
+        assert sizes == [3, 4, 2, 3]
+        assert np.array_equal(a.values.values, b.values.values)
+
     def test_disjoint_seeds_same_law(self):
         a = cover_time_ensemble(1, 0.5, PointsTarget([(0, 0)]), 15_000)
         b = cover_time_ensemble(2, 0.5, PointsTarget([(0, 0)]), 15_000)

@@ -156,26 +156,32 @@ class TestGreensTable:
             t.value((-17, 0))
 
     def test_grid_and_per_point_products_agree(self, monkeypatch):
-        # each path against the other within 8 eps G(o), forcing the one a
-        # set does not take; the radius-126 octant takes the grid product and
-        # 200 points spread over a 2**20 square the per-point one
+        # each path of greens_at against the other within 8 eps G(o); the
+        # radius-126 octant takes the grid product, and is forced onto the
+        # per-point one, and 200 points spread over a 2**20 square take the
+        # per-point product, checked against the grid product over their
+        # distinct a and distinct b (the grid spanning them would not fit)
         eps = np.finfo(np.float64).eps
         grids, real_grid, limit = [], greens._greens_grid, greens._GRID_PER_POINT
         monkeypatch.setattr(greens, "_greens_grid",
                             lambda *args: grids.append(1) or real_grid(*args))
-        octant = np.stack(greens.greens_table(1.0, 126).octant(), axis=1)
+        octant = greens.greens_table(1.0, 126).octant()
         xy = np.random.default_rng(7).integers(0, 1 << 20, size=(200, 2))
-        wide = np.stack([xy.max(axis=1), xy.min(axis=1)], axis=1)
-        for pts, kappas, takes_grid in ((octant, (1.0, 0.01, 1e-6), True),
-                                        (wide, (1e-10, 1e-12), False)):
+        wide = xy.max(axis=1), xy.min(axis=1)
+        for (a, b), kappas, takes_grid in ((octant, (1.0, 0.01, 1e-6), True),
+                                           (wide, (1e-10, 1e-12), False)):
             for kappa in kappas:
                 grids.clear()
-                g = greens._greens_quadrature(kappa, pts, 32)
+                g = greens.greens_at(kappa, a, b)
                 assert bool(grids) == takes_grid
-                monkeypatch.setattr(greens, "_GRID_PER_POINT",
-                                    0 if takes_grid else math.inf)
-                other = greens._greens_quadrature(kappa, pts, 32)
-                monkeypatch.setattr(greens, "_GRID_PER_POINT", limit)
+                if takes_grid:
+                    monkeypatch.setattr(greens, "_GRID_PER_POINT", 0)
+                    other = greens.greens_at(kappa, a, b)
+                    monkeypatch.setattr(greens, "_GRID_PER_POINT", limit)
+                else:
+                    (ua, ia), (ub, ib) = (np.unique(c, return_inverse=True)
+                                          for c in (a, b))
+                    other = real_grid(kappa, ua, ub, 32)[ia, ib]
                 assert np.abs(g - other).max() <= 8 * eps * greens.green_origin(kappa)
 
     def test_table_scratch_stays_in_row_blocks(self):

@@ -220,19 +220,24 @@ def test_benchmark_workloads_set_up():
         assert proc.returncode == 0, f"{workload}: {proc.stderr[-2000:]}"
 
 
-def test_every_kappa_option_takes_the_shared_kappa_type():
-    # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MAX; a
-    # list option's type is _listed(item), whose closure holds the item type
-    def parsers(p):
-        yield p
-        for a in p._actions:
-            if isinstance(a, argparse._SubParsersAction):
-                for sub in a.choices.values():
-                    yield from parsers(sub)
+def _parsers(p):
+    """p and every subparser below it."""
+    yield p
+    for a in p._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for sub in a.choices.values():
+                yield from _parsers(sub)
 
-    types = [inspect.getclosurevars(a.type).nonlocals.get("item", a.type)
-             for p in parsers(cli.build_parser()) for a in p._actions
-             if "kappa" in a.dest]
+
+def _item_type(action):
+    """An option's type, or for a list option, _listed(item), its item type."""
+    return inspect.getclosurevars(action.type).nonlocals.get("item", action.type)
+
+
+def test_every_kappa_option_takes_the_shared_kappa_type():
+    # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MAX
+    types = [_item_type(a) for p in _parsers(cli.build_parser())
+             for a in p._actions if "kappa" in a.dest]
     assert len(types) == 9 and len({id(t) for t in types}) == 1, types
     kappa = types[0]
     assert kappa(str(series.KAPPA_MAX)) == series.KAPPA_MAX
@@ -242,3 +247,26 @@ def test_every_kappa_option_takes_the_shared_kappa_type():
         except argparse.ArgumentTypeError:
             continue
         raise AssertionError(bad)
+
+
+def test_every_coordinate_and_size_option_is_bounded():
+    # a coordinate or size past what the program represents is a parse
+    # error, not an OverflowError or ValueError deep in a command: each such
+    # option (a list option's item) takes a small value of its arity and
+    # rejects a 25-digit one
+    arity = {"x": 2, "window": 4, "box": 1, "boxes": 1, "radius": 1, "n_max": 1}
+    seen, unbounded = [], []
+    for p in _parsers(cli.build_parser()):
+        for a in p._actions:
+            if a.dest not in arity:
+                continue
+            seen.append(a.dest)
+            parse, k = _item_type(a), arity[a.dest]
+            parse(",".join(["2"] * k))
+            try:
+                parse(",".join(["9" * 25] * k))
+                unbounded.append(f"{p.prog} --{a.dest}")
+            except argparse.ArgumentTypeError:
+                pass
+    assert sorted(seen) == sorted([*arity, "x"]), seen
+    assert not unbounded, unbounded

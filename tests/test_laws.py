@@ -102,32 +102,41 @@ class TestDeterminantLaw:
         with pytest.raises(ValueError):
             laws.prob_uncovered(0.5, [(1, 2), (0, 0), (1, 2)], 1.0)
 
-    def test_green_matrix_matches_table(self, rng):
-        # G on the octant below the span (the point and the 40 points of a
-        # 33 x 33 grid) or once per distinct displacement (the 7 spread
-        # points) against a table of radius diam(B), to 1e-15 relative to
-        # the largest entry G(o): BLAS blocking may move the last bit, and
+    def test_green_matrix_matches_table(self, rng, monkeypatch):
+        # G_B against a table of radius diam(B), to 1e-15 relative to the
+        # largest entry G(o): BLAS blocking may move the last bit, and
         # entries near 1e-19 (kappa = 1, |x| ~ 30) carry the quadrature's
-        # cancellation, not its accuracy
+        # cancellation, not its accuracy.  The point, the 7 spread points, 40
+        # points of a 33 x 33 grid and a line of 30 points 7 apart take the
+        # grid product; 12 points spread over a 1024^2 square the per-point one
+        grids, real_grid = [], greens._greens_grid
+        monkeypatch.setattr(greens, "_greens_grid",
+                            lambda *args: grids.append(1) or real_grid(*args))
         grid = [(i, j) for i in range(-16, 17) for j in range(-16, 17)]
-        sets = [[(3, -7)],
-                [(0, 0), (4, 4), (-4, -4), (4, -4), (-4, 4), (0, 8), (8, 0)],
-                [grid[i] for i in rng.choice(len(grid), 40, replace=False)]]
+        wide = np.random.default_rng(11).integers(-512, 512, size=(12, 2))
+        sets = [([(3, -7)], True),
+                ([(0, 0), (4, 4), (-4, -4), (4, -4), (-4, 4), (0, 8), (8, 0)], True),
+                ([grid[i] for i in rng.choice(len(grid), 40, replace=False)], True),
+                ([(7 * i, 0) for i in range(30)], True),
+                (wide.tolist(), False)]
         for kappa in (1.0, 0.05, 1e-4):
-            for pts in sets:
+            for pts, takes_grid in sets:
                 diam = laws.TargetSet(tuple(pts)).max_l1_diameter()
                 d = np.array(pts)[:, None] - np.array(pts)[None]
                 table = greens.greens_table(kappa, max(1, diam))
                 ref = table.values(d[..., 0], d[..., 1])
+                grids.clear()
                 g = laws.green_matrix(kappa, pts)
+                assert bool(grids) == takes_grid, len(pts)
                 assert np.abs(g - ref).max() <= 1e-15 * ref[0, 0]
+                assert (np.diag(g) == greens.green_origin(kappa)).all()
         with pytest.raises(ValueError, match=r"2\*\*30"):
             laws.green_matrix(0.5, [(0, 0), (1 << 32, 0)])
 
     def test_green_matrix_scratch(self):
-        # G_B overwrites its displacement keys in place, so np.unique's sorted
-        # copy is the only other |B|^2 array; with a separate gather (three),
-        # CoverEngine(0.01, BoxTarget(41)) peaked about 21 MiB higher in RSS
+        # G_B is filled in row blocks of about 2^18 pairs, so beside it only
+        # one block's displacements, keys and values are live, about 1.4 G_B
+        # at box:41; a second |B|^2 array would reach 2 G_B
         pts = [(i, j) for i in range(41) for j in range(41)]
         laws.green_matrix(0.01, pts[:3])
         tracemalloc.start()
@@ -137,6 +146,10 @@ class TestDeterminantLaw:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * g.nbytes
+        # 1,681 points take several row blocks, each filling its transpose
+        d = np.array(pts)[:, None] - np.array(pts)[None]
+        ref = greens.greens_table(0.01, 80).values(d[..., 0], d[..., 1])
+        assert np.abs(g - ref).max() <= 1e-15 * ref[0, 0]
 
     def test_cover_law_one_point(self):
         u = np.array([0.0, 0.3, 1.0, 4.0])
