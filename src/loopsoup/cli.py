@@ -11,12 +11,17 @@ file (--config), and a flag on the command line overrides both; quick takes
 (arguments, config file, environment, set or epsilon spec; a kappa past
 KAPPA_MAX = 1000, --box or a --boxes item past 2048, --radius past 4094,
 --n-max past 1000, an empty or non-int32 --window, an --x not of the form
-i,j or past +-2**30, or 0,0 for laws pair, is an argument), 3 resource
-ceiling (a length law or walk series past its truncation ceiling, a Green's
-series cross-check or cover run past its work guard, a soup slice past its
-loop ceiling, a second-moment set past its pair-sum guard of 65,536 points,
-box:256), 4 any other error (a value outside a function's domain, or a fault
-in the program), as "error: <type>: <message>".
+i,j or past +-2**30, or 0,0 for laws pair, a --separation past 2**30 or a
+--count past 2048^2, is an argument; so is a line:<k>x<sep> set with k past
+2048^2 or (k - 1) |sep| past 2**30, or an example separation that is odd or
+below 10 kappa^-2 for two or more points), 3 resource ceiling (a length
+law or walk series past its truncation ceiling, a Green's series
+cross-check past its work guard, a cover run, example or scan past its
+estimated-work guard, cover.WORK_GUARD = 5e11 cells or chain steps unless
+--work-guard sets it, a soup slice past its loop ceiling, a second-moment
+set past its pair-sum guard of 65,536 points, box:256), 4 any other error
+(a value outside a function's domain, or a fault in the program), as
+"error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
 whatever the worker count; wall-clock timing is printed, never written.
@@ -42,7 +47,7 @@ from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
 from .lattice import STEP_DX, STEP_DY, Box
 from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
-from .series import KAPPA_MAX, SeriesTruncationError
+from .series import KAPPA_MAX, ConfigError, SeriesTruncationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,10 +56,6 @@ EXIT_CEILING = 3
 EXIT_ERROR = 4
 
 ENV_PREFIX = "LOOPSOUP_"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
@@ -274,7 +275,7 @@ def _ensemble_artifacts(args, sample: cover.CoverTimeSample, name: str,
 
 
 def cmd_covertime(args) -> int:
-    target = _parse_spec(make_target, args.set)
+    target = make_target(args.set)
     sample = cover_time_ensemble(args.seed, args.kappa, target, args.replicas,
                                  workers=args.workers, work_guard=args.work_guard)
     _ensemble_artifacts(args, sample, "covertime", [])
@@ -545,15 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")
     c.add_argument("--replicas", type=count, required=True)
-    c.add_argument("--work-guard", type=positive, default=5e11)
+    c.add_argument("--work-guard", type=positive, default=cover.WORK_GUARD)
     c.set_defaults(func=cmd_covertime)
 
     e = sub.add_parser("example", help="worked cover-time examples")
     e.add_argument("which", choices=["two-far", "neighbors", "many-sep"])
     e.add_argument("--kappa", type=kappa, default=1.0)
     e.add_argument("--kappa-grid", type=_listed(kappa), default="0.5,0.1,0.02")
-    e.add_argument("--separation", type=int, default=10)
-    e.add_argument("--count", type=count, default=2)
+    e.add_argument("--separation", default=10,
+                   type=_number(int, 1, high=PointsTarget.COORD_LIMIT))
+    e.add_argument("--count", default=2,
+                   type=_number(int, 1, high=cover.BoxTarget.MAX_SIDE ** 2))
     e.add_argument("--replicas", type=count, default=20000)
     e.set_defaults(func=cmd_example)
 
@@ -562,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--boxes", default="8,16,32",
                     type=_listed(_number(int, 1, high=cover.BoxTarget.MAX_SIDE)))
     gs.add_argument("--replicas", type=count, default=20000)
-    gs.add_argument("--work-guard", type=positive, default=5e11)
+    gs.add_argument("--work-guard", type=positive, default=cover.WORK_GUARD)
     gs.set_defaults(func=cmd_gumbel_scan)
 
     ep = sub.add_parser("emit-plotdata", help="tidy CDF/KS table from an ensemble")

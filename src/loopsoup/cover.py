@@ -27,19 +27,20 @@ E|F| = |A| G(o)^-t_residual = e^c.  The ring engine, which builds no G_A,
 keeps the plain schedule.
 
 The ring engine samples the loops of the truncated soup that are able to
-touch the target's bounding box: a loop of half-length m reaches at most m
-from its root, so only roots within L1 distance m of the box matter.  It
-draws, for m = 1..n_trunc, Poisson(w_m reach_m) loops per unit time and
-replica, reach_m counting the cells within m of the box, each rooted
-uniformly on those cells, by one integer draw below reach_m, with a uniform
-timestamp, and traces them one position at a time, in lockstep.  This is
-the soup's intensity ring_count(delta) w_m 1{m >= max(delta, 1)} grouped by
-m; every target, boxes and sparse point sets alike, uses its box's rings,
-with no acceptance step.  Discarding loops
-that provably cannot intersect the target leaves the law of every coverage
-functional unchanged, and the truncation carries a certified bias rate
-(``sampler.truncation_bias_rate``) that reports add to their statistical
-error.
+touch the target's bounding box (W x H): a loop of half-length m reaches at
+most m from its root, so only the reach_m cells within L1 distance m of the
+box matter as roots.  It draws them by Poisson thinning (Lewis and Shedler
+1979): for m = 1..n_trunc, Poisson(w_m rect_m) proposals per unit time and
+replica, each rooted uniformly on the rect_m = (W + 2m)(H + 2m) cells of
+the box grown by m by one integer draw, of which it keeps those within m
+of the box.  The kept loops are Poisson(w_m reach_m) and uniform on the
+reach; rect_m - reach_m = 2m(m + 1), so more than half are kept.  Each gets
+a uniform timestamp, and they are traced one position at a time, in
+lockstep.  Every target, boxes and sparse point sets alike, is drawn on its
+bounding box.  Discarding loops that provably cannot intersect the target
+leaves the law of every coverage functional unchanged, and the truncation
+carries a certified bias rate (``sampler.truncation_bias_rate``) that
+reports add to their statistical error.
 
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller work
 per unit time: the ring engine's expected traced cells (``cell_rate``)
@@ -74,11 +75,12 @@ from .rng import block_stream
 from . import sampler as _sampler
 from .sampler import (_alias_setup, length_pmf, loop_vertices, truncation_bias_rate,
                       unpack_steps, urn_steps)
-from .series import (ResourceCeilingError,  # raised here, re-exported to callers
-                     SeriesTruncationError)
+from .series import (ConfigError,  # raised here, re-exported to callers
+                     ResourceCeilingError, SeriesTruncationError)
 
 REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10  # omitted mass of the half-length law; sets the bias rate
+WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain steps
 #: Most bytes the trace chain's setup may hold; larger sets keep the ring
 #: engine.  Any set of at most 1,758 points fits, whatever its spread; the
 #: largest box is box:41 (1,681 points), whose G_A, factor, inverse and
@@ -104,7 +106,10 @@ balanced_signs = _sampler.balanced_signs
 
 
 def make_target(spec: str):
-    """Parse `box:<n>`, `points:(x,y);(x,y);...`, or `line:<k>x<sep>`."""
+    """Parse `box:<n>`, `points:(x,y);(x,y);...`, or `line:<k>x<sep>`, the
+    points (i sep, 0) for i < k, with k <= BoxTarget.MAX_SIDE^2 and
+    max(k - 1, 1) |sep| <= PointsTarget.COORD_LIMIT checked before they are
+    built; a bad spec raises ConfigError."""
     kind, _, rest = spec.partition(":")
     cause = None
     try:
@@ -120,13 +125,18 @@ def make_target(spec: str):
                 pts.append((int(a), int(b)))
             return PointsTarget(pts)
         if kind == "line":
-            k, sep = rest.split("x")
-            return PointsTarget([(i * int(sep), 0) for i in range(int(k))])
+            k, sep = (int(v) for v in rest.split("x"))
+            if (k > BoxTarget.MAX_SIDE ** 2
+                    or max(k - 1, 1) * abs(sep) > PointsTarget.COORD_LIMIT):
+                raise ValueError(f"a line needs k <= {BoxTarget.MAX_SIDE ** 2} and "
+                                 f"max(k - 1, 1) |sep| <= 2**30")
+            i = np.arange(k, dtype=np.int64)
+            return PointsTarget(np.stack([i * sep, np.zeros_like(i)], axis=1))
     except (ValueError, TypeError) as exc:
         cause = exc
     why = f": {cause}" if cause is not None else ""
-    raise ValueError(f"bad set spec {spec!r}{why}; grammar: box:<n> | "
-                     f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>") from cause
+    raise ConfigError(f"bad set spec {spec!r}{why}; grammar: box:<n> | "
+                      f"points:(x1,y1);(x2,y2);... | line:<k>x<sep>") from cause
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +362,11 @@ class CoverEngine:
     time and replica.  Ms per replica on one core, engine build included,
     two runs of the median of three seeds (2,048 replicas; 512 at box:32
     and at kappa = 0.01), ring against trace: kappa = 0.5 on box:8, box:16
-    and box:32, 0.10-0.11, 0.34 and 1.38-1.39 against 0.23-0.24, 0.99-1.04
-    and 5.3-5.6; box:16 at kappa = 0.1, 0.05 and 0.01, 0.60-0.65, 1.03-1.11
-    and 11.5-13.6 against 1.01-1.15, 1.12-1.14 and 1.55-1.62.  The dispatch
-    picks the faster engine at each but box:16, kappa = 0.05, where it takes
-    the trace chain, within about 10% of the ring engine."""
+    and box:32, 0.065-0.069, 0.21-0.23 and 0.77-1.02 against 0.16-0.18,
+    0.80-0.88 and 4.1-5.7; box:16 at kappa = 0.1, 0.05 and 0.01, 0.39-0.61,
+    0.80-0.89 and 10.5-10.6 against 0.84-1.02, 0.90-0.99 and 0.96-1.49.
+    The dispatch picks the faster engine at each but box:16, kappa = 0.05,
+    where it takes the trace chain, about 10% slower than the ring engine."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -374,12 +384,13 @@ class CoverEngine:
                     raise
                 no_ring = f", and the ring engine's {exc}"
         if self.dist is not None:
-            n = self.dist.n_trunc
+            box, m = target.box, np.arange(self.dist.n_trunc + 1)
             # reach[m]: cells within L1 distance m of the box, the roots of
-            # the loops of half-length m that can touch it
-            self.reach = np.cumsum(target.box.ring_count(np.arange(n + 1)))
-            m = np.arange(1, n + 1)
-            self.cell_rate = float((2.0 * m * self.dist.weights * self.reach[1:]).sum())
+            # the loops of half-length m that can touch it; rect[m]: cells
+            # of the box grown by m, on which those roots are proposed
+            self.reach = np.cumsum(box.ring_count(m))
+            self.rect = (box.width + 2 * m) * (box.height + 2 * m)
+            self.cell_rate = float((2.0 * m[1:] * self.dist.weights * self.reach[1:]).sum())
         # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
@@ -423,19 +434,26 @@ class CoverEngine:
         """Fold the relevant loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, V) array of first-visit times, in place.
 
-        Poisson(rows (t1 - t0) w_m reach[m]) loops of each half-length m, in
-        descending half-length, _FOLD_LOOPS at a time.  A fold draws, in this
-        order, each loop's root number below reach[m] (``_ring_roots``), row
-        and timestamp, then its steps (``urn_steps``); it folds the roots,
-        then each position's cells as they are traced."""
+        Poisson(rows (t1 - t0) w_m rect[m]) proposals of each half-length m,
+        in descending half-length, _FOLD_LOOPS at a time.  A fold draws, in
+        this order, each proposal's cell number below rect[m] on the box
+        grown by m (``root_coords``), keeps those within L1 distance m of
+        the box, and draws the kept loops' rows and timestamps, then their
+        steps (``urn_steps``); it folds the roots, then each position's
+        cells as they are traced."""
         rows, V = state.shape
         flat = state.reshape(-1)
-        counts = rng.poisson((rows * (t1 - t0)) * self.dist.weights * self.reach[1:])
+        box = self.target.box
+        counts = rng.poisson((rows * (t1 - t0)) * self.dist.weights * self.rect[1:])
         ends = np.cumsum(counts[::-1])   # where half-length n_trunc - k ends
         for a in range(0, ends[-1], _FOLD_LOOPS):
             m = self.dist.n_trunc - np.searchsorted(
                 ends, np.arange(a, min(a + _FOLD_LOOPS, ends[-1])), side="right")
-            x, y = self._ring_roots(rng.integers(0, self.reach[m]))
+            x, y = self.target.root_coords(m, rng.integers(0, self.rect[m]))
+            keep = box.distance(x, y) <= m
+            if not keep.any():
+                continue
+            m, x, y = m[keep], x[keep], y[keep]
             base = rng.integers(0, rows, size=len(m)) * V
             t = t0 + (t1 - t0) * rng.random(len(m))
             for live, dx, dy in chain([(len(m), 0, 0)], urn_steps(rng, m)):
@@ -444,13 +462,6 @@ class CoverEngine:
                 vi = self.target.vertex_index(x[:live], y[:live])
                 hit = np.flatnonzero(vi >= 0)
                 np.minimum.at(flat, base[hit] + vi[hit], t[hit])
-
-    def _ring_roots(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Root number r < reach[m] is cell r - reach[delta - 1] of the first
-        ring delta with reach[delta] > r: each cell within m of the box once."""
-        delta = np.searchsorted(self.reach, cell, side="right")
-        return self.target.root_coords(
-            delta, cell - np.where(delta > 0, self.reach[delta - 1], 0))
 
     # -- public sampling --------------------------------------------------
 
@@ -651,12 +662,10 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
                          workers: int = 1) -> ExampleReport:
     """k points on a line, pairwise separation >= 10 kappa^-2: the rescaled
     cover time tracks the maximum of k independent unit exponentials."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if count > 1 and (separation % 2 or separation < 10.0 / kappa ** 2):
-        raise ValueError("separation must be even and >= 10 kappa^-2")
-    target = PointsTarget([(i * separation, 0) for i in range(count)])
-    sample = cover_time_ensemble(seed, kappa, target, replicas, workers=workers)
+        raise ConfigError("separation must be even and >= 10 kappa^-2")
+    target = make_target(f"line:{count}x{separation}")
+    sample = cover_time_ensemble(seed, kappa, target, replicas, workers, WORK_GUARD)
     scaled = sample.scaled()
     d = ks_distance(scaled, exp1_power_cdf(count))
     thr = ks_threshold(replicas)
@@ -683,8 +692,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
     ensembles = {}
     for kappa in kappa_grid:
         target = PointsTarget([(0, 0), (1, 1)])
-        sample = cover_time_ensemble(seed, kappa, target, replicas,
-                                     workers=workers)
+        sample = cover_time_ensemble(seed, kappa, target, replicas, workers, WORK_GUARD)
         distances.append(ks_distance(sample.scaled(), one_point_law))
         ensembles[f"kappa={kappa:g}"] = sample
     thr = ks_threshold(replicas)
@@ -697,7 +705,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
 
 
 def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
-                    workers: int = 1, work_guard: float = 5e11) -> ExampleReport:
+                    workers: int = 1, work_guard: float = WORK_GUARD) -> ExampleReport:
     """Boxes of growing side: KS distance of mu*T - log|A| to exp(-e^{-z}).
 
     The limit theorem's regime log(1/kappa) >= e^32 is numerically

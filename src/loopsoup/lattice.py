@@ -1,17 +1,17 @@
-"""Geometry of Z^2 under the L1 norm: symmetry folding, exact
-parametrization of L1 rings around points and boxes, and the finite target
-sets A.
+"""Geometry of Z^2 under the L1 norm: symmetry folding, boxes and their L1
+rings, and the finite target sets A.
 
 Walk counts and Green's values are invariant under the 8 lattice symmetries
 (coordinate swap and sign flips), so most tables store one octant and fold on
-access.  Ring parametrization lets the cover engine draw roots at given L1
-distances from a box target without enumerating the plane; ring 0 is the box
-itself, in x-major order, which also numbers the cells of a soup window.
+access.  A box grown by m on every side numbers its cells x-major; the ring
+engine draws a loop of half-length m a root on it and keeps the root if it
+lies within L1 distance m of the box (Poisson thinning), and at m = 0 the
+same numbering places the roots of a soup window.
 
 ``PointsTarget`` (and ``BoxTarget`` for side x side boxes) is the one type
 of a finite set A: it validates its points once, and holds what the cover
 engines, the determinant law and the pair sums read off A (its bounding box,
-vertex lookup, ring roots, displacement histogram and L1 diameter).  It
+vertex lookup, root cells, displacement histogram and L1 diameter).  It
 lives here because ``laws`` and ``cover`` both need it and ``laws`` cannot
 import ``cover``.
 """
@@ -50,13 +50,12 @@ def symmetry_orbit(x: Point) -> set[Point]:
 
 
 class Box:
-    """Axis-aligned inclusive box [x0, x1] x [y0, y1] with L1-ring helpers.
+    """Axis-aligned inclusive box [x0, x1] x [y0, y1].
 
     A single point is the degenerate box x0 == x1, y0 == y1.  Ring delta
     holds the lattice cells at L1 distance exactly delta from the box, so
-    ring 0 is the box itself; the parametrization maps an index in
-    [0, ring_count(delta)) to a unique cell so roots can be drawn uniformly
-    on a ring in O(1).
+    ring 0 is the box itself; the cells within m of the box are rings
+    0..m, inside the box grown by m.
     """
 
     def __init__(self, x0: int, y0: int, x1: int, y1: int):
@@ -98,56 +97,15 @@ class Box:
         return np.where(d == 0, self.area,
                         2 * (self.width + self.height) + 4 * (d - 1))[()]
 
-    def ring_cells(self, delta, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of ring delta >= 0 by index; inverse-free uniform sampling.
-
-        idx is a 1-d array and delta one ring for all indices or one ring
-        per index.  Ring 0 is the box, x-major: index i height + j is
-        (x0 + i, y0 + j).
-        """
-        idx, delta = np.asarray(idx, dtype=np.int64), np.asarray(delta, dtype=np.int64)
-        if np.any(delta < 0):
-            raise ValueError("delta must be >= 0")
-        w, h = self.width, self.height
-        out_x, out_y = np.divmod(idx, h)
-        out_x += self.x0
-        out_y += self.y0
-        if not delta.any():   # all on ring 0, as in a soup window
-            return out_x, out_y
-        delta = np.broadcast_to(delta, idx.shape)
-        ring = np.flatnonzero(delta)
-        idx, delta = idx[ring], delta[ring]
-        # Segments, in index order: top(w), bottom(w), right(h), left(h), then
-        # the corner runs q = 0..3 of delta-1 cells each, a = 1..delta-1 steps
-        # out from the box's corners in the diagonal directions (+,+), (-,+),
-        # (+,-), (-,-).  Segment s at position p (the offset along a side, a
-        # on a corner run) is the cell (X0 + SX delta + PX p, Y0 + SY delta
-        # + PY p), its coefficients taken from column s below.
-        starts = np.array([0, w, 2 * w, 2 * w + h, 2 * w + 2 * h])
-        seg = (idx >= starts[1]).astype(np.intp)
-        for start in starts[2:]:
-            seg += idx >= start
-        p = idx - starts[seg]
-        corner = np.flatnonzero(seg == 4)
-        q, a = np.divmod(p[corner], delta[corner] - 1)
-        seg[corner] += q
-        p[corner] = a + 1
-        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
-        X0, SX, PX, Y0, SY, PY = np.array([
-            [x0, x0, x1, x0, x1, x0, x1, x0],
-            [0, 0, 1, -1, 0, 0, 0, 0],
-            [1, 1, 0, 0, 1, -1, 1, -1],
-            [y1, y0, y0, y0, y1, y1, y0, y0],
-            [1, -1, 0, 0, 1, 1, -1, -1],
-            [0, 0, 1, 1, -1, -1, 1, 1]], dtype=np.int64)
-        out_x[ring] = X0[seg] + SX[seg] * delta + PX[seg] * p
-        out_y[ring] = Y0[seg] + SY[seg] * delta + PY[seg] * p
-        return out_x, out_y
-
-    def ring_points(self, delta: int) -> list[Point]:
-        """Full enumeration of a ring (small deltas; used by tests)."""
-        xs, ys = self.ring_cells(delta, np.arange(self.ring_count(delta)))
-        return list(zip(xs.tolist(), ys.tolist()))
+    def grown_cells(self, m, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Cells of the box grown by m >= 0 on every side (scalar or one per
+        index), x-major: index i (height + 2m) + j is (x0 - m + i, y0 - m + j).
+        At m = 0, the box itself in vertex order."""
+        idx, m = np.asarray(idx, dtype=np.int64), np.asarray(m, dtype=np.int64)
+        if np.any(m < 0):
+            raise ValueError("m must be >= 0")
+        x, y = np.divmod(idx, self.height + 2 * m)
+        return x + (self.x0 - m), y + (self.y0 - m)
 
 
 PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
@@ -156,10 +114,11 @@ PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
 class PointsTarget:
     """A finite set A of distinct lattice points: ``pts``, the (n, 2) int64
     array of A in the given order (vertex v is ``pts[v]``), inside its
-    bounding box ``box``.  The ring engine places roots on the box's L1 rings
-    (``root_coords``, one ring delta and index per root): a loop rooted at
-    distance delta from the box reaches A only if its half-length is at least
-    delta, and ``vertex_index`` decides which of its cells are hits."""
+    bounding box ``box``.  A loop of half-length m reaches A only if its
+    root lies within L1 distance m of the box; the ring engine proposes
+    roots on the box grown by m (``root_coords``, one m and cell number per
+    root), keeps those within m, and ``vertex_index`` decides which of a
+    loop's cells are hits."""
 
     #: Largest |coordinate| of a target point.  Traced cells lie within
     #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
@@ -202,9 +161,9 @@ class PointsTarget:
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
-    def root_coords(self, delta: np.ndarray,
-                    idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.box.ring_cells(delta, idx)
+    def root_coords(self, m: np.ndarray,
+                    cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.box.grown_cells(m, cell)
 
     def pair_distance_counts(self) -> dict[Point, int]:
         """Multiplicity of each unordered displacement between distinct

@@ -296,7 +296,7 @@ def _sample_slice(seed: int, window: Box, t0: float, t1: float,
     hl = rng.permutation(np.repeat(np.arange(1, dist.n_trunc + 1, dtype=np.int32),
                                    counts))
     cell = np.sort(rng.integers(0, window.area, size=len(hl)))
-    rx, ry = (c.astype(np.int32) for c in window.ring_cells(0, cell))
+    rx, ry = (c.astype(np.int32) for c in window.grown_cells(0, cell))
     ts = t0 + (t1 - t0) * rng.random(len(cell))
     packed: list[bytes] = [b""] * len(cell)
     for m in np.unique(hl).tolist():

@@ -50,6 +50,10 @@ class ResourceCeilingError(RuntimeError):
     """Requested run exceeds the configured work guard."""
 
 
+class ConfigError(ValueError):
+    """An argument outside its documented domain (exit 2 on the command line)."""
+
+
 def step_weight(kappa: float) -> float:
     """beta = 1/(4+kappa); 4*beta < 1 makes every series here convergent."""
     if not 0 < kappa <= KAPPA_MAX:

@@ -320,6 +320,48 @@ def test_documented_limits_exit_with_their_codes(capsys):
                               f"grammar: box:<n> |"), err
 
 
+@pytest.mark.parametrize("which, args", [
+    ("many-sep", ("--separation", 11)),                  # odd
+    ("two-far", ("--separation", 11)),
+    ("many-sep", ("--separation", -4)),                  # below 10 kappa^-2
+    ("many-sep", ("--count", 3, "--separation", 2 ** 30)),   # past the line bound
+    ("many-sep", ("--separation", "9" * 25)),
+])
+def test_example_arguments_exit_config(which, args, capsys):
+    # an example's set goes through make_target's line:<k>x<sep>, so a bad
+    # separation or count is an argument error (a parse error or a
+    # ConfigError), not a fault in the program
+    try:
+        code = _run("example", which, "--kappa", 1, *args, "--replicas", 10)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == cli.EXIT_CONFIG
+    assert "error" in capsys.readouterr().err
+
+
+def test_line_bound_is_checked_before_building():
+    # 10^8 points would take gigabytes; the child's address space is capped
+    # so that building them fails with a MemoryError (exit 4), not a slow
+    # death, where the bound is missing
+    import resource
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopsoup", "covertime", "--set", "line:100000000x1",
+         "--kappa", "0.5", "--replicas", "1"], env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: bad set spec 'line:100000000x1'")
+
+
+def test_examples_run_under_the_work_guard(capsys):
+    # 10^6 points 10 apart pass every bound but would keep the ring engine
+    # busy for hours; the examples run under cover.WORK_GUARD
+    assert _run("example", "many-sep", "--kappa", 1, "--count", 1_000_000,
+                "--separation", 10) == cli.EXIT_CEILING
+    assert capsys.readouterr().err.startswith("resource ceiling: estimated work")
+
+
 def test_verify_all_does_not_load_scipy_stats():
     # importing scipy.stats takes about a second, more than the whole
     # quick suite; the length-law p-value comes from scipy.special

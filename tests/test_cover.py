@@ -17,25 +17,6 @@ from loopsoup.lattice import Box
 from loopsoup.series import SeriesTruncationError
 
 
-def _ring_cells_select(box, delta, idx):
-    # the reference: Box.ring_cells as np.select over the five segments
-    w, h = box.width, box.height
-    out_x, out_y = box.x0 + idx // h, box.y0 + idx % h
-    ring = np.flatnonzero(delta)
-    idx, delta = idx[ring], delta[ring]
-    b1, b2, b3 = 2 * w, 2 * w + h, 2 * w + 2 * h
-    q, a = np.divmod(idx - b3, np.maximum(delta - 1, 1))
-    a += 1
-    out_x[ring] = np.select(
-        [idx < b1, idx < b2, idx < b3, q % 2 == 0],
-        [box.x0 + idx % w, box.x1 + delta, box.x0 - delta, box.x1 + a], box.x0 - a)
-    out_y[ring] = np.select(
-        [idx < w, idx < b1, idx < b3, q < 2],
-        [box.y1 + delta, box.y0 - delta, box.y0 + (idx - b1) % h,
-         box.y1 + delta - a], box.y0 - delta + a)
-    return out_x, out_y
-
-
 class TestTargets:
     def test_make_target_box(self):
         t = make_target("box:3")
@@ -54,81 +35,43 @@ class TestTargets:
             with pytest.raises(ValueError):
                 make_target(bad)
 
-    def test_box_ring_roundtrip(self):
-        t = BoxTarget(3)
-        for delta in (1, 2, 5):
-            n = t.box.ring_count(delta)
-            x, y = t.root_coords(np.full(n, delta, dtype=np.int64), np.arange(n))
-            assert sorted(zip(x.tolist(), y.tolist())) \
-                == sorted(t.box.ring_points(delta))
-            assert len(set(zip(x.tolist(), y.tolist()))) == n
-            assert (t.box.distance(x, y) == delta).all()
-        # one call over mixed rings: every cell sits on its own ring and
-        # every ring is covered
-        counts = t.box.ring_count(np.arange(6))
-        deltas = np.repeat(np.arange(6), counts)
-        idx = np.concatenate([np.arange(c) for c in counts])
-        x, y = t.root_coords(deltas, idx)
-        assert (t.box.distance(x, y) == deltas).all()
-        for delta in range(6):
-            on_ring = deltas == delta
-            assert set(zip(x[on_ring].tolist(), y[on_ring].tolist())) \
-                == set(t.box.ring_points(delta))
-        assert counts.tolist() == [t.box.ring_count(d) for d in range(6)]
-
     @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(3,-2)"])
     def test_root_numbers_cover_the_reach_once(self, spec):
-        # root numbers r < reach[m] are the cells within L1 distance m of
-        # the bounding box, each once
+        # cell numbers r < rect[m] are the cells of the box grown by m, each
+        # once, and those within L1 distance m of the box, the roots kept,
+        # are the reach: reach[m] cells, found here by brute force
         e = CoverEngine(0.5, make_target(spec), sampler="ring")
         box = e.target.box
-        for m in (1, 2, 5):
-            x, y = e._ring_roots(np.arange(e.reach[m]))
+        bx, by = (c.ravel() for c in np.meshgrid(np.arange(box.x0, box.x1 + 1),
+                                                   np.arange(box.y0, box.y1 + 1)))
+        ms = (1, 2, 5)
+        m_all = np.repeat(ms, [e.rect[m] for m in ms])
+        r_all = np.concatenate([np.arange(e.rect[m]) for m in ms])
+        x_all, y_all = e.target.root_coords(m_all, r_all)   # one m per root
+        for m in ms:
+            assert e.rect[m] == (box.width + 2 * m) * (box.height + 2 * m)
+            x, y = e.target.root_coords(m, np.arange(e.rect[m]))
+            assert np.array_equal(x, x_all[m_all == m])
+            assert np.array_equal(y, y_all[m_all == m])
+            gx, gy = (c.ravel() for c in np.meshgrid(np.arange(box.x0 - m, box.x1 + m + 1),
+                                                       np.arange(box.y0 - m, box.y1 + m + 1)))
             cells = list(zip(x.tolist(), y.tolist()))
-            gx, gy = np.meshgrid(np.arange(box.x0 - m, box.x1 + m + 1),
-                                 np.arange(box.y0 - m, box.y1 + m + 1))
-            near = box.distance(gx, gy) <= m
-            assert len(cells) == len(set(cells)) == e.reach[m]
-            assert set(cells) == set(zip(gx[near].tolist(), gy[near].tolist()))
+            assert len(set(cells)) == e.rect[m]
+            assert set(cells) == set(zip(gx.tolist(), gy.tolist()))
+            near = (np.abs(gx[:, None] - bx) + np.abs(gy[:, None] - by)).min(axis=1) <= m
+            kept = box.distance(x, y) <= m
+            assert kept.sum() == near.sum() == e.reach[m]
+            assert {c for c, k in zip(cells, kept) if k} \
+                == set(zip(gx[near].tolist(), gy[near].tolist()))
 
     @pytest.mark.parametrize("side", [1, 3, 16])
     def test_ring_zero_is_the_box_in_vertex_order(self, side):
         t = BoxTarget(side)
-        x, y = t.box.ring_cells(0, np.arange(t.box.area))
+        x, y = t.box.grown_cells(0, np.arange(t.box.area))
         assert np.array_equal(np.stack([x, y], axis=1), t.pts)
-        for delta in (-1, np.array([0, 2, -1])):
+        for m in (-1, np.array([0, 2, -1])):
             with pytest.raises(ValueError):
-                t.box.ring_cells(delta, np.arange(3))
-
-    @pytest.mark.parametrize("box", [Box(-3, 2, 4, 9), Box(5, 0, 5, 6), Box(0, -1, 6, -1)])
-    def test_ring_cells_match_the_select_formula(self, box):
-        # square, 1 x k and k x 1 boxes: every (delta, idx) for delta = 0..40,
-        # one ring per call and all rings in one call, maps to the cell of
-        # the np.select reference over five choice arrays per coordinate
-        counts = box.ring_count(np.arange(41))
-        deltas = np.repeat(np.arange(41), counts)
-        idx = np.concatenate([np.arange(c) for c in counts])
-        want = _ring_cells_select(box, deltas, idx)
-        assert all(np.array_equal(a, b) for a, b in zip(box.ring_cells(deltas, idx), want))
-        for delta in range(41):
-            on = deltas == delta
-            got = box.ring_cells(delta, idx[on])
-            assert all(np.array_equal(a, b[on]) for a, b in zip(got, want))
-
-    def test_point_ring_cells_exact(self):
-        # roots at delta are exactly the cells of the bounding box's ring
-        single, pair = PointsTarget([(2, 3)]), PointsTarget([(0, 0), (3, -2)])
-        assert (pair.box.x0, pair.box.y0, pair.box.x1, pair.box.y1) == (0, -2, 3, 0)
-        for t in (single, pair):
-            for delta in (1, 2, 4):
-                n = int(t.box.ring_count(delta))
-                x, y = t.root_coords(np.full(n, delta, dtype=np.int64), np.arange(n))
-                assert sorted(zip(x.tolist(), y.tolist())) \
-                    == sorted(t.box.ring_points(delta))
-        for delta in (1, 2, 4):
-            assert set(single.box.ring_points(delta)) == {
-                (2 + dx, 3 + dy) for dx in range(-delta, delta + 1)
-                for dy in range(-delta, delta + 1) if abs(dx) + abs(dy) == delta}
+                t.box.grown_cells(m, np.arange(3))
 
     def test_vertex_index(self):
         t = PointsTarget([(0, 0), (5, -3)])
@@ -623,7 +566,7 @@ class TestRingSlab:
 
     @pytest.mark.parametrize("spec,rows,seed", [
         ("box:8", 4000, 57), ("box:16", 4000, 58),
-        ("points:(0,0);(3,1);(5,5)", 8000, 59)])
+        ("points:(0,0);(3,1);(5,5)", 8000, 59), ("line:4x6", 8000, 62)])
     def test_uncovered_count_moments(self, spec, rows, seed):
         # N, the points uncovered by one slab [0, u), u = 0.7 u*: E N = S1 =
         # |A| G(o)^-u, give or take the truncation's bias_rate u per point,

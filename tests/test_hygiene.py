@@ -254,7 +254,8 @@ def test_every_coordinate_and_size_option_is_bounded():
     # error, not an OverflowError or ValueError deep in a command: each such
     # option (a list option's item) takes a small value of its arity and
     # rejects a 25-digit one
-    arity = {"x": 2, "window": 4, "box": 1, "boxes": 1, "radius": 1, "n_max": 1}
+    arity = {"x": 2, "window": 4, "box": 1, "boxes": 1, "radius": 1, "n_max": 1,
+             "separation": 1, "count": 1}
     seen, unbounded = [], []
     for p in _parsers(cli.build_parser()):
         for a in p._actions:
