@@ -13,8 +13,10 @@ KAPPA_MAX = 1000, --box or a --boxes item past 2048, --radius past 4094,
 --n-max past 1000, an empty or non-int32 --window, an --x not of the form
 i,j or past +-2**30, or 0,0 for laws pair, a --separation past 2**30 or a
 --count past 2048^2, is an argument; so is a line:<k>x<sep> set with k past
-2048^2 or (k - 1) |sep| past 2**30, or an example separation that is odd or
-below 10 kappa^-2 for two or more points), 3 resource ceiling (a length
+2048^2 or (k - 1) |sep| past 2**30, an example separation that is odd or
+below 10 kappa^-2 for two or more points, or an option the example does not
+take: two-far takes --kappa and --separation, neighbors --kappa-grid, and
+many-sep --kappa, --separation and --count), 3 resource ceiling (a length
 law or walk series past its truncation ceiling, a Green's series
 cross-check past its work guard, a cover run, example or scan past its
 estimated-work guard, cover.WORK_GUARD = 5e11 cells or chain steps unless
@@ -290,9 +292,8 @@ def cmd_example(args) -> int:
     if args.which == "neighbors":
         rep = cover.run_example_neighbors(args.kappa_grid, args.replicas,
                                           args.seed, args.workers)
-    else:   # two-far is many-sep of two; argparse restricts the choices
-        count = 2 if args.which == "two-far" else args.count
-        rep = cover.run_example_many_sep(args.kappa, count, args.separation,
+    else:   # two-far is many-sep of two
+        rep = cover.run_example_many_sep(args.kappa, args.count, args.separation,
                                          args.replicas, args.seed, args.workers)
     _emit_verdicts(args, rep.verdicts, f"example_{args.which}.csv")
     for key, sample in rep.ensembles.items():
@@ -550,15 +551,24 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_covertime)
 
     e = sub.add_parser("example", help="worked cover-time examples")
-    e.add_argument("which", choices=["two-far", "neighbors", "many-sep"])
-    e.add_argument("--kappa", type=kappa, default=1.0)
-    e.add_argument("--kappa-grid", type=_listed(kappa), default="0.5,0.1,0.02")
-    e.add_argument("--separation", default=10,
-                   type=_number(int, 1, high=PointsTarget.COORD_LIMIT))
-    e.add_argument("--count", default=2,
-                   type=_number(int, 1, high=cover.BoxTarget.MAX_SIDE ** 2))
-    e.add_argument("--replicas", type=count, default=20000)
     e.set_defaults(func=cmd_example)
+    es = e.add_subparsers(dest="which", required=True)
+    # each example declares only the options it takes; argparse rejects others
+    replicas = argparse.ArgumentParser(add_help=False)
+    replicas.add_argument("--replicas", type=count, default=20000)
+    separation = _number(int, 1, high=PointsTarget.COORD_LIMIT)
+    e2 = es.add_parser("two-far", parents=[replicas])
+    e2.add_argument("--kappa", type=kappa, default=1.0)
+    e2.add_argument("--separation", type=separation, default=10)
+    e2.set_defaults(count=2)
+    # no abbreviations, so that --kappa is not read as --kappa-grid
+    en = es.add_parser("neighbors", parents=[replicas], allow_abbrev=False)
+    en.add_argument("--kappa-grid", type=_listed(kappa), default="0.5,0.1,0.02")
+    em = es.add_parser("many-sep", parents=[replicas])
+    em.add_argument("--kappa", type=kappa, default=1.0)
+    em.add_argument("--separation", type=separation, default=10)
+    em.add_argument("--count", default=2,
+                    type=_number(int, 1, high=cover.BoxTarget.MAX_SIDE ** 2))
 
     gs = sub.add_parser("gumbel-scan", help="box-size trend vs the Gumbel law")
     gs.add_argument("--kappa", type=kappa, default=0.5)

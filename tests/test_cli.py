@@ -339,6 +339,19 @@ def test_example_arguments_exit_config(which, args, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, args", [
+    ("two-far", ("--count", 5)),
+    ("neighbors", ("--kappa", 1)),
+    ("many-sep", ("--kappa-grid", "0.5,0.1")),
+])
+def test_example_rejects_options_it_does_not_take(which, args, capsys):
+    # an option the example does not use is an argument error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        _run("example", which, *args, "--replicas", 10)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {args[0]}" in capsys.readouterr().err
+
+
 def test_line_bound_is_checked_before_building():
     # 10^8 points would take gigabytes; the child's address space is capped
     # so that building them fails with a MemoryError (exit 4), not a slow

@@ -238,7 +238,8 @@ def test_every_kappa_option_takes_the_shared_kappa_type():
     # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MAX
     types = [_item_type(a) for p in _parsers(cli.build_parser())
              for a in p._actions if "kappa" in a.dest]
-    assert len(types) == 9 and len({id(t) for t in types}) == 1, types
+    # example two-far and many-sep each declare their own --kappa
+    assert len(types) == 10 and len({id(t) for t in types}) == 1, types
     kappa = types[0]
     assert kappa(str(series.KAPPA_MAX)) == series.KAPPA_MAX
     for bad in ("0", "-1", str(10 * series.KAPPA_MAX), "nan"):
@@ -269,5 +270,6 @@ def test_every_coordinate_and_size_option_is_bounded():
                 unbounded.append(f"{p.prog} --{a.dest}")
             except argparse.ArgumentTypeError:
                 pass
-    assert sorted(seen) == sorted([*arity, "x"]), seen
+    # --x of greens and laws pair; --separation of example two-far and many-sep
+    assert sorted(seen) == sorted([*arity, "x", "separation"]), seen
     assert not unbounded, unbounded
