@@ -40,9 +40,9 @@ own F, on the same slab boundaries after t_residual.  The chains of a
 batch's F's are built in chunks of rows, G_F from ``greens_at`` on F's
 displacements, and each chunk runs as one stack of tables.  c comes from
 one cost model: the first phase costs _CELL_S cell_rate or _STEP_S
-step_rate seconds per unit time and replica, and the residual _POINT_S per
-point of F, E|F| = |A| G(o)^-t_residual = e^c, with e^c at most
-_RESIDUAL_MEAN_F so that the rows of a large set stay small.
+step_rate seconds per unit time and replica, and the residual its engine's
+_POINT_S per point of F, E|F| = |A| G(o)^-t_residual = e^c, with e^c at
+most _RESIDUAL_MEAN_F so that the rows of a large set stay small.
 
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller time
 per unit time: the ring engine's expected traced cells (``cell_rate``)
@@ -100,21 +100,17 @@ _MAX_SLABS = 48
 #: at box:16, kappa = 0.01, 72-91 ns at kappa = 0.5, where its loops are
 #: short); a step of the trace chain on A about _STEP_S, lockstep overhead
 #: included (165 ns on box:16, kappa = 0.01, on a kernel that counted
-#: attempts per excursion; ``TraceChain.slab`` takes 143 ns).  The residual
-#: costs about _POINT_S per point of F, its chunked build included, in a
-#: batch of _POINT_ROWS replicas, and (_POINT_ROWS / rows)^(1/4) times that
-#: in a batch of `rows`, whose rows share its lockstep iterations and alias
-#: passes; `rows` is the batch size that runs from t_residual.  Fitted to
-#: the c that ran fastest with t_residual forced: 1.5 on the ring engine at
-#: box:16, kappa = 0.5 (4,094 rows); on the trace chain 1.0 at box:8 and
-#: 2.0-2.5 at box:16, kappa = 0.01, 2.0-2.5 at box:16, kappa = 0.05 and 3.5
-#: at box:32, kappa = 1e-3.  A price without the rows term puts c within 0.5
-#: of these only below 15.6 us for the ring engine and above 27.2 us for
-#: box:32, so none fits both.
+#: attempts per excursion; ``TraceChain.slab`` takes 143 ns).  A point of
+#: F costs the residual about _POINT_S[engine], build included: the ring
+#: engine's thousands of rows per batch share lockstep iterations and alias
+#: passes, the trace chain's tens less so.  The c that ran fastest with
+#: t_residual forced, 1.5 on the ring engine at box:16, kappa = 0.5, and on
+#: the trace chain 1.0 at box:8 and 2.0-2.5 at box:16, kappa = 0.01, 2.0-2.5
+#: at box:16, kappa = 0.05 and 3.5 at box:32, kappa = 1e-3, is met within
+#: 0.5 by ring prices of 5.7-15.6 us and trace prices of 27.2-37.1 us.
 _CELL_S = 80e-9
 _STEP_S = 160e-9
-_POINT_S = 32e-6
-_POINT_ROWS = 64
+_POINT_S = {"ring": 10e-6, "trace": 32e-6}
 #: Bytes of a residual chunk's stacked (|F| + 1)^2 float64 tables; its
 #: build peaks at about 9 times that (``trace_setup_bytes``)
 _RESIDUAL_BYTES = 1 << 18
@@ -216,7 +212,8 @@ class CoverTimeSample:
     """An ensemble of cover times.  truncation_bias_rate is the ring
     engine's certified rate of discarded loops that could have hit the
     target; it is 0.0 on the trace chain, which is exact.  sampler names
-    the engine that drew the values ("ring" or "trace")."""
+    the engine that drew the values ("ring" or "trace"); from t_residual
+    (inf if never) each replica ran on the exact chain of its uncovered set."""
 
     kappa: float
     target_label: str
@@ -228,11 +225,13 @@ class CoverTimeSample:
     mu: float
     u_star: float | None
     sampler: str
+    t_residual: float
 
     @property
     def truncation_bias_bound(self) -> float:
-        """CDF bias bound at the largest evaluated time."""
-        return self.truncation_bias_rate * float(self.values.values.max())
+        """CDF bias bound at the largest evaluated time, up to t_residual."""
+        return self.truncation_bias_rate * min(float(self.values.values.max()),
+                                               self.t_residual)
 
     def scaled(self) -> EmpiricalDistribution:
         return EmpiricalDistribution.from_samples(self.mu * self.values.values)
@@ -448,25 +447,17 @@ class CoverEngine:
         # the points in the state's column order: the chain's, or the target's
         self.pts = target.pts if self.chain is None else target.pts[order]
         # either engine draws A only up to t_residual = u* - c/mu, then each
-        # replica's uncovered set F; c minimises the first phase's seconds
-        # per unit time times t + point_s S1(t), S1(t) = |A| G(o)^-t =
-        # E|F|, so S1 = e^c, at most _RESIDUAL_MEAN_F.  point_s is priced
-        # at the batch size that runs: a shorter first slab takes more rows,
-        # each cheaper, so t_residual moves earlier until the size holds
-        # still (it only grows, up to REPLICA_BLOCK, so the loop ends).
-        # Past horizon0 too few replicas are left to repay the build
+        # replica's uncovered set F; c minimises rate_s t + point_s S1(t),
+        # S1(t) = |A| G(o)^-t = E|F|, so S1 = e^c = rate_s / (mu point_s),
+        # at most _RESIDUAL_MEAN_F.  Past horizon0 too few replicas are left
+        # to repay the build
         self.t_residual = math.inf
         if self.u_star is not None:
             rate_s = ring_s if self.chain is None else _STEP_S * self.step_rate
-            rows = self._batch_size()
-            while True:
-                point_s = _POINT_S * (_POINT_ROWS / rows) ** 0.25
-                c = min(math.log(rate_s / (self.mu * point_s)), math.log(_RESIDUAL_MEAN_F))
-                if not 0.0 < self.u_star - c / self.mu < self.horizon0:
-                    break
+            c = min(math.log(rate_s / (self.mu * _POINT_S[self.sampler])),
+                    math.log(_RESIDUAL_MEAN_F))
+            if 0.0 < self.u_star - c / self.mu < self.horizon0:
                 self.t_residual = self.u_star - c / self.mu
-                if rows == (rows := self._batch_size()):
-                    break
         self.bias_rate = (truncation_bias_rate(self.dist, target.box)
                           if self.chain is None else 0.0)
 
@@ -610,12 +601,10 @@ class CoverEngine:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         # work up to the end of the second slab, which bounds the mean
-        # horizon a replica is drawn to: about u* + 1.64/mu for a large set
-        # and 1.71/mu for one point.  With a residual, the first phase's
-        # work up to t_residual, plus the residual's, which is estimated
-        # only through the cost model: it takes point_s e^c <= rate_s / mu
-        # seconds, at most the first phase's time over 1/mu, so it is
-        # counted as 1/mu of the first phase's work
+        # horizon a replica is drawn to (about u* + 1.64/mu for a large set,
+        # 1.71/mu for one point); with a residual, up to t_residual, plus
+        # 1/mu of the first phase's work for the residual, which the cost
+        # model prices at point_s e^c <= rate_s / mu seconds
         rate = self.cell_rate if self.chain is None else self.step_rate
         est = rate * (min(self.t_residual, self.horizon0) + 1.0 / self.mu) * replicas
         if work_guard is not None and est > work_guard:
@@ -632,7 +621,7 @@ class CoverEngine:
             target_size=self.target.size, replicas=replicas,
             values=EmpiricalDistribution.from_samples(values),
             truncation_bias_rate=self.bias_rate, seed=seed, mu=self.mu,
-            u_star=self.u_star, sampler=self.sampler)
+            u_star=self.u_star, sampler=self.sampler, t_residual=self.t_residual)
 
 
 def _chunks(size: np.ndarray, entries: int) -> list[np.ndarray]:

@@ -284,9 +284,10 @@ def rooted_intensity(kappa: float) -> float:
 
 
 def _series_half_lengths(kappa: float) -> float:
-    """(4/kappa) log(4/(1e-12 G(o))): partial sums stay below G(o), so the
-    series cannot certify rel_tol 1e-12 before this half-length."""
-    return 4.0 / kappa * log(4.0 / (1e-12 * green_origin(kappa)))
+    """From this half-length on ``geometric_tail_bound`` <= 1e-12, so the
+    series certifies rel_tol 1e-12 by then (up to the end of its block)."""
+    b = step_weight(kappa)
+    return log(1e-12 * pi * kappa * (8.0 + kappa) * b * b) / (2.0 * math.log1p(-kappa * b))
 
 
 def series_cross_check(table: GreensTable, tag: str) -> Verdict:

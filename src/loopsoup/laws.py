@@ -142,14 +142,12 @@ def u_star(kappa: float, set_size: int, mu: float | None = None) -> float:
 
 def resolve_epsilon(spec: str, mu: float) -> float:
     """The thinning exponent: "auto100" is 1/(100 mu), "auto400" is
-    1/(400 mu), anything else an explicit value in (0, 1)."""
-    if spec == "auto100":
-        return 1.0 / (100.0 * mu)
-    if spec == "auto400":
-        return 1.0 / (400.0 * mu)
-    epsilon = float(spec)
+    1/(400 mu), anything else an explicit value; either must lie in (0, 1),
+    which auto100 leaves above kappa ~ 16.2."""
+    auto = {"auto100": 100.0, "auto400": 400.0}
+    epsilon = 1.0 / (auto[spec] * mu) if spec in auto else float(spec)
     if not 0 < epsilon < 1:
-        raise ValueError("explicit epsilon must lie in (0, 1)")
+        raise ValueError(f"epsilon {spec} = {epsilon:g} must lie in (0, 1)")
     return epsilon
 
 

@@ -17,7 +17,6 @@ the same length; no multiplicity bookkeeping is needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ import numpy as np
 from .lattice import Box, STEP_DX, STEP_DY
 from .rng import block_stream
 from .series import (ResourceCeilingError, SeriesTruncationError,
-                     exp_tail_bound, loop_term_array, step_weight)
+                     geometric_tail_bound, loop_term_array, step_weight)
 
 #: Ceiling on the truncation half-length a sampler is willing to prepare.
 DEFAULT_N_TRUNC_CEILING = 1 << 22
@@ -35,17 +34,18 @@ MAX_SOUP_LOOPS = (1 << 30) // 80
 
 
 def tail_mass(kappa: float, n: int) -> float:
-    """Certified cap on the half-length law's mass beyond n (n kappa >= 1/2):
-    the weights t_m/(2m) of m > n sum to at most 4 exp(-n kappa/4) / (2(n+1))."""
-    return exp_tail_bound(kappa, n) / (2.0 * (n + 1))
+    """Certified cap on the half-length law's mass beyond n, for every kappa
+    and n >= 0: the weights t_m/(2m) of m > n sum to at most
+    ``geometric_tail_bound``(kappa, n) / (2(n+1)) = q^{n+1} / (2 pi (n+1)^2 (1-q))."""
+    return geometric_tail_bound(kappa, n) / (2.0 * (n + 1))
 
 
 def required_n_trunc(kappa: float, tail_tol: float) -> int:
-    """Smallest N with N*kappa >= 1/2 and certified pmf tail below tail_tol."""
+    """Smallest N >= 1 with certified pmf tail below tail_tol."""
     step_weight(kappa)
     if tail_tol <= 0:
         raise ValueError("tail_tol must be > 0")
-    lo = n = max(1, math.ceil(0.5 / kappa))
+    lo = n = 1
     while tail_mass(kappa, n) > tail_tol and n <= DEFAULT_N_TRUNC_CEILING:
         lo, n = n, 2 * n   # tail_mass decreases in N: bracket N, then bisect
     while n - lo > 1:   # tail_mass(lo) > tail_tol >= tail_mass(n), or n too big
@@ -358,12 +358,13 @@ def truncation_bias_rate(dist: LengthDistribution, box: Box) -> float:
     max(d - 1, n_trunc).  The rings d <= n_trunc all see tail_mass_bound.
     A far ring d > n has ring_count(d) / (2d) = 2 + (W + H - 2)/d <= c =
     2 + (W + H - 2)/(n + 1), so its term ring_count(d) tail_mass(kappa, d - 1)
-    is at most c exp_tail_bound(kappa, d - 1), a geometric series in d.
+    is at most c q^d / (pi d (1-q)) <= c q^d / (pi (n+1) (1-q)), a geometric
+    series in d whose sum is c q^{n+1} / (pi (n+1) (1-q)^2), q = (4 beta)^2.
     The result times an evaluation time u bounds any coverage-probability
     bias at u.
     """
-    n, kappa = dist.n_trunc, dist.kappa
+    n, kappa, beta = dist.n_trunc, dist.kappa, step_weight(dist.kappa)
     inside = int(box.ring_count(np.arange(n + 1)).sum())
     c = 2.0 + (box.width + box.height - 2) / (n + 1)
     return (inside * dist.tail_mass_bound
-            + c * exp_tail_bound(kappa, n) / -math.expm1(-kappa / 4.0))
+            + c * geometric_tail_bound(kappa, n) / (kappa * (8.0 + kappa) * beta * beta))

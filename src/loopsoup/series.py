@@ -12,11 +12,12 @@ block to block.  Against exact terms it is within 1.5e-13 relative up to
 m = 12,046 at kappa = 0.01, 5.1e-13 up to 120,463 at 1e-3 and 3.8e-10 up
 to 1.2e7 at 1e-5 (40-digit reference terms).
 
-Truncation never relies on convergence heuristics: the even series tail
-beyond half-length N obeys sum_{m>N} t_m <= 4 exp(-N kappa / 4) whenever
-N kappa >= 1/2, and f_a f_b <= 1 extends the same bound to every target
-point.  A sum stops at the first block end where that bound meets the
-requested relative tolerance.
+Truncation never relies on convergence heuristics: C(2m, m) <= 4^m /
+sqrt(pi m) gives t_m <= q^m / (pi m), q = (4 beta)^2, so the even series
+tail beyond half-length N obeys sum_{m>N} t_m <= q^{N+1} / (pi (N+1) (1-q))
+for every kappa and N (``geometric_tail_bound``), and f_a f_b <= 1 extends
+the same bound to every target point.  A sum stops at the first block end
+where that bound meets the requested relative tolerance.
 """
 
 from __future__ import annotations
@@ -62,8 +63,17 @@ def step_weight(kappa: float) -> float:
 
 
 def exp_tail_bound(kappa: float, m: int) -> float:
-    """Bound on sum_{j>m} beta^{2j} C(2j,j)^2, valid when m*kappa >= 1/2."""
+    """The paper's bound on sum_{j>m} beta^{2j} C(2j,j)^2 for m kappa >= 1/2;
+    false above kappa ~ 10, so only checked, never relied on."""
     return 4.0 * math.exp(-m * kappa / 4.0)
+
+
+def geometric_tail_bound(kappa: float, m: int) -> float:
+    """The module docstring's bound on sum_{j>m} t_j, any kappa and m >= 0;
+    1 - q = kappa (8+kappa) beta^2 keeps it exact as kappa -> 0."""
+    beta = step_weight(kappa)
+    return (math.exp(2.0 * (m + 1) * math.log1p(-kappa * beta))
+            / (math.pi * (m + 1) * kappa * (8.0 + kappa) * beta * beta))
 
 
 @dataclass
@@ -128,8 +138,8 @@ def loop_series_gram(kappa: float, a_max: int, rel_tol: float,
             np.multiply(Fw[a - 1], num, out=Fw[a])
         gram += Fw @ Fw.T
         m_last = m1 - 1
-        tail = exp_tail_bound(kappa, m_last)
-        if m_last * kappa >= 0.5 and tail <= rel_tol * (1.0 + gram[0, 0]):
+        tail = geometric_tail_bound(kappa, m_last)
+        if tail <= rel_tol * (1.0 + gram[0, 0]):
             return GramResult(kappa=kappa, gram=gram, m_trunc=m_last, tail_bound=tail)
         if m1 > m_ceiling:
             raise SeriesTruncationError(

@@ -158,7 +158,7 @@ def test_series_truncation_exits_resource_ceiling(capsys):
 
 def test_small_kappa_runs_on_the_trace_chain(capsys):
     # past the length law's ceiling a set within the trace budget is exact
-    assert _run("covertime", "--kappa", "5e-6", "--set", "box:4",
+    assert _run("covertime", "--kappa", "2e-6", "--set", "box:4",
                 "--replicas", 8) == cli.EXIT_OK
     assert "sampler=trace" in capsys.readouterr().out
 
@@ -224,6 +224,15 @@ def test_bad_quick_value_is_config_error(tmp_path, monkeypatch, capsys):
     cfg.write_text("quick = 2\n")
     assert _run("--config", cfg, "greens", "--kappa", 0.5) == cli.EXIT_CONFIG
     assert "'2'" in capsys.readouterr().err
+
+
+def test_resolved_epsilon_outside_its_domain_is_config_error(capsys):
+    # auto100 = 1/(100 mu) passes 1 near kappa = 16.2; an epsilon spec is
+    # an argument, whether explicit or resolved
+    assert _run("laws", "second-moment", "--kappa", 20, "--box", 4) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == \
+        "config error: epsilon auto100 = 1.42241 must lie in (0, 1)"
+    assert _run("laws", "second-moment", "--kappa", 15, "--box", 4) == cli.EXIT_OK
 
 
 def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, capsys):

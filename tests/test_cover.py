@@ -282,7 +282,7 @@ class TestTraceChain:
     @pytest.mark.parametrize("spec,kappa,seed,grid", [
         ("box:3", 0.01, 21, (1.5, 2.5, 4.0)),
         ("box:4", 0.05, 22, (3.0, 4.0, 6.0)),
-        ("box:4", 5e-6, 27, (1.5, 2.0, 3.0)),   # past the length law's ceiling
+        ("box:4", 5e-6, 27, (1.5, 2.0, 3.0)),   # a length law of 2,019,995 terms
     ])
     def test_determinant_law(self, spec, kappa, seed, grid):
         target = make_target(spec)
@@ -389,14 +389,15 @@ class TestTraceChain:
         assert e.step_floor <= e.step_rate < e.target.size
 
     def test_trace_chain_below_the_length_ceiling(self, monkeypatch):
-        # at kappa = 5e-6 the ring engine's length law passes its ceiling
-        # (test_determinant_law runs the dispatch there): a forced trace
-        # chain never builds the law, and a forced ring engine raises
+        # at kappa = 2e-6 the ring engine's length law passes its ceiling:
+        # a forced trace chain never builds the law, a forced ring engine
+        # raises, and the dispatch takes the trace chain
         monkeypatch.setattr(cover, "length_pmf", _no_length_law)
-        assert CoverEngine(5e-6, BoxTarget(4), sampler="trace").sampler == "trace"
+        assert CoverEngine(2e-6, BoxTarget(4), sampler="trace").sampler == "trace"
         monkeypatch.undo()
         with pytest.raises(SeriesTruncationError):
-            CoverEngine(5e-6, BoxTarget(4), sampler="ring")
+            CoverEngine(2e-6, BoxTarget(4), sampler="ring")
+        assert CoverEngine(2e-6, BoxTarget(4)).sampler == "trace"
 
     def test_setup_budget_edge(self, monkeypatch):
         # a set whose trace setup just fits takes the chain; one byte less
@@ -473,8 +474,12 @@ class TestSlabSchedule:
     def test_law_across_slab_edges(self, monkeypatch, engine, seed):
         # the ECDF at and around the first two slab boundaries against the
         # exact determinant law; both engines start the residual before
-        # horizon0
+        # horizon0, the trace chain at u*, where its cost model would keep
+        # the plain schedule
         e = CoverEngine(0.5, BoxTarget(3), sampler=engine)
+        if engine == "trace":
+            assert e.t_residual == math.inf
+            e.t_residual = e.u_star
         builds, build = [], e._residual_chains
         monkeypatch.setattr(e, "_residual_chains",
                             lambda mask: builds.append(len(mask)) or build(mask))
@@ -491,27 +496,37 @@ class TestSlabSchedule:
     def test_residual_start_by_cost_model(self):
         # E|F| = S1(t_residual) = e^c = rate_s / (mu point_s): the first
         # phase's seconds per unit time, step_rate _STEP_S or cell_rate
-        # _CELL_S, against the residual's per point of F, _POINT_S times
-        # (_POINT_ROWS / rows)^(1/4) at the batch size that runs from
-        # t_residual, where t_residual falls inside (0, horizon0); sets too
-        # small to repay the build keep the plain schedule
+        # _CELL_S, against the engine's price per point of F, where
+        # t_residual falls inside (0, horizon0); sets too small to repay the
+        # build keep the plain schedule
         for kappa, engine in ((0.01, "trace"), (0.5, "ring")):
             e = CoverEngine(kappa, BoxTarget(16))
             assert e.sampler == engine and 0.0 < e.t_residual < e.horizon0
             rate_s = (e.step_rate * cover._STEP_S if engine == "trace"
                       else e.cell_rate * cover._CELL_S)
-            point_s = cover._POINT_S * (cover._POINT_ROWS / e._batch_size()) ** 0.25
             assert math.isclose(e.target.size * math.exp(-e.mu * e.t_residual),
-                                rate_s / (e.mu * point_s))
-        for spec, kappa in (("points:(0,0);(1,1)", 0.01), ("points:(0,0)", 0.01)):
+                                rate_s / (e.mu * cover._POINT_S[engine]))
+        for spec, kappa in (("points:(0,0);(1,1)", 0.01), ("points:(0,0)", 0.01),
+                            ("box:3", 0.01)):
             assert CoverEngine(kappa, make_target(spec)).t_residual == math.inf
+
+    def test_residual_start_ignores_batch_budgets(self, monkeypatch):
+        # the batch size follows from t_residual, never the other way: a
+        # sixteenth of any batch budget leaves t_residual where it was
+        cases = (("box:16", 0.01), ("box:16", 0.5), ("box:8", 0.01))
+        start = [CoverEngine(kappa, make_target(spec)).t_residual
+                 for spec, kappa in cases]
+        for name in ("_CELL_BUDGET", "_WALKER_BUDGET", "REPLICA_BLOCK"):
+            monkeypatch.setattr(cover, name, getattr(cover, name) // 16)
+            assert [CoverEngine(kappa, make_target(spec)).t_residual
+                    for spec, kappa in cases] == start, name
+            monkeypatch.undo()
 
     def test_cost_model_meets_the_measured_best_c(self):
         # the c that ran fastest with t_residual forced (one core, 2-core
         # Xeon VM; ranges where two c's tied): the model's c lies within 0.5
-        # of each, and no price per point of F without the batch-size term
-        # does, as the ring engine wants it below 15.6 us and box:32 above
-        # 27.2 us
+        # of each, and no one price per point of F for both engines does, as
+        # the ring engine wants it below 15.6 us and box:32 above 27.2 us
         lo, hi = 0.0, math.inf
         for spec, kappa, sampler_, best in (
                 ("box:16", 0.5, None, (1.5, 1.5)), ("box:16", 0.01, None, (2.0, 2.5)),
@@ -602,6 +617,17 @@ class TestSlabSchedule:
         assert s.sampler == "trace" and sum(builds) > 0
         law = laws.cover_law(kappa, target.points())
         assert ks_distance(s.values, law) <= ks_threshold(20_000)
+
+    def test_truncation_bias_is_charged_up_to_t_residual(self):
+        # the ring engine's truncation acts only on [0, t_residual), and
+        # on [0, max T) where the residual never runs
+        e = CoverEngine(0.5, BoxTarget(16))
+        s = e.ensemble(57, 256)
+        assert s.sampler == "ring" and s.t_residual == e.t_residual < s.values.values.max()
+        assert s.truncation_bias_bound == e.bias_rate * e.t_residual > 0.0
+        s = CoverEngine(0.5, PointsTarget([(0, 0)]), sampler="ring").ensemble(58, 256)
+        assert s.sampler == "ring" and s.t_residual == math.inf
+        assert s.truncation_bias_bound == s.truncation_bias_rate * s.values.values.max()
 
     def test_traced_cells_stop_near_the_cover_time(self, monkeypatch):
         # box:16 at kappa = 0.5 needs about u* + 1.64/mu of soup per

@@ -11,8 +11,8 @@ from loopsoup import greens, series
 from loopsoup.lattice import fold_octant, l1
 from loopsoup.records import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import (ResourceCeilingError, SeriesTruncationError,
-                             exp_tail_bound, loop_series_gram, loop_term_array,
-                             step_weight)
+                             exp_tail_bound, geometric_tail_bound, loop_series_gram,
+                             loop_term_array, step_weight)
 from loopsoup.walks import count_walks_diagonal
 
 
@@ -203,7 +203,7 @@ class TestGreensTable:
             greens.greens_table(0.5, greens.MAX_RADIUS + 1)
 
     def test_series_work_guard_refuses_up_front(self, monkeypatch):
-        # radius 4094 at kappa = 1e-4 would take about 4.6e12 gram products;
+        # radius 4094 at kappa = 1e-4 would take about 3.1e12 gram products;
         # the guard refuses before any table is built
         monkeypatch.setattr(greens, "greens_table", None)
         with pytest.raises(ResourceCeilingError, match="gram products"):
@@ -286,6 +286,23 @@ class TestLoopTerms:
             for m in np.unique(np.geomspace(1, 120_000, 20).astype(int)).tolist():
                 exact = Decimal(comb(2 * m, m)) ** 2 * b ** (2 * m)
                 assert abs(Decimal(float(t[m - 1])) / exact - 1) <= Decimal("1e-12")
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 2.5, 12.0, 100.0, 1000.0])
+    def test_geometric_tail_bound_holds(self, kappa):
+        # G(o) - 1 - sum_{j<=m} t_j against the bound, wherever that exact
+        # tail stands above the partial sums' rounding; 4 exp(-m kappa/4)
+        # is below it from kappa ~ 10 on (at kappa = 100, m = 1: 3.1e-7
+        # against 5.6e-11)
+        n = max(8, int(60.0 / kappa))
+        tail = greens.green_origin(kappa) - 1.0 - np.concatenate(
+            [[0.0], np.cumsum(loop_term_array(kappa, n))])
+        ms = [m for m in {0, 1, 2, *np.geomspace(1, n, 40).astype(int).tolist()}
+              if tail[m] > 1e-11]
+        assert len(ms) >= 2
+        for m in ms:
+            assert tail[m] <= geometric_tail_bound(kappa, m), (m, tail[m])
+        if kappa == 100.0:
+            assert tail[1] > 1e3 * exp_tail_bound(kappa, 1)
 
 
 class TestBoundReports:

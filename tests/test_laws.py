@@ -195,6 +195,8 @@ class TestUStarAndExpectations:
         for bad in ("1.5", "0", "nan", "auto"):
             with pytest.raises(ValueError):
                 laws.resolve_epsilon(bad, mu)
+        with pytest.raises(ValueError, match="auto100 = 2 must lie"):
+            laws.resolve_epsilon("auto100", 0.005)   # mu at kappa ~ 20
 
 
 class TestSecondMoment:

@@ -47,20 +47,29 @@ class TestLengthDistribution:
     def test_truncation_ceiling(self):
         with pytest.raises(SeriesTruncationError):
             sampler.length_pmf(1e-7, 1e-12)
-        # N kappa >= 1/2 alone asks for 5,000,000 > 2^22 half-lengths
+        # at kappa = 1e-7 a tolerance of 1e-10 asks for more than 2^22
+        # half-lengths, and one of 1e-6 for fewer
         with pytest.raises(SeriesTruncationError):
-            sampler.required_n_trunc(1e-7, 1e-6)
+            sampler.required_n_trunc(1e-7, 1e-10)
+        assert sampler.required_n_trunc(1e-7, 1e-6) == 1_709_482
 
     @pytest.mark.parametrize("kappa", [2.5, 0.5, 0.1, 0.01, 1e-3, 1e-4, 3e-5])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_truncation_is_smallest(self, kappa, tol):
         n = sampler.required_n_trunc(kappa, tol)
         assert sampler.tail_mass(kappa, n) <= tol
-        assert n == math.ceil(0.5 / kappa) or sampler.tail_mass(kappa, n - 1) > tol
+        assert n == 1 or sampler.tail_mass(kappa, n - 1) > tol
 
     def test_truncation_reaches_its_ceiling(self):
-        # the smallest N at kappa = 9e-6 fits 2^22
-        assert sampler.length_pmf(9e-6, 1e-10).n_trunc == 3_807_357
+        # the smallest N at kappa = 2.5e-6 fits 2^22
+        assert sampler.length_pmf(2.5e-6, 1e-10).n_trunc == 3_648_536
+
+    def test_truncation_at_large_kappa(self):
+        # at kappa = 100 one half-length omits a mass of 7.7e-8, which the
+        # bound 4 exp(-N kappa/4) put at 1.4e-11
+        d = sampler.length_pmf(100.0, 1e-10)
+        assert d.n_trunc >= 2
+        assert greens.rooted_intensity(100.0) - d.total_mass <= d.tail_mass_bound <= 1e-10
 
     def test_soup_half_lengths_match_weights(self):
         # the per-half-length Poisson counts of one window soup of about
@@ -365,16 +374,20 @@ class TestBiasRate:
     def test_against_ring_by_ring_sum(self, kappa, box):
         # the discarded loops rooted on ring d reach the box only beyond
         # half-length max(d - 1, n), whose weights sum to at most
-        # 4 exp(-m kappa / 4) / (2(m + 1)) beyond m; summed ring by ring up
-        # to d = n + 120/kappa, where the rest is below e^-30 of the sum
+        # q^(m+1) / (2 pi (m + 1)^2 (1 - q)) beyond m, q = (4/(4 + kappa))^2;
+        # summed ring by ring up to d = n + 120/kappa, where the rest is
+        # below e^-50 of the sum.  The closed form takes 1/d <= 1/(n + 1) on
+        # the far rings, d > n, which costs at most a factor 1 + 1/((n +
+        # 1)(1 - q)) there, and ring_count(d)/(2d) <= its value at n + 1
         d = sampler.length_pmf(kappa, 1e-10)
         n = d.n_trunc
+        q = (4.0 / (4.0 + kappa)) ** 2
         rings = np.arange(n + 1, n + 1 + int(120 / kappa))
         near = box.ring_count(np.arange(n + 1)).sum() * d.tail_mass_bound
-        far = (box.ring_count(rings) * 4.0 * np.exp(-(rings - 1) * kappa / 4.0)
-               / (2.0 * rings)).sum()
+        far = (box.ring_count(rings) * q ** rings
+               / (2.0 * math.pi * rings ** 2 * (1.0 - q))).sum()
         rate = sampler.truncation_bias_rate(d, box)
-        assert near + far <= rate <= 1.01 * (near + far)
+        assert near + far <= rate <= 1.01 * (near + far * (1.0 + 1.0 / ((n + 1) * (1.0 - q))))
 
     def test_decreases_with_tolerance(self):
         d1 = sampler.length_pmf(0.5, 1e-6)
