@@ -6,8 +6,7 @@ exact small-set cover laws, exact soup sampling, and cover-time Monte Carlo."""
 __version__ = "0.1.0"
 
 from .cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
-                    PointsTarget, cover_time_ensemble, ks_distance,
-                    make_target)
+                    PointsTarget, ks_distance, make_target)
 from .greens import (GreensTable, MuGammaO, check_green_bounds, green_origin,
                      greens_table, greens_value, mu_gamma_o, rooted_intensity,
                      verify_appendix_bounds)

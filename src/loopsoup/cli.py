@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cover, greens, laws, sampler, walks
-from .cover import (EmpiricalDistribution, PointsTarget, ResourceCeilingError,
-                    cover_time_ensemble, ks_distance, ks_threshold, make_target)
+from .cover import (CoverEngine, EmpiricalDistribution, PointsTarget,
+                    ResourceCeilingError, ks_distance, ks_threshold, make_target)
 from .lattice import STEP_DX, STEP_DY, Box
 from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
@@ -178,6 +178,19 @@ def _exit_from(verdicts) -> int:
 # Subcommands
 
 
+def _emit_quantities(args, name: str, rows) -> int:
+    """Write rows of (quantity, kappa, x1, x2, value, error_bound) to name
+    under --out-dir, if set, and print them with their header."""
+    header = ["quantity", "kappa", "x1", "x2", "value", "error_bound"]
+    path = _out_path(args, name)
+    if path is not None:
+        write_rows_csv(path, header, rows)
+    print(",".join(header))
+    for r in rows:
+        print(",".join(fmt(c) for c in r))
+    return EXIT_OK
+
+
 def cmd_greens(args) -> int:
     rows = []
     for kappa in args.kappa:
@@ -185,14 +198,7 @@ def cmd_greens(args) -> int:
         rows.append(["greens", kappa, *args.x, value, err])
         mu = greens.mu_gamma_o(kappa)
         rows.append(["mu-origin-loops", kappa, 0, 0, mu.value, 0.0])
-    header = ["quantity", "kappa", "x1", "x2", "value", "error_bound"]
-    path = _out_path(args, "greens.csv")
-    if path is not None:
-        write_rows_csv(path, header, rows)
-    print(",".join(header))
-    for r in rows:
-        print(",".join(fmt(c) for c in r))
-    return EXIT_OK
+    return _emit_quantities(args, "greens.csv", rows)
 
 
 def cmd_verify_bounds(args) -> int:
@@ -217,13 +223,7 @@ def cmd_laws_pair(args) -> int:
         rows += [["point-uncovered", kappa, 0, 0, point, 0.0],
                  ["pair-uncovered", kappa, x[0], x[1], pair, 0.0],
                  ["no-shared-loop", kappa, x[0], x[1], nosh, 0.0]]
-    header = ["quantity", "kappa", "x1", "x2", "value", "error_bound"]
-    path = _out_path(args, "laws_pair.csv")
-    if path is not None:
-        write_rows_csv(path, header, rows)
-    for r in rows:
-        print(",".join(fmt(c) for c in r))
-    return EXIT_OK
+    return _emit_quantities(args, "laws_pair.csv", rows)
 
 
 def cmd_laws_second_moment(args) -> int:
@@ -278,8 +278,8 @@ def _ensemble_artifacts(args, sample: cover.CoverTimeSample, name: str,
 
 def cmd_covertime(args) -> int:
     target = make_target(args.set)
-    sample = cover_time_ensemble(args.seed, args.kappa, target, args.replicas,
-                                 workers=args.workers, work_guard=args.work_guard)
+    sample = CoverEngine(args.kappa, target).ensemble(
+        args.seed, args.replicas, workers=args.workers, work_guard=args.work_guard)
     _ensemble_artifacts(args, sample, "covertime", [])
     v = sample.values.values
     print(f"replicas={sample.replicas} mean={fmt(v.mean())} "
@@ -414,8 +414,8 @@ def _verify_all_verdicts(args) -> list[Verdict]:
 
     # One-point law via Monte Carlo at the KS distance's 0.999 quantile.
     replicas = 10_000 if quick else 100_000
-    sample = cover_time_ensemble(args.seed, 0.25, PointsTarget([(0, 0)]),
-                                 replicas, workers=args.workers)
+    sample = CoverEngine(0.25, PointsTarget([(0, 0)])).ensemble(
+        args.seed, replicas, workers=args.workers)
     d = ks_distance(sample.scaled(), laws.one_point_law)
     thr = ks_threshold(replicas) + sample.truncation_bias_bound
     verdicts.append(verdict("one-point-exponential-law", "one-point-law",
@@ -424,8 +424,8 @@ def _verify_all_verdicts(args) -> list[Verdict]:
 
     # The determinant law of three points, exact for every kappa, the same way.
     pts, replicas = [(0, 0), (1, 0), (0, 2)], 10_000 if quick else 40_000
-    sample = cover_time_ensemble(args.seed, 0.5, PointsTarget(pts), replicas,
-                                 workers=args.workers)
+    sample = CoverEngine(0.5, PointsTarget(pts)).ensemble(args.seed, replicas,
+                                                          workers=args.workers)
     d = ks_distance(sample.values, laws.cover_law(0.5, pts))
     thr = ks_threshold(replicas) + sample.truncation_bias_bound
     verdicts.append(verdict("cover-determinant-law", "determinant-law",

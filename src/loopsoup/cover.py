@@ -1,14 +1,16 @@
 """Cover-time Monte Carlo for finite target sets (``lattice.PointsTarget``).
 
-Two exact-in-law samplers of the soup's first-visit times on the target A
-share one batch loop: per Poisson slab of time they fold loops into
-per-(replica, vertex) minima of uniform timestamps.  mu T(A) - log|A| is
-about Gumbel, so a replica is mostly covered by u* + O(1/mu): the first
-slab ends at u* + 1/mu (at 1/mu for a single point), and each later slab,
-drawn for the replicas still uncovered only, is 1/mu, 2/mu, 4/mu, ... long.
-The soup's loops form a Poisson process in time, whose increments over
-disjoint slabs are independent, so any fixed sequence of slab boundaries
-is exact.
+Every replica runs one schedule of Poisson slabs of time, in each of which
+loops are folded into per-(replica, vertex) minima of uniform timestamps.
+One of two exact-in-law samplers of the soup's first-visit times on the
+target A draws one slab, [0, t_residual), for every replica of a batch;
+each replica still uncovered is then finished on the trace chain of its own
+uncovered set.  mu T(A) - log|A| is about Gumbel, so a replica is mostly
+covered by u* + O(1/mu): those later slabs end at horizon0 = u* + 1/mu (at
+1/mu for a single point), then 1/mu, 2/mu, 4/mu, ... further, each drawn
+for the replicas still uncovered only.  The soup's loops form a Poisson
+process in time, whose increments over disjoint slabs are independent, so
+any fixed sequence of slab boundaries is exact.
 
 The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
@@ -33,11 +35,10 @@ carries a certified bias rate (``sampler.truncation_bias_rate``) that
 reports add to their statistical error.
 
 The trace of the soup on a subset F of A is the loop soup of Q_F = I -
-G_F^{-1}, so past a time t_residual = u* - c/mu, fixed in advance, a
-replica needs only its uncovered set F: either engine draws A on [0,
-t_residual) only, and each replica is finished on the trace chain of its
-own F, on the same slab boundaries after t_residual.  The chains of a
-batch's F's are built in chunks of rows, G_F from ``greens_at`` on F's
+G_F^{-1}, so from a time t_residual fixed in advance a replica needs only
+its uncovered set F.  t_residual = u* - c/mu where that lies in (0,
+horizon0), else horizon0, so A is drawn for at most that long.  The chains
+of a batch's F's are built in chunks of rows, G_F from ``greens_at`` on F's
 displacements, and each chunk runs as one stack of tables.  c comes from
 one cost model: the first phase costs _CELL_S cell_rate or _STEP_S
 step_rate seconds per unit time and replica, and the residual its engine's
@@ -121,7 +122,7 @@ _RESIDUAL_BYTES = 1 << 18
 #: for more (box:200 at kappa = 0.5 asks for 113) start the residual later.
 _RESIDUAL_MEAN_F = 64
 # unused here, kept only for the benchmark's tracer, which patches it, until
-# ROADMAP item 4 replaces the patches (as laws.TargetSet is)
+# a tracer without patches replaces it (as laws.TargetSet is)
 balanced_signs = _sampler.balanced_signs
 
 
@@ -212,8 +213,8 @@ class CoverTimeSample:
     """An ensemble of cover times.  truncation_bias_rate is the ring
     engine's certified rate of discarded loops that could have hit the
     target; it is 0.0 on the trace chain, which is exact.  sampler names
-    the engine that drew the values ("ring" or "trace"); from t_residual
-    (inf if never) each replica ran on the exact chain of its uncovered set."""
+    the engine that drew the values ("ring" or "trace") up to t_residual;
+    from there each replica ran on the exact chain of its uncovered set."""
 
     kappa: float
     target_label: str
@@ -416,7 +417,8 @@ class CoverEngine:
             self.reach = np.cumsum(box.ring_count(m))
             self.rect = (box.width + 2 * m) * (box.height + 2 * m)
             self.cell_rate = float((2.0 * m[1:] * self.dist.weights * self.reach[1:]).sum())
-        # the end of the first slab; later slabs are 1/mu, 2/mu, ... long
+        # the latest t_residual and the end of the residual's first slab;
+        # later slabs are 1/mu, 2/mu, ... long
         if target.size >= 2:
             self.u_star = u_star(kappa, target.size, self.mu)
             self.horizon0 = self.u_star + 1.0 / self.mu
@@ -449,9 +451,14 @@ class CoverEngine:
         # either engine draws A only up to t_residual = u* - c/mu, then each
         # replica's uncovered set F; c minimises rate_s t + point_s S1(t),
         # S1(t) = |A| G(o)^-t = E|F|, so S1 = e^c = rate_s / (mu point_s),
-        # at most _RESIDUAL_MEAN_F.  Past horizon0 too few replicas are left
-        # to repay the build
-        self.t_residual = math.inf
+        # at most _RESIDUAL_MEAN_F.  Where that t falls outside (0,
+        # horizon0), and for one point, A is drawn up to horizon0 and the
+        # residual finishes: box:3 x96 and the pair (0,0);(1,1) x192 at
+        # kappa = 0.01 then take 3.4 and 1.9 ms on one core of the VM above,
+        # 10% and 17% more than drawing A over every slab (medians of 12
+        # alternating process pairs), about 1% of a round with box:16 x32
+        # (31 ms), for one schedule instead of two
+        self.t_residual = self.horizon0
         if self.u_star is not None:
             rate_s = ring_s if self.chain is None else _STEP_S * self.step_rate
             c = min(math.log(rate_s / (self.mu * _POINT_S[self.sampler])),
@@ -500,15 +507,13 @@ class CoverEngine:
 
     def _batch_size(self) -> int:
         """Replicas per batch, so that the ring engine's traced cells or the
-        trace chain's loops and excursions in the first slab, the only one
-        that draws for every replica of the batch, stay within budget.  The
-        first slab ends at t_residual where that comes before horizon0."""
-        first = min(self.t_residual, self.horizon0)
+        trace chain's loops and excursions on [0, t_residual), the only slab
+        drawn on A and for every replica of the batch, stay within budget."""
         if self.chain is None:
-            per_rep = max(self.cell_rate * first, 1.0)
+            per_rep = max(self.cell_rate * self.t_residual, 1.0)
             return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
         log_g = self.chain.log_g
-        per_rep = first * float((log_g + np.expm1(log_g)).sum())
+        per_rep = self.t_residual * float((log_g + np.expm1(log_g)).sum())
         return int(min(REPLICA_BLOCK, max(1, _WALKER_BUDGET // max(per_rep, 1.0))))
 
     def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
@@ -522,62 +527,39 @@ class CoverEngine:
         return out
 
     def _slab_edges(self) -> list[float]:
-        """0, horizon0, then 1/mu, 2/mu, 4/mu, ... further, with t_residual
-        inserted where it falls inside."""
-        edges, step = [0.0, self.horizon0], 1.0 / self.mu
+        """The residual's slab boundaries: t_residual, horizon0 where that
+        comes later, then 1/mu, 2/mu, 4/mu, ... further."""
+        edges, step = [self.horizon0], 1.0 / self.mu
         for _ in range(_MAX_SLABS - 1):
             edges.append(edges[-1] + step)
             step *= 2.0
-        if self.t_residual < edges[-1]:
-            edges = sorted({*edges, self.t_residual})
-        return edges
+        return [self.t_residual, *edges] if self.t_residual < self.horizon0 else edges
 
     def _cover_batch(self, rng, b: int) -> np.ndarray:
-        """Cover times of b replicas.  The first slab, [0, horizon0), is
-        drawn for all of them; each later slab only for the replicas still
-        uncovered, 1/mu, 2/mu, 4/mu, ... long.  The schedule also has a
-        boundary at t_residual (``_slab_edges``): the slabs before it run
-        on A, and those from it on, for each replica still uncovered, on the
-        trace chain of its own uncovered set (``_residual_chains``), row r
-        of a chunk's state on table r.  The rows are taken in ascending |F|,
-        in chunks whose stacked tables fit _RESIDUAL_BYTES, each chunk to the
-        end of the schedule.  The boundaries are fixed in advance, so the
-        slabs are independent pieces of one Poisson soup."""
-        times = np.full(b, np.nan)
+        """Cover times of b replicas.  One slab, [0, t_residual), is drawn
+        on A for all of them; each replica still uncovered then runs on the
+        trace chain of its own uncovered set F (``_residual_chains``), row r
+        of a chunk's state on table r, over the slabs of ``_slab_edges``.
+        The rows are taken in ascending |F|, in chunks whose stacked tables
+        fit _RESIDUAL_BYTES, each chunk to the end of the schedule.  The
+        boundaries are fixed in advance, so the slabs are independent pieces
+        of one Poisson soup."""
+        state = np.full((b, self.target.size), np.inf)
+        if self.chain is None:
+            self._ring_slab(rng, state, 0.0, self.t_residual)
+        else:
+            self.chain.slab(rng, state, 0.0, self.t_residual, np.zeros(b, np.intp))
+        times = state.max(axis=1)
+        rows = np.flatnonzero(np.isinf(times))
         edges = self._slab_edges()
-        cut = edges.index(self.t_residual) + 1 if self.t_residual in edges else len(edges)
-        state, rows = self._slabs(rng, np.full((b, self.target.size), np.inf),
-                                  np.arange(b), times, edges[:cut], self.chain,
-                                  np.zeros(b, np.intp))
-        if len(rows) and cut < len(edges):
-            uncovered, state = np.isinf(state), None   # each chunk has its own state
-            for chunk in _chunks(uncovered.sum(axis=1), _RESIDUAL_BYTES // 8):
-                chain, sub = self._residual_chains(uncovered[chunk])
-                self._slabs(rng, sub, rows[chunk], times, edges[cut - 1:], chain,
-                            np.arange(len(chunk)))
-        if np.isnan(times).any():
+        uncovered = np.isinf(state[rows])
+        for chunk in _chunks(uncovered.sum(axis=1), _RESIDUAL_BYTES // 8):
+            chain, sub = self._residual_chains(uncovered[chunk])
+            _slabs(rng, sub, rows[chunk], times, edges, chain)
+        if np.isinf(times).any():
             raise ResourceCeilingError(
                 f"target not covered within {_MAX_SLABS} slabs (horizon {edges[-1]:.6g})")
         return times
-
-    def _slabs(self, rng, state: np.ndarray, rows: np.ndarray, times: np.ndarray,
-               edges: list[float], chain: TraceChain | None, tables: np.ndarray):
-        """Draw the slabs between edges for the replicas rows, on chain, row
-        r on table tables[r], or on the ring engine where chain is None;
-        write each replica's cover time into times as it is covered, and
-        return the state and rows of those left uncovered."""
-        for t0, t1 in zip(edges, edges[1:]):
-            if chain is None:
-                self._ring_slab(rng, state, t0, t1)
-            else:
-                chain.slab(rng, state, t0, t1, tables)
-            worst = state.max(axis=1)
-            covered = np.isfinite(worst)
-            times[rows[covered]] = worst[covered]
-            state, rows, tables = state[~covered], rows[~covered], tables[~covered]
-            if not len(rows):
-                break
-        return state, rows
 
     def _residual_chains(self, uncovered: np.ndarray) -> tuple[TraceChain, np.ndarray]:
         """One table per row of uncovered, a (rows, |A|) mask of each row's
@@ -600,13 +582,10 @@ class CoverEngine:
                  work_guard: float | None = None) -> CoverTimeSample:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        # work up to the end of the second slab, which bounds the mean
-        # horizon a replica is drawn to (about u* + 1.64/mu for a large set,
-        # 1.71/mu for one point); with a residual, up to t_residual, plus
-        # 1/mu of the first phase's work for the residual, which the cost
-        # model prices at point_s e^c <= rate_s / mu seconds
+        # work on A up to t_residual, plus 1/mu of it for the residual, which
+        # the cost model prices at point_s e^c <= rate_s / mu seconds
         rate = self.cell_rate if self.chain is None else self.step_rate
-        est = rate * (min(self.t_residual, self.horizon0) + 1.0 / self.mu) * replicas
+        est = rate * (self.t_residual + 1.0 / self.mu) * replicas
         if work_guard is not None and est > work_guard:
             raise ResourceCeilingError(
                 f"estimated work {est:.3g} exceeds guard {work_guard:.3g}")
@@ -622,6 +601,22 @@ class CoverEngine:
             values=EmpiricalDistribution.from_samples(values),
             truncation_bias_rate=self.bias_rate, seed=seed, mu=self.mu,
             u_star=self.u_star, sampler=self.sampler, t_residual=self.t_residual)
+
+
+def _slabs(rng, state: np.ndarray, rows: np.ndarray, times: np.ndarray,
+           edges: list[float], chain: TraceChain) -> None:
+    """Draw the slabs between edges on chain for the replicas rows, row r of
+    state on table r, and write each replica's cover time into times as it
+    is covered."""
+    tables = np.arange(len(rows))
+    for t0, t1 in zip(edges, edges[1:]):
+        chain.slab(rng, state, t0, t1, tables)
+        worst = state.max(axis=1)
+        covered = np.isfinite(worst)
+        times[rows[covered]] = worst[covered]
+        state, rows, tables = state[~covered], rows[~covered], tables[~covered]
+        if not len(rows):
+            break
 
 
 def _chunks(size: np.ndarray, entries: int) -> list[np.ndarray]:
@@ -686,11 +681,6 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     return best
 
 
-def cover_time_ensemble(seed: int, kappa: float, target: PointsTarget, replicas: int,
-                        workers: int = 1, work_guard: float | None = None) -> CoverTimeSample:
-    return CoverEngine(kappa, target).ensemble(seed, replicas, workers, work_guard)
-
-
 # ---------------------------------------------------------------------------
 # Example experiments and scans
 
@@ -731,7 +721,7 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
     if count > 1 and (separation % 2 or separation < 10.0 / kappa ** 2):
         raise ConfigError("separation must be even and >= 10 kappa^-2")
     target = make_target(f"line:{count}x{separation}")
-    sample = cover_time_ensemble(seed, kappa, target, replicas, workers, WORK_GUARD)
+    sample = CoverEngine(kappa, target).ensemble(seed, replicas, workers, WORK_GUARD)
     scaled = sample.scaled()
     d = ks_distance(scaled, exp1_power_cdf(count))
     thr = ks_threshold(replicas)
@@ -759,7 +749,7 @@ def run_example_neighbors(kappa_grid, replicas: int, seed: int = 1,
     ensembles = {}
     for kappa in kappa_grid:
         target = PointsTarget([(0, 0), (1, 1)])
-        sample = cover_time_ensemble(seed, kappa, target, replicas, workers, WORK_GUARD)
+        sample = CoverEngine(kappa, target).ensemble(seed, replicas, workers, WORK_GUARD)
         distances.append(ks_distance(sample.scaled(), one_point_law))
         ensembles[f"kappa={kappa:g}"] = sample
     thr = ks_threshold(replicas)
@@ -785,7 +775,7 @@ def run_gumbel_scan(kappa: float, box_sides, replicas: int, seed: int = 1,
     details = {}
     for side in box_sides:
         target = BoxTarget(side)
-        sample = cover_time_ensemble(seed, kappa, target, replicas, workers, work_guard)
+        sample = CoverEngine(kappa, target).ensemble(seed, replicas, workers, work_guard)
         z = sample.mu * sample.values.values - math.log(target.size)
         distances.append(ks_distance(EmpiricalDistribution.from_samples(z),
                                      gumbel_cdf))

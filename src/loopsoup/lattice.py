@@ -80,9 +80,6 @@ class Box:
     def __repr__(self):
         return f"Box({self.x0},{self.y0},{self.x1},{self.y1})"
 
-    def contains(self, x: Point) -> bool:
-        return self.x0 <= x[0] <= self.x1 and self.y0 <= x[1] <= self.y1
-
     def distance(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Vectorized L1 distance from (px, py) to the box (0 inside)."""
         dx = np.maximum(0, np.maximum(self.x0 - px, px - self.x1))

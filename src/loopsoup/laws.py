@@ -197,10 +197,6 @@ class SecondMomentReport:
     class_sums: dict[str, float]
     verdicts: list[Verdict]
 
-    @property
-    def all_pairs_sum(self) -> float:
-        return sum(self.class_sums.values())
-
 
 def second_moment_report(kappa: float, A: TargetSet,
                          epsilon: float) -> SecondMomentReport:

@@ -178,6 +178,15 @@ def test_greens_at_tiny_kappa(capsys):
     assert len(mu) == 1 and abs(mu[0] - 2.0411681705747884) <= 1e-12
 
 
+def test_laws_pair_prints_the_csv_it_writes(tmp_path, capsys):
+    # like greens, stdout starts with the header and is the CSV itself
+    assert _run("--out-dir", tmp_path, "laws", "pair", "--kappa", "0.5,0.1",
+                "--x", "1,0", "--u", 1) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "quantity,kappa,x1,x2,value,error_bound"
+    assert out == (tmp_path / "laws_pair.csv").read_text()
+
+
 def test_verify_bounds_at_tiny_kappa_skips_series(capsys):
     # the walk series would need ~1e11 half-lengths, past its 2^28 ceiling
     assert _run("verify", "bounds", "--kappa-grid", "1e-9",
@@ -240,7 +249,7 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     def fail(*args, **kwargs):
         raise ValueError("injected")
 
-    monkeypatch.setattr(cli, "cover_time_ensemble", fail)
+    monkeypatch.setattr(cli.CoverEngine, "ensemble", fail)
     assert _run("covertime", "--set", "box:2", "--kappa", 0.5,
                 "--replicas", 4) == cli.EXIT_ERROR
     assert capsys.readouterr().err.strip() == "error: ValueError: injected"

@@ -12,7 +12,7 @@ from scipy.stats import ks_2samp
 from loopsoup import cover, laws, sampler
 from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             PointsTarget, ResourceCeilingError,
-                            cover_time_ensemble, first_cover_times_from_soup,
+                            first_cover_times_from_soup,
                             ks_distance, ks_threshold, make_target)
 from loopsoup.lattice import Box
 from loopsoup.records import VERDICT_HOLDS, VERDICT_NOT_MET
@@ -173,9 +173,10 @@ class TestEngineAgainstLaws:
         e._residual_chains = lambda mask: builds.append(len(mask)) or build(mask)
         s = e.ensemble(seed, replicas)
         assert s.sampler == (self.sampler or e.sampler)
-        # each replica still uncovered at t_residual is finished on the
-        # chain of its own uncovered set
-        assert bool(builds) == (e.t_residual < e.horizon0)
+        # A is drawn up to t_residual, at most horizon0, and each replica
+        # still uncovered there is finished on the chain of its own
+        # uncovered set
+        assert 0.0 < e.t_residual <= e.horizon0 and builds
         self.builds = builds
         return s
 
@@ -255,7 +256,8 @@ class TestRingEngineAgainstLaws(TestEngineAgainstLaws):
     sampler = "ring"
 
     def test_residual_is_built(self):
-        # a two-point set starts the residual before horizon0
+        # a two-point set starts the residual before horizon0: the replicas
+        # still uncovered there finish on the chains of their own sets
         self.ensemble(6, 0.25, PointsTarget([(0, 0), (1, 1)]), 2000)
         assert self.builds
 
@@ -286,7 +288,7 @@ class TestTraceChain:
     ])
     def test_determinant_law(self, spec, kappa, seed, grid):
         target = make_target(spec)
-        s = cover_time_ensemble(seed, kappa, target, 20_000)
+        s = CoverEngine(kappa, target).ensemble(seed, 20_000)
         assert s.sampler == "trace" and s.truncation_bias_rate == 0.0
         law = laws.cover_law(kappa, target.points())
         for u in grid:
@@ -325,10 +327,8 @@ class TestTraceChain:
                                                  sampler_, replicas, seed):
         # a fold after nearly every lockstep iteration catches excursions
         # under way, whose visits wait for the end of their last attempt;
-        # box:3 runs the plain schedule, box:8 the residual
+        # box:3 draws A up to horizon0, box:8 up to u* - c/mu
         e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
-        if spec == "box:3":
-            e.t_residual = math.inf
         assert e.sampler == "trace" and (e.t_residual < e.horizon0) == (spec == "box:8")
         want = e.ensemble(seed, replicas).values.values
         for budget in (1, 7):
@@ -464,21 +464,55 @@ class TestPathwiseProperties:
 
 
 class TestSlabSchedule:
-    """The first slab ends at horizon0 = u* + 1/mu and later slabs, for the
-    uncovered replicas only, are 1/mu, 2/mu, 4/mu, ... long.  Either engine
-    draws A only up to t_residual, where that falls before horizon0, and
-    finishes each replica on the trace chain of its uncovered set F, on the
-    same boundaries after it."""
+    """Either engine draws A in one slab, [0, t_residual), t_residual at
+    most horizon0 = u* + 1/mu, and finishes each replica on the trace chain
+    of its uncovered set F, for the uncovered replicas only, on slabs that
+    end at horizon0 and then 1/mu, 2/mu, 4/mu, ... further."""
+
+    @pytest.mark.parametrize("spec,kappa,sampler_", [
+        ("box:16", 0.5, None), ("box:16", 0.01, None), ("box:3", 0.01, None),
+        ("points:(0,0)", 0.25, "ring"), ("points:(0,0)", 0.25, "trace")])
+    def test_each_batch_draws_a_once(self, monkeypatch, spec, kappa, sampler_):
+        # one ring slab, or one slab of the chain on A, per batch, whatever
+        # the batch size; a small batch budget makes several batches
+        e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
+        monkeypatch.setattr(e, "_batch_size", lambda: 24)
+        draws, batches = [], []
+        owner, name = (e, "_ring_slab") if e.chain is None else (e.chain, "slab")
+        draw, batch = getattr(owner, name), e._cover_batch
+
+        def spy(rng, state, t0, t1, *tables):
+            draws.append((len(state), t0, t1))
+            return draw(rng, state, t0, t1, *tables)
+
+        monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(e, "_cover_batch",
+                            lambda rng, b: batches.append(b) or batch(rng, b))
+        e.ensemble(65, 100)
+        assert batches == [24, 24, 24, 24, 4]
+        assert draws == [(b, 0.0, e.t_residual) for b in batches]
+
+    @pytest.mark.parametrize("spec", ["points:(0,0)", "points:(0,0);(1,1)", "box:3",
+                                      "box:16"])
+    @pytest.mark.parametrize("kappa", [0.01, 0.5])
+    def test_t_residual_is_at_most_horizon0(self, spec, kappa):
+        # 0 < t_residual <= horizon0 for the dispatch and both forced
+        # engines; one point draws A up to horizon0 = 1/mu
+        for sampler_ in (None, "ring", "trace"):
+            e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
+            assert 0.0 < e.t_residual <= e.horizon0, sampler_
+            if e.target.size == 1:
+                assert e.t_residual == e.horizon0 == 1.0 / e.mu
 
     @pytest.mark.parametrize("engine,seed", [("ring", 51), ("trace", 52)])
     def test_law_across_slab_edges(self, monkeypatch, engine, seed):
         # the ECDF at and around the first two slab boundaries against the
         # exact determinant law; both engines start the residual before
-        # horizon0, the trace chain at u*, where its cost model would keep
-        # the plain schedule
+        # horizon0, the trace chain at u*, where its cost model would draw
+        # A up to horizon0
         e = CoverEngine(0.5, BoxTarget(3), sampler=engine)
         if engine == "trace":
-            assert e.t_residual == math.inf
+            assert e.t_residual == e.horizon0
             e.t_residual = e.u_star
         builds, build = [], e._residual_chains
         monkeypatch.setattr(e, "_residual_chains",
@@ -497,8 +531,8 @@ class TestSlabSchedule:
         # E|F| = S1(t_residual) = e^c = rate_s / (mu point_s): the first
         # phase's seconds per unit time, step_rate _STEP_S or cell_rate
         # _CELL_S, against the engine's price per point of F, where
-        # t_residual falls inside (0, horizon0); sets too small to repay the
-        # build keep the plain schedule
+        # t_residual falls inside (0, horizon0); on sets too small for that
+        # A is drawn up to horizon0
         for kappa, engine in ((0.01, "trace"), (0.5, "ring")):
             e = CoverEngine(kappa, BoxTarget(16))
             assert e.sampler == engine and 0.0 < e.t_residual < e.horizon0
@@ -508,7 +542,8 @@ class TestSlabSchedule:
                                 rate_s / (e.mu * cover._POINT_S[engine]))
         for spec, kappa in (("points:(0,0);(1,1)", 0.01), ("points:(0,0)", 0.01),
                             ("box:3", 0.01)):
-            assert CoverEngine(kappa, make_target(spec)).t_residual == math.inf
+            e = CoverEngine(kappa, make_target(spec))
+            assert e.t_residual == e.horizon0
 
     def test_residual_start_ignores_batch_budgets(self, monkeypatch):
         # the batch size follows from t_residual, never the other way: a
@@ -619,15 +654,16 @@ class TestSlabSchedule:
         assert ks_distance(s.values, law) <= ks_threshold(20_000)
 
     def test_truncation_bias_is_charged_up_to_t_residual(self):
-        # the ring engine's truncation acts only on [0, t_residual), and
-        # on [0, max T) where the residual never runs
+        # the ring engine's truncation acts only on [0, t_residual), which
+        # for one point is [0, 1/mu): the bound is bias_rate min(max T, 1/mu)
         e = CoverEngine(0.5, BoxTarget(16))
         s = e.ensemble(57, 256)
         assert s.sampler == "ring" and s.t_residual == e.t_residual < s.values.values.max()
         assert s.truncation_bias_bound == e.bias_rate * e.t_residual > 0.0
         s = CoverEngine(0.5, PointsTarget([(0, 0)]), sampler="ring").ensemble(58, 256)
-        assert s.sampler == "ring" and s.t_residual == math.inf
-        assert s.truncation_bias_bound == s.truncation_bias_rate * s.values.values.max()
+        assert s.sampler == "ring" and s.t_residual == 1.0 / s.mu
+        assert s.truncation_bias_bound == s.truncation_bias_rate * min(
+            s.values.values.max(), 1.0 / s.mu) > 0.0
 
     def test_traced_cells_stop_near_the_cover_time(self, monkeypatch):
         # box:16 at kappa = 0.5 needs about u* + 1.64/mu of soup per
@@ -728,13 +764,13 @@ def test_engine_and_soups_share_the_length_law(monkeypatch):
 
 class TestDeterminismAndGuards:
     def test_same_seed_identical(self):
-        a = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 5000)
-        b = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 5000)
+        a = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 5000)
+        b = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 5000)
         assert np.array_equal(a.values.values, b.values.values)
 
     def test_workers_do_not_change_results(self):
-        a = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=1)
-        b = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=2)
+        a = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 9000, workers=1)
+        b = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 9000, workers=2)
         assert np.array_equal(a.values.values, b.values.values)
 
     def test_pool_size_is_bounded_by_blocks_and_cpus(self, monkeypatch):
@@ -764,18 +800,19 @@ class TestDeterminismAndGuards:
                 [str(i) for i in range(blocks)]
         assert sizes == [3, 4, 2]
         # three replica blocks: the same values as one worker, from a pool of 3
-        a = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=1)
-        b = cover_time_ensemble(3, 0.5, PointsTarget([(0, 0)]), 9000, workers=5000)
+        a = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 9000, workers=1)
+        b = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(3, 9000, workers=5000)
         assert sizes == [3, 4, 2, 3]
         assert np.array_equal(a.values.values, b.values.values)
 
     def test_disjoint_seeds_same_law(self):
-        a = cover_time_ensemble(1, 0.5, PointsTarget([(0, 0)]), 15_000)
-        b = cover_time_ensemble(2, 0.5, PointsTarget([(0, 0)]), 15_000)
+        a = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(1, 15_000)
+        b = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(2, 15_000)
         assert ks_2samp(a.values.values, b.values.values).pvalue > 0.001
 
     def test_horizon_start_invariance(self):
-        # a first slab ending at horizon0 or at 4 horizon0 gives the same law
+        # the residual's first slab ending at horizon0 or at 4 horizon0
+        # gives the same law
         target = PointsTarget([(0, 0), (4, 0)])
         e1 = CoverEngine(0.5, target)
         e2 = CoverEngine(0.5, target)
@@ -797,7 +834,7 @@ class TestDeterminismAndGuards:
                 sampler.length_pmf(kappa, 1e-8)
 
     def test_replicas_one(self):
-        s = cover_time_ensemble(1, 0.5, PointsTarget([(0, 0)]), 1)
+        s = CoverEngine(0.5, PointsTarget([(0, 0)])).ensemble(1, 1)
         assert s.values.count == 1
 
 

@@ -219,7 +219,7 @@ class TestSecondMoment:
                     continue
                 gox = tab.value((p[0] - q[0], p[1] - q[1]))
                 direct += (goo * goo - gox * gox) ** (-rep.u_eval)
-        assert rep.all_pairs_sum == pytest.approx(direct, rel=1e-9)
+        assert sum(rep.class_sums.values()) == pytest.approx(direct, rel=1e-9)
 
     def test_max_l1_diameter(self, rng):
         # the bounding box's L1 extent would give 15 here
