@@ -271,7 +271,6 @@ def _ensemble_artifacts(args, sample: cover.CoverTimeSample, name: str,
             "mu_origin_loops": sample.mu,
             "u_star": sample.u_star,
             "truncation_bias_rate": sample.truncation_bias_rate,
-            "truncation_bias_bound": sample.truncation_bias_bound,
             "verdicts": [v.__dict__ for v in verdicts],
         })
 
@@ -283,8 +282,7 @@ def cmd_covertime(args) -> int:
     _ensemble_artifacts(args, sample, "covertime", [])
     v = sample.values.values
     print(f"replicas={sample.replicas} mean={fmt(v.mean())} "
-          f"mu={fmt(sample.mu)} bias_rate={fmt(sample.truncation_bias_rate)} "
-          f"sampler={sample.sampler}")
+          f"mu={fmt(sample.mu)} sampler={sample.sampler}")
     return EXIT_OK
 
 
@@ -309,9 +307,6 @@ def cmd_gumbel_scan(args) -> int:
     _emit_verdicts(args, rep.verdicts, "gumbel_scan.csv")
     print("note: the limit regime log(1/kappa) >= e^32 is numerically "
           "unreachable; this is a finite-size trend reproduction.")
-    for k, v in rep.details.items():
-        if k.startswith("rate_bound"):
-            print(f"{k} = {fmt(v)}")
     path = _out_path(args, "gumbel_plotdata.csv")
     if path is not None:
         emit_plotdata_for_scan(rep, path)
@@ -417,7 +412,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     sample = CoverEngine(0.25, PointsTarget([(0, 0)])).ensemble(
         args.seed, replicas, workers=args.workers)
     d = ks_distance(sample.scaled(), laws.one_point_law)
-    thr = ks_threshold(replicas) + sample.truncation_bias_bound
+    thr = ks_threshold(replicas)
     verdicts.append(verdict("one-point-exponential-law", "one-point-law",
                             f"kappa=0.25,replicas={replicas},seed={args.seed}",
                             d, thr, d <= thr))
@@ -427,7 +422,7 @@ def _verify_all_verdicts(args) -> list[Verdict]:
     sample = CoverEngine(0.5, PointsTarget(pts)).ensemble(args.seed, replicas,
                                                           workers=args.workers)
     d = ks_distance(sample.values, laws.cover_law(0.5, pts))
-    thr = ks_threshold(replicas) + sample.truncation_bias_bound
+    thr = ks_threshold(replicas)
     verdicts.append(verdict("cover-determinant-law", "determinant-law",
                             f"kappa=0.5,set={sample.target_label},replicas={replicas},"
                             f"seed={args.seed}", d, thr, d <= thr))
@@ -540,9 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     s1.add_argument("--out", default=None)
     s1.set_defaults(func=cmd_soup_sample)
 
-    c = sub.add_parser("covertime", help="cover-time ensemble (exact trace "
-                       "chain, or the ring engine with the half-length law "
-                       f"truncated at omitted mass {cover.TAIL_TOL:g})")
+    c = sub.add_parser("covertime", help="cover-time ensemble (exact: the "
+                       "trace chain, or the ring engine)")
     c.add_argument("--kappa", type=kappa, required=True)
     c.add_argument("--set", required=True,
                    help="box:<n> | points:(x,y);... | line:<k>x<sep>")

@@ -94,6 +94,10 @@ class Box:
         return np.where(d == 0, self.area,
                         2 * (self.width + self.height) + 4 * (d - 1))[()]
 
+    def grown_area(self, m):
+        """Number of cells of the box grown by m (scalar or array) on every side."""
+        return (self.width + 2 * m) * (self.height + 2 * m)
+
     def grown_cells(self, m, idx) -> tuple[np.ndarray, np.ndarray]:
         """Cells of the box grown by m >= 0 on every side (scalar or one per
         index), x-major: index i (height + 2m) + j is (x0 - m + i, y0 - m + j).
@@ -117,9 +121,10 @@ class PointsTarget:
     root), keeps those within m, and ``vertex_index`` decides which of a
     loop's cells are hits."""
 
-    #: Largest |coordinate| of a target point.  Traced cells lie within
-    #: 2 n_trunc <= 2**23 of the bounding box (or, for soups, in int32
-    #: range), so they differ from every point by less than 2**32 per
+    #: Largest |coordinate| of a target point.  Traced cells lie within 2m
+    #: of the bounding box, m <= n_trunc <= 2**22 but for the envelope's
+    #: loops, which pass 2**29 with odds below e^-600 (or, for soups, in
+    #: int32 range), so they differ from every point by less than 2**32 per
     #: coordinate, which is what keeps ``_key`` exact.
     COORD_LIMIT = 1 << 30
 

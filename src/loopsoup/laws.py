@@ -181,7 +181,10 @@ class SeparationClassification:
         kinv = 1.0 / kappa
         c1 = kinv ** (1.0 / (40.0 * mu))
         c2 = kinv ** 0.25
-        c3 = float(set_size) ** (1.0 / mu) * kinv ** 0.5
+        try:
+            c3 = float(set_size) ** (1.0 / mu) * kinv ** 0.5
+        except OverflowError:   # at large kappa mu is small: |A|^(1/mu) passes 1e308
+            c3 = math.inf
         return cls(b1=c1, b2=max(c1, c2), b3=max(c1, c2, c3))
 
 

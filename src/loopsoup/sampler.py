@@ -40,6 +40,15 @@ def tail_mass(kappa: float, n: int) -> float:
     return geometric_tail_bound(kappa, n) / (2.0 * (n + 1))
 
 
+def tail_envelope_rate(kappa: float, n: int, box: Box) -> float:
+    """Mass of the geometric envelope C q^m, m > n, of the intensity w_m
+    rect_m of the loops past half-length n rooted on the box grown by m,
+    rect_m = (W + 2m)(H + 2m): t_m <= q^m / (pi m) and rect_m / m^2 falls
+    with m, so w_m rect_m = t_m rect_m / (2m) <= C q^m with C = rect_{n+1} /
+    (2 pi (n+1)^2), whose sum over m > n is rect_{n+1} ``tail_mass``(kappa, n)."""
+    return box.grown_area(n + 1) * tail_mass(kappa, n)
+
+
 def required_n_trunc(kappa: float, tail_tol: float) -> int:
     """Smallest N >= 1 with certified pmf tail below tail_tol."""
     step_weight(kappa)
@@ -118,15 +127,14 @@ class LengthDistribution:
     """Truncated half-length law of rooted loops at one vertex.
 
     weights[m-1] = (L_{2m}/(2m)) beta^{2m} for m = 1..n_trunc; total_mass is
-    their sum (the truncated per-vertex intensity) and tail_mass_bound a
-    certified cap on what truncation discarded.
+    their sum (the truncated per-vertex intensity); ``tail_mass`` caps what
+    truncation discarded.
     """
 
     kappa: float
     n_trunc: int
     weights: np.ndarray
     total_mass: float
-    tail_mass_bound: float
 
     @classmethod
     def build(cls, kappa: float, tail_tol: float) -> "LengthDistribution":
@@ -134,8 +142,7 @@ class LengthDistribution:
         t = loop_term_array(kappa, n)
         weights = t / (2.0 * np.arange(1, n + 1, dtype=np.float64))
         return cls(kappa=kappa, n_trunc=n, weights=weights,
-                   total_mass=float(weights.sum()),
-                   tail_mass_bound=tail_mass(kappa, n))
+                   total_mass=float(weights.sum()))
 
 
 @lru_cache(maxsize=32)
@@ -347,24 +354,3 @@ def extend_soup(soup: SoupSample, delta_horizon: float) -> SoupSample:
                       timestamp=np.concatenate([soup.timestamp, ts]),
                       steps_packed=soup.steps_packed + packed)
 
-
-def truncation_bias_rate(dist: LengthDistribution, box: Box) -> float:
-    """Certified intensity of discarded loops that could have hit the box.
-
-    The ring engine draws, for each half-length m <= n_trunc, the loops
-    rooted within L1 distance m of its target's box; what it discards are
-    the loops of half-length m > n_trunc, which reach at most m from their
-    root, so a root on ring d only matters through the law's mass beyond
-    max(d - 1, n_trunc).  The rings d <= n_trunc all see tail_mass_bound.
-    A far ring d > n has ring_count(d) / (2d) = 2 + (W + H - 2)/d <= c =
-    2 + (W + H - 2)/(n + 1), so its term ring_count(d) tail_mass(kappa, d - 1)
-    is at most c q^d / (pi d (1-q)) <= c q^d / (pi (n+1) (1-q)), a geometric
-    series in d whose sum is c q^{n+1} / (pi (n+1) (1-q)^2), q = (4 beta)^2.
-    The result times an evaluation time u bounds any coverage-probability
-    bias at u.
-    """
-    n, kappa, beta = dist.n_trunc, dist.kappa, step_weight(dist.kappa)
-    inside = int(box.ring_count(np.arange(n + 1)).sum())
-    c = 2.0 + (box.width + box.height - 2) / (n + 1)
-    return (inside * dist.tail_mass_bound
-            + c * geometric_tail_bound(kappa, n) / (kappa * (8.0 + kappa) * beta * beta))

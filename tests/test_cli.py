@@ -51,6 +51,7 @@ def test_trace_chain_artifacts_identical_across_workers(tmp_path, capsys):
     assert out[1] == out[2]
     meta = json.loads(out[1][1])
     assert meta["truncation_bias_rate"] == 0.0 and "sampler" not in meta
+    assert "truncation_bias_bound" not in meta
 
 
 def test_global_flag_env_default_matches_whole_tokens(tmp_path, monkeypatch):
@@ -242,6 +243,21 @@ def test_resolved_epsilon_outside_its_domain_is_config_error(capsys):
     assert capsys.readouterr().err.strip() == \
         "config error: epsilon auto100 = 1.42241 must lie in (0, 1)"
     assert _run("laws", "second-moment", "--kappa", 15, "--box", 4) == cli.EXIT_OK
+
+
+def test_second_moment_at_large_kappa_gives_a_verdict(capsys):
+    # |A|^(1/mu) passes the float range from kappa ~ 30 on small boxes: b3
+    # is then inf, and the report still runs
+    assert _run("laws", "second-moment", "--kappa", 1000, "--box", 2,
+                "--epsilon", 0.5) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    assert "pair classes" in capsys.readouterr().out
+
+
+def test_gumbel_scan_writes_plotdata_without_rate_bound(tmp_path, capsys):
+    assert _run("--out-dir", tmp_path, "gumbel-scan", "--boxes", "2,3",
+                "--replicas", 200) == cli.EXIT_OK
+    assert (tmp_path / "gumbel_plotdata.csv").is_file()
+    assert "rate_bound" not in capsys.readouterr().out
 
 
 def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, poisson
 
-from loopsoup import cover, greens, laws, sampler
+from loopsoup import cover, greens, laws, sampler, series
 from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
 from loopsoup.series import ResourceCeilingError, SeriesTruncationError
 
@@ -42,7 +42,7 @@ class TestLengthDistribution:
         d = sampler.length_pmf(0.4, 1e-10)
         full = greens.rooted_intensity(0.4)
         assert d.total_mass <= full + 1e-15
-        assert full - d.total_mass <= d.tail_mass_bound
+        assert full - d.total_mass <= sampler.tail_mass(0.4, d.n_trunc)
 
     def test_truncation_ceiling(self):
         with pytest.raises(SeriesTruncationError):
@@ -69,7 +69,8 @@ class TestLengthDistribution:
         # bound 4 exp(-N kappa/4) put at 1.4e-11
         d = sampler.length_pmf(100.0, 1e-10)
         assert d.n_trunc >= 2
-        assert greens.rooted_intensity(100.0) - d.total_mass <= d.tail_mass_bound <= 1e-10
+        omitted = greens.rooted_intensity(100.0) - d.total_mass
+        assert omitted <= sampler.tail_mass(100.0, d.n_trunc) <= 1e-10
 
     def test_soup_half_lengths_match_weights(self):
         # the per-half-length Poisson counts of one window soup of about
@@ -358,38 +359,37 @@ class TestWindowSoup:
             misses += not np.isfinite(
                 cover.first_cover_times_from_soup(soup, [(0, 0)])[0])
         p = laws.prob_uncovered(kappa, [(0, 0)], u)
-        bias = u * sampler.truncation_bias_rate(d, Box(0, 0, 0, 0))
+        # the loops past n_trunc that reach o, rooted within m of it, are
+        # the window's only omission
+        bias = u * sampler.tail_envelope_rate(kappa, d.n_trunc, Box(0, 0, 0, 0))
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(misses / reps - p) <= 3 * se + bias
 
 
-class TestBiasRate:
+class TestTailEnvelope:
     @pytest.mark.parametrize("kappa,box", [
         (0.5, Box(0, 0, 15, 15)), (1e-4, Box(0, 0, 15, 15)),
         (1e-4, Box(0, 0, 63, 63)), (1e-4, Box(0, 0, 1, 1)),
         (1e-4, Box(0, 0, 2998, 0)),
     ])
-    def test_against_ring_by_ring_sum(self, kappa, box):
-        # the discarded loops rooted on ring d reach the box only beyond
-        # half-length max(d - 1, n), whose weights sum to at most
-        # q^(m+1) / (2 pi (m + 1)^2 (1 - q)) beyond m, q = (4/(4 + kappa))^2;
-        # summed ring by ring up to d = n + 120/kappa, where the rest is
-        # below e^-50 of the sum.  The closed form takes 1/d <= 1/(n + 1) on
-        # the far rings, d > n, which costs at most a factor 1 + 1/((n +
-        # 1)(1 - q)) there, and ring_count(d)/(2d) <= its value at n + 1
-        d = sampler.length_pmf(kappa, 1e-10)
-        n = d.n_trunc
-        q = (4.0 / (4.0 + kappa)) ** 2
-        rings = np.arange(n + 1, n + 1 + int(120 / kappa))
-        near = box.ring_count(np.arange(n + 1)).sum() * d.tail_mass_bound
-        far = (box.ring_count(rings) * q ** rings
-               / (2.0 * math.pi * rings ** 2 * (1.0 - q))).sum()
-        rate = sampler.truncation_bias_rate(d, box)
-        assert near + far <= rate <= 1.01 * (near + far * (1.0 + 1.0 / ((n + 1) * (1.0 - q))))
+    def test_dominates_the_tail_intensity(self, kappa, box):
+        # w_m rect_m = t_m rect_m / (2m) <= C q^m for every m > n, C =
+        # rect_{n+1} / (2 pi (n+1)^2), q = (4/(4 + kappa))^2, with exact
+        # terms up to m = n + 120/kappa, where q^m has fallen by e^-60; the
+        # closed-form rate is the envelope's mass, so at least their sum
+        n = sampler.length_pmf(kappa, 1e-10).n_trunc
+        m = np.arange(n + 1, n + 1 + int(120 / kappa))
+        rect = (box.width + 2 * m) * (box.height + 2 * m)
+        intensity = series.loop_term_array(kappa, int(m[-1]))[n:] * rect / (2.0 * m)
+        envelope = (rect[0] / (2.0 * math.pi * (n + 1) ** 2)
+                    * np.exp(2.0 * m * math.log1p(-kappa / (4.0 + kappa))))
+        assert (intensity <= envelope).all()
+        rate = sampler.tail_envelope_rate(kappa, n, box)
+        assert intensity.sum() <= rate
+        assert rate == pytest.approx(envelope.sum(), rel=1e-9)
 
     def test_decreases_with_tolerance(self):
-        d1 = sampler.length_pmf(0.5, 1e-6)
-        d2 = sampler.length_pmf(0.5, 1e-10)
         t = Box(0, 0, 7, 7)
-        assert sampler.truncation_bias_rate(d2, t) \
-            < sampler.truncation_bias_rate(d1, t)
+        coarse, fine = (sampler.tail_envelope_rate(0.5, sampler.length_pmf(0.5, tol).n_trunc, t)
+                        for tol in (1e-6, 1e-10))
+        assert fine < coarse
