@@ -19,7 +19,7 @@ take: two-far takes --kappa and --separation, neighbors --kappa-grid, and
 many-sep --kappa, --separation and --count), 3 resource ceiling (a length
 law or walk series past its truncation ceiling, a Green's series
 cross-check past its work guard, a cover run, example or scan past its
-estimated-work guard, cover.WORK_GUARD = 5e11 cells or chain steps unless
+estimated-work guard, cover.WORK_GUARD = 5e11 cells or chain moves unless
 --work-guard sets it, a soup slice past its loop ceiling, a second-moment
 set past its pair-sum guard of 65,536 points, box:256), 4 any other error
 (a value outside a function's domain, or a fault in the program), as

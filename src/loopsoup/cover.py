@@ -14,9 +14,10 @@ any fixed sequence of slab boundaries is exact.
 
 The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
-loops and fields*), decomposed by each loop's lowest vertex in a
-coarse-to-fine order of A through the Cholesky pivots of G_A.  It needs no
-truncation.
+loops and fields*), decomposed by each loop's lowest vertex through the
+Cholesky factor C of G_A, boundary first.  Each excursion is drawn already
+conditioned to return to its root, the Doob h-transform by h_j = C[:, j] /
+C_jj, so every move is a visit.  It needs no truncation.
 
 The ring engine samples the loops of the soup that are able to touch the
 target's bounding box (W x H): a loop of half-length m reaches at most m
@@ -48,11 +49,12 @@ most _RESIDUAL_MEAN_F so that the rows of a large set stay small.
 
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller time
 per unit time: the ring engine's expected traced cells (``cell_rate``)
-times _CELL_S against the trace chain's expected steps (``step_rate``)
-times _STEP_S.  step_rate >= |A| (G(o) - 1/2), and where that floor, so
-priced, is not below the ring engine's time the ring engine is taken
-without factoring G_A.  Sets whose trace setup (G_A and the alias tables,
-``trace_setup_bytes``, which counts |A| only) would exceed
+times _CELL_S against the trace chain's expected moves, step_rate = |A|
+(G(o) - 1) in closed form, times _STEP_S.  Where the chain's price is below
+a floor of the ring engine's cells that needs no length law, the law is
+never built; where the ring engine's is below it, G_A is never built.  Sets
+whose trace setup (G_A, its factor and the alias rows,
+``trace_setup_bytes``, which counts |A| and the points of B) would exceed
 TRACE_SETUP_BYTES keep the ring engine.  At a kappa whose half-length law
 passes its truncation ceiling only the trace chain is left, and a set over
 that budget is refused.
@@ -72,58 +74,67 @@ from itertools import chain
 import numpy as np
 
 from .greens import greens_at, mu_gamma_o
-from .lattice import BoxTarget, Point, PointsTarget  # re-exported to callers
+from .lattice import (BoxTarget, Point, PointsTarget,  # re-exported to callers
+                      STEP_DX, STEP_DY)
 from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from . import sampler as _sampler
-from .sampler import (_alias_setup, length_pmf, loop_vertices, tail_envelope_rate,
-                      unpack_steps, urn_steps)
+from .sampler import (_alias_setup, length_pmf, loop_vertices, required_n_trunc,
+                      tail_envelope_rate, unpack_steps, urn_steps)
 from .series import (ConfigError,  # raised here, re-exported to callers
-                     ResourceCeilingError, SeriesTruncationError)
+                     ResourceCeilingError, SeriesTruncationError, geometric_tail_bound)
 
 REPLICA_BLOCK = 4096
 #: Largest tail mass past the ring engine's half-length table, where the
 #: geometric envelope takes over: a cost choice, not a bias
 TAIL_TOL = 1e-10
-WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain steps
+WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain moves
 #: Most bytes the trace chain's setup may hold; larger sets keep the ring
-#: engine.  Any set of at most 1,758 points fits, whatever its spread; the
-#: largest box is box:41 (1,681 points), whose G_A, factor, inverse and
-#: alias tables take about 1 s on one core.
+#: engine.  The largest box is box:38 (1,444 points), whose G_A, factor and
+#: alias rows take about 0.75 s on one core and raise the peak RSS by 113
+#: MB; a set without interior fits up to 275 points.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
+_ALIAS_ENTRIES = 1 << 14   # trace-chain table entries built at a time
 _MAX_SLABS = 48
 #: The cost model of the dispatch and of the residual, on one core of a
 #: 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS on one thread).  A cell the
 #: ring engine traces costs about _CELL_S, root proposals included (38 ns
 #: at box:16, kappa = 0.01, 72-91 ns at kappa = 0.5, where its loops are
-#: short); a step of the trace chain on A about _STEP_S, lockstep overhead
-#: included (165 ns on box:16, kappa = 0.01, on a kernel that counted
-#: attempts per excursion; ``TraceChain.slab`` takes 143 ns).  A point of
-#: F costs the residual about _POINT_S[engine], build included: the ring
-#: engine's thousands of rows per batch share lockstep iterations and alias
-#: passes, the trace chain's tens less so.  The c that ran fastest with
-#: t_residual forced, 1.5 on the ring engine at box:16, kappa = 0.5, and on
-#: the trace chain 1.0 at box:8 and 2.0-2.5 at box:16, kappa = 0.01, 2.0-2.5
-#: at box:16, kappa = 0.05 and 3.5 at box:32, kappa = 1e-3, is met within
-#: 0.5 by ring prices of 5.7-15.6 us and trace prices of 27.2-37.1 us.
+#: short); a move of the trace chain on A about _STEP_S, lockstep overhead
+#: and batches included: ``TraceChain.slab`` over [0, u* - 2/mu) takes 78
+#: ns a move at box:16, kappa = 0.5, 116 at 0.05, 171 at 0.01 and 306 at
+#: box:32, kappa = 1e-3, where the longest excursions set the lockstep
+#: depth, and between 207 and 309 ns the dispatch picks the engine that ran
+#: faster at every point of the ``CoverEngine`` table.  A point of F costs
+#: the residual about _POINT_S[engine], build included: the ring engine's
+#: thousands of rows per batch share lockstep iterations and alias passes,
+#: the trace chain's tens less so.  The c that ran fastest with t_residual
+#: forced, 1.5 on the ring engine at box:16, kappa = 0.5, and on the trace
+#: chain 0.0 at box:8 and 1.0-1.5 at box:16, kappa = 0.01, 1.0 at box:16,
+#: kappa = 0.05 and 2.5 at box:32, kappa = 1e-3, is met within 0.5 by ring
+#: prices of 5.7-15.6 us and trace prices of 23.6-42.1 us.
 _CELL_S = 80e-9
-_STEP_S = 160e-9
-_POINT_S = {"ring": 10e-6, "trace": 32e-6}
-#: Bytes of a residual chunk's stacked (|F| + 1)^2 float64 tables; its
-#: build peaks at about 9 times that (``trace_setup_bytes``)
-_RESIDUAL_BYTES = 1 << 18
+_STEP_S = 240e-9
+_POINT_S = {"ring": 10e-6, "trace": 31e-6}
+#: Bytes of a residual chunk's stacked alias rows, 16 bytes an entry
+#: (``_chunks``); its build peaks within 5 times that
+#: (``trace_setup_bytes``)
+_RESIDUAL_BYTES = 1 << 20
 #: Most points of F the residual starts with on average, E|F| = e^c.  A
-#: row's build is O(|F|^3), priced linearly only for small F, and a row of
-#: |F| > 180 fills a chunk of _RESIDUAL_BYTES alone; a Poisson(64) count
-#: passes 180 with probability below 1e-32.  Sets whose cost model asks
-#: for more (box:200 at kappa = 0.5 asks for 113) start the residual later.
-_RESIDUAL_MEAN_F = 64
+#: chain of |F| points builds |F|^2 (|F| + 1) / 2 alias entries, so its
+#: price per point grows with |F| where the model holds it constant:
+#: box:64 at kappa = 0.5, for which the model asks 46, ran fastest near 12
+#: (1.33 s for 836 replicas, against 2.5 s at 32).  A row of |F| > 49 fills
+#: a chunk of _RESIDUAL_BYTES alone; a Poisson(16) count passes 49 with
+#: probability below 1e-11.  Sets whose cost model asks for more (box:200 at
+#: kappa = 0.5 asks for 404) start the residual later.
+_RESIDUAL_MEAN_F = 16
 # unused here, kept only for the benchmark's tracer, which patches it, until
 # a tracer without patches replaces it (as laws.TargetSet is)
 balanced_signs = _sampler.balanced_signs
@@ -234,27 +245,33 @@ class CoverTimeSample:
         return EmpiricalDistribution.from_samples(self.mu * self.values.values)
 
 
-def trace_setup_bytes(size: int) -> int:
-    """Peak bytes of the trace chain's setup for a set of `size` points:
-    42 bytes per size * (size + 1) entry, set by G_A and its inverse with
-    LAPACK's working copies, plus 4 MiB.  It bounds the rise of the
-    process's peak RSS while the engine is built (one core, kappa = 0.01,
-    the same in two runs) by about 20%: box:32 estimates 48.3 MB and rose
-    41.6 MB, box:38 91.8 MB and 77.0 MB, box:41 122.9 MB and 99.6 MB.
-    After the setup the engine keeps only the alias tables (12 bytes an
-    entry).  The residual builds each G_F from ``greens_at`` on F's
-    displacements, in chunks of rows whose stacked (|F| + 1)^2 tables, |F|
-    the chunk's largest F, hold at most _RESIDUAL_BYTES as float64: the
-    build peaks near 70 bytes per entry, about 2.3 MB (box:16, kappa =
-    0.5, 3,716 rows of |F| <= 7 held 17.0 MB at eight times the budget),
-    and a chunk keeps about 12 bytes per entry while it runs."""
-    return 42 * size * (size + 1) + (4 << 20)
+def trace_setup_bytes(size: int, boundary: int) -> int:
+    """Peak bytes of the trace chain's setup for a set of `size` points, of
+    which `boundary` (B) have a lattice neighbour outside the set: 12 bytes
+    per alias entry, at most 4 for each of the |B| |I| + |I| (|I| + 1) / 2
+    rows (root, interior vertex) and |B| + 4 for each of the |B| (|B| + 1) /
+    2 rows (root, point of B), plus 24 bytes per size^2 entry for G_A, its
+    factor and the row keys, plus 4 MiB for the rows built at a time.  It
+    bounds the rise of the process's peak RSS while the engine is built (one
+    core, kappa = 0.01) by 8-13%: box:32 estimates 66.1 MB and rose 60.9 MB,
+    box:38 123.9 MB and 113.1 MB, box:41 164.6 MB and 145.4 MB.  A set
+    without interior holds about size^3 / 2 entries, so past 275 points it
+    keeps the ring engine.  The residual builds each G_F from ``greens_at``
+    on F's displacements, in chunks of rows whose stacked tables hold at
+    most _RESIDUAL_BYTES in 16-byte entries (``_chunks``); a chunk's build
+    peaks within 5 times that (box:200 rows with Poisson(_RESIDUAL_MEAN_F)
+    points of F)."""
+    inner = size - boundary
+    entries = (4 * inner * (boundary + (inner + 1) / 2)
+               + boundary * (boundary + 1) / 2 * (boundary + 4))
+    return int(12 * entries + 24 * size * size) + (4 << 20)
 
 
 def coarse_to_fine(points: np.ndarray) -> np.ndarray:
-    """The trace chain's order of (n, 2) points: coarsest dyadic level of
-    the offset (dx, dy) from the bounding box's corner (trailing zeros of
-    dx | dy) first, then bit-reversed dx, then dy; it is translation-free."""
+    """The order of (n, 2) points within each part of the trace chain's
+    order: coarsest dyadic level of the offset (dx, dy) from the bounding
+    box's corner (trailing zeros of dx | dy) first, then bit-reversed dx,
+    then dy; it is translation-free."""
     d = (points - points.min(axis=0)).T
     v = np.stack([d[1], d[0], (d[0] | d[1]) & -(d[0] | d[1])])
     rev = np.zeros_like(v)
@@ -263,66 +280,124 @@ def coarse_to_fine(points: np.ndarray) -> np.ndarray:
     return np.lexsort(rev)   # the last key, the level, first; then dx, dy
 
 
+def chain_order(target) -> tuple[np.ndarray, np.ndarray]:
+    """The trace chain's order of A and its neighbour table: B, the points
+    with a lattice neighbour outside A, then the interior, each in
+    ``coarse_to_fine`` order; nbr[v, d] numbers vertex v's neighbour in
+    direction d (E, N, W, S) in that order, or is -1 outside A."""
+    x, y = target.pts.T
+    nb = np.stack([target.vertex_index(x + dx, y + dy)
+                   for dx, dy in zip(STEP_DX.tolist(), STEP_DY.tolist())], axis=1)
+    order = coarse_to_fine(target.pts)
+    order = order[np.argsort((nb[order] >= 0).all(axis=1), kind="stable")]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    nb = nb[order]
+    return order, np.where(nb >= 0, rank[nb], -1)
+
+
 class TraceChain:
     """The soup's trace on A as the loop soup of the chain Q = I - G_A^{-1}.
 
-    A is taken in the order x_1..x_n of ``coarse_to_fine`` and G_A = C C^T.
+    A is taken in the order x_1..x_n of ``chain_order`` and G_A = C C^T.
     The pivot g_j = C_jj^2 is the Green's function at x_j of Q killed on
     x_{<j}, and the loops whose lowest vertex is x_j have mass log g_j (so
     sum_j log g_j = log det G_A).  Per unit time and replica they number
     Poisson(log g_j); each is logseries(1 - 1/g_j) excursions of Q from x_j
-    that return to x_j.  An excursion is drawn by rejection: an attempt that
-    steps into x_{<j} or into Q's killing deficit fails and restarts from
-    x_j, so its visits are the steps past x_j after the last failed one in
-    ``slab``'s log, which is in time order.  Root j makes g_j attempts per
-    unit time of 1 + sum_{l>j} C_lj / C_jj steps each, so step_rate, the sum
-    of C_jj sum_{l>=j} C_lj over roots with g_j > 1, is the exact mean number
-    of steps per unit time with rejections (box:16, kappa = 0.01: 1,735,
-    and 2,734 in raster order).  g_j = 1 iff x_j's four neighbours precede
-    it, else g_j >= 1 + (4+kappa)^-2, so pivots nearer 1 are set to 1.  The
-    alias tables' row and column v are vertex v = 1..n and column 0 is the
-    killing deficit: a step from root j fails iff it lands below j.
+    that return to x_j.  Killed on x_{<j}, Q's Green's function is the Schur
+    complement C_DD C_DD^T, D = {x_j..x_n}, so h_j(v) = C_vj / C_jj is the
+    probability that Q from v reaches x_j before x_{<j} or its killing, and
+    an excursion is drawn already conditioned to return (the h_j-transform
+    of Doob 1957): from v it moves to w >= j with probability Q(v, w) C_wj
+    over C_vj, or over C_jj - 1/C_jj at x_j itself, and it ends when it
+    draws x_j.  No attempt fails and every move is a visit, so the moves
+    per unit time are sum_v (G_A(v, v) - 1) = |A| (G(o) - 1) in any order.
+    g_j = 1 iff x_j's four neighbours precede it, else g_j >= 1 +
+    (4+kappa)^-2, so pivots nearer 1 are set to 1; h_j below 1e-12 is
+    taken as 0, so that no rounding noise of C is walked on.
+
+    Q(v, w) > 0 only if w is a neighbour of v or both lie in B, the points
+    with a neighbour outside A: a walk from v next enters A at a neighbour,
+    or, back from outside, at a point of B.  So the interior's rows are 1 /
+    (4 + kappa) on the four neighbours, and with B first h_j vanishes on B
+    for every interior root: interior rows hold at most 4 moves.  On B,
+    G_A^{-1} G_A = I with G_A^{-1} = I - P on the interior's rows gives
+    M_BB = G_BB^{-1} (I + G_BI P_IB), the rows of G_A^{-1} on B, by one |B|
+    x |B| solve, and Q(b, x) = 1 / (4 + kappa) for the interior neighbours x
+    of b; the rest of Q on B x I is 0 and is not computed.  Negative
+    entries of Q_BB are rounding and are clamped to 0, their mass per row
+    kept in ``clamped``.  A row (j, v) is one alias table of its moves in
+    flat arrays, found by key (table, j, v) in ``_row``; a move to x_j is
+    stored as -1.
 
     g may be one (n, n) matrix or a (T, n, n) stack of them, one chain per
-    table (step_rate is then their sum; the chain on A is table 0), and a
-    set of k < n points is padded to n with identity rows and columns, whose
-    pivots are 1 and which no step reaches.
+    table (the chain on A is table 0), in the order of nbr, the (n, 4)
+    neighbour table of ``chain_order`` with the interior last; without
+    nbr every vertex is taken as a point of B, which is exact for any set.
+    A set of k < n points is padded to n with identity rows and columns,
+    whose pivots are 1 and which no move reaches.
     """
 
-    def __init__(self, g: np.ndarray, kappa: float):
-        c = np.linalg.cholesky(g.reshape(-1, *g.shape[-2:]))
-        pivot = np.diagonal(c, axis1=1, axis2=2)
-        gj = np.where(pivot ** 2 < 1.0 + 0.5 / (4.0 + kappa) ** 2, 1.0, pivot ** 2)
-        self.log_g = np.log(gj)
-        self.p_return = 1.0 - 1.0 / gj
-        self.step_rate = float((pivot * c.sum(axis=1))[gj > 1.0].sum())
-
-    def build_tables(self, g: np.ndarray) -> None:
-        """Alias tables of Q's rows, with the killing deficit as column 0.
-
-        Q = I - G^{-1} and the deficit are written into one (n + 1, n + 1)
-        table per matrix, which the alias construction then scales in place;
-        the setup's peak is numpy's inversion of G.  Rounding leaves entries
-        of about -1e-15 where Q is ~0; they are clamped to 0 and their mass
-        per row is kept in ``clamped``."""
+    def __init__(self, g: np.ndarray, kappa: float, nbr: np.ndarray | None = None):
         g = g.reshape(-1, *g.shape[-2:])
         tables, n = g.shape[:2]
-        table = np.zeros((tables, n + 1, n + 1))
-        q = table[:, 1:, 1:]
-        np.negative(np.linalg.inv(g), out=q)
-        q[:, np.arange(n), np.arange(n)] += 1.0
+        p = 1.0 / (4.0 + kappa)
+        if nbr is None:
+            nbr = np.full((n, 4), -1)
+        nb = n - int(np.count_nonzero((nbr >= 0).all(axis=1)))
+        # B's interior neighbours, at most kx per point
+        inner = -np.sort(-np.where(nbr[:nb] >= nb, nbr[:nb], -1), axis=1)
+        kx = int(np.count_nonzero(inner >= 0, axis=1).max(initial=0))
+        inner = inner[:, :kx]
+        # Q_BB = I - M_BB, M_BB = G_BB^{-1} (I + G_BI P_IB)
+        rhs = np.eye(nb) + p * np.where(inner >= 0, g[:, :nb, inner], 0.0).sum(axis=-1)
+        q = np.eye(nb) - np.linalg.solve(g[:, :nb, :nb], rhs)
         self.clamped = -np.minimum(q, 0.0).sum(axis=2)
         np.maximum(q, 0.0, out=q)
-        table[:, 1:, 0] = np.maximum(1.0 - q.sum(axis=2), 0.0)
-        alias, keep = _alias_setup(table)
-        self._alias, self._keep = alias.ravel(), keep.ravel()
+        # h[t, j, v] = C_vj, cut at 1e-12 C_jj and 0 for roots that draw no
+        # loops; a row (t, j, v) for each h > 0, keyed by its flat index
+        h = np.linalg.cholesky(g, upper=True)
+        pivot = np.diagonal(h, axis1=1, axis2=2).copy()
+        gj = np.where(pivot ** 2 < 1.0 + 0.5 * p * p, 1.0, pivot ** 2)
+        self.log_g = np.log(gj)
+        self.p_return = 1.0 - 1.0 / gj
+        h[h <= 1e-12 * pivot[:, :, None]] = 0.0
+        h *= (gj > 1.0)[:, :, None]
+        key = np.flatnonzero(h)
+        inside = key % n >= nb
+        hf = h.reshape(-1)
+
+        def narrow(key):
+            # the interior's rows: to the four neighbours
+            v = key % n
+            start = key - v   # the key of row (t, j, 0)
+            verts = nbr[v]
+            w = p * hf[start[:, None] + verts]
+            verts[verts == (start // n % n)[:, None]] = -1
+            return w, verts
+
+        def wide(key):
+            # B's rows: to every point of B (Q_BB) and to the interior neighbours
+            v = key % n
+            start = key - v
+            t, j, nbrs = start // (n * n), start // n % n, inner[v]
+            w = np.concatenate([q[t, v] * h[t, j, :nb],
+                                p * np.where(nbrs >= 0, hf[start[:, None] + nbrs], 0.0)], axis=1)
+            verts = np.concatenate([np.broadcast_to(np.arange(nb), (len(v), nb)), nbrs], axis=1)
+            verts[np.arange(len(v)), j] = -1
+            return w, verts
+
+        self._row, self._keep, self._take, self._alias = _alias_rows(
+            [(key[inside], 4, narrow), (key[~inside], nb + kx, wide)], tables, n)
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float,
              tables: np.ndarray) -> int:
         """Fold the loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, n) array of first-visit times in the chain's
         vertex order, in place, row r on table tables[r]; returns the number
-        of chain steps."""
+        of moves.  Each lockstep iteration makes one alias draw per walker,
+        and the visits are folded whenever _VISIT_BUDGET of them are
+        logged."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
@@ -334,46 +409,80 @@ class TraceChain:
         root = cell % n
         loop = np.repeat(np.arange(len(cell)),
                          rng.logseries(self.p_return[tables].ravel()[cell]))
-        # per excursion: the state offset of vertex v is base + v, and row v
-        # of its table starts at table + v (n + 1)
-        base, when, lo = (cell - root - 1)[loop], t[loop], root[loop] + 1
-        table = (tables * (n + 1) ** 2)[cell // n][loop]
-        walker, wlo, off = np.arange(len(loop)), lo, table + lo * (n + 1)
-        log: list[tuple] = []   # (walker, next vertex) of every step, in order
-        logged, budget, steps = 0, _VISIT_BUDGET, 0
+        # per excursion: the state offset of vertex v is base + v, and the
+        # key of its row at v is start + v
+        base, when = (cell - root)[loop], t[loop]
+        start = ((tables[cell // n] * n + root) * n)[loop]
+        walker, key = np.arange(len(loop)), start + root[loop]
+        log: list[tuple] = []   # (walker, vertex) of every visit
+        logged, moves = 0, 0
         while len(walker):
-            steps += len(walker)
-            u = rng.random(len(walker)) * (n + 1)
+            moves += len(walker)
+            row = self._row[key]
+            u = rng.random(len(walker)) * (row & 0xFFFF)
             col = u.astype(np.intp)
-            at = off + col
-            nxt = np.where(u - col < self._keep[at], col, self._alias[at])
+            at = (row >> 16) + col
+            nxt = np.where(u - col < self._keep[at], self._take[at], self._alias[at])
+            live = nxt >= 0
+            walker, nxt = walker[live], nxt[live]
             log.append((walker, nxt))
             logged += len(walker)
-            live = nxt != wlo
-            walker = walker[live]
-            off = np.maximum(nxt, wlo)[live] * (n + 1) + table[walker]
-            wlo = wlo[live]
-            if logged > budget or not len(walker):
-                # fold the visits of finished excursions (steps past the root
-                # after the last failed one), less those after the vertex's
-                # first visit so far; keep the rest of those under way
+            key = start[walker] + nxt
+            if logged > _VISIT_BUDGET or not len(walker):
                 w, v = (np.concatenate(x) for x in zip(*log))
-                fail = v < lo[w]
-                last = np.full(len(loop), -1)
-                np.maximum.at(last, w[fail], np.flatnonzero(fail))
-                ok = (v > lo[w]) & (np.arange(len(w)) > last[w])
-                w, v = w[ok], v[ok]
-                at = base[w] + v
-                ok = when[w] < flat[at]
-                going = np.zeros(len(loop), dtype=bool)
-                going[walker] = True
-                done = ok & ~going[w]
-                np.minimum.at(flat, at[done], when[w[done]])
-                ok &= going[w]
-                log = [(w[ok], v[ok])]
-                logged = int(ok.sum())
-                budget = max(_VISIT_BUDGET, 2 * logged)
-        return steps
+                at, tw = base[w] + v, when[w]
+                ok = tw < flat[at]
+                np.minimum.at(flat, at[ok], tw[ok])
+                log, logged = [], 0
+        return moves
+
+
+def _alias_rows(groups, tables: int, n: int):
+    """Flat alias tables of rows of nonnegative weights over n vertices:
+    groups holds (keys, width, moves), one row of that width per key below
+    tables n^2, whose weights and vertices moves(keys) gives, _ALIAS_ENTRIES
+    at a time.  Returns the row of each key as its offset << 16 | its width,
+    the keep probabilities, and the vertices kept and aliased (int16 below
+    2^15 vertices); a column of weight 0 is never drawn.  A row of weight
+    0, which only rounding next to the 1e-12 cut of h can leave, ends the
+    excursion."""
+    row = np.zeros(tables * n * n, dtype=np.int64)
+    size = sum(len(key) * width for key, width, _ in groups)
+    vertex = np.int16 if n < 1 << 15 else np.int32
+    keep = np.empty(size)
+    take, alias = np.empty(size, dtype=vertex), np.empty(size, dtype=vertex)
+    end = 0
+    for key, width, moves in groups:
+        row[key] = (end + width * np.arange(len(key))) << 16 | width
+        step = max(1, _ALIAS_ENTRIES // width)
+        for a in range(0, len(key), step):
+            w, verts = moves(key[a:a + step])
+            empty = ~(w > 0.0).any(axis=1)
+            w[empty, 0], verts[empty, 0] = 1.0, -1
+            J, q = _alias_setup(w / w.sum(axis=1, keepdims=True))
+            at = slice(end, end + w.size)
+            keep[at], take[at] = q.ravel(), verts.ravel()
+            alias[at] = np.take_along_axis(verts, J, axis=1).ravel()
+            end += w.size
+    return row, keep, take, alias
+
+
+def _cell_rate_floor(kappa: float, mu: float, box) -> float:
+    """A floor under the ring engine's cell_rate = sum_{m <= n} t_m reach_m,
+    n = ``required_n_trunc``(kappa, TAIL_TOL), that needs no length law:
+    reach_m >= area + 2m (W + H), sum_{m <= n} t_m >= G(o) - 1 -
+    ``geometric_tail_bound``(kappa, n), and C(2m, m) / 4^m >= 1 / (2 sqrt m)
+    gives m t_m >= q^m / 4, q = (4 / (4 + kappa))^2.  inf where n passes its
+    ceiling, so that no law can be built."""
+    try:
+        n = required_n_trunc(kappa, TAIL_TOL)
+    except SeriesTruncationError:
+        return math.inf
+    log_q = 2.0 * math.log1p(-kappa / (4.0 + kappa))
+    one_minus_q = kappa * (8.0 + kappa) / (4.0 + kappa) ** 2
+    return (box.area * (math.expm1(mu) - geometric_tail_bound(kappa, n))
+            + 2 * (box.width + box.height) * math.exp(log_q) * -math.expm1(n * log_q)
+            / (4.0 * one_minus_q))
 
 
 class CoverEngine:
@@ -383,23 +492,48 @@ class CoverEngine:
     cells, cell_rate = sum_{m <= n_trunc} 2m w_m reach_m per unit time and
     replica; the loops past n_trunc, of mass below TAIL_TOL per root, are
     left out of the price.  Ms per replica on one core, engine build
-    included, both engines with the residual, two runs of the median of three seeds
-    (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring against
-    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.067-0.087, 0.20-0.25
-    and 0.62-0.72 against 0.22-0.25, 0.97-1.14 and 5.5-6.2; box:16 at
-    kappa = 0.1, 0.05 and 0.01, 0.28-0.32, 0.43-0.64 and 8.1-9.2 against
-    1.09-1.10, 1.14-1.40 and 1.16-1.43.  The dispatch picks the faster
-    engine at each."""
+    included, both engines with the residual, two runs of the median of
+    three seeds (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring
+    against trace: kappa = 0.5 on box:8, box:16 and box:32, 0.043-0.065,
+    0.14-0.17 and 0.53-0.56 against 0.043-0.067, 0.21-0.22 and 1.27-1.32;
+    box:16 at kappa = 0.1, 0.05 and 0.01, 0.28-0.32, 0.57-0.76 and 2.9-4.9
+    against 0.21-0.29, 0.23-0.43 and 0.34-0.57.  The dispatch picks the
+    faster engine at each, the ring engine at box:8, kappa = 0.5, where
+    they tie."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
             raise ValueError(f"unknown sampler {sampler!r}")
         self.kappa, self.target = kappa, target
         self.mu = mu_gamma_o(kappa).value
+        # the latest t_residual and the end of the residual's first slab;
+        # later slabs are 1/mu, 2/mu, ... long
+        if target.size >= 2:
+            self.u_star = u_star(kappa, target.size, self.mu)
+            self.horizon0 = self.u_star + 1.0 / self.mu
+        else:
+            self.u_star = None
+            self.horizon0 = 1.0 / self.mu
+        # seconds per unit time and replica of each engine.  The trace chain
+        # makes tr(G_A) - |A| = |A| (G(o) - 1) moves, priced without G_A; the
+        # ring engine's length law is built only where its cells could win,
+        # below a floor of them that needs no law
+        self.step_rate = target.size * math.expm1(self.mu)
+        trace_s = _STEP_S * self.step_rate
+        plan = None   # the chain's order, neighbour table and setup bytes
+
+        def trace_plan():
+            order, nbr = chain_order(target)
+            return order, nbr, trace_setup_bytes(
+                target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
+
+        if sampler == "trace" or (sampler is None and trace_s < _CELL_S * _cell_rate_floor(
+                kappa, self.mu, target.box)):
+            plan = trace_plan()
         # the ring engine's half-length table, where it may run and the table
         # fits the ceiling; without it only the trace chain is left
         self.dist, self.cell_rate, no_ring = None, math.inf, ""
-        if sampler != "trace":
+        if sampler == "ring" or (sampler is None and (plan is None or plan[2] > TRACE_SETUP_BYTES)):
             try:
                 self.dist = length_pmf(kappa, TAIL_TOL)
             except SeriesTruncationError as exc:
@@ -416,31 +550,12 @@ class CoverEngine:
             self.rect = box.grown_area(m)
             self.cell_rate = float((2.0 * m[1:] * self.dist.weights * self.reach[1:]).sum())
             self.tail_rate = tail_envelope_rate(kappa, self.dist.n_trunc, box)
-        # the latest t_residual and the end of the residual's first slab;
-        # later slabs are 1/mu, 2/mu, ... long
-        if target.size >= 2:
-            self.u_star = u_star(kappa, target.size, self.mu)
-            self.horizon0 = self.u_star + 1.0 / self.mu
-        else:
-            self.u_star = None
-            self.horizon0 = 1.0 / self.mu
-        self.chain, self.step_rate = None, math.inf
-        # seconds per unit time and replica of the ring engine; step_rate >=
-        # tr(G_A) - |A|, the loops' visits, plus one rejected attempt per
-        # unit time at each root with g_j > 1, at least half of the roots:
-        # below that floor's time the ring engine wins without G_A
         ring_s = _CELL_S * self.cell_rate
-        self.step_floor = target.size * (math.exp(self.mu) - 0.5)
-        if sampler == "trace" or (sampler is None and _STEP_S * self.step_floor < ring_s):
-            need = trace_setup_bytes(target.size)
+        self.chain = None
+        if sampler == "trace" or (sampler is None and trace_s < ring_s):
+            order, nbr, need = plan or trace_plan()
             if need <= TRACE_SETUP_BYTES:
-                order = coarse_to_fine(target.pts)
-                g = green_matrix(kappa, target.pts[order])
-                chain = TraceChain(g, kappa)
-                self.step_rate = chain.step_rate
-                if sampler == "trace" or _STEP_S * chain.step_rate < ring_s:
-                    chain.build_tables(g)
-                    self.chain = chain
+                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nbr)
             elif sampler == "trace" or self.dist is None:
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}{no_ring}")
@@ -459,7 +574,7 @@ class CoverEngine:
         # (31 ms), for one schedule instead of two
         self.t_residual = self.horizon0
         if self.u_star is not None:
-            rate_s = ring_s if self.chain is None else _STEP_S * self.step_rate
+            rate_s = ring_s if self.chain is None else trace_s
             c = min(math.log(rate_s / (self.mu * _POINT_S[self.sampler])),
                     math.log(_RESIDUAL_MEAN_F))
             if 0.0 < self.u_star - c / self.mu < self.horizon0:
@@ -562,7 +677,7 @@ class CoverEngine:
         rows = np.flatnonzero(np.isinf(times))
         edges = self._slab_edges()
         uncovered = np.isinf(state[rows])
-        for chunk in _chunks(uncovered.sum(axis=1), _RESIDUAL_BYTES // 8):
+        for chunk in _chunks(uncovered.sum(axis=1), _RESIDUAL_BYTES // 16):
             chain, sub = self._residual_chains(uncovered[chunk])
             _slabs(rng, sub, rows[chunk], times, edges, chain)
         if np.isinf(times).any():
@@ -583,9 +698,7 @@ class CoverEngine:
         g = greens_at(self.kappa, x[:, :, None] - x[:, None, :],
                       y[:, :, None] - y[:, None, :])
         np.copyto(g, np.eye(pad.shape[1]), where=pad[:, :, None] | pad[:, None, :])
-        chain = TraceChain(g, self.kappa)
-        chain.build_tables(g)
-        return chain, np.where(pad, 0.0, np.inf)
+        return TraceChain(g, self.kappa), np.where(pad, 0.0, np.inf)
 
     def ensemble(self, seed: int, replicas: int, workers: int = 1,
                  work_guard: float | None = None) -> CoverTimeSample:
@@ -629,10 +742,11 @@ def _slabs(rng, state: np.ndarray, rows: np.ndarray, times: np.ndarray,
 
 def _chunks(size: np.ndarray, entries: int) -> list[np.ndarray]:
     """Rows in ascending |F| = size, stably, in chunks of at most `entries`
-    stacked (|F| + 1)^2 table entries (one row at least), each padded to its
-    own largest F."""
+    stacked entries (one row at least), each padded to its own largest F: a
+    chain of k points holds at most k^2 (k + 1) / 2 alias entries and k^2
+    row keys."""
     order = np.argsort(size, kind="stable")
-    side = (size[order] + 1) ** 2
+    side = size[order] ** 2 * (size[order] + 3) // 2
     chunks, i = [], 0
     while i < len(order):
         fit = np.arange(1, len(order) - i + 1) * side[i:] <= entries

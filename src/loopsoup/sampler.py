@@ -67,58 +67,52 @@ def required_n_trunc(kappa: float, tail_tol: float) -> int:
     return n
 
 
-_ALIAS_WINDOW = 64
-
-
 def _alias_setup(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alias tables (J, q) for O(1) draws from each row of a (..., k) stack
     of distributions: draw column c uniformly, keep it if U < q[c], else J[c].
     J is int32; q is probs itself (as float64), scaled in place.
 
-    Every row runs Walker's construction with a stack of small (q < 1) and
-    one of large columns, both in one int32 index row P: P[:ns] holds the
-    smalls and P[ns0:ns0 + nl] the larges, ns0 being the initial count of
-    smalls.  The top large absorbs smalls from the top of the small stack,
-    one by one, until it drops below 1 and becomes the next small; it has
-    absorbed one by then, so ns never exceeds ns0 and the stacks never meet.
-    A pass does one large's absorptions in every row at once, over a window
-    of the small stack, with the same sequential subtractions, so a single
-    row gets exactly the classic table.
+    Every row runs the sweep of Huebschle-Schneider and Sanders (2019,
+    *Parallel weighted random sampling*) in closed form.  Scaled by k, the
+    heavies are the columns above 1 and the lights the rest, each in column
+    order; E_m is the heavies' running excess sum(q - 1) up to heavy m and
+    D_i the lights' running deficit sum(1 - q) up to light i.  Heavy m fills
+    the lights with D_{i-1} < E_m that no earlier heavy filled, then drops
+    below 1 and is itself filled by heavy m + 1.  So light i aliases the
+    first heavy with E_m > D_{i-1}, and heavy m keeps E_m + 1 - D_i, i the
+    last light with D_{i-1} < E_m, and aliases the next heavy (the last
+    heavy keeps about 1 and aliases itself).  One sort per row of the E_m
+    and D_{i-1}, heavies first on ties, gives both, so a stack takes a
+    fixed number of array passes whatever k.  A row without a heavy is all
+    1 and keeps every column.
     """
     probs = np.asarray(probs, dtype=np.float64)
     k = probs.shape[-1]
     q = probs.reshape(-1, k)
     q *= k
-    J = np.zeros(q.shape, dtype=np.int32)
-    # smalls, ascending, then larges, ascending
-    P = np.argsort(q >= 1.0, axis=1, kind="stable").astype(np.int32)
-    ns = np.count_nonzero(q < 1.0, axis=1)
-    base = ns.copy()
-    nl = k - ns
-    cols = np.arange(k)
-    act = np.flatnonzero((ns > 0) & (nl > 0))
-    while act.size:
-        top, w = ns[act], min(int(ns[act].max()), _ALIAS_WINDOW)
-        big = P[act, base[act] + nl[act] - 1]
-        pos = top[:, None] - 1 - cols[:w]              # smalls in pop order
-        valid = pos >= 0
-        s = P[act[:, None], np.maximum(pos, 0)]
-        left = np.empty((len(act), w + 1))
-        left[:, 0] = q[act, big]
-        left[:, 1:] = np.where(valid, 1.0 - q[act[:, None], s], 0.0)
-        np.subtract.accumulate(left, axis=1, out=left)
-        below = (left[:, 1:] < 1.0) & valid
-        drops = below.any(axis=1)
-        taken = np.where(drops, below.argmax(axis=1) + 1, np.minimum(top, w))
-        i, c = np.nonzero(cols[:w] < taken[:, None])
-        J[act[i], s[i, c]] = big[i]
-        q[act, big] = left[np.arange(len(act)), taken]
-        ns[act] -= taken
-        d = act[drops]                                 # the large becomes a small
-        nl[d] -= 1
-        P[d, ns[d]] = big[drops]
-        ns[d] += 1
-        act = act[(ns[act] > 0) & (nl[act] > 0)]
+    heavy = q > 1.0
+    light = ~heavy
+    short = (1.0 - q) * light
+    excess = np.cumsum(q - 1.0 + short, axis=1)   # E_m, at heavy m
+    deficit = np.cumsum(short, axis=1)            # D_i, at light i
+    # the bits of a float >= 0 order as it does; the low bit puts heavies
+    # first on ties
+    key = np.maximum(excess * heavy + (deficit - short) * light, 0.0)
+    order = np.argsort(key.view(np.uint64) << np.uint64(1) | light, axis=1)
+    base = np.arange(0, q.size, k)[:, None]
+    flat = (order + base).ravel()
+    hs = heavy.ravel()[flat].reshape(q.shape)
+    seen = np.cumsum(hs, axis=1)   # heavies up to each place, in sorted order
+    top = seen[:, -1:] - 1
+    last_d = np.maximum.accumulate(deficit.ravel()[flat].reshape(q.shape) * ~hs, axis=1)
+    by_rank = np.empty(q.size, dtype=np.int32)   # the heavies' columns by rank
+    by_rank[(np.where(hs, seen - 1, k - 1) + base).ravel()] = order.ravel()
+    J = np.empty(q.shape, dtype=np.int32)
+    J.reshape(-1)[flat] = by_rank[(np.minimum(seen, top) + base).ravel()]
+    at = flat[hs.ravel()]
+    q.reshape(-1)[at] = excess.reshape(-1)[at] + 1.0 - last_d[hs]
+    none = top[:, 0] < 0
+    q[none], J[none] = 1.0, np.arange(k)
     return J.reshape(probs.shape), q.reshape(probs.shape)
 
 

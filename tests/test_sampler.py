@@ -12,19 +12,14 @@ from loopsoup.lattice import Box, STEP_DX, STEP_DY, l1
 from loopsoup.series import ResourceCeilingError, SeriesTruncationError
 
 
-def _walker_alias(probs):
-    """Walker's alias construction, one small/large pair at a time."""
-    k = len(probs)
-    q = probs * k
-    J = np.zeros(k, dtype=np.int64)
-    smaller = [i for i in range(k) if q[i] < 1.0]
-    larger = [i for i in range(k) if q[i] >= 1.0]
-    while smaller and larger:
-        small, large = smaller.pop(), larger.pop()
-        J[small] = large
-        q[large] -= 1.0 - q[small]
-        (smaller if q[large] < 1.0 else larger).append(large)
-    return J, q
+def _implied(J, q):
+    """The distribution each row of alias tables (J, q) draws from: column
+    c gets (q_c + the shortfalls 1 - q_j of the j aliased to c) / k."""
+    k = q.shape[-1]
+    J, q = J.reshape(-1, k), np.minimum(q.reshape(-1, k), 1.0)
+    mass = q.copy()
+    np.add.at(mass, (np.repeat(np.arange(len(q)), k), J.ravel()), (1.0 - q).ravel())
+    return mass / k
 
 
 class TestLengthDistribution:
@@ -88,10 +83,10 @@ class TestLengthDistribution:
         stat = float(((obs - exp) ** 2 / exp).sum())
         assert chi2.sf(stat, len(exp) - 1) > 0.001
 
-    def test_alias_stack_matches_walker_loop(self, rng):
-        # every row of a (..., k) stack gets exactly the table of Walker's
-        # one-pair-at-a-time loop, and a table reproduces its row: mass of
-        # column c = (q_c + the shortfalls 1 - q_j of the j aliased to c) / k
+    def test_alias_stack_implies_its_rows(self, rng):
+        # every row of a (..., k) stack gets a table that draws exactly its
+        # row: one-hot and mostly-zero rows, stacks of widths 1-6 as the
+        # trace chain's rows are, and a 2,218-column length law
         probs = rng.random((3, 4, 40)) ** 6
         probs[0, 0] = 1.0
         probs[1, 2, :30] = 0.0
@@ -99,17 +94,16 @@ class TestLengthDistribution:
         scaled = probs.copy()
         J, q = sampler._alias_setup(scaled)
         assert J.shape == q.shape == probs.shape and np.shares_memory(q, scaled)
-        for idx in np.ndindex(3, 4):
-            j1, q1 = _walker_alias(probs[idx])
-            assert np.array_equal(j1, J[idx]) and np.array_equal(q1, q[idx])
-            qq = np.minimum(q[idx], 1.0)
-            mass = qq + np.bincount(J[idx], 1.0 - qq, minlength=40)
-            assert np.allclose(mass / 40, probs[idx], rtol=0, atol=1e-14)
-        d = sampler.length_pmf(0.01, 1e-10)               # 6,817 columns
+        assert J.dtype == np.int32 and np.abs(_implied(J, q) - probs.reshape(-1, 40)).max() <= 1e-15
+        for k in range(1, 7):
+            stack = rng.random((5000, k)) ** 6
+            stack[::7, :k // 2] = 0.0
+            stack[::5] = 1.0
+            stack /= stack.sum(axis=1, keepdims=True)
+            assert np.abs(_implied(*sampler._alias_setup(stack.copy())) - stack).max() <= 1e-15
+        d = sampler.length_pmf(0.01, 1e-10)
         pmf = d.weights / d.total_mass
-        for got, want in zip(sampler._alias_setup(pmf.copy()), _walker_alias(pmf)):
-            assert np.array_equal(got, want)
-
+        assert np.abs(_implied(*sampler._alias_setup(pmf.copy())) - pmf).max() <= 1e-15
 
 class TestBridges:
     @settings(max_examples=30, deadline=None)
