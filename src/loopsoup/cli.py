@@ -8,21 +8,22 @@ environment, else to the same keys of an optional flat key=value config
 file (--config), and a flag on the command line overrides both; quick takes
 1/0, true/false or yes/no.  Option values may start with "-" (--window
 -3,-3,3,3).  Exit codes: 0 ok, 1 asserted check failed, 2 config error
-(arguments, config file, environment, set or epsilon spec; a kappa past
-KAPPA_MAX = 1000, --box or a --boxes item past 2048, --radius past 4094,
---n-max past 1000, an empty or non-int32 --window, an --x not of the form
-i,j or past +-2**30, or 0,0 for laws pair, a --separation past 2**30 or a
---count past 2048^2, is an argument; so is a line:<k>x<sep> set with k past
-2048^2 or (k - 1) |sep| past 2**30, an example separation that is odd or
-below 10 kappa^-2 for two or more points, or an option the example does not
-take: two-far takes --kappa and --separation, neighbors --kappa-grid, and
-many-sep --kappa, --separation and --count), 3 resource ceiling (a length
-law or walk series past its truncation ceiling, a Green's series
-cross-check past its work guard, a cover run, example or scan past its
-estimated-work guard, cover.WORK_GUARD = 5e11 cells or chain moves unless
---work-guard sets it, a soup slice past its loop ceiling, a second-moment
-set past its pair-sum guard of 65,536 points, box:256), 4 any other error
-(a value outside a function's domain, or a fault in the program), as
+(arguments, config file, environment, set or epsilon spec; a kappa below
+KAPPA_MIN, the smallest normal float, or past KAPPA_MAX = 1000, --box or a
+--boxes item past 2048, --radius past 4094, --n-max past 1000, an empty or
+non-int32 --window, an --x not of the form i,j or past +-2**30, or 0,0 for
+laws pair, a --separation past 2**30 or a --count past 2048^2, is an
+argument; so is a line:<k>x<sep> set with k past 2048^2 or (k - 1) |sep|
+past 2**30, an example separation that is odd or below 10 kappa^-2 for two
+or more points, or an option the example does not take: two-far takes
+--kappa and --separation, neighbors --kappa-grid, and many-sep --kappa,
+--separation and --count), 3 resource ceiling (a length law or walk series
+past its truncation ceiling, a Green's series cross-check past its work
+guard, a cover run, example or scan past its estimated-work guard,
+cover.WORK_GUARD = 5e11 cells or chain moves unless --work-guard sets it, a
+soup slice past its loop ceiling, a second-moment set past its pair-sum
+guard of 65,536 points, box:256), 4 any other error (a value outside a
+function's domain, or a fault in the program), as
 "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
@@ -49,7 +50,7 @@ from .cover import (CoverEngine, EmpiricalDistribution, PointsTarget,
 from .lattice import STEP_DX, STEP_DY, Box
 from .records import (PLUMBING, Verdict, failed, fmt, verdict, write_json,
                       write_rows_csv, write_verdicts_csv)
-from .series import KAPPA_MAX, ConfigError, SeriesTruncationError
+from .series import KAPPA_MAX, KAPPA_MIN, ConfigError, SeriesTruncationError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,8 +90,8 @@ def _number(cast, low: float, strict: bool = False, high: float = math.inf):
         if not (math.isfinite(value) and (value > low if strict else value >= low)
                 and value <= high):
             raise argparse.ArgumentTypeError(
-                f"expected {cast.__name__} {'>' if strict else '>='} {low:g}"
-                f"{f' and <= {high:g}' if high < math.inf else ''}, got {text!r}")
+                f"expected {cast.__name__} {'>' if strict else '>='} {low:.17g}"
+                f"{f' and <= {high:.17g}' if high < math.inf else ''}, got {text!r}")
         return value
     return number
 
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and numerical verification lab for the "
                     "two-dimensional killed-random-walk loop soup.")
     count, positive = _number(int, 1), _number(float, 0.0, strict=True)
-    kappa = _number(float, 0.0, strict=True, high=KAPPA_MAX)   # every --kappa*
+    kappa = _number(float, KAPPA_MIN, high=KAPPA_MAX)   # every --kappa*
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--workers", type=count, default=1)

@@ -48,12 +48,12 @@ _POINT_S per point of F, E|F| = |A| G(o)^-t_residual = e^c, with e^c at
 most _RESIDUAL_MEAN_F so that the rows of a large set stay small.
 
 ``CoverEngine`` picks, per (kappa, A), the sampler with the smaller time
-per unit time: the ring engine's expected traced cells (``cell_rate``)
+per unit time, both in closed form: the ring engine's expected traced
+cells, cell_rate = sum_m t_m reach_m from the moments of ``loop_moments``,
 times _CELL_S against the trace chain's expected moves, step_rate = |A|
-(G(o) - 1) in closed form, times _STEP_S.  Where the chain's price is below
-a floor of the ring engine's cells that needs no length law, the law is
-never built; where the ring engine's is below it, G_A is never built.  Sets
-whose trace setup (G_A, its factor and the alias rows,
+(G(o) - 1), times _STEP_S.  Only the engine that runs is built: where the
+chain wins the length law is never built, where the ring engine wins G_A
+is never built.  Sets whose trace setup (G_A, its factor and the alias rows,
 ``trace_setup_bytes``, which counts |A| and the points of B) would exceed
 TRACE_SETUP_BYTES keep the ring engine.  At a kappa whose half-length law
 passes its truncation ceiling only the trace chain is left, and a set over
@@ -73,7 +73,7 @@ from itertools import chain
 
 import numpy as np
 
-from .greens import greens_at, mu_gamma_o
+from .greens import greens_at, loop_moments, mu_gamma_o
 from .lattice import (BoxTarget, Point, PointsTarget,  # re-exported to callers
                       STEP_DX, STEP_DY)
 from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
@@ -81,10 +81,10 @@ from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from . import sampler as _sampler
-from .sampler import (_alias_setup, length_pmf, loop_vertices, required_n_trunc,
-                      tail_envelope_rate, unpack_steps, urn_steps)
+from .sampler import (_alias_setup, length_pmf, loop_vertices, tail_envelope_rate,
+                      unpack_steps, urn_steps)
 from .series import (ConfigError,  # raised here, re-exported to callers
-                     ResourceCeilingError, SeriesTruncationError, geometric_tail_bound)
+                     ResourceCeilingError, SeriesTruncationError)
 
 REPLICA_BLOCK = 4096
 #: Largest tail mass past the ring engine's half-length table, where the
@@ -467,39 +467,20 @@ def _alias_rows(groups, tables: int, n: int):
     return row, keep, take, alias
 
 
-def _cell_rate_floor(kappa: float, mu: float, box) -> float:
-    """A floor under the ring engine's cell_rate = sum_{m <= n} t_m reach_m,
-    n = ``required_n_trunc``(kappa, TAIL_TOL), that needs no length law:
-    reach_m >= area + 2m (W + H), sum_{m <= n} t_m >= G(o) - 1 -
-    ``geometric_tail_bound``(kappa, n), and C(2m, m) / 4^m >= 1 / (2 sqrt m)
-    gives m t_m >= q^m / 4, q = (4 / (4 + kappa))^2.  inf where n passes its
-    ceiling, so that no law can be built."""
-    try:
-        n = required_n_trunc(kappa, TAIL_TOL)
-    except SeriesTruncationError:
-        return math.inf
-    log_q = 2.0 * math.log1p(-kappa / (4.0 + kappa))
-    one_minus_q = kappa * (8.0 + kappa) / (4.0 + kappa) ** 2
-    return (box.area * (math.expm1(mu) - geometric_tail_bound(kappa, n))
-            + 2 * (box.width + box.height) * math.exp(log_q) * -math.expm1(n * log_q)
-            / (4.0 * one_minus_q))
-
-
 class CoverEngine:
     """Cover-time sampling of one target at one kappa, by the trace chain
     or the ring engine, whichever has the smaller time estimate; sampler
-    "ring" or "trace" forces one.  The ring engine is priced by its table's
-    cells, cell_rate = sum_{m <= n_trunc} 2m w_m reach_m per unit time and
-    replica; the loops past n_trunc, of mass below TAIL_TOL per root, are
-    left out of the price.  Ms per replica on one core, engine build
-    included, both engines with the residual, two runs of the median of
-    three seeds (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring
-    against trace: kappa = 0.5 on box:8, box:16 and box:32, 0.043-0.065,
-    0.14-0.17 and 0.53-0.56 against 0.043-0.067, 0.21-0.22 and 1.27-1.32;
-    box:16 at kappa = 0.1, 0.05 and 0.01, 0.28-0.32, 0.57-0.76 and 2.9-4.9
-    against 0.21-0.29, 0.23-0.43 and 0.34-0.57.  The dispatch picks the
-    faster engine at each, the ring engine at box:8, kappa = 0.5, where
-    they tie."""
+    "ring" or "trace" forces one.  The ring engine is priced by the cells
+    it traces, cell_rate = sum_{m >= 1} 2m w_m reach_m per unit time and
+    replica, the envelope's loops past n_trunc included.  Ms per replica on
+    one core, engine build included, both engines with the residual, two
+    runs of the median of three seeds (2,048 replicas; 512 at box:32 and at
+    kappa = 0.01), ring against trace: kappa = 0.5 on box:8, box:16 and
+    box:32, 0.043-0.065, 0.14-0.17 and 0.53-0.56 against 0.043-0.067,
+    0.21-0.22 and 1.27-1.32; box:16 at kappa = 0.1, 0.05 and 0.01,
+    0.28-0.32, 0.57-0.76 and 2.9-4.9 against 0.21-0.29, 0.23-0.43 and
+    0.34-0.57.  The dispatch picks the faster engine at each, the ring
+    engine at box:8, kappa = 0.5, where they tie."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -514,51 +495,39 @@ class CoverEngine:
         else:
             self.u_star = None
             self.horizon0 = 1.0 / self.mu
-        # seconds per unit time and replica of each engine.  The trace chain
-        # makes tr(G_A) - |A| = |A| (G(o) - 1) moves, priced without G_A; the
-        # ring engine's length law is built only where its cells could win,
-        # below a floor of them that needs no law
+        # seconds per unit time and replica of each engine, both in closed
+        # form.  The trace chain makes tr(G_A) - |A| = |A| (G(o) - 1) moves;
+        # the ring engine traces sum_m t_m reach_m cells, reach_m = area +
+        # 2m (W + H - 1) + 2m^2 the cells within L1 distance m of the box,
+        # the roots of the loops of half-length m that can touch it
+        box = target.box
+        s0, s1, s2 = loop_moments(kappa)
         self.step_rate = target.size * math.expm1(self.mu)
-        trace_s = _STEP_S * self.step_rate
-        plan = None   # the chain's order, neighbour table and setup bytes
-
-        def trace_plan():
+        self.cell_rate = box.area * s0 + 2 * (box.width + box.height - 1) * s1 + 2.0 * s2
+        trace_s, ring_s = _STEP_S * self.step_rate, _CELL_S * self.cell_rate
+        self.chain, self.dist, need = None, None, 0
+        if sampler == "trace" or (sampler is None and trace_s < ring_s):
             order, nbr = chain_order(target)
-            return order, nbr, trace_setup_bytes(
-                target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
-
-        if sampler == "trace" or (sampler is None and trace_s < _CELL_S * _cell_rate_floor(
-                kappa, self.mu, target.box)):
-            plan = trace_plan()
-        # the ring engine's half-length table, where it may run and the table
-        # fits the ceiling; without it only the trace chain is left
-        self.dist, self.cell_rate, no_ring = None, math.inf, ""
-        if sampler == "ring" or (sampler is None and (plan is None or plan[2] > TRACE_SETUP_BYTES)):
+            need = trace_setup_bytes(target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
+            if need <= TRACE_SETUP_BYTES:
+                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nbr)
+            elif sampler == "trace":
+                raise ResourceCeilingError(
+                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
+        if self.chain is None:
+            # the ring engine's half-length table; rect[m]: cells of the box
+            # grown by m, on which the roots of half-length m are proposed;
+            # tail_rate: the envelope's proposals past n_trunc
             try:
                 self.dist = length_pmf(kappa, TAIL_TOL)
             except SeriesTruncationError as exc:
-                if sampler == "ring":
+                if not need:
                     raise
-                no_ring = f", and the ring engine's {exc}"
-        if self.dist is not None:
-            box, m = target.box, np.arange(self.dist.n_trunc + 1)
-            # reach[m]: cells within L1 distance m of the box, the roots of
-            # the loops of half-length m that can touch it; rect[m]: cells
-            # of the box grown by m, on which those roots are proposed;
-            # tail_rate: the envelope's proposals past n_trunc
-            self.reach = np.cumsum(box.ring_count(m))
-            self.rect = box.grown_area(m)
-            self.cell_rate = float((2.0 * m[1:] * self.dist.weights * self.reach[1:]).sum())
-            self.tail_rate = tail_envelope_rate(kappa, self.dist.n_trunc, box)
-        ring_s = _CELL_S * self.cell_rate
-        self.chain = None
-        if sampler == "trace" or (sampler is None and trace_s < ring_s):
-            order, nbr, need = plan or trace_plan()
-            if need <= TRACE_SETUP_BYTES:
-                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nbr)
-            elif sampler == "trace" or self.dist is None:
                 raise ResourceCeilingError(
-                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}{no_ring}")
+                    f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}, "
+                    f"and the ring engine's {exc}") from exc
+            self.rect = box.grown_area(np.arange(self.dist.n_trunc + 1))
+            self.tail_rate = tail_envelope_rate(kappa, self.dist.n_trunc, box)
         self.sampler = "ring" if self.chain is None else "trace"
         # the points in the state's column order: the chain's, or the target's
         self.pts = target.pts if self.chain is None else target.pts[order]

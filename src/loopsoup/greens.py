@@ -2,8 +2,11 @@
 
 G(x) = sum_{n >= |x|} beta^n W_n(x), beta = 1/(4+kappa), in closed form:
 G(o) = (2/pi) K(16 beta^2) = 1/AGM(1, k') with the complementary modulus
-k' = sqrt(kappa (8+kappa)) / (4+kappa), so it stays exact as kappa -> 0;
-for |x1| >= |x2|, G(x) = (1/pi) int_0^pi cos(x2 t) r^|x1| /
+k' = sqrt(kappa (8+kappa)) / (4+kappa), so it stays exact as kappa -> 0.
+The same AGM gives E(16 beta^2) and with it the moments S_k = sum_{m>=1}
+m^k t_m, k = 0, 1, 2, of the even terms t_m = beta^{2m} C(2m, m)^2 of G(o)
+(``loop_moments``), which price the cover engine's ring engine.  For
+|x1| >= |x2|, G(x) = (1/pi) int_0^pi cos(x2 t) r^|x1| /
 sqrt(A^2 - B^2) dt with A = 1 - 2 beta cos t, B = 2 beta and
 r = B / (A + sqrt(A^2 - B^2)), the other Fourier angle integrated exactly.
 
@@ -120,6 +123,25 @@ def green_origin(kappa: float) -> float:
     for _ in range(40):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 1.0 / a
+
+
+def loop_moments(kappa: float) -> tuple[float, float, float]:
+    """S_k = sum_{m >= 1} m^k t_m, t_m = beta^{2m} C(2m, m)^2, for k = 0, 1, 2,
+    from sum_m t_m x^m = (2/pi) K(p x), p = 16 beta^2, p' = 1 - p = kappa (8 +
+    kappa) beta^2.  ``green_origin``'s AGM(1, sqrt p') gives K and E = K (1 -
+    sum_n 2^{n-1} c_n^2), c_0^2 = p; dK/dm = (E - (1 - m) K) / (2m (1 - m)) and
+    d(E - (1 - m) K)/dm = K/2 give S1 = (E - p'K) / (pi p') and S2 = S1 + pK /
+    (2 pi p') - S1 (1 - 2p) / p'.  S0 is green_origin(kappa) - 1 to the bit;
+    S1 and S2 overflow to inf as kappa -> 0, never to nan."""
+    beta = step_weight(kappa)
+    p, pc = 16.0 * beta * beta, kappa * (8.0 + kappa) * beta * beta
+    a, b, c_sum = 1.0, math.sqrt(kappa * (8.0 + kappa)) * beta, 0.5 * p
+    for n in range(40):
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        c_sum += 2.0 ** n * c * c
+    k = 0.5 * pi / a
+    s1 = k * (p - c_sum) / (pi * pc)   # E - p'K = K (p - c_sum), no cancellation
+    return 1.0 / a - 1.0, s1, s1 + p * k / (2.0 * pi * pc) - s1 * (1.0 - 2.0 * p) / pc
 
 
 def _angle_rule(kappa: float, nodes: int):

@@ -23,6 +23,7 @@ where that bound meets the requested relative tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ _FW_ENTRIES = 1 << 22  # a block's rows Fw stay within 32 MB at any a_max
 #: Largest kappa: mu = log G(o) ~ 4 kappa^-2 keeps a relative precision of about
 #: eps kappa^2 / 4, 1.1e-11 at 1e3 and 2.9e-9 at 1e4, and rounds to 0 by 1e9.
 KAPPA_MAX = 1e3
+#: Smallest kappa, the smallest normal float: a subnormal kappa loses digits
+#: (G's error estimate at (3, 1) grows from 1.2e-12 here to 1.4e-3 at 2e-323),
+#: and at 5e-324 beta kappa rounds to 0 in the Green's quadrature.
+KAPPA_MIN = sys.float_info.min
 
 
 class SeriesTruncationError(RuntimeError):
@@ -57,8 +62,9 @@ class ConfigError(ValueError):
 
 def step_weight(kappa: float) -> float:
     """beta = 1/(4+kappa); 4*beta < 1 makes every series here convergent."""
-    if not 0 < kappa <= KAPPA_MAX:
-        raise ValueError(f"killing rate kappa must be > 0 and <= {KAPPA_MAX:g}")
+    if not KAPPA_MIN <= kappa <= KAPPA_MAX:
+        raise ValueError(f"killing rate kappa must be > 0 and <= {KAPPA_MAX:g}, "
+                         f"and normal (>= {KAPPA_MIN:g})")
     return 1.0 / (4.0 + kappa)
 
 

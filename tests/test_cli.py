@@ -323,6 +323,8 @@ def test_errors_outside_parsing_are_not_config_errors(tmp_path, monkeypatch, cap
     (("greens", "--kappa", 0.5, "--x", "3000000000000000000000,0"), "--x"),
     (("greens", "--kappa", 0.5, "--x", "1073741825,0"), "--x"),
     (("gumbel-scan", "--boxes", "8,5000"), "--boxes"),
+    # a subnormal kappa: G would print inf with a nan error bound
+    (("greens", "--kappa", "5e-324", "--x", "3,1"), "--kappa"),
 ])
 def test_argument_domains_are_parse_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from loopsoup import cover, laws, sampler
+from loopsoup import cover, laws, sampler, series
 from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             PointsTarget, ResourceCeilingError,
                             first_cover_times_from_soup,
                             ks_distance, ks_threshold, make_target)
 from loopsoup.lattice import Box
 from loopsoup.records import VERDICT_HOLDS, VERDICT_NOT_MET
-from loopsoup.series import SeriesTruncationError
+from loopsoup.series import SeriesTruncationError, loop_term_array
 
 
 class TestTargets:
@@ -44,6 +44,7 @@ class TestTargets:
         # are the reach: reach[m] cells, found here by brute force
         e = CoverEngine(0.5, make_target(spec), sampler="ring")
         box = e.target.box
+        reach = np.cumsum(box.ring_count(np.arange(6)))
         bx, by = (c.ravel() for c in np.meshgrid(np.arange(box.x0, box.x1 + 1),
                                                    np.arange(box.y0, box.y1 + 1)))
         ms = (1, 2, 5)
@@ -62,7 +63,7 @@ class TestTargets:
             assert set(cells) == set(zip(gx.tolist(), gy.tolist()))
             near = (np.abs(gx[:, None] - bx) + np.abs(gy[:, None] - by)).min(axis=1) <= m
             kept = box.distance(x, y) <= m
-            assert kept.sum() == near.sum() == e.reach[m]
+            assert kept.sum() == near.sum() == reach[m]
             assert {c for c, k in zip(cells, kept) if k} \
                 == set(zip(gx[near].tolist(), gy[near].tolist()))
 
@@ -461,11 +462,27 @@ class TestTraceChain:
     @pytest.mark.parametrize("kappa", [2.5, 0.5, 0.01, 1e-4])
     @pytest.mark.parametrize("box", [Box(0, 0, 0, 0), Box(0, 0, 15, 15), Box(3, -2, 21, -2)])
     def test_cell_rate_floor(self, kappa, box):
+        # the table's cells, sum_{m <= n_trunc} t_m reach_m, are a floor
+        # under the closed-form cell_rate, and the loops past n_trunc add at
+        # most sum_{m > n_trunc} q^m / (pi m) rect_m, summed out to q^m ~ e^-60
         corners = sorted({(box.x0, box.y0), (box.x1, box.y1)})
         e = CoverEngine(kappa, PointsTarget(corners), sampler="ring")
         assert e.target.box.area == box.area
-        floor = cover._cell_rate_floor(kappa, e.mu, box)
-        assert 0.0 < floor <= e.cell_rate
+        n = e.dist.n_trunc
+        m = np.arange(1, n + 1)
+        reach = box.area + np.cumsum(box.ring_count(m))
+        floor = float((2.0 * m * e.dist.weights * reach).sum())
+        q = (4.0 / (4.0 + kappa)) ** 2
+        past = np.arange(n + 1, n + 1 + int(60.0 / -math.log(q)), dtype=np.float64)
+        cap = float((np.exp(past * math.log(q)) / (math.pi * past) * box.grown_area(past)).sum())
+        assert floor * (1.0 - 1e-12) <= e.cell_rate <= floor * (1.0 + 1e-12) + cap
+
+    def test_smallest_kappa_takes_the_trace_chain(self):
+        # at KAPPA_MIN the ring engine's price, S2 ~ p'^-2, overflows to inf,
+        # not nan, and nothing raises
+        e = CoverEngine(series.KAPPA_MIN, BoxTarget(2))
+        assert e.cell_rate == math.inf and e.sampler == "trace" and e.dist is None
+        assert math.isfinite(e.step_rate) and math.isfinite(e.t_residual)
 
     def test_trace_chain_below_the_length_ceiling(self, monkeypatch):
         # at kappa = 2e-6 the ring engine's length law passes its ceiling:
@@ -840,16 +857,14 @@ class TestRingSlab:
     @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(3,1)"])
     def test_cell_rate_counts_cells(self, monkeypatch, spec):
         # cell_rate, summed by half-length, is the ring-class sum
-        # sum_delta R(delta) 2 sum_{m >= max(delta, 1)} m w_m regrouped, and
-        # the mean number of traced cells per unit time and replica; the
-        # envelope's loops past n_trunc add a share far below the resolution
+        # sum_delta R(delta) 2 sum_{m >= max(delta, 1)} m w_m regrouped, out
+        # past n_trunc to m = 2,000, where the terms have vanished, and the
+        # mean number of traced cells per unit time and replica, the
+        # envelope's loops past n_trunc inside the price
         e = CoverEngine(0.5, make_target(spec), sampler="ring")
-        d = e.dist
-        m = np.arange(1, d.n_trunc + 1)
-        suffix = np.cumsum((m * d.weights)[::-1])[::-1]
-        delta = np.arange(d.n_trunc + 1)
-        by_ring = (e.target.box.ring_count(delta) * 2.0
-                   * suffix[np.maximum(delta, 1) - 1]).sum()
+        suffix = np.cumsum(loop_term_array(0.5, 2000)[::-1])[::-1]   # 2m w_m = t_m
+        delta = np.arange(2001)
+        by_ring = (e.target.box.ring_count(delta) * suffix[np.maximum(delta, 1) - 1]).sum()
         assert abs(e.cell_rate - by_ring) <= 1e-12 * by_ring
         cells = []
         index = e.target.vertex_index

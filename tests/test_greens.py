@@ -304,6 +304,22 @@ class TestLoopTerms:
         if kappa == 100.0:
             assert tail[1] > 1e3 * exp_tail_bound(kappa, 1)
 
+    @pytest.mark.parametrize("kappa,tol", [(2.5, 1e-12), (0.5, 1e-12), (0.01, 1e-12),
+                                           (1e-3, 1e-12), (1000.0, 1e-10)])
+    def test_loop_moments_against_the_series(self, kappa, tol):
+        # S_k = sum_m m^k t_m, summed out to q^n ~ e^-60, where the terms
+        # have long vanished; at kappa = 1000, S0 = G(o) - 1 ~ 4e-6 loses
+        # digits to the subtraction (1.1e-11)
+        q = (4.0 * step_weight(kappa)) ** 2
+        n = int(60.0 / -math.log(q)) + 10
+        t = loop_term_array(kappa, n)
+        m = np.arange(1, n + 1, dtype=np.float64)
+        s = greens.loop_moments(kappa)
+        for k in range(3):
+            exact = math.fsum(m ** k * t)
+            assert abs(s[k] - exact) <= tol * exact, (k, s[k], exact)
+        assert s[0] == greens.green_origin(kappa) - 1.0
+
 
 class TestBoundReports:
     def test_grid_bounds_all_hold(self):

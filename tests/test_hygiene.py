@@ -235,14 +235,16 @@ def _item_type(action):
 
 
 def test_every_kappa_option_takes_the_shared_kappa_type():
-    # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MAX
+    # one kappa type bounds every --kappa and --kappa-grid by KAPPA_MIN,
+    # the smallest normal float, and KAPPA_MAX
     types = [_item_type(a) for p in _parsers(cli.build_parser())
              for a in p._actions if "kappa" in a.dest]
     # example two-far and many-sep each declare their own --kappa
     assert len(types) == 10 and len({id(t) for t in types}) == 1, types
     kappa = types[0]
     assert kappa(str(series.KAPPA_MAX)) == series.KAPPA_MAX
-    for bad in ("0", "-1", str(10 * series.KAPPA_MAX), "nan"):
+    assert kappa(str(series.KAPPA_MIN)) == series.KAPPA_MIN
+    for bad in ("0", "-1", str(10 * series.KAPPA_MAX), "nan", "5e-324", "1e-320"):
         try:
             kappa(bad)
         except argparse.ArgumentTypeError:
