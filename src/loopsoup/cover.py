@@ -20,21 +20,24 @@ conditioned to return to its root, the Doob h-transform by h_j = C[:, j] /
 C_jj, so every move is a visit.  It needs no truncation.
 
 The ring engine samples the loops of the soup that are able to touch the
-target's bounding box (W x H): a loop of half-length m reaches at most m
-from its root, so only the reach_m cells within L1 distance m of the box
-matter as roots.  It draws them by Poisson thinning (Lewis and Shedler
-1979): for m = 1..n_trunc, Poisson(w_m rect_m) proposals per unit time and
-replica, each rooted uniformly on the rect_m = (W + 2m)(H + 2m) cells of
-the box grown by m by one integer draw, of which it keeps those within m
-of the box.  The kept loops are Poisson(w_m reach_m) and uniform on the
-reach; rect_m - reach_m = 2m(m + 1), so more than half are kept.  Past
-n_trunc the half-lengths come from a geometric envelope C q^m >= w_m rect_m
-(``sampler.tail_envelope_rate``), thinned the same way, so no loop is
-dropped and the engine is exact; TAIL_TOL only sets where the table ends.
-Each loop gets a uniform timestamp, and they are traced one position at a
-time, in lockstep.  Every target, boxes and sparse point sets alike, is
-drawn on its bounding box.  Discarding loops that provably cannot intersect
-the target leaves the law of every coverage functional unchanged.
+target.  A loop of half-length 1 visits its root and one neighbour, so those
+that meet A are the pairs P of A's neighbour table: from each vertex v and
+direction e the loop rooted at v, and where v + e lies outside A also the
+one rooted there, Poisson(w_1 / 4) each per unit time and replica, folded as
+their two cells untraced.  A loop of half-length m reaches at most m from
+its root, so only the reach_m cells within L1 distance m of the bounding box
+(W x H) matter as roots.  For m = 2..n_trunc it draws them by Poisson
+thinning (Lewis and Shedler 1979): Poisson(w_m rect_m) proposals per unit
+time and replica, rooted uniformly on the rect_m = (W + 2m)(H + 2m) cells of
+the box grown by m by one integer draw per half-length, of which it keeps
+those within m of the box.  The kept loops are Poisson(w_m reach_m) and
+uniform on the reach; rect_m - reach_m = 2m(m + 1), so more than half are
+kept.  Past n_trunc the half-lengths come from a geometric envelope C q^m >=
+w_m rect_m (``sampler.tail_envelope_rate``), thinned the same way, so no
+loop is dropped and the engine is exact; TAIL_TOL only sets where the table
+ends.  Each loop gets a uniform timestamp, and they are traced one position
+at a time, in lockstep.  Discarding loops that provably cannot intersect the
+target leaves the law of every coverage functional unchanged.
 
 The trace of the soup on a subset F of A is the loop soup of Q_F = I -
 G_F^{-1}, so from a time t_residual fixed in advance a replica needs only
@@ -47,17 +50,17 @@ step_rate seconds per unit time and replica, and the residual its engine's
 _POINT_S per point of F, E|F| = |A| G(o)^-t_residual = e^c, with e^c at
 most _RESIDUAL_MEAN_F so that the rows of a large set stay small.
 
-``CoverEngine`` picks, per (kappa, A), the sampler with the smaller time
-per unit time, both in closed form: the ring engine's expected traced
-cells, cell_rate = sum_m t_m reach_m from the moments of ``loop_moments``,
-times _CELL_S against the trace chain's expected moves, step_rate = |A|
-(G(o) - 1), times _STEP_S.  Only the engine that runs is built: where the
-chain wins the length law is never built, where the ring engine wins G_A
-is never built.  Sets whose trace setup (G_A, its factor and the alias rows,
-``trace_setup_bytes``, which counts |A| and the points of B) would exceed
-TRACE_SETUP_BYTES keep the ring engine.  At a kappa whose half-length law
-passes its truncation ceiling only the trace chain is left, and a set over
-that budget is refused.
+``CoverEngine`` picks, per (kappa, A), the sampler with the smaller time per
+unit time, both in closed form: the ring engine's expected folded cells,
+cell_rate = sum_m t_m reach_m from the moments of ``loop_moments``, reach_1
+taken as |P| / 4, times _CELL_S against the trace chain's expected moves,
+step_rate = |A| (G(o) - 1), times _STEP_S.  Only the engine that runs is
+built: where the chain wins the length law is never built, where the ring
+engine wins G_A is never built.  Sets whose trace setup (G_A, its factor and
+the alias rows, ``trace_setup_bytes``, which counts |A| and the points of B)
+would exceed TRACE_SETUP_BYTES keep the ring engine.  At a kappa whose
+half-length law passes its truncation ceiling only the trace chain is left,
+and a set over that budget is refused.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -74,8 +77,7 @@ from itertools import chain
 import numpy as np
 
 from .greens import greens_at, loop_moments, mu_gamma_o
-from .lattice import (BoxTarget, Point, PointsTarget,  # re-exported to callers
-                      STEP_DX, STEP_DY)
+from .lattice import BoxTarget, Point, PointsTarget  # re-exported to callers
 from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
@@ -104,9 +106,9 @@ _ALIAS_ENTRIES = 1 << 14   # trace-chain table entries built at a time
 _MAX_SLABS = 48
 #: The cost model of the dispatch and of the residual, on one core of a
 #: 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS on one thread).  A cell the
-#: ring engine traces costs about _CELL_S, root proposals included (38 ns
-#: at box:16, kappa = 0.01, 72-91 ns at kappa = 0.5, where its loops are
-#: short); a move of the trace chain on A about _STEP_S, lockstep overhead
+#: ring engine folds costs about _CELL_S, root proposals included (its
+#: slab takes 21 ns a cell at box:16, kappa = 0.01, 24 at 0.5, most in
+#: pairs); a move of the trace chain on A about _STEP_S, lockstep overhead
 #: and batches included: ``TraceChain.slab`` over [0, u* - 2/mu) takes 78
 #: ns a move at box:16, kappa = 0.5, 116 at 0.05, 171 at 0.01 and 306 at
 #: box:32, kappa = 1e-3, where the longest excursions set the lockstep
@@ -285,9 +287,7 @@ def chain_order(target) -> tuple[np.ndarray, np.ndarray]:
     with a lattice neighbour outside A, then the interior, each in
     ``coarse_to_fine`` order; nbr[v, d] numbers vertex v's neighbour in
     direction d (E, N, W, S) in that order, or is -1 outside A."""
-    x, y = target.pts.T
-    nb = np.stack([target.vertex_index(x + dx, y + dy)
-                   for dx, dy in zip(STEP_DX.tolist(), STEP_DY.tolist())], axis=1)
+    nb = target.neighbours()
     order = coarse_to_fine(target.pts)
     order = order[np.argsort((nb[order] >= 0).all(axis=1), kind="stable")]
     rank = np.empty_like(order)
@@ -471,16 +471,16 @@ class CoverEngine:
     """Cover-time sampling of one target at one kappa, by the trace chain
     or the ring engine, whichever has the smaller time estimate; sampler
     "ring" or "trace" forces one.  The ring engine is priced by the cells
-    it traces, cell_rate = sum_{m >= 1} 2m w_m reach_m per unit time and
-    replica, the envelope's loops past n_trunc included.  Ms per replica on
-    one core, engine build included, both engines with the residual, two
-    runs of the median of three seeds (2,048 replicas; 512 at box:32 and at
-    kappa = 0.01), ring against trace: kappa = 0.5 on box:8, box:16 and
-    box:32, 0.043-0.065, 0.14-0.17 and 0.53-0.56 against 0.043-0.067,
-    0.21-0.22 and 1.27-1.32; box:16 at kappa = 0.1, 0.05 and 0.01,
-    0.28-0.32, 0.57-0.76 and 2.9-4.9 against 0.21-0.29, 0.23-0.43 and
-    0.34-0.57.  The dispatch picks the faster engine at each, the ring
-    engine at box:8, kappa = 0.5, where they tie."""
+    it folds, cell_rate = sum_{m >= 1} 2m w_m reach_m per unit time and
+    replica with reach_1 = |P| / 4, the envelope's loops past n_trunc
+    included.  Ms per replica on one core, engine build included, both
+    engines with the residual, two runs of the median of three seeds (2,048
+    replicas; 512 at box:32 and at kappa = 0.01), ring against trace: kappa
+    = 0.5 on box:8, box:16 and box:32, 0.027-0.029, 0.077-0.088 and 0.363
+    against 0.044-0.046, 0.151-0.163 and 1.11-1.16; box:16 at kappa = 0.1,
+    0.05 and 0.01, 0.245-0.254, 0.52-0.55 and 2.7-2.9 against 0.192-0.206,
+    0.209-0.231 and 0.297-0.301.  The dispatch picks the faster engine at
+    each."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -499,25 +499,30 @@ class CoverEngine:
         # form.  The trace chain makes tr(G_A) - |A| = |A| (G(o) - 1) moves;
         # the ring engine traces sum_m t_m reach_m cells, reach_m = area +
         # 2m (W + H - 1) + 2m^2 the cells within L1 distance m of the box,
-        # the roots of the loops of half-length m that can touch it
+        # the roots of the loops of half-length m that can touch it; but of
+        # half-length 1 it draws only the |P| loops that meet A, t_1 / 4 each
         box = target.box
         s0, s1, s2 = loop_moments(kappa)
+        nbr = target.neighbours()
+        p_size = nbr.size + np.count_nonzero(nbr < 0)   # |P|
         self.step_rate = target.size * math.expm1(self.mu)
-        self.cell_rate = box.area * s0 + 2 * (box.width + box.height - 1) * s1 + 2.0 * s2
+        self.cell_rate = (box.area * s0 + 2 * (box.width + box.height - 1) * s1 + 2.0 * s2
+                          - 4.0 / (4.0 + kappa) ** 2
+                          * (box.area + 2 * (box.width + box.height) - p_size / 4))
         trace_s, ring_s = _STEP_S * self.step_rate, _CELL_S * self.cell_rate
-        self.chain, self.dist, need = None, None, 0
+        self.chain, self.dist, self.pairs, need = None, None, None, 0
         if sampler == "trace" or (sampler is None and trace_s < ring_s):
-            order, nbr = chain_order(target)
-            need = trace_setup_bytes(target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
+            order, nb = chain_order(target)
+            need = trace_setup_bytes(target.size, int(np.count_nonzero((nb < 0).any(axis=1))))
             if need <= TRACE_SETUP_BYTES:
-                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nbr)
+                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nb)
             elif sampler == "trace":
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
         if self.chain is None:
-            # the ring engine's half-length table; rect[m]: cells of the box
-            # grown by m, on which the roots of half-length m are proposed;
-            # tail_rate: the envelope's proposals past n_trunc
+            # the ring engine's half-length table; pairs: the vertices each
+            # loop of P visits (-1 off A), one loop per slot of the neighbour
+            # table, two per outward slot; tail_rate: the envelope's past n_trunc
             try:
                 self.dist = length_pmf(kappa, TAIL_TOL)
             except SeriesTruncationError as exc:
@@ -526,7 +531,8 @@ class CoverEngine:
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}, "
                     f"and the ring engine's {exc}") from exc
-            self.rect = box.grown_area(np.arange(self.dist.n_trunc + 1))
+            slot = np.concatenate([np.arange(nbr.size), np.flatnonzero(nbr < 0)], dtype=np.int32)
+            self.pairs = np.stack([slot >> 2, nbr.ravel()[slot]])
             self.tail_rate = tail_envelope_rate(kappa, self.dist.n_trunc, box)
         self.sampler = "ring" if self.chain is None else "trace"
         # the points in the state's column order: the chain's, or the target's
@@ -551,25 +557,37 @@ class CoverEngine:
 
     # -- ring engine ------------------------------------------------------
 
-    def _ring_slab(self, rng, state: np.ndarray, t0: float, t1: float) -> None:
+    def _ring_slab(self, rng, state: np.ndarray, t0: float, t1: float) -> int:
         """Fold the relevant loops with timestamps in [t0, t1) into state, a
-        C-contiguous (rows, V) array of first-visit times, in place.
+        C-contiguous (rows, V) array of first-visit times, in place; returns
+        the number of cells folded, two per loop of half-length 1.
 
-        Poisson(rows (t1 - t0) w_m rect_m) proposals of each half-length m
-        <= n_trunc, and past it Poisson(rows (t1 - t0) tail_rate) proposals
+        First Poisson(rows (t1 - t0) w_1 |P| / 4) uniform pairs of P with
+        uniform rows and timestamps, _FOLD_LOOPS at a time.  Then
+        Poisson(rows (t1 - t0) w_m rect_m) proposals of each half-length 2 <=
+        m <= n_trunc, and past it Poisson(rows (t1 - t0) tail_rate) proposals
         m = n_trunc + Geometric(1 - q) of the envelope C q^m, each kept with
         probability w_m rect_m / (C q^m) = pi m (C(2m, m) / 4^m)^2 rect_m
         (n_trunc + 1)^2 / (m^2 rect_{n_trunc + 1}); both factors are at most
         1.  Then all of them in descending half-length, _FOLD_LOOPS at a
-        time.  A fold draws, in this order, each proposal's cell number
-        below rect_m on the box grown by m (``root_coords``), keeps those
-        within L1 distance m of the box, and draws the kept loops' rows and
-        timestamps, then their steps (``urn_steps``); it folds the roots,
-        then each position's cells as they are traced."""
+        time.  A fold draws, in this order, the proposals' cell numbers below
+        rect_m on the box grown by m (``root_coords``) per half-length, and
+        keeps those within L1 distance m of the box; then the kept loops'
+        rows and timestamps, then their steps (``urn_steps``); it folds the
+        roots, then each position's cells as they are traced."""
         rows, V = state.shape
         flat = state.reshape(-1)
         box, n, span = self.target.box, self.dist.n_trunc, rows * (t1 - t0)
-        counts = rng.poisson(span * self.dist.weights * self.rect[1:])
+        first, second = self.pairs
+        loops = int(rng.poisson(span * self.dist.weights[0] * first.size / 4))
+        for a in range(0, loops, _FOLD_LOOPS):
+            pair = rng.integers(0, first.size, min(_FOLD_LOOPS, loops - a))
+            base = rng.integers(0, rows, len(pair)) * V
+            t = t0 + (t1 - t0) * rng.random(len(pair))
+            np.minimum.at(flat, base + first[pair], t)
+            hit = np.flatnonzero(second[pair] >= 0)
+            np.minimum.at(flat, base[hit] + second[pair[hit]], t[hit])
+        counts = rng.poisson(span * box.grown_area(np.arange(2, n + 1)) * self.dist.weights[1:])
         kappa = self.kappa
         m = n + rng.geometric(kappa * (8.0 + kappa) / (4.0 + kappa) ** 2,   # 1 - q
                               rng.poisson(span * self.tail_rate))
@@ -578,11 +596,16 @@ class CoverEngine:
         accept = (math.pi * central ** 2 * box.grown_area(m) / m
                   * (n + 1) ** 2 / box.grown_area(n + 1))
         counts = np.concatenate([counts, np.bincount(m[rng.random(len(m)) < accept] - n - 1)])
-        ends = np.cumsum(counts[::-1])   # where half-length len(counts) - i ends
-        for a in range(0, ends[-1], _FOLD_LOOPS):
-            m = len(counts) - np.searchsorted(
-                ends, np.arange(a, min(a + _FOLD_LOOPS, ends[-1])), side="right")
-            x, y = self.target.root_coords(m, rng.integers(0, box.grown_area(m)))
+        top = len(counts) + 1   # counts[i] proposals of half-length i + 2
+        ends = np.cumsum(counts[::-1])   # where half-length top - i ends
+        cells = 2 * loops
+        for a in range(0, int(counts.sum()), _FOLD_LOOPS):
+            fold = np.diff(np.clip(ends, a, a + _FOLD_LOOPS), prepend=a)
+            ms = top - np.flatnonzero(fold)   # the fold's half-lengths
+            x, y = (np.concatenate(c) for c in zip(*[
+                self.target.root_coords(j, rng.integers(0, box.grown_area(j), fold[top - j]))
+                for j in ms.tolist()]))
+            m = np.repeat(ms, fold[top - ms])
             keep = box.distance(x, y) <= m
             if not keep.any():
                 continue
@@ -595,6 +618,8 @@ class CoverEngine:
                 vi = self.target.vertex_index(x[:live], y[:live])
                 hit = np.flatnonzero(vi >= 0)
                 np.minimum.at(flat, base[hit] + vi[hit], t[hit])
+                cells += live
+        return cells
 
     # -- public sampling --------------------------------------------------
 

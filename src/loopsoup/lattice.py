@@ -98,14 +98,13 @@ class Box:
         """Number of cells of the box grown by m (scalar or array) on every side."""
         return (self.width + 2 * m) * (self.height + 2 * m)
 
-    def grown_cells(self, m, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of the box grown by m >= 0 on every side (scalar or one per
-        index), x-major: index i (height + 2m) + j is (x0 - m + i, y0 - m + j).
-        At m = 0, the box itself in vertex order."""
-        idx, m = np.asarray(idx, dtype=np.int64), np.asarray(m, dtype=np.int64)
-        if np.any(m < 0):
+    def grown_cells(self, m: int, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Cells of the box grown by m >= 0 on every side, x-major: index i
+        (height + 2m) + j is (x0 - m + i, y0 - m + j).  At m = 0, the box
+        itself in vertex order."""
+        if m < 0:
             raise ValueError("m must be >= 0")
-        x, y = np.divmod(idx, self.height + 2 * m)
+        x, y = np.divmod(np.asarray(idx, dtype=np.int64), self.height + 2 * m)
         return x + (self.x0 - m), y + (self.y0 - m)
 
 
@@ -117,9 +116,9 @@ class PointsTarget:
     array of A in the given order (vertex v is ``pts[v]``), inside its
     bounding box ``box``.  A loop of half-length m reaches A only if its
     root lies within L1 distance m of the box; the ring engine proposes
-    roots on the box grown by m (``root_coords``, one m and cell number per
-    root), keeps those within m, and ``vertex_index`` decides which of a
-    loop's cells are hits."""
+    roots on the box grown by m (``root_coords``), keeps those within m,
+    and ``vertex_index`` decides which of a loop's cells are hits; of
+    half-length 1 it draws only the loops that ``neighbours`` finds."""
 
     #: Largest |coordinate| of a target point.  Traced cells lie within 2m
     #: of the bounding box, m <= n_trunc <= 2**22 but for the envelope's
@@ -163,8 +162,14 @@ class PointsTarget:
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
-    def root_coords(self, m: np.ndarray,
-                    cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def neighbours(self) -> np.ndarray:
+        """The (n, 4) neighbour table in A's order: nbr[v, d] is the vertex
+        next to v in direction d (E, N, W, S), or -1 outside A."""
+        x, y = self.pts.T
+        return np.stack([self.vertex_index(x + dx, y + dy) for dx, dy in
+                         zip(STEP_DX.tolist(), STEP_DY.tolist())], axis=1, dtype=np.int32)
+
+    def root_coords(self, m: int, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.box.grown_cells(m, cell)
 
     def pair_distance_counts(self) -> dict[Point, int]:

@@ -47,19 +47,14 @@ class TestTargets:
         reach = np.cumsum(box.ring_count(np.arange(6)))
         bx, by = (c.ravel() for c in np.meshgrid(np.arange(box.x0, box.x1 + 1),
                                                    np.arange(box.y0, box.y1 + 1)))
-        ms = (1, 2, 5)
-        m_all = np.repeat(ms, [e.rect[m] for m in ms])
-        r_all = np.concatenate([np.arange(e.rect[m]) for m in ms])
-        x_all, y_all = e.target.root_coords(m_all, r_all)   # one m per root
-        for m in ms:
-            assert e.rect[m] == (box.width + 2 * m) * (box.height + 2 * m)
-            x, y = e.target.root_coords(m, np.arange(e.rect[m]))
-            assert np.array_equal(x, x_all[m_all == m])
-            assert np.array_equal(y, y_all[m_all == m])
+        for m in (1, 2, 5):
+            rect = box.grown_area(m)
+            assert rect == (box.width + 2 * m) * (box.height + 2 * m)
+            x, y = e.target.root_coords(m, np.arange(rect))
             gx, gy = (c.ravel() for c in np.meshgrid(np.arange(box.x0 - m, box.x1 + m + 1),
                                                        np.arange(box.y0 - m, box.y1 + m + 1)))
             cells = list(zip(x.tolist(), y.tolist()))
-            assert len(set(cells)) == e.rect[m]
+            assert len(set(cells)) == rect
             assert set(cells) == set(zip(gx.tolist(), gy.tolist()))
             near = (np.abs(gx[:, None] - bx) + np.abs(gy[:, None] - by)).min(axis=1) <= m
             kept = box.distance(x, y) <= m
@@ -462,15 +457,17 @@ class TestTraceChain:
     @pytest.mark.parametrize("kappa", [2.5, 0.5, 0.01, 1e-4])
     @pytest.mark.parametrize("box", [Box(0, 0, 0, 0), Box(0, 0, 15, 15), Box(3, -2, 21, -2)])
     def test_cell_rate_floor(self, kappa, box):
-        # the table's cells, sum_{m <= n_trunc} t_m reach_m, are a floor
-        # under the closed-form cell_rate, and the loops past n_trunc add at
-        # most sum_{m > n_trunc} q^m / (pi m) rect_m, summed out to q^m ~ e^-60
+        # the table's cells, sum_{m <= n_trunc} t_m reach_m with |P| / 4 for
+        # reach_1, are a floor under the closed-form cell_rate, and the loops
+        # past n_trunc add at most sum_{m > n_trunc} q^m / (pi m) rect_m,
+        # summed out to q^m ~ e^-60
         corners = sorted({(box.x0, box.y0), (box.x1, box.y1)})
         e = CoverEngine(kappa, PointsTarget(corners), sampler="ring")
         assert e.target.box.area == box.area
         n = e.dist.n_trunc
         m = np.arange(1, n + 1)
         reach = box.area + np.cumsum(box.ring_count(m))
+        reach[0] = len(_short_loops(e.target)) / 4   # half-length 1: the pairs P
         floor = float((2.0 * m * e.dist.weights * reach).sum())
         q = (4.0 / (4.0 + kappa)) ** 2
         past = np.arange(n + 1, n + 1 + int(60.0 / -math.log(q)), dtype=np.float64)
@@ -507,6 +504,8 @@ class TestTraceChain:
         monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
         e = CoverEngine(0.05, target)
         assert e.sampler == "ring" and e.chain is None
+        # its pairs number A in the set's order, not the refused chain's
+        assert sorted(map(tuple, e.pairs.T.tolist())) == _short_loops(target)
 
     @pytest.mark.parametrize("kappa,target", [
         (1e-3, BoxTarget(200)),   # 40,000 points: G_A alone would be 12.8 GB
@@ -842,57 +841,80 @@ class TestSlabSchedule:
         # every replica); the cells it traces pin that
         e = CoverEngine(0.5, BoxTarget(16))
         assert e.sampler == "ring"
-        cells = []
-        index = e.target.vertex_index
-        monkeypatch.setattr(e.target, "vertex_index",
-                            lambda x, y: cells.append(len(x)) or index(x, y))
+        cells, slab = [], e._ring_slab
+        monkeypatch.setattr(e, "_ring_slab", lambda *args: cells.append(slab(*args)))
         e.ensemble(53, 512)
         assert sum(cells) / 512 < 0.7 * e.cell_rate * 2.0 * e.u_star
 
 
+def _short_loops(target) -> list[tuple[int, int]]:
+    """The loops of half-length 1, one per (root, direction), that meet A,
+    by brute force over the box grown by 2: the root's vertex and its
+    neighbour's, or the one vertex of A the loop visits and -1."""
+    box, index = target.box, {p: v for v, p in enumerate(target.points())}
+    loops = []
+    for x in range(box.x0 - 2, box.x1 + 3):
+        for y in range(box.y0 - 2, box.y1 + 3):
+            for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                a, b = index.get((x, y), -1), index.get((x + dx, y + dy), -1)
+                if max(a, b) >= 0:
+                    loops.append((a, b) if a >= 0 else (b, a))
+    return sorted(loops)
+
+
 class TestRingSlab:
-    """The ring engine's slab: loops laid out in descending half-length and
-    traced in folds of at most _FOLD_LOOPS, one position at a time."""
+    """The ring engine's slab: loops of half-length 1 drawn as the pairs P
+    of vertices they visit, the rest laid out in descending half-length,
+    their roots drawn per half-length, and traced in folds of at most
+    _FOLD_LOOPS, one position at a time."""
+
+    @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(1,0);(0,1)",
+                                      "points:(0,0);(3,1)"])
+    def test_pairs_are_the_short_loops_that_meet_a(self, spec):
+        e = CoverEngine(0.5, make_target(spec), sampler="ring")
+        assert sorted(map(tuple, e.pairs.T.tolist())) == _short_loops(e.target)
 
     @pytest.mark.parametrize("spec", ["box:3", "points:(0,0);(3,1)"])
-    def test_cell_rate_counts_cells(self, monkeypatch, spec):
+    def test_cell_rate_counts_cells(self, spec):
         # cell_rate, summed by half-length, is the ring-class sum
         # sum_delta R(delta) 2 sum_{m >= max(delta, 1)} m w_m regrouped, out
-        # past n_trunc to m = 2,000, where the terms have vanished, and the
-        # mean number of traced cells per unit time and replica, the
+        # past n_trunc to m = 2,000, where the terms have vanished, less t_1
+        # (reach_1 - |P| / 4) for the half-length-1 loops that miss A; and
+        # the mean number of cells folded per unit time and replica, the
         # envelope's loops past n_trunc inside the price
         e = CoverEngine(0.5, make_target(spec), sampler="ring")
-        suffix = np.cumsum(loop_term_array(0.5, 2000)[::-1])[::-1]   # 2m w_m = t_m
+        terms = loop_term_array(0.5, 2000)   # 2m w_m = t_m
+        suffix = np.cumsum(terms[::-1])[::-1]
         delta = np.arange(2001)
         by_ring = (e.target.box.ring_count(delta) * suffix[np.maximum(delta, 1) - 1]).sum()
+        by_ring -= terms[0] * (e.target.box.area + e.target.box.ring_count(1)
+                               - len(_short_loops(e.target)) / 4)
         assert abs(e.cell_rate - by_ring) <= 1e-12 * by_ring
-        cells = []
-        index = e.target.vertex_index
-        monkeypatch.setattr(e.target, "vertex_index",
-                            lambda x, y: cells.append(len(x)) or index(x, y))
         rng = np.random.default_rng(61)
-        rows, dt, per_slab = 16, 0.5, []
-        for _ in range(400):
-            cells.clear()
-            e._ring_slab(rng, np.full((rows, e.target.size), np.inf), 0.0, dt)
-            per_slab.append(sum(cells))
+        rows, dt = 16, 0.5
+        per_slab = [e._ring_slab(rng, np.full((rows, e.target.size), np.inf), 0.0, dt)
+                    for _ in range(400)]
         per_slab = np.asarray(per_slab, dtype=np.float64)
         se = per_slab.std(ddof=1) / math.sqrt(len(per_slab))
         assert abs(per_slab.mean() - e.cell_rate * dt * rows) <= 5 * se
 
-    @pytest.mark.parametrize("spec,rows,seed", [
-        ("box:8", 4000, 57), ("box:16", 4000, 58),
-        ("points:(0,0);(3,1);(5,5)", 8000, 59), ("line:4x6", 8000, 62)])
-    def test_uncovered_count_moments(self, spec, rows, seed):
+    @pytest.mark.parametrize("spec,rows,seed,kappa", [
+        *(pytest.param(spec, rows, seed, 0.5, id=f"{spec}-{rows}-{seed}")
+          for spec, rows, seed in (("box:8", 4000, 57), ("box:16", 4000, 58),
+                                   ("points:(0,0);(3,1);(5,5)", 8000, 59),
+                                   ("line:4x6", 8000, 62))),
+        ("box:8", 4000, 66, 20.0), ("points:(0,0);(1,0);(0,1)", 8000, 67, 20.0)])
+    def test_uncovered_count_moments(self, spec, rows, seed, kappa):
         # N, the points uncovered by one slab [0, u), u = 0.7 u*: E N = S1 =
         # |A| G(o)^-u and E N(N - 1) = S2 = sum over x != y of (G(o)^2 -
-        # G(x - y)^2)^-u, each within 4 standard errors
-        e = CoverEngine(0.5, make_target(spec), sampler="ring")
+        # G(x - y)^2)^-u, each within 4 standard errors; at kappa = 20 the
+        # pairs P carry 98% of the loops on box:8 and 95% on the L
+        e = CoverEngine(kappa, make_target(spec), sampler="ring")
         u = 0.7 * e.u_star
         state = np.full((rows, e.target.size), np.inf)
         e._ring_slab(np.random.default_rng(seed), state, 0.0, u)
         n = np.isinf(state).sum(axis=1).astype(np.float64)
-        g = laws.green_matrix(0.5, e.target.points())
+        g = laws.green_matrix(kappa, e.target.points())
         goo = g[0, 0]
         pair = (goo ** 2 - g ** 2)[~np.eye(len(g), dtype=bool)]
         for got, law in ((n, len(g) * goo ** -u), (n * (n - 1), (pair ** -u).sum())):
