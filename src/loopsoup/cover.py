@@ -282,12 +282,12 @@ def coarse_to_fine(points: np.ndarray) -> np.ndarray:
     return np.lexsort(rev)   # the last key, the level, first; then dx, dy
 
 
-def chain_order(target) -> tuple[np.ndarray, np.ndarray]:
-    """The trace chain's order of A and its neighbour table: B, the points
-    with a lattice neighbour outside A, then the interior, each in
-    ``coarse_to_fine`` order; nbr[v, d] numbers vertex v's neighbour in
-    direction d (E, N, W, S) in that order, or is -1 outside A."""
-    nb = target.neighbours()
+def chain_order(target, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trace chain's order of A and its neighbour table, from A's own
+    table nb (``neighbours``): B, the points with a lattice neighbour outside
+    A, then the interior, each in ``coarse_to_fine`` order; nbr[v, d]
+    numbers vertex v's neighbour in direction d (E, N, W, S) in that order,
+    or is -1 outside A."""
     order = coarse_to_fine(target.pts)
     order = order[np.argsort((nb[order] >= 0).all(axis=1), kind="stable")]
     rank = np.empty_like(order)
@@ -512,9 +512,9 @@ class CoverEngine:
         trace_s, ring_s = _STEP_S * self.step_rate, _CELL_S * self.cell_rate
         self.chain, self.dist, self.pairs, need = None, None, None, 0
         if sampler == "trace" or (sampler is None and trace_s < ring_s):
-            order, nb = chain_order(target)
-            need = trace_setup_bytes(target.size, int(np.count_nonzero((nb < 0).any(axis=1))))
+            need = trace_setup_bytes(target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
             if need <= TRACE_SETUP_BYTES:
+                order, nb = chain_order(target, nbr)
                 self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nb)
             elif sampler == "trace":
                 raise ResourceCeilingError(
@@ -531,8 +531,11 @@ class CoverEngine:
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}, "
                     f"and the ring engine's {exc}") from exc
-            slot = np.concatenate([np.arange(nbr.size), np.flatnonzero(nbr < 0)], dtype=np.int32)
-            self.pairs = np.stack([slot >> 2, nbr.ravel()[slot]])
+            out = np.flatnonzero(nbr < 0)
+            self.pairs = np.full((2, nbr.size + out.size), -1, dtype=np.int32)
+            self.pairs[0, :nbr.size].reshape(nbr.shape)[:] = np.arange(len(nbr))[:, None]
+            self.pairs[0, nbr.size:] = out >> 2
+            self.pairs[1, :nbr.size] = nbr.ravel()
             self.tail_rate = tail_envelope_rate(kappa, self.dist.n_trunc, box)
         self.sampler = "ring" if self.chain is None else "trace"
         # the points in the state's column order: the chain's, or the target's
@@ -774,25 +777,31 @@ def run_blocks(job, arg_list, workers: int = 1):
 def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     """Per-point first cover times under an explicit soup (inf if missed).
 
-    The packed steps are joined once, and loops are decoded in half-length
-    groups, by byte offsets, so the pathwise route stays usable as an oracle
-    at thousands of loops.
+    A closed walk of 2m steps stays within L1 distance m of its root, so
+    only the loops rooted within their half-length of A's bounding box can
+    visit A; the rest are never decoded.  The kept loops' packed steps are
+    joined once and decoded in half-length groups, by byte offsets, so the
+    pathwise route stays usable as an oracle at thousands of loops.
     """
     target = PointsTarget(points)
     best = np.full(len(points), np.inf)
+    rx = np.asarray(soup.root_x, dtype=np.int64)
+    ry = np.asarray(soup.root_y, dtype=np.int64)
     hl = np.asarray(soup.half_length, dtype=np.int64)
+    near = np.flatnonzero(target.box.distance(rx, ry) <= hl)
+    rx, ry, hl, ts = rx[near], ry[near], hl[near], soup.timestamp[near]
     nbytes = (2 * hl + 3) // 4
     start = np.cumsum(nbytes) - nbytes
-    buf = np.frombuffer(b"".join(soup.steps_packed), dtype=np.uint8)
+    buf = np.frombuffer(b"".join(map(soup.steps_packed.__getitem__, near.tolist())),
+                        dtype=np.uint8)
     for m in np.unique(hl).tolist():
         idx = np.nonzero(hl == m)[0]
         raw = buf[start[idx, None] + np.arange((2 * m + 3) // 4)]
-        px, py = loop_vertices(soup.root_x[idx], soup.root_y[idx],
-                               unpack_steps(raw, 2 * m))
+        px, py = loop_vertices(rx[idx], ry[idx], unpack_steps(raw, 2 * m))
         vi = target.vertex_index(px.ravel(), py.ravel())
         hit = vi >= 0
         if hit.any():
-            tt = np.repeat(soup.timestamp[idx], 2 * m)
+            tt = np.repeat(ts[idx], 2 * m)
             np.minimum.at(best, vi[hit], tt[hit])
     return best
 

@@ -14,7 +14,7 @@ from loopsoup.cover import (BoxTarget, CoverEngine, EmpiricalDistribution,
                             PointsTarget, ResourceCeilingError,
                             first_cover_times_from_soup,
                             ks_distance, ks_threshold, make_target)
-from loopsoup.lattice import Box
+from loopsoup.lattice import Box, STEP_DX, STEP_DY
 from loopsoup.records import VERDICT_HOLDS, VERDICT_NOT_MET
 from loopsoup.series import SeriesTruncationError, loop_term_array
 
@@ -542,7 +542,7 @@ class TestTraceChain:
         target = {"L-shape": _l_shape, "hole": _box_with_a_hole}.get(
             spec, lambda: make_target(spec))()
         e = CoverEngine(kappa, target, sampler="trace")
-        order, nbr = cover.chain_order(target)
+        order, nbr = cover.chain_order(target, target.neighbours())
         assert np.array_equal(target.pts[order], e.pts)
         g = laws.green_matrix(kappa, e.pts)
         n, p = len(g), 1.0 / (4.0 + kappa)
@@ -616,7 +616,7 @@ class TestTraceChain:
         for spec, kappa in (("box:16", 0.01), ("box:8", 0.05), ("box:32", 1e-4)):
             e = CoverEngine(kappa, make_target(spec), sampler="trace")
             assert e.chain.clamped.max() < 1e-12
-            _, nbr = cover.chain_order(e.target)
+            _, nbr = cover.chain_order(e.target, e.target.neighbours())
             g = laws.green_matrix(kappa, e.pts)
             nb = int((nbr < 0).any(axis=1).sum())
             q = np.eye(len(g)) - np.linalg.inv(g)
@@ -632,6 +632,45 @@ class TestTraceChain:
 
 
 class TestPathwiseProperties:
+    # A = (0,0);(3,0);(0,3) and (9,1), outside the window: A's bounding box
+    # holds non-points, and loops rooted outside it reach A
+    POINTS = [(0, 0), (3, 0), (0, 3), (9, 1)]
+
+    @staticmethod
+    def _soup(seed):
+        return sampler.sample_window_soup(seed, 0.05, Box(-7, -7, 7, 7), 10.0, 1e-6)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_against_loop_by_loop_decode(self, seed):
+        soup = self._soup(seed)
+        best = np.full(len(self.POINTS), np.inf)
+        outside = wide = 0
+        for i, steps in enumerate(soup.steps_packed):
+            m = int(soup.half_length[i])
+            codes = sampler.unpack_steps(steps, 2 * m)
+            x = int(soup.root_x[i]) + np.cumsum(np.r_[0, STEP_DX[codes]])
+            y = int(soup.root_y[i]) + np.cumsum(np.r_[0, STEP_DY[codes]])
+            visited = set(zip(x.tolist(), y.tolist()))
+            wide += len(steps) >= 2
+            for k, p in enumerate(self.POINTS):
+                if p in visited:
+                    best[k] = min(best[k], soup.timestamp[i])
+                    outside += not (0 <= soup.root_x[i] <= 9 and 0 <= soup.root_y[i] <= 3)
+        assert wide > len(soup) // 5 and outside > 0 and np.isfinite(best).sum() >= 3
+        assert np.array_equal(first_cover_times_from_soup(soup, self.POINTS), best)
+
+    def test_decodes_only_the_loops_that_can_reach_a(self, monkeypatch):
+        # a loop of half-length m stays within m of its root: the loops rooted
+        # farther than that from A's bounding box are never decoded
+        soup = self._soup(3)
+        rows = []
+        unpack = cover.unpack_steps
+        monkeypatch.setattr(cover, "unpack_steps",
+                            lambda raw, n: rows.append(len(raw)) or unpack(raw, n))
+        first_cover_times_from_soup(soup, self.POINTS)
+        near = Box(0, 0, 9, 3).distance(soup.root_x, soup.root_y) <= soup.half_length
+        assert 0 < sum(rows) == near.sum() < len(soup)
+
     def test_monotone_in_target(self):
         kappa = 2.0
         d = sampler.length_pmf(kappa, 1e-6)

@@ -259,6 +259,30 @@ class TestWindowSoup:
         with pytest.raises(ResourceCeilingError):
             sampler.extend_soup(soup, 1e9)
 
+    def test_nan_horizon_is_rejected_up_front(self):
+        # NaN passes a "< 0" test and would fail inside numpy's Poisson
+        soup = sampler.sample_window_soup(1, 2.5, (0, 0, 2, 2), 1.0, 1e-8)
+        with pytest.raises(ValueError, match="time_horizon"):
+            sampler.sample_window_soup(1, 2.5, (0, 0, 2, 2), math.nan, 1e-8)
+        with pytest.raises(ValueError, match="delta_horizon"):
+            sampler.extend_soup(soup, math.nan)
+        with pytest.raises(ResourceCeilingError):
+            sampler.sample_window_soup(1, 2.5, (0, 0, 2, 2), math.inf, 1e-8)
+        with pytest.raises(ResourceCeilingError):
+            sampler.extend_soup(soup, math.inf)
+
+    def test_packed_steps_are_closed_walks(self):
+        # at kappa = 0.05 loops of many half-lengths are drawn, one byte each
+        # up to m = 2 and (2m + 3) // 4 bytes past it, zero-padded
+        soup = sampler.sample_window_soup(8, 0.05, Box(-5, -5, 5, 5), 3.0, 1e-6)
+        hl = soup.half_length.tolist()
+        assert set(range(1, 8)) <= set(hl)
+        for m, steps in zip(hl, soup.steps_packed):
+            assert type(steps) is bytes and len(steps) == (2 * m + 3) // 4
+            codes = sampler.unpack_steps(steps, 4 * len(steps))
+            assert not codes[2 * m:].any()
+            assert STEP_DX[codes[:2 * m]].sum() == STEP_DY[codes[:2 * m]].sum() == 0
+
     def test_slice_cost_follows_loops_not_window_area(self):
         # a 3,162^2 window at horizon 1e-9 expects about 0.006 loops; one
         # draw per window cell would take 0.5 s and a 200 MB peak
