@@ -77,13 +77,14 @@ from itertools import chain
 import numpy as np
 
 from .greens import greens_at, loop_moments, mu_gamma_o
-from .lattice import BoxTarget, Point, PointsTarget  # re-exported to callers
+from .lattice import (BoxTarget, Point, PointsTarget,  # re-exported to callers
+                      STEP_DX, STEP_DY)
 from .laws import (exp1_power_cdf, green_matrix, gumbel_cdf, one_point_law,
                    u_star)
 from .records import VERDICT_FAILS, Verdict, verdict
 from .rng import block_stream
 from . import sampler as _sampler
-from .sampler import (_alias_setup, length_pmf, loop_vertices, tail_envelope_rate,
+from .sampler import (_alias_setup, length_pmf, tail_envelope_rate,
                       unpack_steps, urn_steps)
 from .series import (ConfigError,  # raised here, re-exported to callers
                      ResourceCeilingError, SeriesTruncationError)
@@ -780,8 +781,9 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     A closed walk of 2m steps stays within L1 distance m of its root, so
     only the loops rooted within their half-length of A's bounding box can
     visit A; the rest are never decoded.  The kept loops' packed steps are
-    joined once and decoded in half-length groups, by byte offsets, so the
-    pathwise route stays usable as an oracle at thousands of loops.
+    joined and decoded at once, less the two padding codes of each odd m,
+    and one running sum of the steps gives every visited cell: it is 0
+    again at each root because the loops are closed.
     """
     target = PointsTarget(points)
     best = np.full(len(points), np.inf)
@@ -790,19 +792,19 @@ def first_cover_times_from_soup(soup, points: list[Point]) -> np.ndarray:
     hl = np.asarray(soup.half_length, dtype=np.int64)
     near = np.flatnonzero(target.box.distance(rx, ry) <= hl)
     rx, ry, hl, ts = rx[near], ry[near], hl[near], soup.timestamp[near]
-    nbytes = (2 * hl + 3) // 4
-    start = np.cumsum(nbytes) - nbytes
-    buf = np.frombuffer(b"".join(map(soup.steps_packed.__getitem__, near.tolist())),
-                        dtype=np.uint8)
-    for m in np.unique(hl).tolist():
-        idx = np.nonzero(hl == m)[0]
-        raw = buf[start[idx, None] + np.arange((2 * m + 3) // 4)]
-        px, py = loop_vertices(rx[idx], ry[idx], unpack_steps(raw, 2 * m))
-        vi = target.vertex_index(px.ravel(), py.ravel())
-        hit = vi >= 0
-        if hit.any():
-            tt = np.repeat(ts[idx], 2 * m)
-            np.minimum.at(best, vi[hit], tt[hit])
+    buf = b"".join(map(soup.steps_packed.__getitem__, near.tolist()))
+    codes = unpack_steps(buf, 4 * len(buf))
+    # a loop fills (2m + 3) // 4 bytes: an odd m ends on two padding codes
+    end = 4 * np.cumsum((2 * hl + 3) // 4)[hl % 2 == 1]
+    keep = np.ones(len(codes), dtype=bool)
+    keep[end - 1] = keep[end - 2] = False
+    codes = codes[keep]
+    dx, dy = STEP_DX[codes], STEP_DY[codes]
+    # cell j of a loop is its root plus its steps before j
+    vi = target.vertex_index(np.repeat(rx, 2 * hl) + np.cumsum(dx) - dx,
+                             np.repeat(ry, 2 * hl) + np.cumsum(dy) - dy)
+    hit = vi >= 0
+    np.minimum.at(best, vi[hit], np.repeat(ts, 2 * hl)[hit])
     return best
 
 

@@ -111,6 +111,19 @@ class Box:
 PAIR_GRID_CELLS = 1 << 24  # a ~2048^2 box, whose report needs G to radius 2047+
 
 
+def fft_length(n: int) -> int:
+    """Smallest 5-smooth length >= n >= 1 (no prime factor above 5), on
+    which pocketfft is fast: 2^k 3^i 5^j, the least power of two per 3^i 5^j."""
+    best, p3 = 1 << (n - 1).bit_length(), 1
+    while p3 < best:
+        p = p3
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 5
+        p3 *= 3
+    return best
+
+
 class PointsTarget:
     """A finite set A of distinct lattice points: ``pts``, the (n, 2) int64
     array of A in the given order (vertex v is ``pts[v]``), inside its
@@ -172,17 +185,22 @@ class PointsTarget:
     def root_coords(self, m: int, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.box.grown_cells(m, cell)
 
-    def pair_distance_counts(self) -> dict[Point, int]:
-        """Multiplicity of each unordered displacement between distinct
-        points, folded to (max, min) of (|dx|, |dy|), in ascending order:
-        the autocorrelation of the set's indicator by FFT on its bounding box
-        (sx, sy) zero-padded to (2sx-1, 2sy-1), rounded under a guard (every
-        residual < 1/4, |A|^2 in all).  40-60 bytes of scratch per padded
-        cell; a grid over PAIR_GRID_CELLS cells raises ValueError up front."""
+    def pair_distance_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, count) int64 arrays: the multiplicity of each unordered
+        displacement between distinct points, folded to (a, b) = (max, min)
+        of (|dx|, |dy|), in ascending (a, b) order.  The autocorrelation of
+        the set's indicator by FFT on its bounding box (sx, sy), zero-padded
+        per axis to the 5-smooth ``fft_length`` of 2s - 1 (the cells between
+        the positive and negative displacements hold 0), rounded under a
+        guard (every residual < 1/4, |A|^2 in all).  Scratch is 40-60 bytes
+        per padded cell.  The guard counts the unpadded (2sx - 1)(2sy - 1)
+        cells, which padding grows by at most 11% per axis past length 21
+        (4095 -> 4096 at MAX_SIDE); over PAIR_GRID_CELLS, ValueError up front."""
         n, sx, sy = self.size, self.box.width, self.box.height
-        grid = (2 * sx - 1, 2 * sy - 1)
-        if grid[0] * grid[1] > PAIR_GRID_CELLS:
-            raise ValueError(f"padded pair grid {grid} exceeds {PAIR_GRID_CELLS} cells")
+        if (2 * sx - 1) * (2 * sy - 1) > PAIR_GRID_CELLS:
+            raise ValueError(f"pair grid {(2 * sx - 1, 2 * sy - 1)} exceeds "
+                             f"{PAIR_GRID_CELLS} cells")
+        grid = (fft_length(2 * sx - 1), fft_length(2 * sy - 1))
         ind = np.zeros((sx, sy))
         ind[self.pts[:, 0] - self.box.x0, self.pts[:, 1] - self.box.y0] = 1.0
         f = np.fft.rfft2(ind, grid)
@@ -192,11 +210,12 @@ class PointsTarget:
             raise ArithmeticError("pair histogram FFT did not round to counts")
         # index i of an axis of length p is displacement i, or i - p past the middle
         dx, dy = (np.minimum(np.arange(p), p - np.arange(p)) for p in grid)
-        short = min(sx, sy)  # min(|dx|, |dy|) < short: the keys below are distinct
+        short = min(sx, sy)  # min(|dx|, |dy|) < short where counts are nonzero
         fold = np.maximum(dx[:, None], dy) * short + np.minimum(dx[:, None], dy)
         hist = np.bincount(fold.ravel(), counts.ravel()).astype(np.int64) // 2
         hist[0] = 0  # displacement 0 pairs each point only with itself
-        return {divmod(k, short): int(hist[k]) for k in np.flatnonzero(hist).tolist()}
+        keys = np.flatnonzero(hist)
+        return *np.divmod(keys, short), hist[keys]
 
     def max_l1_diameter(self) -> int:
         """Largest L1 distance between two points: |dx| + |dy| is the larger
@@ -209,7 +228,7 @@ class BoxTarget(PointsTarget):
     """side x side box of vertices anchored at the origin corner, x-major:
     vertex (i, j) is number i side + j."""
 
-    MAX_SIDE = 2048  # the largest box whose pair grid fits PAIR_GRID_CELLS
+    MAX_SIDE = 2048  # the largest box whose 4095^2 pair grid fits PAIR_GRID_CELLS
 
     def __init__(self, side: int):
         if not 1 <= side <= self.MAX_SIDE:

@@ -206,9 +206,10 @@ def second_moment_report(kappa: float, A: TargetSet,
     """Evaluate every pair-sum inequality for the uncovered set at (1-eps) u*.
 
     The left-hand sides are exact sums of the two-point avoidance law over
-    the displacement histogram of A.  Verdicts are three-state; the
-    exp(e^32) hypotheses are never met at reachable kappa, which makes those
-    rows informational by construction.
+    the displacement histogram of A, the (a, b, count) arrays of
+    ``A.pair_distance_counts``, summed per class in one pass.  Verdicts are
+    three-state; the exp(e^32) hypotheses are never met at reachable kappa,
+    which makes those rows informational by construction.
     """
     n = A.size
     if n > PAIR_GUARD:
@@ -223,9 +224,8 @@ def second_moment_report(kappa: float, A: TargetSet,
     table = greens_table(kappa, max(1, A.max_l1_diameter()))
 
     classes = SeparationClassification.for_parameters(kappa, n, mu)
-    counts = A.pair_distance_counts()
-    a, b = np.array(list(counts)).T
-    mult = 2.0 * np.array(list(counts.values()))  # ordered pairs
+    a, b, count = A.pair_distance_counts()
+    mult = 2.0 * count  # ordered pairs
     goo, g = table.origin(), table.values(a, b)
     p = np.exp(-u_eval * np.log((goo - g) * (goo + g)))  # (G(o)^2 - G(x)^2)^-u
     cls_idx = classes.classify(a + b)

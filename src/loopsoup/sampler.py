@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Box, STEP_DX, STEP_DY
+from .lattice import Box
 from .rng import block_stream
 from .series import (ResourceCeilingError, SeriesTruncationError,
                      geometric_tail_bound, loop_term_array, step_weight)
@@ -205,20 +205,6 @@ def urn_steps(rng: np.random.Generator, m: np.ndarray):
         left[:live] -= 1.0
         s, d = step.view(np.int8)
         yield live, s - d, s + d - 1
-
-
-def loop_vertices(root_x, root_y, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Visited x and y of g loops, (g, 2m) each in walk order, root first,
-    from their roots and (g, 2m) step codes."""
-    rx = np.asarray(root_x, dtype=np.int64)[:, None]
-    ry = np.asarray(root_y, dtype=np.int64)[:, None]
-    px = np.empty(codes.shape, dtype=np.int64)
-    py = np.empty(codes.shape, dtype=np.int64)
-    px[:, :1] = rx
-    py[:, :1] = ry
-    px[:, 1:] = rx + np.cumsum(STEP_DX[codes], axis=1)[:, :-1]
-    py[:, 1:] = ry + np.cumsum(STEP_DY[codes], axis=1)[:, :-1]
-    return px, py
 
 
 def pack_steps(steps: np.ndarray) -> np.ndarray:

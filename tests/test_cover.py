@@ -663,13 +663,16 @@ class TestPathwiseProperties:
         # a loop of half-length m stays within m of its root: the loops rooted
         # farther than that from A's bounding box are never decoded
         soup = self._soup(3)
-        rows = []
+        decoded = []
         unpack = cover.unpack_steps
         monkeypatch.setattr(cover, "unpack_steps",
-                            lambda raw, n: rows.append(len(raw)) or unpack(raw, n))
+                            lambda raw, n: decoded.append(len(raw)) or unpack(raw, n))
         first_cover_times_from_soup(soup, self.POINTS)
         near = Box(0, 0, 9, 3).distance(soup.root_x, soup.root_y) <= soup.half_length
-        assert 0 < sum(rows) == near.sum() < len(soup)
+        nbytes = np.array([len(steps) for steps in soup.steps_packed])
+        # one decode of exactly the kept loops' bytes
+        assert len(decoded) == 1
+        assert 0 < decoded[0] == nbytes[near].sum() < nbytes.sum()
 
     def test_monotone_in_target(self):
         kappa = 2.0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import greens, laws
+from loopsoup import greens, lattice, laws
+from loopsoup.lattice import PAIR_GRID_CELLS, BoxTarget, fft_length
 from loopsoup.records import VERDICT_FAILS, VERDICT_NOT_MET
 from loopsoup.series import ResourceCeilingError
 
@@ -199,6 +200,14 @@ class TestUStarAndExpectations:
             laws.resolve_epsilon("auto100", 0.005)   # mu at kappa ~ 20
 
 
+def _smooth(n):
+    # no prime factor above 5
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class TestSecondMoment:
     def test_partition_complete(self):
         a = laws.box_set(8)
@@ -231,6 +240,17 @@ class TestSecondMoment:
             brute = max(abs(a - c) + abs(b - d) for a, b in pts for c, d in pts)
             assert laws.TargetSet(tuple(pts)).max_l1_diameter() == brute
 
+    @staticmethod
+    def _assert_histogram(A, expected):
+        # pair_distance_counts gives a {(a, b): count} histogram as three
+        # int64 arrays in ascending (a, b) order
+        keys = sorted(expected)
+        want = ([k[0] for k in keys], [k[1] for k in keys], [expected[k] for k in keys])
+        got = A.pair_distance_counts()
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, np.array(w, dtype=np.int64))
+
     def test_pair_distance_counts_brute_force(self):
         def brute(pts):
             out = Counter()
@@ -247,24 +267,77 @@ class TestSecondMoment:
         irregular = [(int(c % 70) - 40, int(c // 70) - 17) for c in cells]
         row = [(int(x), 5) for x in rng.choice(400, size=90, replace=False) - 200]
         column = [(y, x) for x, y in row]
-        for pts in (irregular, row, column, [(0, 0), (0, 70_312)]):
-            assert laws.TargetSet(tuple(pts)).pair_distance_counts() == brute(pts)
-        assert laws.TargetSet(((3, -2),)).pair_distance_counts() == {}
+        # a 54 x 23 bounding box: 2 * 54 - 1 = 107, a prime, runs on 108
+        cells = np.random.default_rng(54).choice(54 * 23 - 2, size=300, replace=False) + 1
+        prime = [(0, 0), (53, 22)] + [(int(c % 54), int(c // 54)) for c in cells]
+        for pts in (irregular, row, column, [(0, 0), (0, 70_312)], prime):
+            self._assert_histogram(laws.TargetSet(tuple(pts)), brute(pts))
+        # one point has no pair: three empty arrays
+        self._assert_histogram(laws.TargetSet(((3, -2),)), {})
 
-        # an odd box against (s - |dx|)(s - |dy|) ordered pairs per displacement
-        s = 37
-        closed = Counter()
-        for dx in range(-s + 1, s):
-            for dy in range(-s + 1, s):
-                if (dx, dy) != (0, 0):
-                    a, b = abs(dx), abs(dy)
-                    closed[(max(a, b), min(a, b))] += (s - a) * (s - b)
-        assert laws.box_set(s).pair_distance_counts() == {
-            k: v // 2 for k, v in closed.items()}
+        # boxes against (s - |dx|)(s - |dy|) ordered pairs per displacement:
+        # an odd side, and 16 and 64, whose 2s - 1 = 31 and 127 are prime
+        for s in (37, 16, 64):
+            closed = Counter()
+            for dx in range(-s + 1, s):
+                for dy in range(-s + 1, s):
+                    if (dx, dy) != (0, 0):
+                        a, b = abs(dx), abs(dy)
+                        closed[(max(a, b), min(a, b))] += (s - a) * (s - b)
+            self._assert_histogram(laws.box_set(s), {k: v // 2 for k, v in closed.items()})
 
         # a padded grid over the ceiling is refused before it is allocated
         with pytest.raises(ValueError, match="cells"):
             laws.TargetSet(((0, 0), (10 ** 6, 10 ** 6))).pair_distance_counts()
+
+    def test_fft_length_is_smooth_and_short(self):
+        for n in range(1, 4096):
+            m = fft_length(n)
+            # 1.11 n fails only at 7, 13 and 21 (8, 15 and 24)
+            assert _smooth(m) and n <= m <= max(1.11 * n, n + 3), n
+            assert not any(_smooth(k) for k in range(n, m)), n
+        assert fft_length(4095) == 4096 and fft_length(4097) == 4320
+
+    def test_every_box_passes_the_guard(self, monkeypatch):
+        # the guard counts the unpadded (2sx - 1)(2sy - 1) cells and runs
+        # before any allocation: a stand-in fft_length that raises marks the
+        # sets it lets through, so nothing is allocated here
+        class Passed(Exception):
+            pass
+
+        def passed(n):
+            raise Passed
+
+        monkeypatch.setattr(lattice, "fft_length", passed)
+        # two opposite corners span a side x side bounding box, as the box does
+        for side in range(1, BoxTarget.MAX_SIDE + 1):
+            with pytest.raises(Passed):
+                laws.TargetSet(tuple({(0, 0), (side - 1, side - 1)})).pair_distance_counts()
+        # 4095 x 4097 cells pass, though padded to 4096 x 4320 they would not
+        with pytest.raises(Passed):
+            laws.TargetSet(((0, 0), (2047, 2048))).pair_distance_counts()
+        assert 4095 * 4097 <= PAIR_GRID_CELLS < 4096 * 4320
+        for far in ((2048, 2048), (2047, 2049)):
+            with pytest.raises(ValueError, match="cells"):
+                laws.TargetSet(((0, 0), far)).pair_distance_counts()
+
+    def test_pair_histogram_never_takes_a_prime_fft_length(self, monkeypatch):
+        # every FFT the histogram runs, on box sides 1..64, has lengths with
+        # no prime factor above 5, so a prime length cannot come back silently
+        lengths = []
+
+        def spy(fft):
+            def wrapped(a, s=None, *args, **kwargs):
+                lengths.extend(a.shape[-2:] if s is None else s)
+                return fft(a, s, *args, **kwargs)
+            return wrapped
+
+        for name in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, spy(getattr(np.fft, name)))
+        for side in range(1, 65):
+            laws.box_set(side).pair_distance_counts()
+        assert len(lengths) == 2 * 2 * 64 and 127 not in lengths
+        assert all(map(_smooth, lengths))
 
     def test_guard(self):
         # a documented limit, so a resource ceiling (exit 3), not a ValueError

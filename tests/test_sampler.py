@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,20 +178,36 @@ class TestBridges:
         stat = (((counts - 5_000) ** 2) / 5_000).sum()
         assert chi2.sf(stat, 3) > 1e-3
 
+    @staticmethod
+    def _traces(loops, reach=2):
+        """Cells each of the loops [(root, step codes), ...] visits, read
+        back through the pathwise decode of a soup of just these loops,
+        loop i at time i + 1, over the square within reach of each root."""
+        soup = SimpleNamespace(
+            root_x=np.array([r[0] for r, _ in loops]),
+            root_y=np.array([r[1] for r, _ in loops]),
+            half_length=np.array([len(c) // 2 for _, c in loops]),
+            timestamp=np.arange(1.0, len(loops) + 1),
+            steps_packed=[sampler.pack_steps(c).tobytes() for _, c in loops])
+        pts = sorted({(x + i, y + j) for (x, y), _ in loops
+                      for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)})
+        best = cover.first_cover_times_from_soup(soup, pts)
+        return [{p for p, t in zip(pts, best) if t == k + 1} for k in range(len(loops))]
+
     def test_trace_examples(self, rng):
-        x, y = sampler.loop_vertices([0], [0], np.array([[0, 1, 2, 3]], dtype=np.int8))
-        assert x.tolist() == [[0, 1, 1, 0]] and y.tolist() == [[0, 0, 1, 1]]
-        x, y = sampler.loop_vertices([5], [-2], sampler.bridge_steps(rng, 1, 1))
-        two = set(zip(x[0].tolist(), y[0].tolist()))
+        # two loops in one decode: the running sum starts the second at its
+        # own root, and its m = 1 leaves two padding codes (E) not walked
+        square, two = self._traces([((0, 0), np.array([0, 1, 2, 3], dtype=np.int8)),
+                                    ((5, -2), sampler.bridge_steps(rng, 1, 1)[0])])
+        assert square == {(0, 0), (1, 0), (1, 1), (0, 1)}
         assert len(two) == 2 and (5, -2) in two
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2 ** 31))
     def test_trace_size_and_excursion(self, m, seed):
         rng = np.random.default_rng(seed)
-        x, y = sampler.loop_vertices([3], [4], sampler.bridge_steps(rng, m, 1))
-        tr = set(zip(x[0].tolist(), y[0].tolist()))
-        assert 2 <= len(tr) <= 2 * m
+        tr, = self._traces([((3, 4), sampler.bridge_steps(rng, m, 1)[0])], reach=2 * m)
+        assert 2 <= len(tr) <= 2 * m and (3, 4) in tr
         assert max(abs(a - 3) + abs(b - 4) for a, b in tr) <= m
 
     def test_pack_roundtrip(self, rng):
