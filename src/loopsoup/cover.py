@@ -15,9 +15,10 @@ any fixed sequence of slab boundaries is exact.
 The trace chain (``TraceChain``) samples the trace of the soup on A itself:
 the loop soup of the chain Q = I - G_A^{-1} (Le Jan 2011, *Markov paths,
 loops and fields*), decomposed by each loop's lowest vertex through the
-Cholesky factor C of G_A, boundary first.  Each excursion is drawn already
-conditioned to return to its root, the Doob h-transform by h_j = C[:, j] /
-C_jj, so every move is a visit.  It needs no truncation.
+Cholesky factor C of G_A, boundary first, then the interior separator-first.
+Each excursion is drawn already conditioned to return to its root, the Doob
+h-transform by h_j = C[:, j] / C_jj, so every move is a visit.  It needs no
+truncation.
 
 The ring engine samples the loops of the soup that are able to touch the
 target.  A loop of half-length 1 visits its root and one neighbour, so those
@@ -57,10 +58,10 @@ taken as |P| / 4, times _CELL_S against the trace chain's expected moves,
 step_rate = |A| (G(o) - 1), times _STEP_S.  Only the engine that runs is
 built: where the chain wins the length law is never built, where the ring
 engine wins G_A is never built.  Sets whose trace setup (G_A, its factor and
-the alias rows, ``trace_setup_bytes``, which counts |A| and the points of B)
-would exceed TRACE_SETUP_BYTES keep the ring engine.  At a kappa whose
-half-length law passes its truncation ceiling only the trace chain is left,
-and a set over that budget is refused.
+the alias rows, ``trace_setup_bytes``) would exceed TRACE_SETUP_BYTES keep
+the ring engine, unordered if G_A and its factor alone would.  At a kappa
+whose half-length law passes its truncation ceiling only the trace chain is
+left, and a set over that budget is refused.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
@@ -95,9 +96,9 @@ REPLICA_BLOCK = 4096
 TAIL_TOL = 1e-10
 WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain moves
 #: Most bytes the trace chain's setup may hold; larger sets keep the ring
-#: engine.  The largest box is box:38 (1,444 points), whose G_A, factor and
-#: alias rows take about 0.75 s on one core and raise the peak RSS by 113
-#: MB; a set without interior fits up to 275 points.
+#: engine.  The largest box is box:42 (1,764 points), whose G_A, factor and
+#: alias rows take about 0.57 s on one core and raise the peak RSS by 109
+#: MiB; a set without interior fits up to 275 points.
 TRACE_SETUP_BYTES = 1 << 27
 _CELL_BUDGET = 24_000_000
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
@@ -126,8 +127,8 @@ _CELL_S = 80e-9
 _STEP_S = 240e-9
 _POINT_S = {"ring": 10e-6, "trace": 31e-6}
 #: Bytes of a residual chunk's stacked alias rows, 16 bytes an entry
-#: (``_chunks``); its build peaks within 5 times that
-#: (``trace_setup_bytes``)
+#: (``_chunks``); its build peaks within 5 times that (box:200 rows with
+#: Poisson(_RESIDUAL_MEAN_F) points of F)
 _RESIDUAL_BYTES = 1 << 20
 #: Most points of F the residual starts with on average, E|F| = e^c.  A
 #: chain of |F| points builds |F|^2 (|F| + 1) / 2 alias entries, so its
@@ -248,53 +249,53 @@ class CoverTimeSample:
         return EmpiricalDistribution.from_samples(self.mu * self.values.values)
 
 
-def trace_setup_bytes(size: int, boundary: int) -> int:
-    """Peak bytes of the trace chain's setup for a set of `size` points, of
-    which `boundary` (B) have a lattice neighbour outside the set: 12 bytes
-    per alias entry, at most 4 for each of the |B| |I| + |I| (|I| + 1) / 2
-    rows (root, interior vertex) and |B| + 4 for each of the |B| (|B| + 1) /
-    2 rows (root, point of B), plus 24 bytes per size^2 entry for G_A, its
-    factor and the row keys, plus 4 MiB for the rows built at a time.  It
-    bounds the rise of the process's peak RSS while the engine is built (one
-    core, kappa = 0.01) by 8-13%: box:32 estimates 66.1 MB and rose 60.9 MB,
-    box:38 123.9 MB and 113.1 MB, box:41 164.6 MB and 145.4 MB.  A set
-    without interior holds about size^3 / 2 entries, so past 275 points it
-    keeps the ring engine.  The residual builds each G_F from ``greens_at``
-    on F's displacements, in chunks of rows whose stacked tables hold at
-    most _RESIDUAL_BYTES in 16-byte entries (``_chunks``); a chunk's build
-    peaks within 5 times that (box:200 rows with Poisson(_RESIDUAL_MEAN_F)
-    points of F)."""
-    inner = size - boundary
-    entries = (4 * inner * (boundary + (inner + 1) / 2)
-               + boundary * (boundary + 1) / 2 * (boundary + 4))
-    return int(12 * entries + 24 * size * size) + (4 << 20)
+def trace_setup_bytes(nbr: np.ndarray, end: np.ndarray) -> int:
+    """Peak bytes of the trace chain's setup for a set of n points, from the
+    neighbour table nbr and the ends end_j of ``chain_order``: 24 bytes per
+    n^2 entry for G_A, the copy of it that the Cholesky factorisation works
+    on and the factor; 16 per entry of the roots' ranges [j, end_j), its
+    row and the key of the row built there; 12 per alias entry, |B| + 4 for
+    each of the |B| (|B| + 1) / 2 rows (root, point of B) and at most 4 for
+    each other entry of a range; plus 4 MiB for the rows built at a time.
+    It bounds the rise of the process's peak RSS while the engine is built
+    (one core, kappa = 0.01): box:38 estimates 90 MiB and rose 77 MiB,
+    box:42 127 MiB and 109 MiB; box:45 rose 138 MiB.  A set without interior
+    holds about n^3 / 2 entries, so past 275 points it keeps the ring
+    engine."""
+    n, nb = len(end), int(np.count_nonzero((nbr < 0).any(axis=1)))
+    ranges, wide = int((end - np.arange(n)).sum()), nb * (nb + 1) // 2
+    return 24 * n * n + 16 * ranges + 12 * (wide * (nb + 4) + 4 * (ranges - wide)) + (4 << 20)
 
 
-def coarse_to_fine(points: np.ndarray) -> np.ndarray:
-    """The order of (n, 2) points within each part of the trace chain's
-    order: coarsest dyadic level of the offset (dx, dy) from the bounding
-    box's corner (trailing zeros of dx | dy) first, then bit-reversed dx,
-    then dy; it is translation-free."""
-    d = (points - points.min(axis=0)).T
-    v = np.stack([d[1], d[0], (d[0] | d[1]) & -(d[0] | d[1])])
-    rev = np.zeros_like(v)
-    for _ in range(int(v.max()).bit_length()):   # any common width orders alike
-        rev, v = rev << 1 | v & 1, v >> 1
-    return np.lexsort(rev)   # the last key, the level, first; then dx, dy
-
-
-def chain_order(target, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The trace chain's order of A and its neighbour table, from A's own
-    table nb (``neighbours``): B, the points with a lattice neighbour outside
-    A, then the interior, each in ``coarse_to_fine`` order; nbr[v, d]
-    numbers vertex v's neighbour in direction d (E, N, W, S) in that order,
-    or is -1 outside A."""
-    order = coarse_to_fine(target.pts)
-    order = order[np.argsort((nb[order] >= 0).all(axis=1), kind="stable")]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+def chain_order(target, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trace chain's order of A, from A's own neighbour table nb
+    (``neighbours``): B, the points with a lattice neighbour outside A, in
+    A's order, then the interior separator-first (nested dissection, George
+    1973): level by level each part is cut across the longer side of its
+    bounding box, the points on its middle line first, then each half as a
+    part.  Returns the order, nbr[v, d] = v's neighbour in direction d (E,
+    N, W, S) in it or -1 outside A, and end_j: n on B, else the end of the
+    part x_j cuts.  It reads differences of coordinates only."""
+    n, inner = len(nb), (nb >= 0).all(axis=1)
+    order, end = np.concatenate([np.flatnonzero(~inner), np.flatnonzero(inner)]), np.full(n, n)
+    # the parts' points in the order so far, their positions and part labels
+    pos = np.arange(n - np.count_nonzero(inner), n)
+    idx, part = order[pos], np.zeros(len(pos), dtype=np.int64)
+    while len(idx):
+        _, starts, r = np.unique(part, return_index=True, return_inverse=True)
+        xy = target.pts[idx]
+        lo, hi = np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)
+        tall = np.diff(hi - lo, axis=1)[:, 0] > 0   # cut across y
+        mid = (np.where(tall, lo[:, 1] + hi[:, 1], lo[:, 0] + hi[:, 0]) // 2)[r]
+        across, along = np.where(tall[r], xy[:, ::-1].T, xy.T)
+        side = np.sign(across - mid) % 3   # 0 on the separator, 1 and 2 its halves
+        perm = np.lexsort((along, side, r))   # within each part: r stays sorted
+        idx, side, cut = idx[perm], side[perm], side[perm] == 0
+        order[pos[cut]] = idx[cut]
+        end[pos[cut]] = pos[np.append(starts[1:], len(pos)) - 1][r[cut]] + 1
+        idx, pos, part = idx[~cut], pos[~cut], (3 * r + side)[~cut]
     nb = nb[order]
-    return order, np.where(nb >= 0, rank[nb], -1)
+    return order, np.where(nb >= 0, np.argsort(order)[nb], -1), end
 
 
 class TraceChain:
@@ -327,24 +328,28 @@ class TraceChain:
     x |B| solve, and Q(b, x) = 1 / (4 + kappa) for the interior neighbours x
     of b; the rest of Q on B x I is 0 and is not computed.  Negative
     entries of Q_BB are rounding and are clamped to 0, their mass per row
-    kept in ``clamped``.  A row (j, v) is one alias table of its moves in
-    flat arrays, found by key (table, j, v) in ``_row``; a move to x_j is
-    stored as -1.
+    kept in ``clamped``.  Past B the interior comes separator-first, so
+    for an interior root h_j vanishes past end_j, the end of the part x_j
+    cuts: B and the separators before x_j cut it off from the later points,
+    and the factor's rounding there is set to 0.  A row (t, j, v), v in [j,
+    end_j), is one alias table of its moves in flat arrays at
+    ``_row[_first[t, j] + v]``; a move to x_j is -1.
 
     g may be one (n, n) matrix or a (T, n, n) stack of them, one chain per
-    table (the chain on A is table 0), in the order of nbr, the (n, 4)
-    neighbour table of ``chain_order`` with the interior last; without
-    nbr every vertex is taken as a point of B, which is exact for any set.
+    table (the chain on A is table 0), in the order of nbr and end from
+    ``chain_order``, the interior last; without nbr every vertex is taken
+    as a point of B, with end_j = n, which is exact for any set.
     A set of k < n points is padded to n with identity rows and columns,
     whose pivots are 1 and which no move reaches.
     """
 
-    def __init__(self, g: np.ndarray, kappa: float, nbr: np.ndarray | None = None):
+    def __init__(self, g: np.ndarray, kappa: float, nbr: np.ndarray | None = None,
+                 end: np.ndarray | None = None):
         g = g.reshape(-1, *g.shape[-2:])
         tables, n = g.shape[:2]
         p = 1.0 / (4.0 + kappa)
         if nbr is None:
-            nbr = np.full((n, 4), -1)
+            nbr, end = np.full((n, 4), -1), np.full(n, n)
         nb = n - int(np.count_nonzero((nbr >= 0).all(axis=1)))
         # B's interior neighbours, at most kx per point
         inner = -np.sort(-np.where(nbr[:nb] >= nb, nbr[:nb], -1), axis=1)
@@ -355,41 +360,60 @@ class TraceChain:
         q = np.eye(nb) - np.linalg.solve(g[:, :nb, :nb], rhs)
         self.clamped = -np.minimum(q, 0.0).sum(axis=2)
         np.maximum(q, 0.0, out=q)
-        # h[t, j, v] = C_vj, cut at 1e-12 C_jj and 0 for roots that draw no
-        # loops; a row (t, j, v) for each h > 0, keyed by its flat index
+        # h[t, j, v] = C_vj, cut at 1e-12 C_jj, 0 past end_j and for roots
+        # that draw no loops; a row (t, j, v) for each h > 0, keyed by its
+        # flat index, the interior's rows first, with one copy of the keys
         h = np.linalg.cholesky(g, upper=True)
         pivot = np.diagonal(h, axis1=1, axis2=2).copy()
         gj = np.where(pivot ** 2 < 1.0 + 0.5 * p * p, 1.0, pivot ** 2)
         self.log_g = np.log(gj)
         self.p_return = 1.0 - 1.0 / gj
         h[h <= 1e-12 * pivot[:, :, None]] = 0.0
-        h *= (gj > 1.0)[:, :, None]
+        h *= (gj > 1.0)[:, :, None] & (np.arange(n) < end[:, None])
         key = np.flatnonzero(h)
         inside = key % n >= nb
-        hf = h.reshape(-1)
+        key, inside = np.concatenate([key[inside], key[~inside]]), np.count_nonzero(inside)
 
-        def narrow(key):
+        def narrow(t, j, v):
             # the interior's rows: to the four neighbours
-            v = key % n
-            start = key - v   # the key of row (t, j, 0)
             verts = nbr[v]
-            w = p * hf[start[:, None] + verts]
-            verts[verts == (start // n % n)[:, None]] = -1
+            w = p * h[t[:, None], j[:, None], verts]
+            verts[verts == j[:, None]] = -1
             return w, verts
 
-        def wide(key):
+        def wide(t, j, v):
             # B's rows: to every point of B (Q_BB) and to the interior neighbours
-            v = key % n
-            start = key - v
-            t, j, nbrs = start // (n * n), start // n % n, inner[v]
-            w = np.concatenate([q[t, v] * h[t, j, :nb],
-                                p * np.where(nbrs >= 0, hf[start[:, None] + nbrs], 0.0)], axis=1)
+            nbrs = inner[v]
+            w = np.concatenate([q[t, v] * h[t, j, :nb], p * np.where(
+                nbrs >= 0, h[t[:, None], j[:, None], nbrs], 0.0)], axis=1)
             verts = np.concatenate([np.broadcast_to(np.arange(nb), (len(v), nb)), nbrs], axis=1)
             verts[np.arange(len(v)), j] = -1
             return w, verts
 
-        self._row, self._keep, self._take, self._alias = _alias_rows(
-            [(key[inside], 4, narrow), (key[~inside], nb + kx, wide)], tables, n)
+        # the rows as flat alias tables, _ALIAS_ENTRIES entries at a time:
+        # row (t, j, v) is _row[_first[t, j] + v] = its offset << 16 | its
+        # width (0 for none) into the keep probabilities and the vertices
+        # kept and aliased.  A column of weight 0 is never drawn; a row of
+        # weight 0, left only by rounding next to the cut, ends the excursion
+        span = np.tile(end - np.arange(n), tables)
+        self._first = (np.cumsum(span) - span).reshape(tables, n) - np.arange(n)
+        self._row = np.zeros(span.sum(), dtype=np.int64)
+        at, size = 0, 4 * inside + (nb + kx) * (len(key) - inside)
+        self._take = np.empty(size, np.int16 if n < 1 << 15 else np.int32)
+        self._keep, self._alias = np.empty(size), np.empty_like(self._take)
+        for key, width, moves in ((key[:inside], 4, narrow), (key[inside:], nb + kx, wide)):
+            step = max(1, _ALIAS_ENTRIES // width)
+            for a in range(0, len(key), step):
+                t, j, v = np.unravel_index(key[a:a + step], h.shape)
+                self._row[self._first[t, j] + v] = (at + width * np.arange(len(v))) << 16 | width
+                w, verts = moves(t, j, v)
+                empty = ~(w > 0.0).any(axis=1)
+                w[empty, 0], verts[empty, 0] = 1.0, -1
+                alias, keep = _alias_setup(w / w.sum(axis=1, keepdims=True))
+                to = slice(at, at + w.size)
+                self._keep[to], self._take[to] = keep.ravel(), verts.ravel()
+                self._alias[to] = np.take_along_axis(verts, alias, axis=1).ravel()
+                at += w.size
 
     def slab(self, rng, state: np.ndarray, t0: float, t1: float,
              tables: np.ndarray) -> int:
@@ -410,10 +434,10 @@ class TraceChain:
         root = cell % n
         loop = np.repeat(np.arange(len(cell)),
                          rng.logseries(self.p_return[tables].ravel()[cell]))
-        # per excursion: the state offset of vertex v is base + v, and the
-        # key of its row at v is start + v
+        # per excursion: the state offset of vertex v is base + v, and its
+        # row at v is start + v
         base, when = (cell - root)[loop], t[loop]
-        start = ((tables[cell // n] * n + root) * n)[loop]
+        start = self._first[tables[cell // n], root][loop]
         walker, key = np.arange(len(loop)), start + root[loop]
         log: list[tuple] = []   # (walker, vertex) of every visit
         logged, moves = 0, 0
@@ -436,36 +460,6 @@ class TraceChain:
                 np.minimum.at(flat, at[ok], tw[ok])
                 log, logged = [], 0
         return moves
-
-
-def _alias_rows(groups, tables: int, n: int):
-    """Flat alias tables of rows of nonnegative weights over n vertices:
-    groups holds (keys, width, moves), one row of that width per key below
-    tables n^2, whose weights and vertices moves(keys) gives, _ALIAS_ENTRIES
-    at a time.  Returns the row of each key as its offset << 16 | its width,
-    the keep probabilities, and the vertices kept and aliased (int16 below
-    2^15 vertices); a column of weight 0 is never drawn.  A row of weight
-    0, which only rounding next to the 1e-12 cut of h can leave, ends the
-    excursion."""
-    row = np.zeros(tables * n * n, dtype=np.int64)
-    size = sum(len(key) * width for key, width, _ in groups)
-    vertex = np.int16 if n < 1 << 15 else np.int32
-    keep = np.empty(size)
-    take, alias = np.empty(size, dtype=vertex), np.empty(size, dtype=vertex)
-    end = 0
-    for key, width, moves in groups:
-        row[key] = (end + width * np.arange(len(key))) << 16 | width
-        step = max(1, _ALIAS_ENTRIES // width)
-        for a in range(0, len(key), step):
-            w, verts = moves(key[a:a + step])
-            empty = ~(w > 0.0).any(axis=1)
-            w[empty, 0], verts[empty, 0] = 1.0, -1
-            J, q = _alias_setup(w / w.sum(axis=1, keepdims=True))
-            at = slice(end, end + w.size)
-            keep[at], take[at] = q.ravel(), verts.ravel()
-            alias[at] = np.take_along_axis(verts, J, axis=1).ravel()
-            end += w.size
-    return row, keep, take, alias
 
 
 class CoverEngine:
@@ -513,10 +507,12 @@ class CoverEngine:
         trace_s, ring_s = _STEP_S * self.step_rate, _CELL_S * self.cell_rate
         self.chain, self.dist, self.pairs, need = None, None, None, 0
         if sampler == "trace" or (sampler is None and trace_s < ring_s):
-            need = trace_setup_bytes(target.size, int(np.count_nonzero((nbr < 0).any(axis=1))))
+            need = 24 * target.size ** 2   # the n^2 term alone: past 2,364 points
+            if need <= TRACE_SETUP_BYTES:   # the set is not even ordered
+                order, nb, end = chain_order(target, nbr)
+                need = trace_setup_bytes(nb, end)
             if need <= TRACE_SETUP_BYTES:
-                order, nb = chain_order(target, nbr)
-                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nb)
+                self.chain = TraceChain(green_matrix(kappa, target.pts[order]), kappa, nb, end)
             elif sampler == "trace":
                 raise ResourceCeilingError(
                     f"trace setup needs {need:.3g} bytes > {TRACE_SETUP_BYTES}")
@@ -741,8 +737,8 @@ def _slabs(rng, state: np.ndarray, rows: np.ndarray, times: np.ndarray,
 def _chunks(size: np.ndarray, entries: int) -> list[np.ndarray]:
     """Rows in ascending |F| = size, stably, in chunks of at most `entries`
     stacked entries (one row at least), each padded to its own largest F: a
-    chain of k points holds at most k^2 (k + 1) / 2 alias entries and k^2
-    row keys."""
+    chain of k points holds at most k^2 (k + 1) / 2 alias entries and fewer
+    than k^2 rows in its ranges."""
     order = np.argsort(size, kind="stable")
     side = size[order] ** 2 * (size[order] + 3) // 2
     chunks, i = [], 0

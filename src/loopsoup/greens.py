@@ -114,31 +114,35 @@ def _octant_blocks(radius: int):
         yield a + a0, b
 
 
-def green_origin(kappa: float) -> float:
-    """G(o) = (2/pi) K(16 beta^2) = 1/AGM(1, sqrt(kappa (8+kappa)) beta) (Borwein
-    and Borwein 1987).  A fixed 40 steps, of which 8 suffice at kappa = 1e-14: at
+def _agm(kappa: float) -> tuple[float, float]:
+    """AGM(1, sqrt(kappa (8+kappa)) beta) and sum_n 2^{n-1} c_n^2, c_0^2 = 16
+    beta^2, over a fixed 40 steps, of which 8 suffice at kappa = 1e-14: at
     kappa = 1 a loop until a == b never ends, a and b staying one ulp apart."""
     beta = step_weight(kappa)
-    a, b = 1.0, math.sqrt(kappa * (8.0 + kappa)) * beta
-    for _ in range(40):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 1.0 / a
+    a, b, c_sum = 1.0, math.sqrt(kappa * (8.0 + kappa)) * beta, 8.0 * beta * beta
+    for n in range(40):
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        c_sum += 2.0 ** n * c * c
+    return a, c_sum
+
+
+def green_origin(kappa: float) -> float:
+    """G(o) = (2/pi) K(16 beta^2) = 1/AGM(1, sqrt(kappa (8+kappa)) beta) (Borwein
+    and Borwein 1987)."""
+    return 1.0 / _agm(kappa)[0]
 
 
 def loop_moments(kappa: float) -> tuple[float, float, float]:
     """S_k = sum_{m >= 1} m^k t_m, t_m = beta^{2m} C(2m, m)^2, for k = 0, 1, 2,
     from sum_m t_m x^m = (2/pi) K(p x), p = 16 beta^2, p' = 1 - p = kappa (8 +
-    kappa) beta^2.  ``green_origin``'s AGM(1, sqrt p') gives K and E = K (1 -
+    kappa) beta^2.  The AGM(1, sqrt p') of ``green_origin`` gives K and E = K (1 -
     sum_n 2^{n-1} c_n^2), c_0^2 = p; dK/dm = (E - (1 - m) K) / (2m (1 - m)) and
     d(E - (1 - m) K)/dm = K/2 give S1 = (E - p'K) / (pi p') and S2 = S1 + pK /
     (2 pi p') - S1 (1 - 2p) / p'.  S0 is green_origin(kappa) - 1 to the bit;
     S1 and S2 overflow to inf as kappa -> 0, never to nan."""
     beta = step_weight(kappa)
     p, pc = 16.0 * beta * beta, kappa * (8.0 + kappa) * beta * beta
-    a, b, c_sum = 1.0, math.sqrt(kappa * (8.0 + kappa)) * beta, 0.5 * p
-    for n in range(40):
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        c_sum += 2.0 ** n * c * c
+    a, c_sum = _agm(kappa)
     k = 0.5 * pi / a
     s1 = k * (p - c_sum) / (pi * pc)   # E - p'K = K (p - c_sum), no cancellation
     return 1.0 / a - 1.0, s1, s1 + p * k / (2.0 * pi * pc) - s1 * (1.0 - 2.0 * p) / pc

@@ -273,6 +273,10 @@ def _no_green_matrix(*args):
     raise AssertionError("G_A built for a set over the trace setup budget")
 
 
+def _no_chain_order(*args):
+    raise AssertionError("a set over the trace setup budget ordered")
+
+
 def _no_length_law(*args):
     raise AssertionError("length law built for a forced trace chain")
 
@@ -283,10 +287,16 @@ def _no_greens_table(*args):
 
 def _implied_rows(chain, keys):
     """(key, next vertex, probability) of the moves that a trace chain's
-    alias rows imply, for those of the keys (t n + j) n + v that have a row;
-    a move that ends the excursion goes to -1."""
+    alias rows imply, for those of the keys (t n + j) n + v that have a row,
+    at _first[t, j] + v within root j's range of rows, which runs from its
+    row at j to the next root's; a move that ends the excursion goes to -1."""
     n = chain.log_g.shape[1]
-    row = chain._row[keys]
+    first = chain._first.ravel()
+    begin = first + np.arange(len(first)) % n
+    at = first[keys // n] + keys % n
+    inside = (at >= begin[keys // n]) & (at < np.append(begin[1:], len(chain._row))[keys // n])
+    keys, at = keys[inside], at[inside]
+    row = chain._row[at]
     keys, row = keys[row != 0], row[row != 0]
     width, off = row & 0xFFFF, row >> 16
     r = np.repeat(np.arange(len(keys)), width)
@@ -401,16 +411,34 @@ class TestTraceChain:
         assert not np.array_equal(ordered.pts, target.pts)
         assert abs(moves - ordered.step_rate) <= 1e-10 * ordered.step_rate
 
-    def test_coarse_to_fine_order(self):
-        pts = np.array(BoxTarget(4).points())
-        assert pts[cover.coarse_to_fine(pts)][:4].tolist() == [[0, 0], [0, 2],
-                                                               [2, 0], [2, 2]]
-        sparse = np.array(make_target("points:(0,0);(3,1);(2,5);(6,4);(1,1)").points())
-        for p in (pts, sparse):
-            order = cover.coarse_to_fine(p)
-            assert sorted(order.tolist()) == list(range(len(p)))
-            for shift in ((7, -3), (-(1 << 30), (1 << 30) - 6)):
-                assert (cover.coarse_to_fine(p + shift) == order).all()
+    @pytest.mark.parametrize("spec", ["box:8", "L-shape", "hole",
+                                      "points:(0,0);(3,1);(2,5);(6,4);(1,1)"])
+    def test_separator_first_order(self, spec):
+        # B first in A's order, then the interior separator-first: box:8's
+        # interior, columns 1..6, is cut on column 3 first, ends at n
+        target = {"L-shape": _l_shape, "hole": _box_with_a_hole}.get(
+            spec, lambda: make_target(spec))()
+        order, nbr, end = cover.chain_order(target, target.neighbours())
+        n = target.size
+        inside = (target.neighbours() >= 0).all(axis=1)
+        nb = n - int(inside.sum())
+        assert sorted(order.tolist()) == list(range(n))
+        assert order[:nb].tolist() == np.flatnonzero(~inside).tolist()
+        assert (end[:nb] == n).all() and (end > np.arange(n)).all() and (end <= n).all()
+        if spec == "box:8":
+            assert target.pts[order[nb:nb + 6]].tolist() == [[3, y] for y in range(1, 7)]
+            assert (end[nb:nb + 6] == n).all() and end[nb + 6] < n
+        for shift in ((7, -3), (-(1 << 30), (1 << 30) - 8)):
+            moved = PointsTarget(target.pts + shift)
+            for got, want in zip(cover.chain_order(moved, moved.neighbours()),
+                                 (order, nbr, end)):
+                assert np.array_equal(got, want)
+        # past end_j the dense Cholesky h_j = C[:, j] / C_jj is rounding alone
+        if nb < n:
+            for kappa in (1.0, 0.01, 1e-4):
+                c = np.linalg.cholesky(laws.green_matrix(kappa, target.pts[order]))
+                h = c / np.diagonal(c)
+                assert np.abs(h[np.arange(n)[:, None] >= end]).max() < 2e-12
 
     def test_pivots_of_one(self):
         # the centre of a 3x3 box comes after its four neighbours, so its
@@ -497,7 +525,7 @@ class TestTraceChain:
         # and it keeps the ring engine without building G_A (box:4 has 12
         # points of B)
         target = BoxTarget(4)
-        need = cover.trace_setup_bytes(16, 12)
+        need = cover.trace_setup_bytes(*cover.chain_order(target, target.neighbours())[1:])
         monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need)
         assert CoverEngine(0.05, target).sampler == "trace"
         monkeypatch.setattr(cover, "TRACE_SETUP_BYTES", need - 1)
@@ -507,11 +535,40 @@ class TestTraceChain:
         # its pairs number A in the set's order, not the refused chain's
         assert sorted(map(tuple, e.pairs.T.tolist())) == _short_loops(target)
 
+    @pytest.mark.parametrize("side", [38, 42])
+    def test_setup_peak_memory(self, side):
+        # the rise of the peak RSS while the dispatch builds the chain stays
+        # within trace_setup_bytes, on box:38 and on box:42, the largest box
+        # within TRACE_SETUP_BYTES.  The child reads its own high-water mark,
+        # VmHWM, as in test_ring_slab_peak_memory, after a small chain has
+        # loaded what every build needs
+        code = ("from loopsoup import cover; from loopsoup.cover import BoxTarget, CoverEngine\n"
+                "def hwm():\n"
+                "    return [int(line.split()[1]) * 1024 for line in open('/proc/self/status')\n"
+                "            if line.startswith('VmHWM:')][0]\n"
+                "CoverEngine(0.01, BoxTarget(4), sampler='trace')\n"
+                f"target = BoxTarget({side})\n"
+                "need = cover.trace_setup_bytes(*cover.chain_order(target, target.neighbours())[1:])\n"
+                "before = hwm()\n"
+                "e = CoverEngine(0.01, target)\n"
+                "print(e.sampler, need, hwm() - before)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cover.__file__).parent.parent),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[0] == "trace" and int(out[2]) <= int(out[1]) <= cover.TRACE_SETUP_BYTES
+        if side == 42:   # and box:43 is over it
+            wider = BoxTarget(43)
+            assert (cover.trace_setup_bytes(*cover.chain_order(wider, wider.neighbours())[1:])
+                    > cover.TRACE_SETUP_BYTES)
+
     @pytest.mark.parametrize("kappa,target", [
         (1e-3, BoxTarget(200)),   # 40,000 points: G_A alone would be 12.8 GB
     ])
     def test_sets_over_budget_keep_the_ring_engine(self, monkeypatch, kappa, target):
+        # the n^2 term alone is over the budget: the set is not even ordered
         monkeypatch.setattr(cover, "green_matrix", _no_green_matrix)
+        monkeypatch.setattr(cover, "chain_order", _no_chain_order)
         e = CoverEngine(kappa, target)
         # only the budget keeps the ring engine
         assert e.step_rate * cover._STEP_S < e.cell_rate * cover._CELL_S
@@ -542,7 +599,7 @@ class TestTraceChain:
         target = {"L-shape": _l_shape, "hole": _box_with_a_hole}.get(
             spec, lambda: make_target(spec))()
         e = CoverEngine(kappa, target, sampler="trace")
-        order, nbr = cover.chain_order(target, target.neighbours())
+        order, nbr, _ = cover.chain_order(target, target.neighbours())
         assert np.array_equal(target.pts[order], e.pts)
         g = laws.green_matrix(kappa, e.pts)
         n, p = len(g), 1.0 / (4.0 + kappa)
@@ -616,7 +673,7 @@ class TestTraceChain:
         for spec, kappa in (("box:16", 0.01), ("box:8", 0.05), ("box:32", 1e-4)):
             e = CoverEngine(kappa, make_target(spec), sampler="trace")
             assert e.chain.clamped.max() < 1e-12
-            _, nbr = cover.chain_order(e.target, e.target.neighbours())
+            _, nbr, _ = cover.chain_order(e.target, e.target.neighbours())
             g = laws.green_matrix(kappa, e.pts)
             nb = int((nbr < 0).any(axis=1).sum())
             q = np.eye(len(g)) - np.linalg.inv(g)
@@ -818,7 +875,7 @@ class TestSlabSchedule:
     def test_residual_build_of_a_large_set_fits_its_budget(self):
         # rows of box:200 with Poisson(_RESIDUAL_MEAN_F) uncovered points,
         # as at its t_residual: each chunk's build peaks within twelve
-        # times _RESIDUAL_BYTES (``trace_setup_bytes``: within 5)
+        # times _RESIDUAL_BYTES (its comment: within 5)
         e = CoverEngine(0.5, BoxTarget(200))
         rng = np.random.default_rng(7)
         mask = np.zeros((e._batch_size(), e.target.size), dtype=bool)
