@@ -100,7 +100,10 @@ WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain moves
 #: alias rows take about 0.57 s on one core and raise the peak RSS by 109
 #: MiB; a set without interior fits up to 275 points.
 TRACE_SETUP_BYTES = 1 << 27
-_CELL_BUDGET = 24_000_000
+#: Bytes of the ring engine's (replicas, |A|) state per batch
+#: (``_batch_size``), beside scratch that does not grow with the batch: a
+#: fold's, 7.4-7.8 MiB by tracemalloc, or a residual chunk's build
+_BATCH_BYTES = 1 << 24
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
 _WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
@@ -108,15 +111,15 @@ _ALIAS_ENTRIES = 1 << 14   # trace-chain table entries built at a time
 _MAX_SLABS = 48
 #: The cost model of the dispatch and of the residual, on one core of a
 #: 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS on one thread).  A cell the
-#: ring engine folds costs about _CELL_S, root proposals included (its
-#: slab takes 21 ns a cell at box:16, kappa = 0.01, 24 at 0.5, most in
-#: pairs); a move of the trace chain on A about _STEP_S, lockstep overhead
-#: and batches included: ``TraceChain.slab`` over [0, u* - 2/mu) takes 78
-#: ns a move at box:16, kappa = 0.5, 116 at 0.05, 171 at 0.01 and 306 at
-#: box:32, kappa = 1e-3, where the longest excursions set the lockstep
-#: depth, and between 207 and 309 ns the dispatch picks the engine that ran
-#: faster at every point of the ``CoverEngine`` table.  A point of F costs
-#: the residual about _POINT_S[engine], build included: the ring engine's
+#: ring engine folds costs about _CELL_S, root proposals included (its slab
+#: takes 21 ns a cell at box:16, kappa = 0.01, 24 at 0.5, most in pairs); a
+#: move of the trace chain on A about _STEP_S, lockstep overhead and batches
+#: included: ``TraceChain.slab`` over [0, u* - 2/mu) takes 92-95 ns a move at
+#: box:16, kappa = 0.5, 106-109 at 0.05, 133-161 at 0.01 and 195-201 at
+#: box:32, kappa = 1e-3, where the longest excursions set the lockstep depth,
+#: and between 194 and 305 ns the dispatch picks the engine that ran faster
+#: at every point of the ``CoverEngine`` table.  A point of F costs the
+#: residual about _POINT_S[engine], build included: the ring engine's
 #: thousands of rows per batch share lockstep iterations and alias passes,
 #: the trace chain's tens less so.  The c that ran fastest with t_residual
 #: forced, 1.5 on the ring engine at box:16, kappa = 0.5, and on the trace
@@ -469,13 +472,13 @@ class CoverEngine:
     it folds, cell_rate = sum_{m >= 1} 2m w_m reach_m per unit time and
     replica with reach_1 = |P| / 4, the envelope's loops past n_trunc
     included.  Ms per replica on one core, engine build included, both
-    engines with the residual, two runs of the median of three seeds (2,048
-    replicas; 512 at box:32 and at kappa = 0.01), ring against trace: kappa
-    = 0.5 on box:8, box:16 and box:32, 0.027-0.029, 0.077-0.088 and 0.363
-    against 0.044-0.046, 0.151-0.163 and 1.11-1.16; box:16 at kappa = 0.1,
-    0.05 and 0.01, 0.245-0.254, 0.52-0.55 and 2.7-2.9 against 0.192-0.206,
-    0.209-0.231 and 0.297-0.301.  The dispatch picks the faster engine at
-    each."""
+    engines with the residual, medians of five runs of the median of three
+    seeds (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring against
+    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.028, 0.084 and 0.40
+    against 0.050, 0.187 and 1.05; box:16 at kappa = 0.1, 0.05 and 0.01,
+    0.251, 0.59 and 2.6 against 0.238, 0.228 and 0.324.  The dispatch picks
+    the engine that was faster in every run at each, but in four of five at
+    box:16, kappa = 0.1."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -624,25 +627,21 @@ class CoverEngine:
     # -- public sampling --------------------------------------------------
 
     def _batch_size(self) -> int:
-        """Replicas per batch, so that the ring engine's traced cells or the
-        trace chain's loops and excursions on [0, t_residual), the only slab
-        drawn on A and for every replica of the batch, stay within budget."""
+        """Replicas per batch on [0, t_residual), the only slab drawn on A and
+        for every replica of the batch: the ring engine folds _FOLD_LOOPS
+        loops at a time, so a batch holds its state, 8 bytes a point, within
+        _BATCH_BYTES; the trace chain's loops and excursions stay within
+        _WALKER_BUDGET."""
         if self.chain is None:
-            per_rep = max(self.cell_rate * self.t_residual, 1.0)
-            return int(min(REPLICA_BLOCK, max(16, _CELL_BUDGET // per_rep)))
+            return int(min(REPLICA_BLOCK, max(1, _BATCH_BYTES // (8 * self.target.size))))
         log_g = self.chain.log_g
         per_rep = self.t_residual * float((log_g + np.expm1(log_g)).sum())
         return int(min(REPLICA_BLOCK, max(1, _WALKER_BUDGET // max(per_rep, 1.0))))
 
     def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
-        out = np.empty(n_replicas)
-        done = 0
         bs = self._batch_size()
-        while done < n_replicas:
-            b = min(bs, n_replicas - done)
-            out[done:done + b] = self._cover_batch(rng, b)
-            done += b
-        return out
+        return np.concatenate([self._cover_batch(rng, min(bs, n_replicas - a))
+                               for a in range(0, n_replicas, bs)])
 
     def _slab_edges(self) -> list[float]:
         """The residual's slab boundaries: t_residual, horizon0 where that
@@ -670,7 +669,7 @@ class CoverEngine:
         times = state.max(axis=1)
         rows = np.flatnonzero(np.isinf(times))
         edges = self._slab_edges()
-        uncovered = np.isinf(state[rows])
+        uncovered = np.isinf(state)[rows]
         for chunk in _chunks(uncovered.sum(axis=1), _RESIDUAL_BYTES // 16):
             chain, sub = self._residual_chains(uncovered[chunk])
             _slabs(rng, sub, rows[chunk], times, edges, chain)
@@ -841,7 +840,7 @@ def run_example_many_sep(kappa: float, count: int, separation: int,
     distance never exceeds 1, so where the allowance reaches 1 (the gap
     budget alone is about 12.7 for two points at kappa = 1) the check cannot
     fail, and its verdict is hypothesis-not-met."""
-    if count > 1 and (separation % 2 or separation < 10.0 / kappa ** 2):
+    if count > 1 and (separation % 2 or separation * kappa * kappa < 10.0):
         raise ConfigError("separation must be even and >= 10 kappa^-2")
     target = make_target(f"line:{count}x{separation}")
     sample = CoverEngine(kappa, target).ensemble(seed, replicas, workers, WORK_GUARD)

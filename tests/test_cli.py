@@ -362,6 +362,7 @@ def test_documented_limits_exit_with_their_codes(capsys):
     ("many-sep", ("--separation", -4)),                  # below 10 kappa^-2
     ("many-sep", ("--count", 3, "--separation", 2 ** 30)),   # past the line bound
     ("many-sep", ("--separation", "9" * 25)),
+    ("two-far", ("--kappa", "1e-300")),                  # kappa^2 underflows to 0
 ])
 def test_example_arguments_exit_config(which, args, capsys):
     # an example's set goes through make_target's line:<k>x<sep>, so a bad

@@ -285,6 +285,20 @@ def _no_greens_table(*args):
     raise AssertionError("Green's table built for G_A")
 
 
+def _child(code: str) -> list[str]:
+    """Run code in a fresh single-threaded interpreter on this package and
+    return its stdout's words.  hwm() there reads the child's own high-water
+    mark, VmHWM, in bytes: its ru_maxrss would keep the test process's peak
+    across exec."""
+    hwm = ("def hwm():\n"
+           "    return [int(line.split()[1]) * 1024 for line in open('/proc/self/status')\n"
+           "            if line.startswith('VmHWM:')][0]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cover.__file__).parent.parent),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", hwm + code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def _implied_rows(chain, keys):
     """(key, next vertex, probability) of the moves that a trace chain's
     alias rows imply, for those of the keys (t n + j) n + v that have a row,
@@ -539,23 +553,16 @@ class TestTraceChain:
     def test_setup_peak_memory(self, side):
         # the rise of the peak RSS while the dispatch builds the chain stays
         # within trace_setup_bytes, on box:38 and on box:42, the largest box
-        # within TRACE_SETUP_BYTES.  The child reads its own high-water mark,
-        # VmHWM, as in test_ring_slab_peak_memory, after a small chain has
-        # loaded what every build needs
-        code = ("from loopsoup import cover; from loopsoup.cover import BoxTarget, CoverEngine\n"
-                "def hwm():\n"
-                "    return [int(line.split()[1]) * 1024 for line in open('/proc/self/status')\n"
-                "            if line.startswith('VmHWM:')][0]\n"
-                "CoverEngine(0.01, BoxTarget(4), sampler='trace')\n"
-                f"target = BoxTarget({side})\n"
-                "need = cover.trace_setup_bytes(*cover.chain_order(target, target.neighbours())[1:])\n"
-                "before = hwm()\n"
-                "e = CoverEngine(0.01, target)\n"
-                "print(e.sampler, need, hwm() - before)")
-        env = dict(os.environ, PYTHONPATH=str(Path(cover.__file__).parent.parent),
-                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
+        # within TRACE_SETUP_BYTES.  The child reads its own high-water mark
+        # (``_child``) after a small chain has loaded what every build needs
+        out = _child(
+            "from loopsoup import cover; from loopsoup.cover import BoxTarget, CoverEngine\n"
+            "CoverEngine(0.01, BoxTarget(4), sampler='trace')\n"
+            f"target = BoxTarget({side})\n"
+            "need = cover.trace_setup_bytes(*cover.chain_order(target, target.neighbours())[1:])\n"
+            "before = hwm()\n"
+            "e = CoverEngine(0.01, target)\n"
+            "print(e.sampler, need, hwm() - before)")
         assert out[0] == "trace" and int(out[2]) <= int(out[1]) <= cover.TRACE_SETUP_BYTES
         if side == 42:   # and box:43 is over it
             wider = BoxTarget(43)
@@ -833,7 +840,7 @@ class TestSlabSchedule:
         cases = (("box:16", 0.01), ("box:16", 0.5), ("box:8", 0.01))
         start = [CoverEngine(kappa, make_target(spec)).t_residual
                  for spec, kappa in cases]
-        for name in ("_CELL_BUDGET", "_WALKER_BUDGET", "REPLICA_BLOCK"):
+        for name in ("_BATCH_BYTES", "_WALKER_BUDGET", "REPLICA_BLOCK"):
             monkeypatch.setattr(cover, name, getattr(cover, name) // 16)
             assert [CoverEngine(kappa, make_target(spec)).t_residual
                     for spec, kappa in cases] == start, name
@@ -871,6 +878,8 @@ class TestSlabSchedule:
         assert e.sampler == "ring" and 0.0 < e.t_residual < e.horizon0
         assert math.isclose(e.target.size * math.exp(-e.mu * e.t_residual),
                             cover._RESIDUAL_MEAN_F)
+        # a batch's state fits _BATCH_BYTES, down to one replica at box:2048
+        assert e._batch_size() == {200: 52, 2048: 1}[side]
 
     def test_residual_build_of_a_large_set_fits_its_budget(self):
         # rows of box:200 with Poisson(_RESIDUAL_MEAN_F) uncovered points,
@@ -893,6 +902,28 @@ class TestSlabSchedule:
                 assert tracemalloc.get_traced_memory()[1] <= 12 * cover._RESIDUAL_BYTES
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("side,kappa,replicas,engine", [
+        (8, 0.01, 2048, "trace"), (64, 0.5, 1024, "ring")])
+    def test_batch_peak_memory(self, side, kappa, replicas, engine):
+        # the rise of the peak RSS over an ensemble, its engine built, stays
+        # within _BATCH_BYTES plus 12 MiB of scratch that does not grow with
+        # the batch: a ring fold's (7.4-7.8 MiB by tracemalloc) or a residual
+        # chunk's build (within 5 _RESIDUAL_BYTES).  At box:8 the chain's
+        # walkers bound the batch (rose 2.4 MiB), at box:64 the ring engine's
+        # state (24.7 MiB; a copy of the state's uncovered rows at the
+        # residual's start took it to 34.5).  The child reads its own
+        # high-water mark (``_child``) after small ensembles of both engines
+        # have loaded what every run needs
+        out = _child("from loopsoup.cover import BoxTarget, CoverEngine\n"
+                     "for s in ('ring', 'trace'):\n"
+                     "    CoverEngine(0.01, BoxTarget(4), sampler=s).ensemble(1, 64)\n"
+                     f"e = CoverEngine({kappa}, BoxTarget({side}))\n"
+                     "before = hwm()\n"
+                     f"e.ensemble(7, {replicas})\n"
+                     "print(e.sampler, e._batch_size(), hwm() - before)")
+        assert out[0] == engine and int(out[1]) < replicas
+        assert int(out[2]) <= cover._BATCH_BYTES + (12 << 20)
 
     @pytest.mark.parametrize("spec,kappa,sampler_,replicas,seed", [
         ("box:16", 0.01, None, 2000, 54), ("box:8", 0.5, "trace", 4000, 55),
@@ -1024,17 +1055,11 @@ class TestRingSlab:
         # a full batch of 4,094 replicas at box:16, kappa = 0.5: holding the
         # first slab's 3.7M loops whole peaked near 611 MB, and (loops, 2m)
         # coordinate arrays of one half-length at a time near 164 MB.  The
-        # child reads its own high-water mark, VmHWM in kB: its ru_maxrss
-        # keeps the test process's peak across exec
-        code = ("from loopsoup.cover import BoxTarget, CoverEngine; "
-                "s = CoverEngine(0.5, BoxTarget(16)).ensemble(7, 4094); "
-                "print(s.sampler, *[line.split()[1] for line in open('/proc/self/status') "
-                "if line.startswith('VmHWM:')])")
-        env = dict(os.environ, PYTHONPATH=str(Path(cover.__file__).parent.parent),
-                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        assert out[0] == "ring" and int(out[1]) / 1024 < 150
+        # child reads its own high-water mark (``_child``)
+        out = _child("from loopsoup.cover import BoxTarget, CoverEngine\n"
+                     "s = CoverEngine(0.5, BoxTarget(16)).ensemble(7, 4094)\n"
+                     "print(s.sampler, hwm())")
+        assert out[0] == "ring" and int(out[1]) / 2 ** 20 < 150
 
 
 def test_engine_and_soups_share_the_length_law(monkeypatch):

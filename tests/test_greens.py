@@ -30,6 +30,20 @@ class TestGreensValue:
         gox, _ = greens.greens_value(0.1, (1, 0))
         assert goo - gox >= 0.75
 
+    @pytest.mark.parametrize("kappa", [1e-30, 1e-300])
+    def test_potential_kernel_at_vanishing_kappa(self, kappa):
+        # G(o) - G(x) tends to the potential kernel a(x) as kappa -> 0, whose
+        # closed forms are McCrea and Whipple's (1940), within the two
+        # points' error estimates.  The remainder is O(kappa), so kappa = 1e-12
+        # (2e-11) is left out: there it exceeds the quadrature's estimate
+        closed = {(1, 0): 1.0, (1, 1): 4 / math.pi, (2, 0): 4 - 8 / math.pi,
+                  (2, 1): 8 / math.pi - 1, (2, 2): 16 / (3 * math.pi),
+                  (3, 0): 17 - 48 / math.pi}
+        g_o, err_o = greens.greens_value(kappa, (0, 0))
+        for x, a in closed.items():
+            g_x, err_x = greens.greens_value(kappa, x)
+            assert abs(g_o - g_x - a) <= err_o + err_x, (x, g_o - g_x - a)
+
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
             greens.greens_value(-0.5, (0, 0))
