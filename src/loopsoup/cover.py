@@ -100,12 +100,15 @@ WORK_GUARD = 5e11  # default ceiling on a run's estimated cells or chain moves
 #: alias rows take about 0.57 s on one core and raise the peak RSS by 109
 #: MiB; a set without interior fits up to 275 points.
 TRACE_SETUP_BYTES = 1 << 27
-#: Bytes of the ring engine's (replicas, |A|) state per batch
-#: (``_batch_size``), beside scratch that does not grow with the batch: a
-#: fold's, 7.4-7.8 MiB by tracemalloc, or a residual chunk's build
+#: Bytes per batch (``_batch_size``) of state and trace-chain walkers, beside
+#: scratch that does not grow with the batch: a ring fold's, 7.4-7.8 MiB by
+#: tracemalloc, or a residual chunk's build
 _BATCH_BYTES = 1 << 24
+#: Bytes ``TraceChain.slab`` holds per loop or excursion, measured:
+#: tracemalloc read 74-77 a walker in this rule's batches at box:16, kappa =
+#: 0.01, box:32, 1e-3 and box:38, 0.01, and 85-97 in batches a fifth as wide
+_WALKER_BYTES = 96
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
-_WALKER_BUDGET = 1 << 15   # loops plus excursions per trace-chain batch
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 _ALIAS_ENTRIES = 1 << 14   # trace-chain table entries built at a time
 _MAX_SLABS = 48
@@ -113,19 +116,20 @@ _MAX_SLABS = 48
 #: 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS on one thread).  A cell the
 #: ring engine folds costs about _CELL_S, root proposals included (its slab
 #: takes 21 ns a cell at box:16, kappa = 0.01, 24 at 0.5, most in pairs); a
-#: move of the trace chain on A about _STEP_S, lockstep overhead and batches
-#: included: ``TraceChain.slab`` over [0, u* - 2/mu) takes 92-95 ns a move at
-#: box:16, kappa = 0.5, 106-109 at 0.05, 133-161 at 0.01 and 195-201 at
-#: box:32, kappa = 1e-3, where the longest excursions set the lockstep depth,
-#: and between 194 and 305 ns the dispatch picks the engine that ran faster
-#: at every point of the ``CoverEngine`` table.  A point of F costs the
-#: residual about _POINT_S[engine], build included: the ring engine's
-#: thousands of rows per batch share lockstep iterations and alias passes,
-#: the trace chain's tens less so.  The c that ran fastest with t_residual
+#: move of the trace chain on A about _STEP_S, lockstep overhead included;
+#: between 194 and 305 ns the dispatch picks the engine that ran faster at
+#: every point of the ``CoverEngine`` table.  A point of F costs the residual
+#: about _POINT_S[engine], build included: the ring engine's thousands of
+#: rows per batch share lockstep iterations and alias passes, the trace
+#: chain's narrower batches less so.  The c that ran fastest with t_residual
 #: forced, 1.5 on the ring engine at box:16, kappa = 0.5, and on the trace
 #: chain 0.0 at box:8 and 1.0-1.5 at box:16, kappa = 0.01, 1.0 at box:16,
 #: kappa = 0.05 and 2.5 at box:32, kappa = 1e-3, is met within 0.5 by ring
-#: prices of 5.7-15.6 us and trace prices of 23.6-42.1 us.
+#: prices of 5.7-15.6 us and trace prices of 23.6-42.1 us.  The trace prices
+#: were fit at 2^15 walkers a batch and overprice the chain at deep points
+#: until their refit from work counters: ``TraceChain.slab`` over [0,
+#: t_residual) took 97, 121 and 224 ns a move at box:16, kappa = 0.5 and
+#: 0.01, and box:32, kappa = 1e-3, and 94, 94 and 117 in byte-sized batches.
 _CELL_S = 80e-9
 _STEP_S = 240e-9
 _POINT_S = {"ring": 10e-6, "trace": 31e-6}
@@ -474,11 +478,11 @@ class CoverEngine:
     included.  Ms per replica on one core, engine build included, both
     engines with the residual, medians of five runs of the median of three
     seeds (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring against
-    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.028, 0.084 and 0.40
-    against 0.050, 0.187 and 1.05; box:16 at kappa = 0.1, 0.05 and 0.01,
-    0.251, 0.59 and 2.6 against 0.238, 0.228 and 0.324.  The dispatch picks
+    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.040, 0.086 and 0.42
+    against 0.050, 0.174 and 1.13; box:16 at kappa = 0.1, 0.05 and 0.01,
+    0.305, 0.64 and 3.2 against 0.222, 0.213 and 0.295.  The dispatch picks
     the engine that was faster in every run at each, but in four of five at
-    box:16, kappa = 0.1."""
+    box:8, kappa = 0.5."""
 
     def __init__(self, kappa: float, target, sampler: str | None = None):
         if sampler not in (None, "ring", "trace"):
@@ -628,15 +632,11 @@ class CoverEngine:
 
     def _batch_size(self) -> int:
         """Replicas per batch on [0, t_residual), the only slab drawn on A and
-        for every replica of the batch: the ring engine folds _FOLD_LOOPS
-        loops at a time, so a batch holds its state, 8 bytes a point, within
-        _BATCH_BYTES; the trace chain's loops and excursions stay within
-        _WALKER_BUDGET."""
-        if self.chain is None:
-            return int(min(REPLICA_BLOCK, max(1, _BATCH_BYTES // (8 * self.target.size))))
-        log_g = self.chain.log_g
-        per_rep = self.t_residual * float((log_g + np.expm1(log_g)).sum())
-        return int(min(REPLICA_BLOCK, max(1, _WALKER_BUDGET // max(per_rep, 1.0))))
+        for every replica, within _BATCH_BYTES: 8 bytes a point of state and,
+        on the trace chain, _WALKER_BYTES per expected loop or excursion."""
+        walkers = 0.0 if self.chain is None else self.t_residual * float(
+            (self.chain.log_g + np.expm1(self.chain.log_g)).sum())
+        return int(max(1, _BATCH_BYTES // (8 * self.target.size + _WALKER_BYTES * walkers)))
 
     def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
         bs = self._batch_size()
