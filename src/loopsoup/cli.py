@@ -27,7 +27,10 @@ function's domain, or a fault in the program), as
 "error: <type>: <message>".
 
 Artifacts (CSV/JSON) are byte-identical for identical (config, seed)
-whatever the worker count; wall-clock timing is printed, never written.
+whatever the worker count, at a fixed BLAS thread count: the trace chain's
+Cholesky factor of G_A rounds by BLAS thread count, and so does every draw
+after it (pin OPENBLAS_NUM_THREADS or OMP_NUM_THREADS to reproduce a trace
+run elsewhere); wall-clock timing is printed, never written.
 """
 
 from __future__ import annotations

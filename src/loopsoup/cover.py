@@ -65,7 +65,9 @@ left, and a set over that budget is refused.
 
 Replicas are grouped in fixed-size blocks with independently keyed
 streams; results merge by block index, so worker count never changes any
-number.
+number at a fixed BLAS thread count.  The thread count can: the trace
+chain's ``np.linalg.cholesky`` of G_A rounds by it (G_A and the Q_BB solve
+do not), so its tables and every later draw move with it.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ _BATCH_BYTES = 1 << 24
 _WALKER_BYTES = 96
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
 _VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
+#: Live walkers at or below which the trace chain steps them one at a time in
+#: Python, the measured crossover: a numpy iteration takes 10.4-11.5 us at 1-16
+#: walkers, one in Python 1.3 us plus 0.55-0.6 a walker (box:16, kappa = 0.01)
+_NARROW_WALKERS = 16
 _ALIAS_ENTRIES = 1 << 14   # trace-chain table entries built at a time
 _MAX_SLABS = 48
 #: The cost model of the dispatch and of the residual, on one core of a
@@ -128,8 +134,9 @@ _MAX_SLABS = 48
 #: prices of 5.7-15.6 us and trace prices of 23.6-42.1 us.  The trace prices
 #: were fit at 2^15 walkers a batch and overprice the chain at deep points
 #: until their refit from work counters: ``TraceChain.slab`` over [0,
-#: t_residual) took 97, 121 and 224 ns a move at box:16, kappa = 0.5 and
-#: 0.01, and box:32, kappa = 1e-3, and 94, 94 and 117 in byte-sized batches.
+#: t_residual) in byte-sized batches takes 82, 75 and 83 ns a move at box:16,
+#: kappa = 0.5 and 0.01, and box:32, kappa = 1e-3 (81, 78 and 100 with every
+#: lockstep iteration in numpy; medians of 9 alternating runs of 9 seeds).
 _CELL_S = 80e-9
 _STEP_S = 240e-9
 _POINT_S = {"ring": 10e-6, "trace": 31e-6}
@@ -427,9 +434,15 @@ class TraceChain:
         """Fold the loops with timestamps in [t0, t1) into state, a
         C-contiguous (rows, n) array of first-visit times in the chain's
         vertex order, in place, row r on table tables[r]; returns the number
-        of moves.  Each lockstep iteration makes one alias draw per walker,
-        and the visits are folded whenever _VISIT_BUDGET of them are
-        logged."""
+        of moves.  Each lockstep iteration draws rng.random(walkers) once
+        and makes one alias draw per walker with it, in walker order.  While
+        more than _NARROW_WALKERS walkers are live an iteration steps them
+        all in numpy, and their visits are logged and folded whenever
+        _VISIT_BUDGET of them are logged or the width falls to
+        _NARROW_WALKERS; from there each iteration steps its walkers one at
+        a time in Python over memoryviews of the same tables, with the same
+        arithmetic, and folds each visit as it is drawn.  Both give the
+        same moves, bit for bit, at any width and budget."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
@@ -448,7 +461,7 @@ class TraceChain:
         walker, key = np.arange(len(loop)), start + root[loop]
         log: list[tuple] = []   # (walker, vertex) of every visit
         logged, moves = 0, 0
-        while len(walker):
+        while len(walker) > _NARROW_WALKERS:
             moves += len(walker)
             row = self._row[key]
             u = rng.random(len(walker)) * (row & 0xFFFF)
@@ -460,12 +473,31 @@ class TraceChain:
             log.append((walker, nxt))
             logged += len(walker)
             key = start[walker] + nxt
-            if logged > _VISIT_BUDGET or not len(walker):
+            if logged > _VISIT_BUDGET or len(walker) <= _NARROW_WALKERS:
                 w, v = (np.concatenate(x) for x in zip(*log))
                 at, tw = base[w] + v, when[w]
                 ok = tw < flat[at]
                 np.minimum.at(flat, at[ok], tw[ok])
                 log, logged = [], 0
+        # the same iterations walker by walker, each visit folded as drawn
+        row, keep, take, alias, fl = map(memoryview, (
+            self._row, self._keep, self._take, self._alias, flat))
+        left = list(zip(key.tolist(), start[walker].tolist(), base[walker].tolist(),
+                        when[walker].tolist()))
+        while left:
+            moves += len(left)
+            nxt_left = []
+            for (k, s, b, tw), u in zip(left, rng.random(len(left)).tolist()):
+                r = row[k]
+                u *= r & 0xFFFF
+                col = int(u)
+                at = (r >> 16) + col
+                v = take[at] if u - col < keep[at] else alias[at]
+                if v >= 0:
+                    if tw < fl[b + v]:
+                        fl[b + v] = tw
+                    nxt_left.append((s + v, s, b, tw))
+            left = nxt_left
         return moves
 
 
@@ -478,9 +510,9 @@ class CoverEngine:
     included.  Ms per replica on one core, engine build included, both
     engines with the residual, medians of five runs of the median of three
     seeds (2,048 replicas; 512 at box:32 and at kappa = 0.01), ring against
-    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.040, 0.086 and 0.42
-    against 0.050, 0.174 and 1.13; box:16 at kappa = 0.1, 0.05 and 0.01,
-    0.305, 0.64 and 3.2 against 0.222, 0.213 and 0.295.  The dispatch picks
+    trace: kappa = 0.5 on box:8, box:16 and box:32, 0.033, 0.085 and 0.40
+    against 0.040, 0.168 and 1.06; box:16 at kappa = 0.1, 0.05 and 0.01,
+    0.285, 0.56 and 2.6 against 0.169, 0.181 and 0.253.  The dispatch picks
     the engine that was faster in every run at each, but in four of five at
     box:8, kappa = 0.5."""
 
