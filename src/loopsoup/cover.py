@@ -107,11 +107,12 @@ TRACE_SETUP_BYTES = 1 << 27
 #: tracemalloc, or a residual chunk's build
 _BATCH_BYTES = 1 << 24
 #: Bytes ``TraceChain.slab`` holds per loop or excursion, measured:
-#: tracemalloc read 74-77 a walker in this rule's batches at box:16, kappa =
-#: 0.01, box:32, 1e-3 and box:38, 0.01, and 85-97 in batches a fifth as wide
+#: tracemalloc read 67-69 a walker in this rule's batches at box:16, kappa =
+#: 0.01, box:32, 1e-3 and box:38, 0.01, and 72-75 in batches a fifth as wide.
+#: 96 was fitted to a slab that also logged its visits (74-78 and 85-97);
+#: a new value changes every batch size, so every trace ensemble
 _WALKER_BYTES = 96
 _FOLD_LOOPS = 1 << 16     # loops per ring-engine fold
-_VISIT_BUDGET = 1 << 15    # logged trace-chain visits between folds
 #: Live walkers at or below which the trace chain steps them one at a time in
 #: Python, the measured crossover: a numpy iteration takes 10.4-11.5 us at 1-16
 #: walkers, one in Python 1.3 us plus 0.55-0.6 a walker (box:16, kappa = 0.01)
@@ -435,14 +436,12 @@ class TraceChain:
         C-contiguous (rows, n) array of first-visit times in the chain's
         vertex order, in place, row r on table tables[r]; returns the number
         of moves.  Each lockstep iteration draws rng.random(walkers) once
-        and makes one alias draw per walker with it, in walker order.  While
-        more than _NARROW_WALKERS walkers are live an iteration steps them
-        all in numpy, and their visits are logged and folded whenever
-        _VISIT_BUDGET of them are logged or the width falls to
-        _NARROW_WALKERS; from there each iteration steps its walkers one at
-        a time in Python over memoryviews of the same tables, with the same
-        arithmetic, and folds each visit as it is drawn.  Both give the
-        same moves, bit for bit, at any width and budget."""
+        and makes one alias draw per walker with it, in walker order, and
+        folds each visit it draws by minimum.  While more than
+        _NARROW_WALKERS walkers are live an iteration steps them all in
+        numpy; from there each steps its walkers one at a time in Python over
+        memoryviews of the same tables, with the same arithmetic.  Both give
+        the same moves, bit for bit, at any width."""
         if not state.flags.c_contiguous:
             raise ValueError("state must be C-contiguous")
         rows, n = state.shape
@@ -459,8 +458,7 @@ class TraceChain:
         base, when = (cell - root)[loop], t[loop]
         start = self._first[tables[cell // n], root][loop]
         walker, key = np.arange(len(loop)), start + root[loop]
-        log: list[tuple] = []   # (walker, vertex) of every visit
-        logged, moves = 0, 0
+        moves = 0
         while len(walker) > _NARROW_WALKERS:
             moves += len(walker)
             row = self._row[key]
@@ -470,15 +468,8 @@ class TraceChain:
             nxt = np.where(u - col < self._keep[at], self._take[at], self._alias[at])
             live = nxt >= 0
             walker, nxt = walker[live], nxt[live]
-            log.append((walker, nxt))
-            logged += len(walker)
+            np.minimum.at(flat, base[walker] + nxt, when[walker])
             key = start[walker] + nxt
-            if logged > _VISIT_BUDGET or len(walker) <= _NARROW_WALKERS:
-                w, v = (np.concatenate(x) for x in zip(*log))
-                at, tw = base[w] + v, when[w]
-                ok = tw < flat[at]
-                np.minimum.at(flat, at[ok], tw[ok])
-                log, logged = [], 0
         # the same iterations walker by walker, each visit folded as drawn
         row, keep, take, alias, fl = map(memoryview, (
             self._row, self._keep, self._take, self._alias, flat))
@@ -670,11 +661,6 @@ class CoverEngine:
             (self.chain.log_g + np.expm1(self.chain.log_g)).sum())
         return int(max(1, _BATCH_BYTES // (8 * self.target.size + _WALKER_BYTES * walkers)))
 
-    def cover_times_block(self, rng, n_replicas: int) -> np.ndarray:
-        bs = self._batch_size()
-        return np.concatenate([self._cover_batch(rng, min(bs, n_replicas - a))
-                               for a in range(0, n_replicas, bs)])
-
     def _slab_edges(self) -> list[float]:
         """The residual's slab boundaries: t_residual, horizon0 where that
         comes later, then 1/mu, 2/mu, 4/mu, ... further."""
@@ -783,7 +769,9 @@ def _chunks(size: np.ndarray, entries: int) -> list[np.ndarray]:
 def _cover_block_job(args):
     engine, label, seed, block_index, n = args
     rng = block_stream(seed, label, block_index)
-    return engine.cover_times_block(rng, n)
+    bs = engine._batch_size()
+    return np.concatenate([engine._cover_batch(rng, min(bs, n - a))
+                           for a in range(0, n, bs)])
 
 
 def run_blocks(job, arg_list, workers: int = 1):

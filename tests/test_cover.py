@@ -402,31 +402,16 @@ class TestTraceChain:
         assert abs(moves.mean() - 64 * engine.step_rate) <= 4 * se
 
     @pytest.mark.parametrize("spec,kappa,sampler_,replicas,seed", [
-        ("box:3", 0.01, None, 96, 57), ("box:8", 0.5, "trace", 200, 58)])
-    def test_fold_budget_does_not_change_results(self, monkeypatch, spec, kappa,
-                                                 sampler_, replicas, seed):
-        # a fold after nearly every lockstep iteration catches excursions
-        # under way, whose visits fold as they are drawn; box:3 draws A up
-        # to horizon0, box:8 up to u* - c/mu
-        e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
-        assert e.sampler == "trace" and (e.t_residual < e.horizon0) == (spec == "box:8")
-        want = e.ensemble(seed, replicas).values.values
-        for budget in (1, 7):
-            monkeypatch.setattr(cover, "_VISIT_BUDGET", budget)
-            assert np.array_equal(e.ensemble(seed, replicas).values.values, want)
-
-    @pytest.mark.parametrize("spec,kappa,sampler_,replicas,seed", [
         ("box:3", 0.01, None, 96, 61), ("box:8", 0.5, "trace", 200, 62),
         ("box:16", 0.01, None, 32, 63)])
     def test_narrow_walkers_do_not_change_results(self, monkeypatch, spec, kappa,
                                                   sampler_, replicas, seed):
-        # numpy alone (width 0) and Python alone (width 2^30), each also
-        # folding after every iteration, make the moves of the default mix:
-        # box:3 runs the dispatch, box:8 the residual's padded stacks and
-        # box:16 a deep tail of narrow iterations
+        # numpy alone (width 0) and Python alone (width 2^30) make the moves
+        # of the default mix: box:3 runs the dispatch, box:8 the residual's
+        # padded stacks and box:16 a deep tail of narrow iterations
         e = CoverEngine(kappa, make_target(spec), sampler=sampler_)
         assert e.sampler == "trace"
-        budgets, slab, moves = (cover._VISIT_BUDGET, 1), cover.TraceChain.slab, []
+        slab, moves = cover.TraceChain.slab, []
 
         def counted(*args):
             moves.append(slab(*args))
@@ -440,11 +425,9 @@ class TestTraceChain:
         want, want_moves = run()
         assert len(want_moves) > 1
         for width in (0, 1 << 30):
-            for budget in budgets:
-                monkeypatch.setattr(cover, "_NARROW_WALKERS", width)
-                monkeypatch.setattr(cover, "_VISIT_BUDGET", budget)
-                got, got_moves = run()
-                assert np.array_equal(got, want) and got_moves == want_moves
+            monkeypatch.setattr(cover, "_NARROW_WALKERS", width)
+            got, got_moves = run()
+            assert np.array_equal(got, want) and got_moves == want_moves
 
     def test_moves_do_not_depend_on_the_order(self):
         # conditioned to return, the chain in the target's raster order makes

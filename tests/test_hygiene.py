@@ -3,6 +3,7 @@ import ast
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,27 @@ def test_every_module_level_name_is_read():
               if isinstance(name, ast.Name) and not name.id.startswith("__")
               and name.id not in read]
     assert not unread, unread
+
+
+def test_every_private_constant_named_in_the_source_exists():
+    # an _UPPER_CASE token in the package's code, comments or docstrings
+    # that no module of it defines at module level names a deleted knob
+    paths = [*MODULES, Path(loopsoup.__file__)]
+    defined = set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                defined.update(name.id for target in (
+                    node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for name in ast.walk(target) if isinstance(name, ast.Name))
+    stale = [f"{path.name}:{line} {token}"
+             for path in paths
+             for line, text in enumerate(path.read_text().splitlines(), start=1)
+             for token in re.findall(r"\b_[A-Z][A-Z0-9_]*\b", text)
+             if token not in defined]
+    assert not stale, stale
 
 
 def test_every_method_is_referenced():

@@ -99,6 +99,35 @@ class TestDeterminantLaw:
                 assert laws.prob_uncovered(kappa, [(1, 1), (4, -3)], u) \
                     == pytest.approx((goo * goo - gox * gox) ** (-u), rel=1e-12)
 
+    @pytest.mark.parametrize("pts", [laws.box_set(2).points(), laws.box_set(3).points(),
+                                     [(0, 0), (1, 0), (0, 2)]])
+    @pytest.mark.parametrize("kappa", [1.0, 1e-6, 1e-300])
+    def test_determinant_lemma(self, pts, kappa):
+        # G_B = G(o) 11^T - D_B with D_B = G(o) - G_B, so by the matrix
+        # determinant lemma det G_B = det(-D_B) (1 + G(o) 1^T (-D_B)^-1 1)
+        g = laws.green_matrix(kappa, pts)
+        minus_d, one = g - g[0, 0], np.ones(len(g))
+        lemma = np.linalg.det(minus_d) * (
+            1.0 + g[0, 0] * one @ np.linalg.solve(minus_d, one))
+        assert lemma == pytest.approx(math.exp(float(laws._log_det(g))), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-30, 1e-300])
+    def test_determinant_as_kappa_vanishes(self, kappa):
+        # D_B tends to the potential kernel a_B, so det G_B / G(o) = c_B +
+        # det(-a_B) / G(o) + O(kappa), c_B the sum of the cofactors of -a_B;
+        # on box:2, a = 1 at distance 1 and 4/pi on the diagonal.  At kappa =
+        # 1e-12 the O(kappa) remainder reads 6.8e-12, so it is left out
+        pts = laws.box_set(2).points()
+        dist = np.abs(np.array(pts)[:, None] - np.array(pts)[None]).sum(axis=-1)
+        minus_a, one = -np.choose(dist, [0.0, 1.0, 4 / math.pi]), np.ones(len(pts))
+        det_a = np.linalg.det(minus_a)
+        c_b = det_a * one @ np.linalg.solve(minus_a, one)
+        assert c_b == pytest.approx(4.7127, abs=1e-4)
+        assert det_a == pytest.approx(-3.8565, abs=1e-4)
+        g = laws.green_matrix(kappa, pts)
+        assert math.exp(float(laws._log_det(g))) / g[0, 0] == pytest.approx(
+            c_b + det_a / g[0, 0], rel=1e-11)
+
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             laws.prob_uncovered(0.5, [(1, 2), (0, 0), (1, 2)], 1.0)
